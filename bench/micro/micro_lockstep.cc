@@ -1,18 +1,18 @@
 /**
  * @file
- * Microbenchmark of the lockstep multi-config evaluator against the
- * sequential sweep it replaces: the same fig5-shaped batch (stages
- * {4,8} x policies {never,always,wait,psync}) run once as eight
- * back-to-back runMultiscalar() calls and once through
- * LockstepEvaluator, at the default chunk and at the pathological
- * one-cycle chunk.  The phase timings land in the JSON artifact as
- * micro_sweep_* so bench_summary.py --compare gates both paths, and
- * the wall-time gap between sequential and lockstep is the one-pass
- * amortization mdp_served exists to provide.
+ * Microbenchmark of the multi-config evaluator against the sequential
+ * sweep it replaces: the same fig5-shaped batch (stages {4,8} x
+ * policies {never,always,wait,psync}) run once as eight back-to-back
+ * runMultiscalar() calls and once through LockstepEvaluator, with a
+ * completion sink folding each lane as it finishes (the way the
+ * server streams results).  The phase timings land in the JSON
+ * artifact as micro_sweep_* so bench_summary.py --compare gates both
+ * paths, and the wall-time gap between them is what the shared
+ * context and lane pool save.
  *
- * All three kernels must produce the same checksum -- lockstep
- * execution is byte-identical to sequential by contract -- so a
- * divergence fails the binary, not just the unit suite.
+ * Both kernels must produce the same checksum -- the evaluator is
+ * byte-identical to sequential runs by contract -- so a divergence
+ * fails the binary, not just the unit suite.
  */
 
 #include "micro_common.hh"
@@ -63,12 +63,13 @@ sweepSequential(const WorkloadContext &ctx,
 
 uint64_t
 sweepLockstep(const WorkloadContext &ctx,
-              const std::vector<LockstepJob> &jobs, unsigned chunk)
+              const std::vector<LockstepJob> &jobs)
 {
-    LockstepEvaluator eval(ctx, jobs, chunk);
+    LockstepEvaluator eval(ctx, jobs);
     uint64_t sum = 0;
-    for (const LockstepResult &r : eval.run())
+    eval.run([&sum](size_t, const LockstepResult &r) {
         sum = foldResult(sum, r.ms);
+    });
     return sum;
 }
 
@@ -78,30 +79,26 @@ int
 main()
 {
     MicroSuite suite("micro_lockstep",
-                     "lockstep multi-config evaluation vs. the "
-                     "sequential sweep it amortizes");
+                     "multi-config evaluation over one shared context "
+                     "vs. the sequential sweep it amortizes");
 
     const double scale = envDouble("MDP_MICRO_SCALE", 0.05);
     const WorkloadContext &ctx = cachedContext("espresso", scale);
     const std::vector<LockstepJob> jobs = fig5Jobs(ctx);
 
-    uint64_t seq = 0, lock = 0, lock1 = 0;
+    uint64_t seq = 0, lock = 0;
     suite.kernel("sweep_sequential",
                  [&] { return seq = sweepSequential(ctx, jobs); });
     suite.kernel("sweep_lockstep",
-                 [&] { return lock = sweepLockstep(ctx, jobs, 1024); });
-    suite.kernel("sweep_lockstep_chunk1",
-                 [&] { return lock1 = sweepLockstep(ctx, jobs, 1); });
+                 [&] { return lock = sweepLockstep(ctx, jobs); });
 
     int rc = suite.finish();
-    if (seq != lock || seq != lock1) {
+    if (seq != lock) {
         std::fprintf(stderr,
-                     "micro_lockstep: lockstep checksum diverges from "
-                     "the sequential sweep (seq=%016llx lock=%016llx "
-                     "chunk1=%016llx)\n",
+                     "micro_lockstep: evaluator checksum diverges from "
+                     "the sequential sweep (seq=%016llx lock=%016llx)\n",
                      static_cast<unsigned long long>(seq),
-                     static_cast<unsigned long long>(lock),
-                     static_cast<unsigned long long>(lock1));
+                     static_cast<unsigned long long>(lock));
         return 1;
     }
     return rc;

@@ -6,80 +6,39 @@
 namespace mdp
 {
 
-LockstepEvaluator::LockstepEvaluator(const WorkloadContext &ctx,
-                                     std::vector<LockstepJob> jobs,
-                                     unsigned chunk_cycles)
-    : chunk(chunk_cycles ? chunk_cycles : 1),
-      jobSpecs(std::move(jobs))
+LockstepEvaluator::LockstepEvaluator(const WorkloadContext &context,
+                                     std::vector<LockstepJob> jobs)
+    : ctx(context), jobSpecs(std::move(jobs))
 {
-    lanes.reserve(jobSpecs.size());
-    for (const LockstepJob &j : jobSpecs) {
-        Lane lane;
-        if (j.model == LockstepJob::Model::Multiscalar) {
-            // Lanes already parallelize across the server's job pool;
-            // nesting per-lane intra-run workers would oversubscribe.
-            MultiscalarConfig ms = j.ms;
-            ms.intraJobs = 1;
-            lane.ms = std::make_unique<MultiscalarProcessor>(
-                ctx.trace(), ctx.oracle(), ctx.tasks(), ms,
-                &lanePool);
-        } else {
-            lane.ooo = std::make_unique<OooProcessor>(
-                ctx.trace(), ctx.oracle(), j.ooo, &lanePool);
-        }
-        lanes.push_back(std::move(lane));
-    }
 }
 
-LockstepEvaluator::~LockstepEvaluator() = default;
-
-bool
-LockstepEvaluator::stepRound()
+void
+LockstepEvaluator::run(const LaneDone &done)
 {
-    bool any_live = false;
-    for (Lane &lane : lanes) {
-        if (!lane.live)
-            continue;
-        unsigned stepped = 0;
-        if (lane.ms) {
-            while (stepped < chunk && lane.ms->stepCycle())
-                ++stepped;
-        } else {
-            while (stepped < chunk && lane.ooo->stepCycle())
-                ++stepped;
-        }
-        if (stepped < chunk)
-            lane.live = false;
-        else
-            any_live = true;
-    }
-    return any_live;
+    for (size_t i = 0; i < jobSpecs.size(); ++i)
+        done(i, runLane(jobSpecs[i]));
 }
 
-const std::vector<LockstepResult> &
-LockstepEvaluator::run()
+LockstepResult
+LockstepEvaluator::runLane(const LockstepJob &job)
 {
-    if (ran)
-        return results;
-    {
-        ScopedPhase phase("simulate");
-        while (stepRound())
-            ++nrounds;
+    ScopedPhase phase("simulate");
+    LockstepResult r;
+    if (job.model == LockstepJob::Model::Multiscalar) {
+        // Lanes already parallelize across the server's job pool;
+        // nesting per-lane intra-run workers would oversubscribe.
+        MultiscalarConfig ms = job.ms;
+        ms.intraJobs = 1;
+        MultiscalarProcessor proc(ctx.trace(), ctx.oracle(), ctx.tasks(),
+                                  ms, &lanePool);
+        r.ms = proc.run();
+        addCycleStats(r.ms.cyclesSimulated, r.ms.cyclesSkipped);
+    } else {
+        OooProcessor proc(ctx.trace(), ctx.oracle(), job.ooo, &lanePool);
+        r.ooo = proc.run();
+        addCycleStats(r.ooo.cyclesSimulated, r.ooo.cyclesSkipped);
     }
-    results.resize(lanes.size());
-    for (size_t i = 0; i < lanes.size(); ++i) {
-        if (lanes[i].ms) {
-            results[i].ms = lanes[i].ms->finish();
-            addCycleStats(results[i].ms.cyclesSimulated,
-                          results[i].ms.cyclesSkipped);
-        } else {
-            results[i].ooo = lanes[i].ooo->finish();
-            addCycleStats(results[i].ooo.cyclesSimulated,
-                          results[i].ooo.cyclesSkipped);
-        }
-    }
-    ran = true;
-    return results;
+    return r;
 }
 
 } // namespace mdp

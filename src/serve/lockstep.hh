@@ -1,28 +1,28 @@
 /**
  * @file
- * Lockstep multi-config evaluation: drive N timing-model instances
- * over one shared workload context in a single logical trace pass.
+ * Multi-config evaluation: drive N timing-model instances over one
+ * shared workload context in a single logical trace pass.
  *
  * A policy sweep (fig5/fig7/table9 shape) evaluates many
- * configurations against the *same* dynamic instruction stream.  Run
- * serially, each run streams the whole trace again; run in lockstep,
- * the evaluator interleaves the runs in round-robin chunks of cycles,
- * so the (mmap'd, shared) trace and oracle stay hot across all
- * configurations and a sweep costs roughly one trace pass of memory
- * traffic instead of N.
+ * configurations against the *same* dynamic instruction stream.  The
+ * evaluator runs the lanes back to back over one shared context: the
+ * (mmap'd) trace, oracle and task set are built once per group, every
+ * lane reads them, and each lane reports through a completion
+ * callback as soon as it finishes, so a caller can answer each
+ * configuration without waiting for the rest.
  *
- * The models' stepCycle()/finish() interface guarantees stepped
- * execution is byte-identical to run-to-completion, and the lanes are
- * fully independent machines, so interleaving them at any chunk
- * granularity yields exactly the results of running each config alone
- * (asserted in tests/test_serve.cc).
+ * Each lane's processor is built from the evaluator's LanePool, run
+ * to completion, finished and destroyed before the next lane starts,
+ * so one evaluator keeps at most one processor alive.  The lanes are
+ * fully independent machines, so the results are exactly those of
+ * running each config alone (asserted in tests/test_serve.cc).
  */
 
 #ifndef MDP_SERVE_LOCKSTEP_HH
 #define MDP_SERVE_LOCKSTEP_HH
 
-#include <cstdint>
-#include <memory>
+#include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "base/soa_lanes.hh"
@@ -34,7 +34,7 @@
 namespace mdp
 {
 
-/** One lane of a lockstep evaluation: exactly one model is chosen. */
+/** One lane of an evaluation: exactly one model is chosen. */
 struct LockstepJob
 {
     enum class Model { Multiscalar, Ooo };
@@ -51,63 +51,43 @@ struct LockstepResult
 };
 
 /**
- * Runs a batch of jobs against one context in lockstep.  Single-shot:
- * construct, run(), read results.  Accounts the combined wall time
- * under the "simulate" phase and every lane's fast-forward counters
- * in the process cycle-stats totals, exactly like runMultiscalar()/
- * runOoo() do for standalone runs.
+ * Runs a batch of jobs against one context, one lane after another.
+ * Single-shot: construct, run().  Accounts every lane's wall time
+ * under the "simulate" phase and its fast-forward counters in the
+ * process cycle-stats totals, like runMultiscalar()/runOoo() do for
+ * standalone runs.
  */
 class LockstepEvaluator
 {
   public:
-    /**
-     * @param chunk_cycles cycles each lane advances per round-robin
-     *        turn; any positive value yields identical results, the
-     *        default just amortizes the loop overhead.
-     */
+    /** Called once per lane, in job order, as soon as it finishes. */
+    using LaneDone =
+        std::function<void(size_t lane, const LockstepResult &result)>;
+
     LockstepEvaluator(const WorkloadContext &ctx,
-                      std::vector<LockstepJob> jobs,
-                      unsigned chunk_cycles = 1024);
-    ~LockstepEvaluator();
+                      std::vector<LockstepJob> jobs);
 
     LockstepEvaluator(const LockstepEvaluator &) = delete;
     LockstepEvaluator &operator=(const LockstepEvaluator &) = delete;
 
-    /** Run every lane to completion (idempotent). */
-    const std::vector<LockstepResult> &run();
-
-    /** Round-robin rounds executed (diagnostics). */
-    uint64_t rounds() const { return nrounds; }
+    /** Run every lane to completion, reporting each to @p done. */
+    void run(const LaneDone &done);
 
   private:
-    /**
-     * The per-cycle path: advance every live lane by one chunk.
-     * @return true while any lane is still running.
-     */
-    bool stepRound();
+    /** The simulation path: build, run, finish and destroy one lane. */
+    LockstepResult runLane(const LockstepJob &job);
 
-    struct Lane
-    {
-        std::unique_ptr<MultiscalarProcessor> ms;
-        std::unique_ptr<OooProcessor> ooo;
-        bool live = true;
-    };
-
-    unsigned chunk;
+    const WorkloadContext &ctx;
     std::vector<LockstepJob> jobSpecs;
 
     /**
-     * Shared recycling arena for the lanes' op-state buffers; declared
-     * before the lanes so they can release into it at destruction.
-     * The evaluator runs on one thread (shard parallelism lives above
-     * it in the server), which is all LanePool supports.
+     * Recycling arena for the lanes' op-state buffers: each lane's
+     * processor releases into it at destruction and the next lane
+     * borrows them back.  The evaluator runs on one thread (shard
+     * parallelism lives above it in the server), which is all
+     * LanePool supports.
      */
     LanePool lanePool;
-
-    std::vector<Lane> lanes;
-    std::vector<LockstepResult> results;
-    uint64_t nrounds = 0;
-    bool ran = false;
 };
 
 } // namespace mdp

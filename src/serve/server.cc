@@ -79,6 +79,40 @@ statsJson(const StatGroup &g)
     return obj;
 }
 
+/**
+ * A finished request's "done" line.  Its --results-dir report is
+ * written first, so a client that has read the line can open the
+ * file.  Runs on the worker that finished the lane.
+ */
+std::string
+doneLine(const Request &req, const LockstepResult &result,
+         const std::string &results_dir)
+{
+    const StatGroup stats = req.model == "ooo"
+                                ? oooStats(result.ooo)
+                                : multiscalarStats(result.ms);
+    JsonValue doc = JsonValue::object();
+    doc.set("id", JsonValue::string(req.id));
+    doc.set("status", JsonValue::string("done"));
+    doc.set("model", JsonValue::string(req.model));
+    doc.set("stats", statsJson(stats));
+    if (!results_dir.empty()) {
+        const std::string path = results_dir + "/" + req.id + ".json";
+        std::string error;
+        if (!writeSimReport(path, req.model, req.scale, stats, error))
+            doc.set("write_error", JsonValue::string(error));
+    }
+    return responseLine(doc);
+}
+
+std::vector<Response>
+collect(const std::function<void(const Sink &)> &produce)
+{
+    std::vector<Response> out;
+    produce([&out](const Response &r) { out.push_back(r); });
+    return out;
+}
+
 } // namespace
 
 Server::Server(ServeConfig config) : cfg(std::move(config)) {}
@@ -86,8 +120,22 @@ Server::Server(ServeConfig config) : cfg(std::move(config)) {}
 std::vector<Response>
 Server::handleLine(uint64_t client, const std::string &line)
 {
+    return collect([&](const Sink &sink) {
+        handleLine(client, line, sink);
+    });
+}
+
+std::vector<Response>
+Server::drain()
+{
+    return collect([this](const Sink &sink) { drain(sink); });
+}
+
+void
+Server::handleLine(uint64_t client, const std::string &line,
+                   const Sink &sink)
+{
     std::lock_guard<std::mutex> lock(mtx);
-    std::vector<Response> out;
 
     Message msg = parseMessage(line);
     switch (msg.kind) {
@@ -99,7 +147,7 @@ Server::handleLine(uint64_t client, const std::string &line)
             doc.set("id", JsonValue::string(msg.req.id));
         doc.set("status", JsonValue::string("rejected"));
         doc.set("error", JsonValue::string(msg.error));
-        out.push_back({client, responseLine(doc)});
+        sink({client, responseLine(doc)});
         break;
       }
       case MsgKind::Submit: {
@@ -124,11 +172,11 @@ Server::handleLine(uint64_t client, const std::string &line)
                     JsonValue::number(
                         static_cast<double>(queue.size())));
         }
-        out.push_back({client, responseLine(doc)});
+        sink({client, responseLine(doc)});
         break;
       }
       case MsgKind::Run:
-        out = runQueuedLocked(client, true);
+        runQueuedLocked(client, true, sink);
         break;
       case MsgKind::Status: {
         JsonValue doc = JsonValue::object();
@@ -144,47 +192,49 @@ Server::handleLine(uint64_t client, const std::string &line)
         doc.set("rejected_queue_full",
                 JsonValue::number(
                     static_cast<double>(counters.rejectedFull)));
-        out.push_back({client, responseLine(doc)});
+        sink({client, responseLine(doc)});
         break;
       }
       case MsgKind::Shutdown: {
-        out = runQueuedLocked(client, false);
+        runQueuedLocked(client, false, sink);
         stopRequested = true;
         JsonValue doc = JsonValue::object();
         doc.set("status", JsonValue::string("bye"));
-        out.push_back({client, responseLine(doc)});
+        sink({client, responseLine(doc)});
         break;
       }
     }
-    return out;
 }
 
-std::vector<Response>
-Server::drain()
+void
+Server::drain(const Sink &sink)
 {
     std::lock_guard<std::mutex> lock(mtx);
-    return runQueuedLocked(0, false);
+    runQueuedLocked(0, false, sink);
 }
 
-std::vector<Response>
-Server::runQueuedLocked(uint64_t run_client, bool emit_summary)
+void
+Server::runQueuedLocked(uint64_t run_client, bool emit_summary,
+                        const Sink &sink)
 {
     std::vector<Pending> batch(queue.begin(), queue.end());
     queue.clear();
 
-    std::vector<Response> out;
-    std::vector<LockstepResult> results(batch.size());
-
     if (!batch.empty()) {
         // Group by (workload, scale, seed): one shared context -- one
-        // logical trace pass -- per group.  std::map keeps the group
-        // order deterministic; within a group, submission order is
-        // preserved by construction.
+        // logical trace pass -- per group.  Groups run in order of
+        // their first request and keep submission order inside, so
+        // the earliest requests tend to finish first.
         using GroupKey = std::tuple<std::string, double, uint64_t>;
-        std::map<GroupKey, std::vector<size_t>> groups;
+        std::map<GroupKey, size_t> groupIndex;
+        std::vector<std::pair<GroupKey, std::vector<size_t>>> groups;
         for (size_t i = 0; i < batch.size(); ++i) {
             const Request &r = batch[i].req;
-            groups[{r.workload, r.scale, r.seed}].push_back(i);
+            const auto [it, fresh] = groupIndex.emplace(
+                GroupKey{r.workload, r.scale, r.seed}, groups.size());
+            if (fresh)
+                groups.push_back({it->first, {}});
+            groups[it->second].second.push_back(i);
         }
 
         // Contexts built for seed overrides live here until the pool
@@ -193,7 +243,6 @@ Server::runQueuedLocked(uint64_t run_client, bool emit_summary)
         const unsigned jobs =
             cfg.jobs ? cfg.jobs : ThreadPool::defaultJobs();
         ThreadPool pool(jobs);
-        std::vector<uint64_t> shardRounds;
 
         struct Shard
         {
@@ -219,7 +268,7 @@ Server::runQueuedLocked(uint64_t run_client, bool emit_summary)
             counters.configsEvaluated += members.size();
 
             // Shard the group's lanes across the pool; every shard
-            // drives its subset in lockstep over the shared context.
+            // runs its subset back to back over the shared context.
             const size_t nshards = std::min<size_t>(
                 std::max(1u, jobs), members.size());
             for (size_t s = 0; s < nshards; ++s) {
@@ -231,51 +280,47 @@ Server::runQueuedLocked(uint64_t run_client, bool emit_summary)
             }
         }
 
-        shardRounds.assign(shards.size(), 0);
-        for (size_t s = 0; s < shards.size(); ++s) {
-            const Shard &shard = shards[s];
-            pool.submit([this, &shard, &batch, &results, &shardRounds,
-                         s] {
+        // In-order delivery: a finished line waits in `lines` until
+        // every earlier request of the batch has been handed over.
+        // The sink runs under deliverMtx, which is what keeps its
+        // calls ordered and never concurrent.
+        std::mutex deliverMtx;
+        std::vector<std::string> lines(batch.size());
+        std::vector<char> finished(batch.size(), 0);
+        size_t delivered = 0;
+        auto complete = [&](size_t idx, const LockstepResult &r) {
+            std::string line =
+                doneLine(batch[idx].req, r, cfg.resultsDir);
+            std::lock_guard<std::mutex> hold(deliverMtx);
+            lines[idx] = std::move(line);
+            finished[idx] = 1;
+            for (; delivered < batch.size() && finished[delivered];
+                 ++delivered)
+                sink({batch[delivered].client,
+                      std::move(lines[delivered])});
+        };
+
+        for (const Shard &shard : shards) {
+            pool.submit([&batch, &shard, &complete] {
                 std::vector<LockstepJob> lanes;
                 lanes.reserve(shard.indices.size());
                 for (size_t idx : shard.indices)
                     lanes.push_back(
                         jobOf(*shard.ctx, batch[idx].req));
-                LockstepEvaluator eval(*shard.ctx, std::move(lanes),
-                                       cfg.lockstepChunk);
-                const std::vector<LockstepResult> &r = eval.run();
-                for (size_t k = 0; k < shard.indices.size(); ++k)
-                    results[shard.indices[k]] = r[k];
-                shardRounds[s] = eval.rounds();
+                LockstepEvaluator eval(*shard.ctx, std::move(lanes));
+                eval.run([&shard, &complete](size_t lane,
+                                             const LockstepResult &r) {
+                    complete(shard.indices[lane], r);
+                });
             });
         }
         pool.wait();
-        for (uint64_t r : shardRounds)
-            counters.lockstepRounds += r;
+        counters.lockstepRounds += batch.size();
     }
 
-    for (size_t i = 0; i < batch.size(); ++i) {
-        const Pending &p = batch[i];
-        const bool ooo = p.req.model == "ooo";
-        StatGroup stats = ooo ? oooStats(results[i].ooo)
-                              : multiscalarStats(results[i].ms);
-
-        JsonValue doc = JsonValue::object();
-        doc.set("id", JsonValue::string(p.req.id));
-        doc.set("status", JsonValue::string("done"));
-        doc.set("model", JsonValue::string(p.req.model));
-        doc.set("stats", statsJson(stats));
-        if (!cfg.resultsDir.empty()) {
-            const std::string path =
-                cfg.resultsDir + "/" + p.req.id + ".json";
-            std::string error;
-            if (!writeSimReport(path, p.req.model, p.req.scale, stats,
-                                error))
-                doc.set("write_error", JsonValue::string(error));
-        }
+    for (const Pending &p : batch) {
         idState[p.req.id] = true;
         ++counters.completed;
-        out.push_back({p.client, responseLine(doc)});
     }
 
     if (emit_summary) {
@@ -294,9 +339,8 @@ Server::runQueuedLocked(uint64_t run_client, bool emit_summary)
                     static_cast<double>(counters.configsEvaluated)));
         doc.set("amortization_factor",
                 JsonValue::number(counters.amortization()));
-        out.push_back({run_client, responseLine(doc)});
+        sink({run_client, responseLine(doc)});
     }
-    return out;
 }
 
 bool

@@ -19,10 +19,15 @@
  * Evaluation groups the queue by (workload, scale, seed); each group
  * shares one WorkloadContext -- one logical trace pass -- and its
  * configurations are sharded across a bounded worker pool, each shard
- * driven by the lockstep evaluator.  The batch counters therefore
- * report trace_passes == number of groups, and the amortization
- * factor configs_evaluated / trace_passes is the one-pass win the
- * serve-integration CI job gates on.
+ * running its lanes back to back through the evaluator.  The batch
+ * counters therefore report trace_passes == number of groups, and the
+ * amortization factor configs_evaluated / trace_passes is the
+ * one-pass win the serve-integration CI job gates on.
+ *
+ * Results stream: a request's "done" line reaches the caller's sink
+ * as soon as that request and every request submitted before it in
+ * the batch have finished, so the line sequence is the same at any
+ * worker count and no request waits for those submitted after it.
  *
  * Thread-safety: every public method is serialized by one mutex, so
  * racing clients can submit concurrently while another thread runs or
@@ -35,6 +40,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -49,7 +55,6 @@ struct ServeConfig
 {
     size_t queueCapacity = 256;
     unsigned jobs = 0; ///< worker count; 0 = ThreadPool::defaultJobs()
-    unsigned lockstepChunk = 1024;
     /** When set, write each run's mdp_sim-format JSON report to
      *  <resultsDir>/<id>.json (byte-identical to mdp_sim --json-out). */
     std::string resultsDir;
@@ -67,6 +72,7 @@ struct BatchStats
     uint64_t groups = 0;
     uint64_t tracePasses = 0;
     uint64_t configsEvaluated = 0;
+    /** Lanes the evaluator ran (one per configuration evaluated). */
     uint64_t lockstepRounds = 0;
 
     /** Configs evaluated per trace pass (the one-pass sweep win). */
@@ -86,24 +92,40 @@ struct Response
     std::string line;
 };
 
+/**
+ * Receives response lines as they become deliverable.  It may be
+ * called from worker threads, but never concurrently and always in
+ * the order the collecting overloads return, and it must not call
+ * back into the Server.
+ */
+using Sink = std::function<void(const Response &)>;
+
 class Server
 {
   public:
     explicit Server(ServeConfig config);
 
     /**
-     * Handle one protocol line from @p client.  Submission responses
-     * go to @p client; a run op additionally yields each queued
-     * request's result line addressed to its own submitter.
+     * Handle one protocol line from @p client, handing every response
+     * to @p sink.  Submission responses go to @p client; a run op
+     * additionally streams each queued request's result line,
+     * addressed to its own submitter, then the "ran" summary.
      */
+    void handleLine(uint64_t client, const std::string &line,
+                    const Sink &sink);
+
+    /** handleLine() collecting the responses instead of streaming. */
     std::vector<Response> handleLine(uint64_t client,
                                      const std::string &line);
 
     /**
      * Evaluate everything still queued (SIGTERM / EOF drain): every
-     * accepted request yields exactly one "done" line to its
+     * accepted request streams exactly one "done" line to its
      * submitter, never a duplicate.
      */
+    void drain(const Sink &sink);
+
+    /** drain() collecting the responses instead of streaming. */
     std::vector<Response> drain();
 
     /** A client sent {"op":"shutdown"}; the transport should drain
@@ -127,8 +149,8 @@ class Server
         uint64_t client = 0;
     };
 
-    std::vector<Response> runQueuedLocked(uint64_t run_client,
-                                          bool emit_summary);
+    void runQueuedLocked(uint64_t run_client, bool emit_summary,
+                         const Sink &sink);
 
     ServeConfig cfg;
 

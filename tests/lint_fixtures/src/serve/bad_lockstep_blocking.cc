@@ -1,7 +1,7 @@
 // Deliberate lockstep-blocking violations: blocking calls and
-// unordered-container iteration inside a stepRound definition.  The
-// same calls outside stepRound are fine (transport code blocks all
-// the time) and must stay undiagnosed.
+// unordered-container iteration inside a runLane definition.  The
+// same calls outside runLane are fine (the completion callback and
+// the transport block all the time) and must stay undiagnosed.
 
 #include <poll.h>
 #include <unistd.h>
@@ -14,29 +14,29 @@ struct BadEvaluator {
     std::mutex mtx;
     int fd = 0;
 
-    bool stepRound();
-    void betweenRounds();
+    int runLane(int lane);
+    void laneDone(int result);
 };
 
-bool
-BadEvaluator::stepRound()
+int
+BadEvaluator::runLane(int lane)
 {
     std::lock_guard<std::mutex> hold(mtx); // expect: lockstep-blocking
     char buf[8];
     if (read(fd, buf, sizeof buf) < 0) // expect: lockstep-blocking
-        return false;
+        return -1;
     poll(nullptr, 0, 1); // expect: lockstep-blocking
-    int n = 0;
+    int n = lane;
     for (auto &kv : laneState) // expect: lockstep-blocking
         n += kv.second;
-    return n > 0;
+    return n;
 }
 
 void
-BadEvaluator::betweenRounds()
+BadEvaluator::laneDone(int result)
 {
-    // Not the per-cycle path: blocking here is the transport's job.
-    poll(nullptr, 0, 1);
+    // Not the simulation path: delivering a result may block.
+    poll(nullptr, 0, result);
     char buf[8];
     static_cast<void>(read(fd, buf, sizeof buf));
 }

@@ -1,6 +1,6 @@
 // Expected-clean counterpart of bad_lockstep_blocking.cc: the
-// per-cycle path sticks to vectors, point lookups, and pure
-// computation; blocking work happens between rounds.
+// simulation path sticks to vectors, point lookups, and pure
+// computation; blocking work happens in the completion callback.
 
 #include <unordered_map>
 #include <vector>
@@ -9,25 +9,25 @@ struct CleanEvaluator {
     std::vector<int> lanes;
     std::unordered_map<int, int> laneIndex;
 
-    bool stepRound();
+    int runLane(int lane);
     void prepare();
 };
 
-bool
-CleanEvaluator::stepRound()
+int
+CleanEvaluator::runLane(int lane)
 {
-    int n = 0;
-    for (int lane : lanes)
-        n += lane;
+    int n = lane;
+    for (int l : lanes)
+        n += l;
     // A point lookup is not an iteration: no diagnostic.
     auto it = laneIndex.find(n);
-    return it != laneIndex.end();
+    return it != laneIndex.end() ? it->second : n;
 }
 
 void
 CleanEvaluator::prepare()
 {
-    // Outside stepRound (and src/serve/ is not a model directory),
+    // Outside runLane (and src/serve/ is not a model directory),
     // unordered iteration is allowed.
     for (auto &kv : laneIndex)
         kv.second = 0;

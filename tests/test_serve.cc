@@ -1,21 +1,27 @@
 /**
  * @file
- * The mdp_served protocol and server core, and the lockstep
- * multi-config evaluator's byte-identity guarantee.
+ * The mdp_served protocol and server core, and the multi-config
+ * evaluator's byte-identity guarantee.
  *
  * Protocol: every malformed input (bad JSON, wrong shapes, unknown
  * fields, oversized lines, out-of-range values) must come back as a
  * structured rejection, never terminate the process.  Server: bounded
  * queue backpressure, idempotent duplicate ids, submission-order
  * results, drain semantics, and thread-safety under racing writers
- * (this binary runs in the ASan and TSan CI jobs).  Lockstep: results
- * of N interleaved model instances are byte-identical to running each
- * configuration alone, at any chunk size.
+ * (this binary runs in the ASan and TSan CI jobs).  Streaming: the
+ * sink sees exactly the collecting path's lines, in submission order,
+ * each as its lane finishes, with its report already on disk.
+ * Lockstep: N model instances run back to back over one context are
+ * byte-identical to running each configuration alone.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -181,6 +187,21 @@ TEST(Protocol, ControlOps)
 
 // ---- lockstep byte-identity -----------------------------------------
 
+/** Run @p jobs through one evaluator; lanes must report in order. */
+std::vector<LockstepResult>
+evaluate(const WorkloadContext &ctx, std::vector<LockstepJob> jobs)
+{
+    const size_t n = jobs.size();
+    LockstepEvaluator eval(ctx, std::move(jobs));
+    std::vector<LockstepResult> got;
+    eval.run([&got](size_t lane, const LockstepResult &r) {
+        EXPECT_EQ(lane, got.size());
+        got.push_back(r);
+    });
+    EXPECT_EQ(got.size(), n);
+    return got;
+}
+
 void
 expectSameSimResult(const SimResult &a, const SimResult &b)
 {
@@ -223,16 +244,12 @@ TEST(Lockstep, ByteIdenticalToSequentialRuns)
         }
     }
 
-    // Any chunk size must give identical results -- including a
-    // pathological one-cycle round-robin.
-    for (unsigned chunk : {1u, 7u, 4096u}) {
-        LockstepEvaluator eval(ctx, jobs, chunk);
-        const std::vector<LockstepResult> &got = eval.run();
-        ASSERT_EQ(got.size(), solo.size());
-        for (size_t i = 0; i < solo.size(); ++i)
-            expectSameSimResult(got[i].ms, solo[i]);
-        EXPECT_GT(eval.rounds(), 0u);
-    }
+    // Lanes share one context and one lane pool, so each reuses the
+    // buffers of the one before it; none may see another's state.
+    const std::vector<LockstepResult> got = evaluate(ctx, jobs);
+    ASSERT_EQ(got.size(), solo.size());
+    for (size_t i = 0; i < solo.size(); ++i)
+        expectSameSimResult(got[i].ms, solo[i]);
 }
 
 TEST(Lockstep, OooLanesMatchSequential)
@@ -248,8 +265,7 @@ TEST(Lockstep, OooLanesMatchSequential)
         jobs.push_back(job);
         solo.push_back(runOoo(ctx, job.ooo));
     }
-    LockstepEvaluator eval(ctx, jobs, 64);
-    const std::vector<LockstepResult> &got = eval.run();
+    const std::vector<LockstepResult> got = evaluate(ctx, jobs);
     ASSERT_EQ(got.size(), solo.size());
     for (size_t i = 0; i < solo.size(); ++i) {
         EXPECT_EQ(got[i].ooo.cycles, solo[i].cycles);
@@ -472,6 +488,180 @@ TEST(Server, RacingClientsOneServer)
     EXPECT_EQ(total, static_cast<size_t>(kWriters * kPerWriter));
     EXPECT_EQ(s.completed, total);
     EXPECT_EQ(s.duplicates, 0u);
+}
+
+// ---- streaming -------------------------------------------------------
+
+namespace fs = std::filesystem;
+
+/** Submit @p lines, then run; every response as the sink saw it. */
+std::vector<Response>
+streamBatch(Server &server, const std::vector<std::string> &lines)
+{
+    std::vector<Response> seen;
+    const serve::Sink sink = [&seen](const Response &r) {
+        seen.push_back(r);
+    };
+    for (size_t i = 0; i < lines.size(); ++i)
+        server.handleLine(i % 3 + 1, lines[i], sink);
+    server.handleLine(9, "{\"op\":\"run\"}", sink);
+    return seen;
+}
+
+/** A batch spanning three groups (two seeds, two scales) and both
+ *  models, with the groups interleaved in submission order. */
+std::vector<std::string>
+mixedBatch()
+{
+    std::vector<std::string> lines;
+    const char *policies[] = {"always", "sync", "esync", "psync"};
+    for (int i = 0; i < 12; ++i) {
+        std::string extra =
+            "\"policy\":\"" + std::string(policies[i % 4]) + "\"";
+        if (i % 3 == 1)
+            extra += ",\"seed\":7";
+        if (i % 3 == 2)
+            extra += ",\"model\":\"ooo\"";
+        if (i % 4 == 3)
+            extra += ",\"stages\":4";
+        std::string line = submitLine("m" + std::to_string(i), extra);
+        if (i == 5)
+            line = "{\"id\":\"m5\",\"workload\":\"espresso\","
+                   "\"scale\":0.01}";
+        lines.push_back(line);
+    }
+    return lines;
+}
+
+TEST(ServerStream, SinkMatchesCollectingPathByteForByte)
+{
+    for (unsigned jobs : {1u, 4u}) {
+        ServeConfig cfg = smallConfig();
+        cfg.jobs = jobs;
+        Server streamed(cfg);
+        Server collected(cfg);
+        const std::vector<std::string> lines = mixedBatch();
+
+        std::vector<Response> want;
+        for (size_t i = 0; i < lines.size(); ++i)
+            for (Response &r : collected.handleLine(i % 3 + 1, lines[i]))
+                want.push_back(std::move(r));
+        for (Response &r : collected.handleLine(9, "{\"op\":\"run\"}"))
+            want.push_back(std::move(r));
+
+        const std::vector<Response> got = streamBatch(streamed, lines);
+        ASSERT_EQ(got.size(), want.size()) << "jobs " << jobs;
+        for (size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(got[i].line, want[i].line) << "jobs " << jobs;
+            EXPECT_EQ(got[i].client, want[i].client) << "jobs " << jobs;
+        }
+    }
+}
+
+TEST(ServerStream, MixedGroupsKeepSubmissionOrderAtFourJobs)
+{
+    ServeConfig cfg = smallConfig();
+    cfg.jobs = 4;
+    Server server(cfg);
+    const std::vector<std::string> lines = mixedBatch();
+    const std::vector<Response> got = streamBatch(server, lines);
+
+    // One "queued" per submission, then the results, then "ran".
+    ASSERT_EQ(got.size(), 2 * lines.size() + 1);
+    std::vector<std::string> done;
+    std::set<std::string> seen;
+    bool ran = false;
+    for (size_t i = lines.size(); i < got.size(); ++i) {
+        JsonValue doc = parseLine(got[i].line);
+        const std::string status = doc.get("status").asString();
+        if (status == "ran") {
+            EXPECT_FALSE(ran) << "a second ran line";
+            EXPECT_EQ(got[i].client, 9u);
+            ran = true;
+            continue;
+        }
+        EXPECT_FALSE(ran) << "done after ran: " << got[i].line;
+        ASSERT_EQ(status, "done") << got[i].line;
+        const std::string id = doc.get("id").asString();
+        EXPECT_TRUE(seen.insert(id).second) << "twice: " << id;
+        EXPECT_EQ(got[i].client, done.size() % 3 + 1) << id;
+        done.push_back(id);
+    }
+    EXPECT_TRUE(ran);
+    ASSERT_EQ(done.size(), lines.size());
+    for (size_t i = 0; i < done.size(); ++i)
+        EXPECT_EQ(done[i], "m" + std::to_string(i));
+    EXPECT_EQ(server.stats().groups, 3u);
+}
+
+TEST(ServerStream, DrainStreamsInSubmissionOrder)
+{
+    Server streamed(smallConfig());
+    Server collected(smallConfig());
+    for (Server *s : {&streamed, &collected}) {
+        s->handleLine(3, submitLine("d1", "\"seed\":7"));
+        s->handleLine(4, submitLine("d2", "\"policy\":\"always\""));
+        s->handleLine(3, submitLine("d3", "\"model\":\"ooo\""));
+    }
+    std::vector<Response> got;
+    streamed.drain([&got](const Response &r) { got.push_back(r); });
+    const std::vector<Response> want = collected.drain();
+
+    ASSERT_EQ(got.size(), 3u);
+    ASSERT_EQ(want.size(), 3u);
+    for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].line, want[i].line);
+        EXPECT_EQ(got[i].client, want[i].client);
+        EXPECT_EQ(parseLine(got[i].line).get("id").asString(),
+                  "d" + std::to_string(i + 1));
+    }
+    // Nothing is left to stream a second time.
+    streamed.drain([](const Response &r) {
+        ADD_FAILURE() << "drained twice: " << r.line;
+    });
+}
+
+TEST(ServerStream, ReportIsOnDiskBeforeDoneAndLaterLanesAreNot)
+{
+    const std::string dir = testing::TempDir() + "/mdp_serve_stream";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+
+    // One worker runs the lanes back to back, so a done line that
+    // streams as its lane finishes arrives before the next lane has
+    // run -- and so before the next lane's report exists.
+    ServeConfig cfg = smallConfig();
+    cfg.jobs = 1;
+    cfg.resultsDir = dir;
+    Server server(cfg);
+    const char *policies[] = {"always", "sync", "esync", "psync"};
+    for (const char *pol : policies)
+        server.handleLine(1, submitLine(std::string("r-") + pol,
+                                        "\"policy\":\"" +
+                                            std::string(pol) + "\""));
+
+    size_t ndone = 0;
+    server.handleLine(1, "{\"op\":\"run\"}", [&](const Response &r) {
+        JsonValue doc = parseLine(r.line);
+        if (doc.get("status").asString() != "done")
+            return;
+        EXPECT_FALSE(doc.has("write_error")) << r.line;
+        const std::string id = doc.get("id").asString();
+        std::ifstream in(dir + "/" + id + ".json");
+        ASSERT_TRUE(in.good()) << "report missing at done: " << id;
+        const std::string text((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+        parseLine(text); // complete, well-formed JSON
+        if (ndone + 1 < std::size(policies)) {
+            const std::string next =
+                dir + "/r-" + policies[ndone + 1] + ".json";
+            EXPECT_FALSE(fs::exists(next))
+                << "next lane ran before " << id << " streamed";
+        }
+        ++ndone;
+    });
+    EXPECT_EQ(ndone, std::size(policies));
+    fs::remove_all(dir);
 }
 
 } // namespace

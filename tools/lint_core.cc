@@ -571,11 +571,12 @@ const char *const kBlockingTokens[] = {
 };
 
 /**
- * The lockstep evaluator's per-cycle path (any function named
- * stepRound under src/serve/) runs once per round-robin chunk for
- * the whole batch: one blocking call there stalls every lane at once,
- * and unordered-container iteration there leaks hash order into lane
- * scheduling.
+ * The evaluator's lane loop (any function named runLane under
+ * src/serve/) is the served simulation path: it builds, runs and
+ * finishes one lane, and a shard runs its lanes through it back to
+ * back.  One blocking call there stalls that lane and every lane
+ * queued behind it, and unordered-container iteration there leaks
+ * hash order into lane results.
  */
 void
 checkLockstepBlocking(const std::string &path,
@@ -584,7 +585,7 @@ checkLockstepBlocking(const std::string &path,
                       std::vector<Diag> &out)
 {
     std::vector<std::pair<size_t, size_t>> bodies =
-        functionBodies(code, "stepRound");
+        functionBodies(code, "runLane");
     if (bodies.empty())
         return;
 
@@ -602,10 +603,10 @@ checkLockstepBlocking(const std::string &path,
         out.push_back(
             {path, code[i].line, "lockstep-blocking",
              "'" + code[i].spelling +
-                 "' in stepRound: the lockstep per-cycle path "
-                 "must never block; one stalled call stops every "
-                 "lane in the batch -- do I/O and locking outside "
-                 "the stepping loop"});
+                 "' in runLane: the served simulation path must "
+                 "never block; one stalled call holds back every "
+                 "lane behind it -- do I/O and locking in the "
+                 "completion callback"});
     }
 
     forEachContainerIteration(
@@ -614,9 +615,9 @@ checkLockstepBlocking(const std::string &path,
                 return;
             out.push_back(
                 {path, code[idx].line, "lockstep-blocking",
-                 "stepRound iterates unordered container '" + name +
-                     "': hash order would leak into lane scheduling; "
-                     "keep the per-cycle path on vectors and index "
+                 "runLane iterates unordered container '" + name +
+                     "': hash order would leak into lane results; "
+                     "keep the simulation path on vectors and index "
                      "ranges"});
         });
 }
@@ -1152,8 +1153,8 @@ ruleDocs()
          "a suppression comment must name a rule and give a "
          "justification"},
         {"lockstep-blocking",
-         "no blocking calls or unordered iteration inside stepRound "
-         "under src/serve/"},
+         "no blocking calls or unordered iteration inside runLane "
+         "(the served simulation path) under src/serve/"},
         {"nondet-source",
          "banned nondeterminism sources (wall clocks, random "
          "engines, pids, thread ids) in src/ and bench/"},

@@ -8,7 +8,7 @@
  * The protocol (one JSON document per line, see serve/protocol.hh and
  * EXPERIMENTS.md "Running the server") is identical over both
  * transports.  This file is transport only: all queueing, validation,
- * backpressure and lockstep evaluation live in serve/server.hh.
+ * backpressure and evaluation live in serve/server.hh.
  *
  * Shutdown semantics: EOF (stdin mode), SIGTERM/SIGINT, or a
  * {"op":"shutdown"} line all *drain* -- every accepted request still
@@ -24,6 +24,7 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -125,18 +126,18 @@ setNonBlocking(int fd)
 
 // ---- stdin/stdout transport ----------------------------------------
 
-void
-emitStdout(const std::vector<serve::Response> &responses)
-{
-    for (const serve::Response &r : responses) {
-        std::fwrite(r.line.data(), 1, r.line.size(), stdout);
-    }
-    std::fflush(stdout);
-}
-
 int
 runStdin(serve::Server &server, int sigpipe_read)
 {
+    // Workers finishing lanes write through this sink, one line at a
+    // time, each flushed so the client sees it at once.
+    std::mutex out_mtx;
+    const serve::Sink emit = [&out_mtx](const serve::Response &r) {
+        std::lock_guard<std::mutex> hold(out_mtx);
+        std::fwrite(r.line.data(), 1, r.line.size(), stdout);
+        std::fflush(stdout);
+    };
+
     LineBuffer lb;
     bool eof = false;
     while (!eof && !g_signal && !server.shutdownRequested()) {
@@ -159,12 +160,12 @@ runStdin(serve::Server &server, int sigpipe_read)
         std::vector<std::string> lines;
         lb.feed(buf, static_cast<size_t>(n), lines);
         for (const std::string &line : lines)
-            emitStdout(server.handleLine(0, line));
+            server.handleLine(0, line, emit);
     }
     std::string tail;
     if (eof && lb.finish(tail))
-        emitStdout(server.handleLine(0, tail));
-    emitStdout(server.drain());
+        server.handleLine(0, tail, emit);
+    server.drain(emit);
     return 0;
 }
 
@@ -187,19 +188,6 @@ flushClient(Client &c)
         if (n <= 0)
             break;
         c.out.erase(0, static_cast<size_t>(n));
-    }
-}
-
-void
-route(const std::vector<serve::Response> &responses,
-      std::map<uint64_t, Client> &clients)
-{
-    for (const serve::Response &r : responses) {
-        auto it = clients.find(r.client);
-        if (it == clients.end())
-            continue; // submitter disconnected; drop its line
-        it->second.out += r.line;
-        flushClient(it->second);
     }
 }
 
@@ -234,6 +222,20 @@ runSocket(serve::Server &server, const std::string &path,
 
     std::map<uint64_t, Client> clients;
     uint64_t next_client = 1;
+
+    // The poll loop is blocked inside handleLine while workers finish
+    // lanes, so the sink queues each line on its submitter and sends
+    // what the socket takes now; the loop flushes the rest later.
+    std::mutex out_mtx;
+    const serve::Sink route = [&clients,
+                               &out_mtx](const serve::Response &r) {
+        std::lock_guard<std::mutex> hold(out_mtx);
+        auto it = clients.find(r.client);
+        if (it == clients.end())
+            return; // submitter disconnected; drop its line
+        it->second.out += r.line;
+        flushClient(it->second);
+    };
 
     while (!g_signal && !server.shutdownRequested()) {
         std::vector<struct pollfd> fds;
@@ -291,7 +293,7 @@ runSocket(serve::Server &server, const std::string &path,
                     std::vector<std::string> lines;
                     c.in.feed(buf, static_cast<size_t>(n), lines);
                     for (const std::string &line : lines)
-                        route(server.handleLine(cid, line), clients);
+                        server.handleLine(cid, line, route);
                 }
             }
         }
@@ -306,7 +308,7 @@ runSocket(serve::Server &server, const std::string &path,
 
     // Drain: evaluate everything still queued and deliver each result
     // to its submitter, then flush best-effort before closing.
-    route(server.drain(), clients);
+    server.drain(route);
     for (int attempt = 0; attempt < 200; ++attempt) {
         bool pending = false;
         for (auto &[cid, c] : clients) {
@@ -343,8 +345,6 @@ main(int argc, char **argv)
     args.addOption("jobs", "0",
                    "worker threads for evaluation (0 = MDP_JOBS or "
                    "hardware concurrency)");
-    args.addOption("chunk", "1024",
-                   "lockstep chunk in cycles per lane per round");
     args.addOption("results-dir", "",
                    "write each run's mdp_sim-format JSON report to "
                    "<dir>/<id>.json");
@@ -365,8 +365,6 @@ main(int argc, char **argv)
     cfg.queueCapacity =
         static_cast<size_t>(std::max(1L, args.getLong("queue-cap")));
     cfg.jobs = static_cast<unsigned>(std::max(0L, args.getLong("jobs")));
-    cfg.lockstepChunk =
-        static_cast<unsigned>(std::max(1L, args.getLong("chunk")));
     cfg.resultsDir = args.get("results-dir");
     serve::Server server(cfg);
 
