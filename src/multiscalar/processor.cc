@@ -1,7 +1,7 @@
 #include "multiscalar/processor.hh"
 
 #include <algorithm>
-#include <functional>
+#include <bit>
 
 #include "base/env.hh"
 #include "base/logging.hh"
@@ -34,7 +34,7 @@ MultiscalarProcessor::MultiscalarProcessor(const TraceView &trace,
     : trc(trace), oracle(dep_oracle), tasks(task_set),
       cfg(validatedConfig(config)), state(trace.size(), pool),
       taskRun(task_set.numTasks()), stages(config.numStages),
-      memsys(config),
+      readyAt(trace.size()), memsys(config),
       arb(resolveArbShards(config), config.blockBytes),
       capCycle(config.maxCycles
                    ? config.maxCycles
@@ -50,30 +50,27 @@ MultiscalarProcessor::MultiscalarProcessor(const TraceView &trace,
     frontierOn = cfg.perPeFrontier && !frontierReference();
     if (frontierOn) {
         peFrontier = std::make_unique<EventFrontier>(cfg.numStages);
-        dueFlag.assign(cfg.numStages, 0);
+        dueBits.assign((cfg.numStages + 63) / 64, 0);
         dueBuf.reserve(cfg.numStages);
-        duePos.reserve(cfg.numStages);
-        storeHeap.reserve(cfg.numStages);
+    }
 
-        // Consumer CSR: reverse src1/src2 edges, so a producer's issue
-        // can wake exactly the stages whose readiness it advances.
-        consStart.assign(trc.size() + 1, 0);
-        for (SeqNum s = 0; s < trc.size(); ++s) {
-            for (SeqNum src : {trc.src1(s), trc.src2(s)}) {
-                if (src != kNoSeq)
-                    ++consStart[src + 1];
-            }
+    // Consumer CSR: reverse src1/src2 edges, so a producer's issue
+    // reaches exactly the ops whose readiness it advances.
+    consStart.assign(trc.size() + 1, 0);
+    for (SeqNum s = 0; s < trc.size(); ++s) {
+        for (SeqNum src : {trc.src1(s), trc.src2(s)}) {
+            if (src != kNoSeq)
+                ++consStart[src + 1];
         }
-        for (size_t i = 1; i < consStart.size(); ++i)
-            consStart[i] += consStart[i - 1];
-        consList.resize(consStart.back());
-        std::vector<uint32_t> cursor(consStart.begin(),
-                                     consStart.end() - 1);
-        for (SeqNum s = 0; s < trc.size(); ++s) {
-            for (SeqNum src : {trc.src1(s), trc.src2(s)}) {
-                if (src != kNoSeq)
-                    consList[cursor[src]++] = s;
-            }
+    }
+    for (size_t i = 1; i < consStart.size(); ++i)
+        consStart[i] += consStart[i - 1];
+    consList.resize(consStart.back());
+    std::vector<uint32_t> cursor(consStart.begin(), consStart.end() - 1);
+    for (SeqNum s = 0; s < trc.size(); ++s) {
+        for (SeqNum src : {trc.src1(s), trc.src2(s)}) {
+            if (src != kNoSeq)
+                consList[cursor[src]++] = s;
         }
     }
     // A wakeup or blocked list can never exceed the in-flight window
@@ -214,28 +211,34 @@ MultiscalarProcessor::stepCycle()
         // entry is due.  Stages are visited in the same circular
         // order as the reference loop (offset from the head slot), so
         // intra-cycle effects (FU contention, same-cycle wakes) land
-        // identically.  duePos can grow mid-loop via wakeStage.
-        for (dueCursor = 0; dueCursor < duePos.size(); ++dueCursor) {
-            unsigned idx = static_cast<unsigned>(
-                (duePos[dueCursor] + baseSlot) % cfg.numStages);
-            dueFlag[idx] = 0;
-            uint64_t before = actStamp;
-            ++res.stageVisits;
-            stageStep(idx);
-            if (stages[idx].task < 0)
-                continue;   // committed this cycle; unscheduled there
-            if (actStamp != before) {
-                // Something changed; the very next cycle may differ.
-                peFrontier->scheduleEarlier(idx, cycle + 1);
-            } else {
-                // Quiet visit: park at the stage's next timed event.
-                // schedule() (not scheduleEarlier) deliberately
-                // overrides stale earlier hints -- any future wake
-                // source re-arms via wakeStage.
-                peFrontier->schedule(
-                    idx, stageNextInteresting(idx, capCycle));
+        // identically.  wakeStage can set bits above visitPos mid-walk;
+        // the word is re-read after every visit.
+        for (size_t w = 0; w < dueBits.size(); ++w) {
+            while (dueBits[w]) {
+                visitPos = static_cast<uint32_t>(
+                    w * 64 + std::countr_zero(dueBits[w]));
+                dueBits[w] &= dueBits[w] - 1;
+                unsigned idx = static_cast<unsigned>(
+                    (visitPos + baseSlot) % cfg.numStages);
+                uint64_t before = actStamp;
+                ++res.stageVisits;
+                stageStep(idx);
+                if (stages[idx].task < 0)
+                    continue;   // committed this cycle; unscheduled
+                if (actStamp != before) {
+                    // Something changed; the next cycle may differ.
+                    peFrontier->scheduleEarlier(idx, cycle + 1);
+                } else {
+                    // Quiet visit: park at the stage's next timed
+                    // event.  schedule() (not scheduleEarlier)
+                    // deliberately overrides stale earlier hints --
+                    // any future wake source re-arms via wakeStage.
+                    peFrontier->schedule(
+                        idx, stageNextInteresting(idx, capCycle));
+                }
             }
         }
+        visitPos = kNoPos;
     } else {
         for (unsigned k = 0; k < cfg.numStages; ++k) {
             ++res.stageVisits;
@@ -284,7 +287,6 @@ MultiscalarProcessor::stageNextInteresting(unsigned k, uint64_t cap) const
     const Stage &st = stages[k];
     if (st.task < 0)
         return cap + 1;
-    uint32_t t = static_cast<uint32_t>(st.task);
 
     uint64_t next = cap + 1;
     auto consider = [&](uint64_t c) {
@@ -295,37 +297,20 @@ MultiscalarProcessor::stageNextInteresting(unsigned k, uint64_t cap) const
     // Squash re-fetch point of this stage.
     consider(st.resumeCycle);
 
-    // Ops whose producers have all issued become ready once the
-    // last result arrives over the interconnect (srcReady's
-    // predicate).  An op with an unissued producer has no timed
-    // readiness; the producer's own issue is activity and re-arms
-    // the scan (in frontier mode, via the consumer-CSR wake).
-    // The window is the non-issued range [windowBase, fetchPtr);
-    // the flags-lane kernel hops directly between candidates.
+    // Ops whose producers have all issued become ready at readyAt,
+    // once the last result arrives over the interconnect.  An op with
+    // an unissued producer (kAwaitingSrc) has no timed readiness; the
+    // producer's own issue is activity and re-arms the scan (in
+    // frontier mode, via the consumer-CSR wake).  The window is the
+    // non-issued range [windowBase, fetchPtr); the flags-lane kernel
+    // hops directly between candidates.
     for (SeqNum seq = static_cast<SeqNum>(simd::nextReadyCandidate(
              state.flagsData(), st.windowBase, st.fetchPtr,
              kNotIssuable));
          seq < st.fetchPtr;
          seq = static_cast<SeqNum>(simd::nextReadyCandidate(
-             state.flagsData(), seq + 1, st.fetchPtr, kNotIssuable))) {
-        uint64_t ready = 0;
-        bool timed = true;
-        for (SeqNum src : {trc.src1(seq), trc.src2(seq)}) {
-            if (src == kNoSeq)
-                continue;
-            if (!state.test(src, kIssued)) {
-                timed = false;
-                break;
-            }
-            uint64_t r = state.done(src);
-            uint32_t ptask = trc.taskId(src);
-            if (ptask != t)
-                r += regHops(ptask, t) * cfg.ringHopLatency;
-            ready = std::max(ready, r);
-        }
-        if (timed)
-            consider(ready);
-    }
+             state.flagsData(), seq + 1, st.fetchPtr, kNotIssuable)))
+        consider(readyAt[seq]);
 
     return next;
 }
@@ -413,19 +398,16 @@ MultiscalarProcessor::frontierJumpTarget(uint64_t cap)
 void
 MultiscalarProcessor::collectDue()
 {
+    // Ascending bit order == the reference loop's visit order.
     baseSlot = static_cast<unsigned>(committedTasks % cfg.numStages);
     dueBuf.clear();
-    duePos.clear();
     peFrontier->popDue(cycle, dueBuf);
     for (uint32_t id : dueBuf) {
         if (stages[id].task < 0)
             continue;   // empty slot; re-armed at the next assignment
-        duePos.push_back(static_cast<uint32_t>(
-            (id + cfg.numStages - baseSlot) % cfg.numStages));
-        dueFlag[id] = 1;
+        uint32_t pos = (id + cfg.numStages - baseSlot) % cfg.numStages;
+        dueBits[pos / 64] |= uint64_t{1} << (pos % 64);
     }
-    // Ring-position order == the reference loop's visit order.
-    std::sort(duePos.begin(), duePos.end());
 }
 
 void
@@ -438,28 +420,18 @@ MultiscalarProcessor::wakeStage(unsigned s, uint64_t t)
     // Same-cycle wake (t <= cycle), raised mid-stage-loop.  The
     // reference visits every stage once per cycle in circular order;
     // a flag cleared mid-loop is observed only by stages at LATER
-    // ring positions.  Mirror that: splice the stage into the due
-    // list if its position has not been passed yet, else defer to the
-    // next cycle.
-    if (dueFlag[s]) {
-        // Already queued (and not yet visited: the flag clears at
-        // visit time); nothing to do.
+    // ring positions.  Mirror that: set the stage's due bit if its
+    // position has not been passed yet (a set bit means it is already
+    // queued), else defer to the next cycle.  Outside the walk
+    // visitPos is kNoPos, so every same-cycle wake defers.
+    uint32_t pos = (s + cfg.numStages - baseSlot) % cfg.numStages;
+    uint64_t bit = uint64_t{1} << (pos % 64);
+    if (dueBits[pos / 64] & bit)
         return;
-    }
-    uint32_t pos = static_cast<uint32_t>(
-        (s + cfg.numStages - baseSlot) % cfg.numStages);
-    uint32_t cur_pos =
-        dueCursor < duePos.size() ? duePos[dueCursor] : UINT32_MAX;
-    if (pos > cur_pos) {
-        auto it = std::lower_bound(duePos.begin() + dueCursor + 1,
-                                   duePos.end(), pos);
-        duePos.insert(it, pos);
-        dueFlag[s] = 1;
-    } else {
-        // Position already passed (or being visited right now): the
-        // reference would only see the cleared flag next cycle.
+    if (visitPos != kNoPos && pos > visitPos)
+        dueBits[pos / 64] |= bit;
+    else
         peFrontier->scheduleEarlier(s, cycle + 1);
-    }
 }
 
 void
@@ -478,16 +450,21 @@ MultiscalarProcessor::onIssued(SeqNum seq, uint32_t t)
         }
     }
 
-    if (!frontierOn)
-        return;
-
-    // Wake every fetched-or-future consumer at its operand-arrival
-    // time.  Consumers in later tasks pay the interconnect latency;
-    // same-task consumers can issue next cycle at the earliest (the
-    // issue scan already passed seq's window slot this cycle).
+    // Ready every consumer this was the last unissued producer of.
+    // Only fetched ops carry kAwaitingSrc (fetch sets it, squash
+    // clears it), so the flag alone selects fetched consumers.  In
+    // frontier mode, also wake every fetched-or-future consumer at its
+    // operand-arrival time.  Consumers in later tasks pay the
+    // interconnect latency; same-task consumers can issue next cycle
+    // at the earliest (the issue scan already passed seq's window slot
+    // this cycle).
     uint64_t done = state.done(seq);
     for (uint32_t i = consStart[seq]; i < consStart[seq + 1]; ++i) {
         SeqNum q = consList[i];
+        if (state.test(q, kAwaitingSrc) && armReady(q))
+            state.clear(q, kAwaitingSrc);
+        if (!frontierOn)
+            continue;
         uint32_t tq = trc.taskId(q);
         if (tq < committedTasks || tq >= nextTask)
             continue;
@@ -545,9 +522,8 @@ MultiscalarProcessor::sequencerStep()
     if (st.task >= 0)
         return;   // the PE slot is still busy with an older task
 
-    uint32_t t = static_cast<uint32_t>(nextTask);
     st.task = static_cast<int64_t>(nextTask);
-    st.fetchPtr = tasks.taskStart(t);
+    st.fetchPtr = tasks.taskStart(static_cast<uint32_t>(nextTask));
     st.windowBase = st.fetchPtr;
     st.windowCount = 0;
     st.resumeCycle = cycle + 1;
@@ -555,16 +531,8 @@ MultiscalarProcessor::sequencerStep()
     ++nextTask;
     act();
 
-    if (frontierOn) {
+    if (frontierOn)
         wakeStage(idx, st.resumeCycle);
-        const std::vector<SeqNum> &stores = tasks.stores(t);
-        if (!stores.empty()) {
-            storeHeap.emplace_back(
-                static_cast<uint64_t>(stores.front()), t);
-            std::push_heap(storeHeap.begin(), storeHeap.end(),
-                           std::greater<>{});
-        }
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -572,26 +540,24 @@ MultiscalarProcessor::sequencerStep()
 // ---------------------------------------------------------------------
 
 bool
-MultiscalarProcessor::srcReady(SeqNum src, uint32_t consumer_task) const
-{
-    if (src == kNoSeq)
-        return true;
-    if (!state.test(src, kIssued))
-        return false;
-    uint32_t ptask = trc.taskId(src);
-    uint64_t ready = state.done(src);
-    if (ptask != consumer_task)
-        ready += regHops(ptask, consumer_task) * cfg.ringHopLatency;
-    return ready <= cycle;
-}
-
-bool
-MultiscalarProcessor::srcsReady(SeqNum seq) const
+MultiscalarProcessor::armReady(SeqNum seq)
 {
     uint32_t t = trc.taskId(seq);
-    return srcReady(trc.src1(seq), t) && srcReady(trc.src2(seq), t);
+    uint64_t ready = 0;
+    for (SeqNum src : {trc.src1(seq), trc.src2(seq)}) {
+        if (src == kNoSeq)
+            continue;
+        if (!state.test(src, kIssued))
+            return false;
+        uint64_t r = state.done(src);
+        uint32_t ptask = trc.taskId(src);
+        if (ptask != t)
+            r += regHops(ptask, t) * cfg.ringHopLatency;
+        ready = std::max(ready, r);
+    }
+    readyAt[seq] = ready;
+    return true;
 }
-
 
 void
 MultiscalarProcessor::classify(SeqNum load, bool predicted, bool actual)
@@ -758,7 +724,7 @@ MultiscalarProcessor::executeStore(SeqNum seq)
 bool
 MultiscalarProcessor::taskStoresDoneBefore(uint32_t t, SeqNum seq)
 {
-    const std::vector<SeqNum> &stores = tasks.stores(t);
+    std::span<const SeqNum> stores = tasks.stores(t);
     TaskRun &tr = taskRun[t];
     while (tr.storePtr < stores.size() &&
            state.test(stores[tr.storePtr], kIssued)) {
@@ -781,58 +747,19 @@ MultiscalarProcessor::allStoresDoneBefore(SeqNum seq)
 uint64_t
 MultiscalarProcessor::storeFrontierBound()
 {
-    uint64_t bound = UINT64_MAX;
-    for (uint64_t t = committedTasks; t < nextTask; ++t) {
-        uint32_t tt = static_cast<uint32_t>(t);
-        const std::vector<SeqNum> &stores = tasks.stores(tt);
+    // A task behind the cursor has executed every store; only a squash
+    // can un-execute one, and squashFrom pulls the cursor back.
+    storeTask = std::max(storeTask, committedTasks);
+    for (; storeTask < nextTask; ++storeTask) {
+        uint32_t tt = static_cast<uint32_t>(storeTask);
+        std::span<const SeqNum> stores = tasks.stores(tt);
         TaskRun &tr = taskRun[tt];
         while (tr.storePtr < stores.size() &&
                state.test(stores[tr.storePtr], kIssued)) {
             ++tr.storePtr;
         }
         if (tr.storePtr < stores.size())
-            bound = std::min(bound,
-                             static_cast<uint64_t>(stores[tr.storePtr]));
-    }
-    return bound;
-}
-
-uint64_t
-MultiscalarProcessor::storeFrontierBoundFast()
-{
-    // Lazy min-heap over (first-unexecuted-store seq, task).  Keys
-    // only understate the true per-task value (stores execute and
-    // storePtr advances after a key was pushed), so the top is
-    // validated: advance the task's storePtr exactly as the reference
-    // scan would, drop exhausted/committed/stale entries, re-push the
-    // corrected key.  Each store seq is pushed O(squashes + 1) times
-    // total, so the amortized cost is O(log stages) per cycle versus
-    // the reference's O(in-flight tasks) scan.
-    auto cmp = std::greater<>{};
-    while (!storeHeap.empty()) {
-        auto [key, tt] = storeHeap.front();
-        if (static_cast<uint64_t>(tt) < committedTasks) {
-            std::pop_heap(storeHeap.begin(), storeHeap.end(), cmp);
-            storeHeap.pop_back();
-            continue;
-        }
-        const std::vector<SeqNum> &stores = tasks.stores(tt);
-        TaskRun &tr = taskRun[tt];
-        while (tr.storePtr < stores.size() &&
-               state.test(stores[tr.storePtr], kIssued)) {
-            ++tr.storePtr;
-        }
-        if (tr.storePtr >= stores.size()) {
-            std::pop_heap(storeHeap.begin(), storeHeap.end(), cmp);
-            storeHeap.pop_back();
-            continue;
-        }
-        uint64_t truth = stores[tr.storePtr];
-        if (truth == key)
-            return key;
-        std::pop_heap(storeHeap.begin(), storeHeap.end(), cmp);
-        storeHeap.back() = {truth, tt};
-        std::push_heap(storeHeap.begin(), storeHeap.end(), cmp);
+            return stores[tr.storePtr];
     }
     return UINT64_MAX;
 }
@@ -855,9 +782,14 @@ MultiscalarProcessor::readyPrecompute()
     // to the same live evaluation.
     auto forEachActive = [&](auto &&fn) {
         if (frontierOn) {
-            for (size_t i = 0; i < duePos.size(); ++i)
-                fn(static_cast<unsigned>((duePos[i] + baseSlot) %
-                                         cfg.numStages));
+            for (size_t w = 0; w < dueBits.size(); ++w) {
+                for (uint64_t bits = dueBits[w]; bits;
+                     bits &= bits - 1) {
+                    fn(static_cast<unsigned>(
+                        (w * 64 + std::countr_zero(bits) + baseSlot) %
+                        cfg.numStages));
+                }
+            }
         } else {
             for (unsigned k = 0; k < cfg.numStages; ++k)
                 fn(k);
@@ -934,11 +866,15 @@ MultiscalarProcessor::issueScan(Stage &stage, unsigned stage_idx)
     SeqNum end = tasks.taskEnd(t);
 
     // Fetch in program order into the scheduling window (the range
-    // [windowBase, fetchPtr) of the status lane).
+    // [windowBase, fetchPtr) of the status lane).  An op whose
+    // producers have not all issued waits out of the scan until the
+    // last one issues (onIssued).
     unsigned fetched = 0;
     while (fetched < cfg.issueWidth &&
            stage.windowCount < cfg.stageWindow &&
            stage.fetchPtr < end) {
+        if (!armReady(stage.fetchPtr))
+            state.set(stage.fetchPtr, kAwaitingSrc);
         ++stage.fetchPtr;
         ++stage.windowCount;
         ++fetched;
@@ -1093,8 +1029,7 @@ MultiscalarProcessor::frontierScan()
     // scan, the class-invariant comment on lastFrontierBound shows no
     // blocked op can become releasable, so the linear rescans are
     // skipped entirely.
-    uint64_t bound =
-        frontierOn ? storeFrontierBoundFast() : storeFrontierBound();
+    uint64_t bound = storeFrontierBound();
     bool moved = bound != lastFrontierBound || frontierDirty;
     if (!moved && !syncPushed)
         return;
@@ -1282,19 +1217,6 @@ MultiscalarProcessor::squashFrom(SeqNum squash_start)
                     wakeStage(tt % cfg.numStages, st.resumeCycle);
             }
         }
-
-        // The storePtr rewind above invalidates the lazy store-heap
-        // invariant (keys may now overstate a task's first-unexecuted
-        // store); a fresh conservative entry restores it.
-        if (frontierOn) {
-            const std::vector<SeqNum> &stores = tasks.stores(tt);
-            if (!stores.empty()) {
-                storeHeap.emplace_back(
-                    static_cast<uint64_t>(stores.front()), tt);
-                std::push_heap(storeHeap.begin(), storeHeap.end(),
-                               std::greater<>{});
-            }
-        }
     }
 
     // Squashing un-issues producers, so any phase-A readiness verdicts
@@ -1320,8 +1242,13 @@ MultiscalarProcessor::squashFrom(SeqNum squash_start)
             psyncWaiters.erase(it);
     }
 
-    // The storePtr rewinds above can move the frontier bound backwards.
+    // The storePtr rewinds above can move the frontier bound backwards,
+    // and tasks from task0 on may have unexecuted stores again.  (A
+    // violation squash finds the cursor at or before the violating
+    // store's task already; the pull-back keeps the cursor invariant
+    // independent of who squashes.)
     frontierDirty = true;
+    storeTask = std::min<uint64_t>(storeTask, task0);
 
     if (sync)
         sync->squash(squash_start, squash_start);

@@ -89,10 +89,13 @@ class MultiscalarProcessor : public TaskPcSource
     /** The load consumed a predicted value instead of synchronizing
      *  (VSync); a violation by a value-repeating store is benign. */
     static constexpr uint16_t kValuePred = 1 << 8;
+    /** Fetched while a producer had not issued yet; the last
+     *  producer's issue clears it and sets the op's readyAt. */
+    static constexpr uint16_t kAwaitingSrc = 1 << 9;
 
     /** Flags that take an op out of the issue scan. */
-    static constexpr uint16_t kNotIssuable =
-        kIssued | kBlockedSync | kBlockedFrontier | kBlockedPsync;
+    static constexpr uint16_t kNotIssuable = kIssued | kBlockedSync |
+        kBlockedFrontier | kBlockedPsync | kAwaitingSrc;
 
     /**
      * A ring slot.  The scheduling window is a *range view* over the
@@ -170,28 +173,38 @@ class MultiscalarProcessor : public TaskPcSource
 
     // --- per-PE event frontier (manycore fast path) -----------------
     /**
-     * Drain the PE frontier into this cycle's due set: the positions
-     * (ring order relative to the head task's stage) of every stage
-     * whose park time has arrived.  Skipping every other stage is
-     * provably invisible -- a stage is only parked past a cycle when
-     * stepping it that cycle could not mutate any semantic state, and
-     * every event that can change that verdict wakes it (wakeStage).
+     * Drain the PE frontier into this cycle's due bitmap: the
+     * positions (ring order relative to the head task's stage) of
+     * every stage whose park time has arrived.  Skipping every other
+     * stage is provably invisible -- a stage is only parked past a
+     * cycle when stepping it that cycle could not mutate any semantic
+     * state, and every event that can change that verdict wakes it
+     * (wakeStage).
      */
     void collectDue();
 
     /**
      * Lower stage @p s's park time to @p t.  A wake at the current
      * cycle (a flag cleared mid stage-loop by another stage's store)
-     * splices the stage into the remainder of this cycle's due walk
-     * when its ring position has not been passed yet -- exactly the
-     * stages the reference all-stage loop would still visit -- and
-     * otherwise re-arms it for the next cycle.
+     * sets the stage's due bit when its ring position comes after the
+     * one being visited -- exactly the stages the reference all-stage
+     * loop would still visit -- and otherwise re-arms it for the next
+     * cycle.
      */
     void wakeStage(unsigned s, uint64_t t);
 
-    /** Producer @p seq (task @p t) issued: forwarding statistics, and
-     *  wake each consumer's stage at its value-arrival cycle. */
+    /** Producer @p seq (task @p t) issued: forwarding statistics,
+     *  readiness of each consumer whose last producer this was, and
+     *  (frontier) a wake of each consumer's stage at its value-arrival
+     *  cycle. */
     void onIssued(SeqNum seq, uint32_t t);
+
+    /**
+     * If every producer of @p seq has issued, set readyAt[seq] to the
+     * cycle its last operand arrives (done plus interconnect hops for
+     * a cross-task producer) and return true; otherwise false.
+     */
+    bool armReady(SeqNum seq);
 
     /**
      * The per-stage portion of nextInterestingCycle() -- squash
@@ -212,16 +225,6 @@ class MultiscalarProcessor : public TaskPcSource
      * equals the reference scan's to the cycle.
      */
     uint64_t frontierJumpTarget(uint64_t cap);
-
-    /**
-     * Heap-backed storeFrontierBound(): the same exact minimum,
-     * validated lazily from a heap of (first possibly-unexecuted
-     * store, task) entries instead of walking every in-flight task.
-     * Entry keys are conservative-low (task assignment and squash
-     * push the task's first store; keys only advance at validation),
-     * so the validated top is the true bound.
-     */
-    uint64_t storeFrontierBoundFast();
 
     /** Record a semantic mutation: licenses no fast-forward jump this
      *  cycle, and marks the currently stepped stage as active. */
@@ -255,8 +258,9 @@ class MultiscalarProcessor : public TaskPcSource
     uint64_t nextInterestingCycle(uint64_t cap) const;
 
     // --- issue helpers ----------------------------------------------
-    bool srcsReady(SeqNum seq) const;
-    bool srcReady(SeqNum src, uint32_t consumer_task) const;
+    /** Every operand of the fetched, non-awaiting op @p seq has
+     *  arrived by the current cycle. */
+    bool srcsReady(SeqNum seq) const { return readyAt[seq] <= cycle; }
 
     /** Try to issue a memory op; returns true if it issued (or became
      *  blocked -- in either case the window slot is handled). */
@@ -278,7 +282,9 @@ class MultiscalarProcessor : public TaskPcSource
      * frontier-releasable iff the bound is >= seq: tasks younger than
      * the op's own contribute only stores past its task's end, so the
      * global minimum decides exactly like the per-task walk in
-     * allStoresDoneBefore().
+     * allStoresDoneBefore().  Tasks occupy ascending sequence ranges,
+     * so the minimum is the first pending store of the oldest task
+     * that has one; storeTask caches that task.
      */
     uint64_t storeFrontierBound();
 
@@ -307,6 +313,19 @@ class MultiscalarProcessor : public TaskPcSource
     OpLanes state;
     std::vector<TaskRun> taskRun;
     std::vector<Stage> stages;
+
+    /** Per-op operand-arrival cycle, valid for fetched ops without
+     *  kAwaitingSrc (set at fetch or by the last producer's issue). */
+    std::vector<uint64_t> readyAt;
+
+    /**
+     * Consumer CSR over the trace: the consumers of op s are
+     * consList[consStart[s] .. consStart[s+1]).  A producer's issue
+     * walks it to ready its consumers and, in frontier mode, to wake
+     * their stages.
+     */
+    std::vector<uint32_t> consStart;
+    std::vector<SeqNum> consList;
 
     // --- intra-run parallelism (phase A cache) ----------------------
     /** Cached issue candidates of one stage, ascending seq order. */
@@ -351,13 +370,13 @@ class MultiscalarProcessor : public TaskPcSource
     std::unique_ptr<EventFrontier> peFrontier;
     /** Scratch: ids popped due this cycle. */
     std::vector<uint32_t> dueBuf;
-    /** This cycle's due stages as ring positions, ascending; the stage
-     *  walk consumes it through dueCursor, and same-cycle wakes splice
-     *  positions in behind the cursor. */
-    std::vector<uint32_t> duePos;
-    size_t dueCursor = 0;
-    /** Stage is queued (unprocessed) in duePos this cycle. */
-    std::vector<uint8_t> dueFlag;
+    /** This cycle's unvisited due stages, one bit per ring position;
+     *  the stage walk clears the lowest set bit, and same-cycle wakes
+     *  set bits above visitPos. */
+    std::vector<uint64_t> dueBits;
+    /** Ring position being visited; kNoPos outside the stage walk. */
+    static constexpr uint32_t kNoPos = UINT32_MAX;
+    uint32_t visitPos = kNoPos;
     /** committedTasks % numStages, latched when the due set forms. */
     unsigned baseSlot = 0;
     /** Mutation counter behind act(); a stage whose step leaves it
@@ -365,14 +384,9 @@ class MultiscalarProcessor : public TaskPcSource
      *  interesting cycle. */
     uint64_t actStamp = 0;
 
-    /** Consumer CSR over the trace (built only for the frontier):
-     *  consumers of op s are consList[consStart[s] .. consStart[s+1]). */
-    std::vector<uint32_t> consStart;
-    std::vector<SeqNum> consList;
-
-    /** Lazy (first possibly-unexecuted store, task) min-heap behind
-     *  storeFrontierBoundFast(); std::greater order on the pair. */
-    std::vector<std::pair<uint64_t, uint32_t>> storeHeap;
+    /** Oldest in-flight task that may still have an unexecuted store:
+     *  storeFrontierBound() advances it, squashFrom() pulls it back. */
+    uint64_t storeTask = 0;
 
     // Blocked-op bookkeeping.
     std::vector<SeqNum> frontierBlocked;  ///< WAIT/NEVER waits

@@ -8,6 +8,7 @@
 #define MDP_MULTISCALAR_TASK_INFO_HH
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "trace/trace.hh"
@@ -16,7 +17,9 @@ namespace mdp
 {
 
 /**
- * Task boundaries and per-task memory-op lists.
+ * Task boundaries and per-task memory-op lists.  The lists are stored
+ * flat (CSR): the stores of task t are storeSeqs[storeStart[t] ..
+ * storeStart[t+1]), and likewise for loads.
  */
 class TaskSet
 {
@@ -38,23 +41,29 @@ class TaskSet
     Addr taskPc(uint32_t task) const { return taskPcs[task]; }
 
     /** Store sequence numbers of the task, in program order. */
-    const std::vector<SeqNum> &stores(uint32_t task) const
+    std::span<const SeqNum>
+    stores(uint32_t task) const
     {
-        return storeLists[task];
+        return {storeSeqs.data() + storeStart[task],
+                storeSeqs.data() + storeStart[task + 1]};
     }
 
     /** Load sequence numbers of the task, in program order. */
-    const std::vector<SeqNum> &loads(uint32_t task) const
+    std::span<const SeqNum>
+    loads(uint32_t task) const
     {
-        return loadLists[task];
+        return {loadSeqs.data() + loadStart[task],
+                loadSeqs.data() + loadStart[task + 1]};
     }
 
   private:
     uint32_t taskCount = 0;
     std::vector<SeqNum> bounds;
     std::vector<Addr> taskPcs;
-    std::vector<std::vector<SeqNum>> storeLists;
-    std::vector<std::vector<SeqNum>> loadLists;
+    std::vector<uint32_t> storeStart;
+    std::vector<SeqNum> storeSeqs;
+    std::vector<uint32_t> loadStart;
+    std::vector<SeqNum> loadSeqs;
 };
 
 } // namespace mdp

@@ -26,6 +26,9 @@ class TraceBuilder
         : trace(std::move(name))
     {}
 
+    /** Reserve room for @p n ops; an estimate, not a limit. */
+    void reserve(size_t n) { trace.reserve(n); }
+
     /**
      * Open a new task.  Every op emitted until the next beginTask call
      * belongs to it.

@@ -100,6 +100,12 @@ Workload::generate(double scale, uint64_t seed_override) const
             edges.push_back({f, k});
 
     TraceBuilder builder(p.name);
+    // Reserve an upper estimate (a task rarely emits more than a few
+    // ops past its drawn size) so the op vector is not regrown by
+    // doubling, which keeps the old and new buffers resident at once.
+    // Capacity never touched is never resident; overshooting the
+    // estimate only falls back to the doubling growth.
+    builder.reserve(iters * p.tasksPerIteration * (p.maxTaskSize + 8));
 
     // Position-dependent weight for background stores: programs with
     // stack-discipline writes put their stores early in each task,
