@@ -214,6 +214,14 @@ struct PolicyCase
     unsigned stages;
 };
 
+// Without a printer gtest dumps the raw bytes, heap pointer included, into
+// the "# GetParam()" part of the listed name, so the name changed per run.
+void
+PrintTo(const PolicyCase &c, std::ostream *os)
+{
+    *os << '{' << c.workload << ", " << c.stages << '}';
+}
+
 class PolicyOrdering : public ::testing::TestWithParam<PolicyCase>
 {
 };
