@@ -1,30 +1,26 @@
 /**
  * @file
- * Pinned Multiscalar results: an FNV-1a fingerprint of every SimResult
- * field, over a fixed randomized corpus, compared against constants
- * recorded before the scheduler became event-driven.
+ * Pinned timing-model results: an FNV-1a fingerprint of every
+ * SimResult and OooResult field, over a fixed randomized corpus,
+ * compared against recorded constants.
  *
- * test_frontier_equiv and test_fastforward_equiv compare one scheduler
- * mode against another.  All modes share the operand-ready lane and
- * the store-frontier cursor, so a bug in either shows up identically
- * on both sides of such a comparison; and those tests exclude
- * stageVisits, the one field a frontier due-walk bug can move on its
- * own.  This test instead holds each mode to absolute numbers,
- * including the mode-dependent stageVisits/stageSlots and the skip
- * accounting.
+ * Each model has one scheduler, so there is no second mode to compare
+ * against; these absolute numbers are the reference.  They include the
+ * scheduling-loop accounting (cyclesSimulated, cyclesSkipped,
+ * stageVisits, stageSlots), which a due-walk or jump-target bug can
+ * move while leaving the committed work alone.
  *
- * The corpus covers every registry policy x ring/mesh x numStages in
- * {4, 8, 63, 64, 65, 130} (63/64/65 straddle a 64-bit bitmap word) x
- * the three scheduler modes (tick every cycle, fast-forward, per-PE
- * frontier), on traces built around high-fan-out producers with
+ * The Multiscalar corpus covers every registry policy x ring/mesh x
+ * numStages in {4, 8, 63, 64, 65, 130} (63/64/65 straddle a 64-bit
+ * bitmap word), on traces built around high-fan-out producers with
  * aliasing loads placed between a producer and its consumers, so
  * violation squashes keep the producer and re-fetch the consumers.
  * One variant uses a zero squash penalty, which re-arms squashed
- * stages in the same cycle; another runs the intra-run readiness
- * precompute on two workers.  A small 1024-PE manycore case rides
- * along.
+ * stages in the same cycle.  A small 1024-PE manycore case rides
+ * along.  The OoO corpus runs the same traces under every registry
+ * policy at windows of 32 and 128.
  *
- * The constants change only when the model's behaviour does; a pure
+ * The constants change only when a model's behaviour does; a pure
  * scheduling optimization must leave them alone.
  */
 
@@ -38,6 +34,7 @@
 #include "mdp/dep_policy.hh"
 #include "multiscalar/processor.hh"
 #include "multiscalar/task_info.hh"
+#include "ooo/ooo_model.hh"
 #include "trace/builder.hh"
 #include "trace/dep_oracle.hh"
 #include "workloads/manycore.hh"
@@ -87,6 +84,16 @@ fold(Fnv &f, const SimResult &r)
         f.add(lpc);
         f.add(spc);
     }
+}
+
+void
+fold(Fnv &f, const OooResult &r)
+{
+    for (uint64_t v :
+         {r.cycles, r.cyclesSimulated, r.cyclesSkipped, r.committedOps,
+          r.committedLoads, r.misSpeculations, r.squashedOps,
+          r.loadsBlocked, r.frontierReleases})
+        f.add(v);
 }
 
 /**
@@ -165,23 +172,18 @@ hubTrace(uint64_t seed)
     return b.take();
 }
 
-enum class Mode { Tick, FastForward, Frontier };
-
 SimResult
 runPinned(const TraceView &trc, const DepOracle &oracle,
           const TaskSet &tasks, const std::string &policy, Topology topo,
-          unsigned stages, Mode mode, unsigned squash_penalty,
-          double mispredict_rate, unsigned intra_jobs)
+          unsigned stages, unsigned squash_penalty,
+          double mispredict_rate)
 {
     MultiscalarConfig cfg;
     cfg.numStages = stages;
     cfg.topology = topo;
     cfg.policyName = policy;
-    cfg.fastForward = mode != Mode::Tick;
-    cfg.perPeFrontier = mode == Mode::Frontier;
     cfg.squashPenalty = squash_penalty;
     cfg.taskMispredictRate = mispredict_rate;
-    cfg.intraJobs = intra_jobs;
     cfg.sync.slotsPerEntry = std::min(stages, 64u);
     cfg.logMisSpeculations = true;
     MultiscalarProcessor proc(trc, oracle, tasks, cfg);
@@ -201,16 +203,16 @@ TEST(ResultPin, RandomTracesEveryPolicyTopologyAndWidth)
 {
     // One fingerprint per registry policy over the whole matrix.
     const std::map<std::string, uint64_t> pinned = {
-        {"always", 0x334bfe4854d2b7e5ULL},
-        {"counter", 0x75ba0875597d1840ULL},
-        {"esync", 0xbb6a8091871a50f2ULL},
-        {"never", 0x2ee995c93670dc23ULL},
-        {"psync", 0xf2b260ebcce40971ULL},
-        {"storeset", 0xb561376dfcedaeefULL},
-        {"sync", 0x20d659b77155b402ULL},
-        {"vassist", 0x92225de78cdaf5a0ULL},
-        {"vsync", 0xd6b6068887366e80ULL},
-        {"wait", 0xb723be8e1ad3f40eULL},
+        {"always", 0x2d00baf4ab5dad0fULL},
+        {"counter", 0xb2da50c3731ab3daULL},
+        {"esync", 0x2f8e5f0f9b7aa54cULL},
+        {"never", 0x72480c414b8be6b1ULL},
+        {"psync", 0xcf5ed75841d3462bULL},
+        {"storeset", 0xe206a47d9b558033ULL},
+        {"sync", 0x476543d9da37cb8aULL},
+        {"vassist", 0x197b6ed6d8ae4e28ULL},
+        {"vsync", 0x04bd6cfe5920cb06ULL},
+        {"wait", 0x9e2bbd11e8b423b4ULL},
     };
 
     struct Variant
@@ -218,10 +220,9 @@ TEST(ResultPin, RandomTracesEveryPolicyTopologyAndWidth)
         uint64_t seed;
         unsigned squashPenalty;
         double mispredictRate;
-        unsigned intraJobs;
     };
     const Variant variants[] = {
-        {1, 5, 0.0, 1}, {2, 5, 0.2, 1}, {3, 0, 0.0, 1}, {4, 1, 0.0, 2}};
+        {1, 5, 0.0}, {2, 5, 0.2}, {3, 0, 0.0}, {4, 1, 0.0}};
 
     std::vector<Trace> traces;
     for (const Variant &v : variants)
@@ -237,16 +238,12 @@ TEST(ResultPin, RandomTracesEveryPolicyTopologyAndWidth)
             TaskSet tasks(view);
             for (Topology topo : {Topology::Ring, Topology::Mesh}) {
                 for (unsigned stages : {4u, 8u, 63u, 64u, 65u, 130u}) {
-                    for (Mode mode : {Mode::Tick, Mode::FastForward,
-                                      Mode::Frontier}) {
-                        SimResult r = runPinned(
-                            view, oracle, tasks, policy, topo, stages,
-                            mode, variants[i].squashPenalty,
-                            variants[i].mispredictRate,
-                            variants[i].intraJobs);
-                        squashes += r.misSpeculations;
-                        fold(f, r);
-                    }
+                    SimResult r = runPinned(view, oracle, tasks, policy,
+                                            topo, stages,
+                                            variants[i].squashPenalty,
+                                            variants[i].mispredictRate);
+                    squashes += r.misSpeculations;
+                    fold(f, r);
                 }
             }
         }
@@ -280,11 +277,57 @@ TEST(ResultPin, Manycore1024)
         for (Topology topo : {Topology::Ring, Topology::Mesh}) {
             for (const char *policy : {"always", "sync", "storeset"}) {
                 fold(f, runPinned(view, oracle, tasks, policy, topo, 1024,
-                                  Mode::Frontier, 5, 0.0, 1));
+                                  5, 0.0));
             }
         }
     }
     EXPECT_EQ(hex(pinned), hex(f.h));
+}
+
+TEST(ResultPin, OooEveryPolicyAndWindow)
+{
+    // One fingerprint per registry policy over the hub corpus.
+    const std::map<std::string, uint64_t> pinned = {
+        {"always", 0xb9ba643409c21339ULL},
+        {"counter", 0x00457bdf36ecdbdbULL},
+        {"esync", 0xb9ba643409c21339ULL},
+        {"never", 0xed65102955d8ff6aULL},
+        {"psync", 0xb4dabec1a513b8c8ULL},
+        {"storeset", 0x7cc4d78b5b06e8a0ULL},
+        {"sync", 0xb9ba643409c21339ULL},
+        {"vassist", 0xb9ba643409c21339ULL},
+        {"vsync", 0xb9ba643409c21339ULL},
+        {"wait", 0x6fdedf028df8fa8bULL},
+    };
+
+    std::map<std::string, uint64_t> got;
+    uint64_t squashes = 0;
+    for (const std::string &policy : dependencePolicyNames()) {
+        Fnv f;
+        for (uint64_t seed : {1, 2, 3, 4}) {
+            Trace trc = hubTrace(seed);
+            TraceView view(trc);
+            DepOracle oracle(view);
+            for (unsigned window : {32u, 128u}) {
+                OooConfig cfg;
+                cfg.windowSize = window;
+                cfg.policyName = policy;
+                OooProcessor proc(view, oracle, cfg);
+                OooResult r = proc.run();
+                squashes += r.misSpeculations;
+                fold(f, r);
+            }
+        }
+        got[policy] = f.h;
+    }
+
+    for (const auto &[policy, h] : got) {
+        auto it = pinned.find(policy);
+        EXPECT_EQ(hex(it == pinned.end() ? 0 : it->second), hex(h))
+            << "policy " << policy;
+    }
+    EXPECT_EQ(got.size(), pinned.size());
+    EXPECT_GT(squashes, 0u);
 }
 
 } // namespace
