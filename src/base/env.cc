@@ -41,18 +41,4 @@ traceScale()
     return s > 0.0 ? s : 1.0;
 }
 
-bool
-tickReference()
-{
-    static const bool ref = envLong("MDP_TICK_REFERENCE", 0) != 0;
-    return ref;
-}
-
-bool
-frontierReference()
-{
-    static const bool ref = envLong("MDP_FRONTIER_REFERENCE", 0) != 0;
-    return ref;
-}
-
 } // namespace mdp

@@ -28,25 +28,6 @@ std::string envString(const char *name, const std::string &def);
  */
 double traceScale();
 
-/**
- * Process-wide kill switch for event-driven fast-forward (env
- * MDP_TICK_REFERENCE=1): the timing models fall back to the naive
- * tick-every-cycle reference loop.  Results must be byte-identical in
- * both modes; CI runs the bench suite under both to prove it.  Read
- * once and cached, so flipping the variable mid-process has no effect.
- */
-bool tickReference();
-
-/**
- * Process-wide kill switch for the per-PE event frontier (env
- * MDP_FRONTIER_REFERENCE=1): the Multiscalar model falls back to the
- * global-scan scheduling path (all stages stepped every cycle, jump
- * targets from the full nextInterestingCycle() scan).  Results must be
- * byte-identical in both modes; CI diffs a 1024-PE run under both to
- * prove it.  Read once and cached, like tickReference().
- */
-bool frontierReference();
-
 } // namespace mdp
 
 #endif // MDP_BASE_ENV_HH

@@ -12,7 +12,7 @@
  *    re-arms at cycle+1 and short completion latencies), O(1)
  *    schedule/pop, and
  *  - an overflow min-heap for events past the wheel horizon (park
- *    times of long-idle PEs, the cycle-cap sentinel), O(log n).
+ *    times of long-idle PEs), O(log n).
  *
  * Rescheduling is lazy: moving an id leaves the old wheel/heap entry
  * behind as a stale hint, dropped when encountered (the per-id stored

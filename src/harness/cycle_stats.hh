@@ -29,12 +29,9 @@ struct CycleStats
     /**
      * Frontier occupancy: stage-step calls actually made vs. the
      * stages * simulated-cycles slot budget.  With the per-PE event
-     * frontier, visits/slots is the fraction of PEs that were active;
-     * the reference scheduler visits every slot (ratio 1.0).  Only
-     * the Multiscalar model reports these; they stay 0 for OoO runs.
-     * Deliberately mode-dependent -- this is the metric that shows
-     * the O(active-PE) win, so it must NOT be part of any
-     * byte-identity gate across scheduler modes.
+     * frontier, visits/slots is the fraction of PEs that were active.
+     * Only the Multiscalar model reports these; they stay 0 for OoO
+     * runs.
      */
     uint64_t stageVisits = 0;
     uint64_t stageSlots = 0;

@@ -119,10 +119,7 @@ class BenchReport
      * skip_rate, and -- when stage slots were counted --
      * stage_visits, stage_slots, stage_occupancy).  Unlike
      * phase_seconds these are deterministic -- cold and warm runs of
-     * the same bench report identical values.  stage_occupancy is
-     * scheduler-mode-dependent by design (the frontier's whole point
-     * is visiting fewer slots), so byte-identity gates that span
-     * scheduler modes must compare stdout, not this artifact.
+     * the same bench report identical values.
      */
     void setCycleCounts(uint64_t simulated, uint64_t skipped,
                         uint64_t stage_visits = 0,

@@ -2,7 +2,6 @@
 
 #include <map>
 
-#include "base/env.hh"
 #include "base/logging.hh"
 #include "harness/cycle_stats.hh"
 #include "harness/phase_timer.hh"
@@ -64,10 +63,6 @@ makeMultiscalarConfig(const WorkloadContext &ctx, unsigned stages,
     cfg.policy = policy;
     cfg.taskMispredictRate = ctx.taskMispredictRate();
     cfg.sync.slotsPerEntry = stages;
-    // Intra-run parallelism knob; results are byte-identical at every
-    // setting, so benches can flip it freely for wall-clock studies.
-    long intra = envLong("MDP_INTRA_JOBS", 1);
-    cfg.intraJobs = intra > 1 ? static_cast<unsigned>(intra) : 1;
     return cfg;
 }
 

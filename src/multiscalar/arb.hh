@@ -138,113 +138,6 @@ class Arb
     std::vector<LoadLanes> laneFreelist;
 };
 
-/**
- * Address-interleaved ARB banks for the manycore configurations: one
- * Arb per shard, selected by block-granular address bits (the same
- * interleave the banked data cache uses), so conflict detection is
- * directory-less -- every probe touches exactly the owning shard and
- * the probe cost is independent of machine size.
- *
- * Sharding is semantically invisible: every Arb operation is a
- * per-address point lookup, and ops on different addresses never
- * interact, so any deterministic address -> shard map yields
- * byte-identical results (randomized equivalence tests pin this).
- */
-class ShardedArb
-{
-  public:
-    /** @param shard_count power of two; @param block_bytes power of
-     *  two, the interleave granularity. */
-    explicit ShardedArb(unsigned shard_count = 1,
-                        unsigned block_bytes = 64)
-        : shards(shard_count), shardMask(shard_count - 1)
-    {
-        while ((1u << blockShift) < block_bytes)
-            ++blockShift;
-    }
-
-    SeqNum
-    loadExecuted(Addr addr, SeqNum load, uint32_t load_task)
-    {
-        return shardFor(addr).loadExecuted(addr, load, load_task);
-    }
-
-    SeqNum
-    storeExecuted(Addr addr, SeqNum store, uint32_t store_task)
-    {
-        return shardFor(addr).storeExecuted(addr, store, store_task);
-    }
-
-    SeqNum
-    findViolator(Addr addr, SeqNum store, uint32_t store_task) const
-    {
-        return shardFor(addr).findViolator(addr, store, store_task);
-    }
-
-    void
-    refreshLoadVersion(Addr addr, SeqNum load, SeqNum version)
-    {
-        shardFor(addr).refreshLoadVersion(addr, load, version);
-    }
-
-    void
-    commitLoad(Addr addr, SeqNum l)
-    {
-        shardFor(addr).commitLoad(addr, l);
-    }
-
-    void
-    commitStore(Addr addr, SeqNum s)
-    {
-        shardFor(addr).commitStore(addr, s);
-    }
-
-    void
-    removeLoad(Addr addr, SeqNum l)
-    {
-        shardFor(addr).removeLoad(addr, l);
-    }
-
-    void
-    removeStore(Addr addr, SeqNum s)
-    {
-        shardFor(addr).removeStore(addr, s);
-    }
-
-    void
-    reset()
-    {
-        for (Arb &s : shards)
-            s.reset();
-    }
-
-    size_t
-    trackedLoads() const
-    {
-        size_t n = 0;
-        for (const Arb &s : shards)
-            n += s.trackedLoads();
-        return n;
-    }
-
-    unsigned shardCount() const { return shards.size(); }
-
-    /** Owning shard index of @p addr (tests / occupancy reporting). */
-    unsigned
-    shardOf(Addr addr) const
-    {
-        return static_cast<unsigned>((addr >> blockShift) & shardMask);
-    }
-
-  private:
-    Arb &shardFor(Addr addr) { return shards[shardOf(addr)]; }
-    const Arb &shardFor(Addr addr) const { return shards[shardOf(addr)]; }
-
-    std::vector<Arb> shards;
-    uint64_t shardMask;
-    unsigned blockShift = 0;
-};
-
 } // namespace mdp
 
 #endif // MDP_MULTISCALAR_ARB_HH

@@ -1,6 +1,6 @@
 /**
  * @file
- * Config validation and topology/shard resolution.
+ * Config validation and mesh-topology resolution.
  *
  * The model used to accept any parameter values silently -- a zero
  * stage count crashed deep inside the ring arithmetic, a 3x5 mesh
@@ -62,19 +62,6 @@ resolveMeshDims(const MultiscalarConfig &cfg)
     return {mx, my};
 }
 
-unsigned
-resolveArbShards(const MultiscalarConfig &cfg)
-{
-    if (cfg.arbShards != 0)
-        return cfg.arbShards;
-    // Auto: one shard per 8 stages, rounded up to a power of two, so
-    // the paper's 4--8 stage configurations keep a single bank.
-    unsigned shards = 1;
-    while (shards * 8 < cfg.numStages)
-        shards <<= 1;
-    return shards;
-}
-
 void
 validateMultiscalarConfig(const MultiscalarConfig &cfg)
 {
@@ -95,11 +82,6 @@ validateMultiscalarConfig(const MultiscalarConfig &cfg)
     if (!isPowerOfTwo(cfg.blockBytes)) {
         mdp_fatal("blockBytes must be a power of two (got %u)",
                   cfg.blockBytes);
-    }
-    if (cfg.arbShards != 0 && !isPowerOfTwo(cfg.arbShards)) {
-        mdp_fatal("arbShards must be 0 (auto) or a power of two "
-                  "(got %u)",
-                  cfg.arbShards);
     }
     if (cfg.topology == Topology::Mesh)
         resolveMeshDims(cfg);   // fatals on a non-factoring grid

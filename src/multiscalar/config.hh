@@ -66,13 +66,6 @@ struct MultiscalarConfig
     unsigned meshX = 0;
     unsigned meshY = 0;
 
-    /**
-     * Address-interleaved ARB shards (power of two).  0 auto-sizes
-     * from numStages.  Sharding is semantically invisible -- every ARB
-     * operation is a per-address point probe, so results are
-     * byte-identical at every shard count.
-     */
-    unsigned arbShards = 0;
     unsigned squashPenalty = 5;    ///< restart delay after a squash
     unsigned mispredictPenalty = 6; ///< sequencer recovery delay
 
@@ -121,36 +114,6 @@ struct MultiscalarConfig
      *  execution (section 6, compiler-exposed synchronization). */
     std::vector<StaticEdge> preloadEdges;
 
-    /**
-     * Event-driven fast-forward: jump over provably idle cycles to the
-     * next pending completion / wakeup / resume point instead of
-     * ticking through them.  Byte-identical results in both modes;
-     * MDP_TICK_REFERENCE=1 forces the naive reference loop
-     * process-wide regardless of this flag.
-     */
-    bool fastForward = true;
-
-    /**
-     * Intra-run parallelism: worker count for the per-cycle readiness
-     * precompute over the stage windows (MDP_INTRA_JOBS; the harness
-     * plumbs the env knob in).  1 is today's serial path; N > 1 runs
-     * the read-only phase on a persistent worker set with a
-     * deterministic serial issue phase behind it, so results are
-     * byte-identical at every setting.
-     */
-    unsigned intraJobs = 1;
-
-    /**
-     * Per-PE event frontier: park each quiescent stage at the exact
-     * cycle its next time-gated predicate can flip and step only due
-     * stages, so the per-cycle cost is O(active PEs) instead of
-     * O(numStages).  Byte-identical to the global-scan path;
-     * MDP_FRONTIER_REFERENCE=1 forces the global scan process-wide
-     * regardless of this flag (and MDP_TICK_REFERENCE additionally
-     * disables the idle-cycle jumps in either mode).
-     */
-    bool perPeFrontier = true;
-
     /** Derived: number of data banks. */
     unsigned numBanks() const { return banksPerStage * numStages; }
 };
@@ -159,7 +122,7 @@ struct MultiscalarConfig
 constexpr unsigned kMaxStages = 1024;
 
 /**
- * Validate stage/bank/mesh/shard parameters, mdp_fatal (exit 1) with
+ * Validate stage/bank/mesh parameters, mdp_fatal (exit 1) with
  * a precise message on the first violation.  Every model entry point
  * runs this (the MultiscalarProcessor constructor), so a bad config
  * can never silently simulate.
@@ -173,10 +136,6 @@ void validateMultiscalarConfig(const MultiscalarConfig &cfg);
  */
 std::pair<unsigned, unsigned> resolveMeshDims(
     const MultiscalarConfig &cfg);
-
-/** Resolved ARB shard count: arbShards, or the numStages-derived
- *  power-of-two default when 0. */
-unsigned resolveArbShards(const MultiscalarConfig &cfg);
 
 /** Dependence-prediction breakdown in the format of Table 8. */
 struct PredBreakdown
@@ -196,8 +155,8 @@ struct SimResult
 
     /**
      * Skip accounting: cycles the loop actually executed vs. cycles
-     * fast-forward jumped over.  Invariant: cyclesSimulated +
-     * cyclesSkipped == cycles (the reference loop reports zero skips).
+     * it jumped over.  Invariant: cyclesSimulated + cyclesSkipped ==
+     * cycles.
      */
     uint64_t cyclesSimulated = 0;
     uint64_t cyclesSkipped = 0;
@@ -221,18 +180,15 @@ struct SimResult
      * Register-forwarding traffic: cross-task source operands counted
      * once per issue event, and the interconnect hops each one
      * traveled (ring: task distance; mesh: XY distance plus wrap
-     * revolutions).  Deterministic -- identical in every scheduling
-     * mode, since the same ops issue at the same cycles.
+     * revolutions).
      */
     uint64_t regForwards = 0;
     uint64_t regForwardHops = 0;
 
     /**
      * Scheduling-loop occupancy: stage visits actually performed vs.
-     * stage slots (numStages per simulated cycle).  Unlike every other
-     * field these are *mode-dependent* by design -- the per-PE
-     * frontier exists to make visits << slots -- so equivalence tests
-     * must not compare them across scheduling modes.
+     * stage slots (numStages per simulated cycle).  The per-PE
+     * frontier exists to make visits << slots.
      */
     uint64_t stageVisits = 0;
     uint64_t stageSlots = 0;

@@ -1,6 +1,6 @@
 /**
  * @file
- * Register-forwarding interconnect models (ring and 2D mesh).
+ * Register-forwarding hop counts (ring and 2D mesh).
  *
  * The paper's machine forwards register values over a unidirectional
  * point-to-point ring: a value produced by task p and consumed by task
@@ -12,21 +12,16 @@
  * one mesh diameter per full revolution the task distance implies
  * (the mesh analogue of lapping the ring).
  *
- * The hop formulas live here as inline free functions -- the single
- * source of truth shared by the processor's hot path (which dispatches
- * on the topology enum, no virtual call per operand) and the virtual
- * Interconnect wrapper used by tests, stats and tooling.  They are
- * pure integer functions of the endpoints; the `frontier-order` lint
- * rule keeps wall-clock and hash-order sources out of this file.
+ * The hop formulas are inline free functions; the processor
+ * dispatches on the topology enum.  They are pure integer functions of
+ * the endpoints; the `frontier-order` lint rule keeps wall-clock and
+ * hash-order sources out of this file.
  */
 
 #ifndef MDP_MULTISCALAR_INTERCONNECT_HH
 #define MDP_MULTISCALAR_INTERCONNECT_HH
 
 #include <cstdint>
-#include <memory>
-
-#include "multiscalar/config.hh"
 
 namespace mdp
 {
@@ -59,41 +54,6 @@ meshTaskHops(uint32_t p, uint32_t c, unsigned stages, unsigned mx,
     const uint64_t diameter = (mx - 1) + (my - 1);
     return dx + dy + (dist / stages) * diameter;
 }
-
-/**
- * Pluggable forwarding-latency model.  The processor itself inlines
- * the formulas above (hot path); this interface exists for tests,
- * reporting and anything that wants topology-agnostic hop queries.
- */
-class Interconnect
-{
-  public:
-    virtual ~Interconnect() = default;
-
-    virtual const char *name() const = 0;
-
-    /** Hops a value travels from task @p p to task @p c (p <= c). */
-    virtual uint64_t taskHops(uint32_t p, uint32_t c) const = 0;
-
-    /** Forwarding latency in cycles (hops x per-hop latency). */
-    uint64_t
-    latency(uint32_t p, uint32_t c) const
-    {
-        return taskHops(p, c) * hopLatency;
-    }
-
-  protected:
-    explicit Interconnect(unsigned hop_latency)
-        : hopLatency(hop_latency)
-    {
-    }
-
-    unsigned hopLatency;
-};
-
-/** Build the interconnect the config names (validates mesh dims). */
-std::unique_ptr<Interconnect> makeInterconnect(
-    const MultiscalarConfig &cfg);
 
 } // namespace mdp
 

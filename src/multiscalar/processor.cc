@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <bit>
 
-#include "base/env.hh"
 #include "base/logging.hh"
 #include "base/ordered.hh"
 #include "base/random.hh"
@@ -34,25 +33,18 @@ MultiscalarProcessor::MultiscalarProcessor(const TraceView &trace,
     : trc(trace), oracle(dep_oracle), tasks(task_set),
       cfg(validatedConfig(config)), state(trace.size(), pool),
       taskRun(task_set.numTasks()), stages(config.numStages),
-      readyAt(trace.size()), memsys(config),
-      arb(resolveArbShards(config), config.blockBytes),
+      readyAt(trace.size()), memsys(config), peFrontier(config.numStages),
+      dueBits((config.numStages + 63) / 64, 0),
       capCycle(config.maxCycles
                    ? config.maxCycles
-                   : 1000 + static_cast<uint64_t>(trace.size()) * 60),
-      ffEnabled(config.fastForward && !tickReference())
+                   : 1000 + static_cast<uint64_t>(trace.size()) * 60)
 {
     if (cfg.topology == Topology::Mesh) {
         auto [mx, my] = resolveMeshDims(cfg);
         meshXr = mx;
         meshYr = my;
     }
-
-    frontierOn = cfg.perPeFrontier && !frontierReference();
-    if (frontierOn) {
-        peFrontier = std::make_unique<EventFrontier>(cfg.numStages);
-        dueBits.assign((cfg.numStages + 63) / 64, 0);
-        dueBuf.reserve(cfg.numStages);
-    }
+    dueBuf.reserve(cfg.numStages);
 
     // Consumer CSR: reverse src1/src2 edges, so a producer's issue
     // reaches exactly the ops whose readiness it advances.
@@ -81,18 +73,6 @@ MultiscalarProcessor::MultiscalarProcessor(const TraceView &trace,
     wakeupBuf.reserve(window_cap);
     frontierBlocked.reserve(window_cap);
     syncBlocked.reserve(window_cap);
-
-    if (cfg.intraJobs > 1) {
-        intraPool = std::make_unique<ThreadPool>(cfg.intraJobs);
-        readyBufs.resize(cfg.numStages);
-        for (ReadyBuf &buf : readyBufs) {
-            buf.seq.reserve(cfg.stageWindow);
-            buf.ready.reserve(cfg.stageWindow);
-        }
-        // Stamp 0 never equals a live cycle (cycle pre-increments to
-        // 1), so all buffers start stale.
-        bufStamp.assign(cfg.numStages, 0);
-    }
 
     policy = makeDependencePolicy(
         resolvePolicyName(cfg.policyName, cfg.policy));
@@ -176,104 +156,46 @@ MultiscalarProcessor::taskMispredicted(uint32_t task) const
 SimResult
 MultiscalarProcessor::run()
 {
-    while (stepCycle()) {
-    }
-    return finish();
-}
-
-bool
-MultiscalarProcessor::stepCycle()
-{
+    // An empty task set leaves the default-constructed result alone.
     const uint32_t num_tasks = tasks.numTasks();
-    if (halted || committedTasks >= num_tasks)
-        return false;
+    if (num_tasks == 0)
+        return res;
 
-    ++cycle;
-    ++res.cyclesSimulated;
-    if (cycle > capCycle) {
-        warn("multiscalar: cycle cap %llu hit with %llu/%u tasks "
-             "committed; results are partial",
-             static_cast<unsigned long long>(capCycle),
-             static_cast<unsigned long long>(committedTasks),
-             num_tasks);
-        halted = true;
-        return false;
-    }
-    cycleActivity = false;
-    res.stageSlots += cfg.numStages;
+    while (committedTasks < num_tasks) {
+        ++cycle;
+        ++res.cyclesSimulated;
+        if (cycle > capCycle) {
+            warn("multiscalar: cycle cap %llu hit with %llu/%u tasks "
+                 "committed; results are partial",
+                 static_cast<unsigned long long>(capCycle),
+                 static_cast<unsigned long long>(committedTasks),
+                 num_tasks);
+            break;
+        }
+        cycleActivity = false;
+        res.stageSlots += cfg.numStages;
 
-    sequencerStep();
-    if (frontierOn)
+        sequencerStep();
         collectDue();
-    readyPrecompute();
-    if (frontierOn) {
-        // O(active-PE) path: visit only the stages whose frontier
-        // entry is due.  Stages are visited in the same circular
-        // order as the reference loop (offset from the head slot), so
-        // intra-cycle effects (FU contention, same-cycle wakes) land
-        // identically.  wakeStage can set bits above visitPos mid-walk;
-        // the word is re-read after every visit.
-        for (size_t w = 0; w < dueBits.size(); ++w) {
-            while (dueBits[w]) {
-                visitPos = static_cast<uint32_t>(
-                    w * 64 + std::countr_zero(dueBits[w]));
-                dueBits[w] &= dueBits[w] - 1;
-                unsigned idx = static_cast<unsigned>(
-                    (visitPos + baseSlot) % cfg.numStages);
-                uint64_t before = actStamp;
-                ++res.stageVisits;
-                stageStep(idx);
-                if (stages[idx].task < 0)
-                    continue;   // committed this cycle; unscheduled
-                if (actStamp != before) {
-                    // Something changed; the next cycle may differ.
-                    peFrontier->scheduleEarlier(idx, cycle + 1);
-                } else {
-                    // Quiet visit: park at the stage's next timed
-                    // event.  schedule() (not scheduleEarlier)
-                    // deliberately overrides stale earlier hints --
-                    // any future wake source re-arms via wakeStage.
-                    peFrontier->schedule(
-                        idx, stageNextInteresting(idx, capCycle));
-                }
+        walkDue();
+        frontierScan();
+        if (sync)
+            drainSyncReleases();
+        commitStep();
+
+        // An idle cycle changed nothing, so every following cycle is
+        // identical until a time-gated predicate flips; jump to just
+        // before the earliest such cycle (the next increment lands on
+        // it).
+        if (!cycleActivity && committedTasks < num_tasks) {
+            uint64_t target = nextInterestingCycle(capCycle);
+            if (target > cycle + 1) {
+                res.cyclesSkipped += target - 1 - cycle;
+                cycle = target - 1;
             }
         }
-        visitPos = kNoPos;
-    } else {
-        for (unsigned k = 0; k < cfg.numStages; ++k) {
-            ++res.stageVisits;
-            stageStep(static_cast<unsigned>((committedTasks + k) %
-                                            cfg.numStages));
-        }
     }
-    frontierScan();
-    if (sync)
-        drainSyncReleases();
-    commitStep();
 
-    // Event-driven fast-forward: an idle cycle changed nothing, so
-    // every following cycle is identical until a time-gated
-    // predicate flips; jump to just before the earliest such cycle
-    // (the next step's increment lands on it).
-    if (ffEnabled && !cycleActivity && committedTasks < num_tasks) {
-        uint64_t target = frontierOn ? frontierJumpTarget(capCycle)
-                                     : nextInterestingCycle(capCycle);
-        if (target > cycle + 1) {
-            res.cyclesSkipped += target - 1 - cycle;
-            cycle = target - 1;
-        }
-    }
-    return true;
-}
-
-SimResult
-MultiscalarProcessor::finish()
-{
-    // An empty task set never entered the loop; leave the
-    // default-constructed result untouched (matching the historical
-    // early return, which also skipped the synchronizer epilogue).
-    if (tasks.numTasks() == 0)
-        return res;
     res.cycles = cycle;
     res.committedTasks = committedTasks;
     if (sync)
@@ -300,10 +222,9 @@ MultiscalarProcessor::stageNextInteresting(unsigned k, uint64_t cap) const
     // Ops whose producers have all issued become ready at readyAt,
     // once the last result arrives over the interconnect.  An op with
     // an unissued producer (kAwaitingSrc) has no timed readiness; the
-    // producer's own issue is activity and re-arms the scan (in
-    // frontier mode, via the consumer-CSR wake).  The window is the
-    // non-issued range [windowBase, fetchPtr); the flags-lane kernel
-    // hops directly between candidates.
+    // producer's own issue wakes the stage through the consumer CSR.
+    // The window is the non-issued range [windowBase, fetchPtr); the
+    // flags-lane kernel hops directly between candidates.
     for (SeqNum seq = static_cast<SeqNum>(simd::nextReadyCandidate(
              state.flagsData(), st.windowBase, st.fetchPtr,
              kNotIssuable));
@@ -316,7 +237,7 @@ MultiscalarProcessor::stageNextInteresting(unsigned k, uint64_t cap) const
 }
 
 uint64_t
-MultiscalarProcessor::nextInterestingCycle(uint64_t cap) const
+MultiscalarProcessor::nextInterestingCycle(uint64_t cap)
 {
     uint64_t next = cap + 1;
     auto consider = [&](uint64_t c) {
@@ -328,12 +249,9 @@ MultiscalarProcessor::nextInterestingCycle(uint64_t cap) const
     if (mispredictStall && mispredictResume != 0)
         consider(mispredictResume);
 
-    for (unsigned k = 0; k < cfg.numStages; ++k)
-        consider(stageNextInteresting(k, cap));
-
     // Head-task commit waits for its last completion to land.  This
-    // is a global term (headness flips at commit time without any
-    // per-stage event), shared with frontierJumpTarget.
+    // is a global term: headness flips at commit time without any
+    // per-stage event.
     if (committedTasks < nextTask) {
         uint32_t h = static_cast<uint32_t>(committedTasks);
         const Stage &hs = stages[h % cfg.numStages];
@@ -344,32 +262,6 @@ MultiscalarProcessor::nextInterestingCycle(uint64_t cap) const
         }
     }
 
-    if (sync)
-        consider(sync->nextWakeupCycle());
-    return next;
-}
-
-uint64_t
-MultiscalarProcessor::frontierJumpTarget(uint64_t cap)
-{
-    uint64_t next = cap + 1;
-    auto consider = [&](uint64_t c) {
-        if (c > cycle && c < next)
-            next = c;
-    };
-
-    // Global (non-per-stage) terms, identical to nextInterestingCycle.
-    if (mispredictStall && mispredictResume != 0)
-        consider(mispredictResume);
-    if (committedTasks < nextTask) {
-        uint32_t h = static_cast<uint32_t>(committedTasks);
-        const Stage &hs = stages[h % cfg.numStages];
-        if (hs.task == static_cast<int64_t>(committedTasks)) {
-            const TaskRun &tr = taskRun[h];
-            if (tr.issuedOps == tasks.taskSize(h))
-                consider(tr.lastDone);
-        }
-    }
     if (sync)
         consider(sync->nextWakeupCycle());
 
@@ -380,7 +272,7 @@ MultiscalarProcessor::frontierJumpTarget(uint64_t cap)
     // raises stored times toward exact values, so it terminates.
     uint64_t t;
     uint32_t id;
-    while (peFrontier->peekMin(t, id)) {
+    while (peFrontier.peekMin(t, id)) {
         if (t >= next)
             break;   // a global term is earlier than any stage event
         uint64_t exact = stageNextInteresting(id, cap);
@@ -390,7 +282,7 @@ MultiscalarProcessor::frontierJumpTarget(uint64_t cap)
             consider(exact);
             break;
         }
-        peFrontier->schedule(id, exact);
+        park(id, exact);
     }
     return next;
 }
@@ -398,10 +290,10 @@ MultiscalarProcessor::frontierJumpTarget(uint64_t cap)
 void
 MultiscalarProcessor::collectDue()
 {
-    // Ascending bit order == the reference loop's visit order.
+    // Ascending bit order is ring order from the head task's stage.
     baseSlot = static_cast<unsigned>(committedTasks % cfg.numStages);
     dueBuf.clear();
-    peFrontier->popDue(cycle, dueBuf);
+    peFrontier.popDue(cycle, dueBuf);
     for (uint32_t id : dueBuf) {
         if (stages[id].task < 0)
             continue;   // empty slot; re-armed at the next assignment
@@ -411,19 +303,60 @@ MultiscalarProcessor::collectDue()
 }
 
 void
+MultiscalarProcessor::walkDue()
+{
+    // Stages are visited in circular order from the head slot, so
+    // intra-cycle effects (FU contention, same-cycle wakes) land in a
+    // fixed order.  wakeStage can set bits above visitPos mid-walk;
+    // the word is re-read after every visit.
+    for (size_t w = 0; w < dueBits.size(); ++w) {
+        while (dueBits[w]) {
+            visitPos = static_cast<uint32_t>(
+                w * 64 + std::countr_zero(dueBits[w]));
+            dueBits[w] &= dueBits[w] - 1;
+            unsigned idx = static_cast<unsigned>(
+                (visitPos + baseSlot) % cfg.numStages);
+            uint64_t before = actStamp;
+            ++res.stageVisits;
+            stageStep(idx);
+            if (stages[idx].task < 0)
+                continue;   // committed this cycle; unscheduled
+            if (actStamp != before) {
+                // Something changed; the next cycle may differ.
+                peFrontier.scheduleEarlier(idx, cycle + 1);
+            } else {
+                // Quiet visit: park at the stage's next timed event,
+                // overriding stale earlier hints -- any future wake
+                // source re-arms via wakeStage.
+                park(idx, stageNextInteresting(idx, capCycle));
+            }
+        }
+    }
+    visitPos = kNoPos;
+}
+
+void
+MultiscalarProcessor::park(unsigned s, uint64_t t)
+{
+    if (t > capCycle)
+        peFrontier.unschedule(s);
+    else
+        peFrontier.schedule(s, t);
+}
+
+void
 MultiscalarProcessor::wakeStage(unsigned s, uint64_t t)
 {
     if (t > cycle) {
-        peFrontier->scheduleEarlier(s, t);
+        peFrontier.scheduleEarlier(s, t);
         return;
     }
-    // Same-cycle wake (t <= cycle), raised mid-stage-loop.  The
-    // reference visits every stage once per cycle in circular order;
-    // a flag cleared mid-loop is observed only by stages at LATER
-    // ring positions.  Mirror that: set the stage's due bit if its
-    // position has not been passed yet (a set bit means it is already
-    // queued), else defer to the next cycle.  Outside the walk
-    // visitPos is kNoPos, so every same-cycle wake defers.
+    // Same-cycle wake (t <= cycle), raised mid-walk.  A flag cleared
+    // mid-walk is observed this cycle only by stages at LATER ring
+    // positions: set the stage's due bit if its position has not been
+    // passed yet (a set bit means it is already queued), else defer to
+    // the next cycle.  Outside the walk visitPos is kNoPos, so every
+    // same-cycle wake defers.
     uint32_t pos = (s + cfg.numStages - baseSlot) % cfg.numStages;
     uint64_t bit = uint64_t{1} << (pos % 64);
     if (dueBits[pos / 64] & bit)
@@ -431,15 +364,14 @@ MultiscalarProcessor::wakeStage(unsigned s, uint64_t t)
     if (visitPos != kNoPos && pos > visitPos)
         dueBits[pos / 64] |= bit;
     else
-        peFrontier->scheduleEarlier(s, cycle + 1);
+        peFrontier.scheduleEarlier(s, cycle + 1);
 }
 
 void
 MultiscalarProcessor::onIssued(SeqNum seq, uint32_t t)
 {
     // Forwarding traffic accounting: one interconnect transfer per
-    // cross-task register edge, weighted by route hops.  Counted in
-    // both scheduling modes (deterministic output).
+    // cross-task register edge, weighted by route hops.
     for (SeqNum src : {trc.src1(seq), trc.src2(seq)}) {
         if (src == kNoSeq)
             continue;
@@ -452,19 +384,16 @@ MultiscalarProcessor::onIssued(SeqNum seq, uint32_t t)
 
     // Ready every consumer this was the last unissued producer of.
     // Only fetched ops carry kAwaitingSrc (fetch sets it, squash
-    // clears it), so the flag alone selects fetched consumers.  In
-    // frontier mode, also wake every fetched-or-future consumer at its
-    // operand-arrival time.  Consumers in later tasks pay the
-    // interconnect latency; same-task consumers can issue next cycle
-    // at the earliest (the issue scan already passed seq's window slot
-    // this cycle).
+    // clears it), so the flag alone selects fetched consumers.  Also
+    // wake every fetched-or-future consumer at its operand-arrival
+    // time.  Consumers in later tasks pay the interconnect latency;
+    // same-task consumers can issue next cycle at the earliest (the
+    // issue scan already passed seq's window slot this cycle).
     uint64_t done = state.done(seq);
     for (uint32_t i = consStart[seq]; i < consStart[seq + 1]; ++i) {
         SeqNum q = consList[i];
         if (state.test(q, kAwaitingSrc) && armReady(q))
             state.clear(q, kAwaitingSrc);
-        if (!frontierOn)
-            continue;
         uint32_t tq = trc.taskId(q);
         if (tq < committedTasks || tq >= nextTask)
             continue;
@@ -530,9 +459,7 @@ MultiscalarProcessor::sequencerStep()
     taskRun[nextTask] = TaskRun{};
     ++nextTask;
     act();
-
-    if (frontierOn)
-        wakeStage(idx, st.resumeCycle);
+    wakeStage(idx, st.resumeCycle);
 }
 
 // ---------------------------------------------------------------------
@@ -686,8 +613,7 @@ MultiscalarProcessor::executeStore(SeqNum seq)
         for (SeqNum l : wit->second) {
             if (state.test(l, kBlockedPsync)) {
                 state.clear(l, kBlockedPsync);
-                if (frontierOn)
-                    wakeStage(trc.taskId(l) % cfg.numStages, cycle);
+                wakeStage(trc.taskId(l) % cfg.numStages, cycle);
             }
         }
         psyncWaiters.erase(wit);
@@ -710,8 +636,7 @@ MultiscalarProcessor::executeStore(SeqNum seq)
                     state.clear(l, kPredPendingY);
                     classify(l, true, true);
                 }
-                if (frontierOn)
-                    wakeStage(trc.taskId(l) % cfg.numStages, cycle);
+                wakeStage(trc.taskId(l) % cfg.numStages, cycle);
             }
         }
     }
@@ -768,207 +693,16 @@ MultiscalarProcessor::storeFrontierBound()
 // Stage pipeline
 // ---------------------------------------------------------------------
 
-void
-MultiscalarProcessor::readyPrecompute()
-{
-    readyValid = false;
-    if (!intraPool)
-        return;
-
-    // In frontier mode only the due stages get stepped this cycle, so
-    // only they need verdicts.  The occupancy sum then differs from
-    // the reference's all-stage sum, which is invisible: the verdicts
-    // themselves are identical and a cache miss in issueOne falls back
-    // to the same live evaluation.
-    auto forEachActive = [&](auto &&fn) {
-        if (frontierOn) {
-            for (size_t w = 0; w < dueBits.size(); ++w) {
-                for (uint64_t bits = dueBits[w]; bits;
-                     bits &= bits - 1) {
-                    fn(static_cast<unsigned>(
-                        (w * 64 + std::countr_zero(bits) + baseSlot) %
-                        cfg.numStages));
-                }
-            }
-        } else {
-            for (unsigned k = 0; k < cfg.numStages; ++k)
-                fn(k);
-        }
-    };
-
-    // Below this occupancy the fan-out overhead dominates; skipping is
-    // invisible (stageStep just evaluates live, same verdicts).
-    uint64_t occupancy = 0;
-    forEachActive([&](unsigned k) {
-        const Stage &st = stages[k];
-        if (st.task >= 0 && cycle >= st.resumeCycle)
-            occupancy += st.fetchPtr - st.windowBase;
-    });
-    if (occupancy < kIntraMinOccupancy)
-        return;
-
-    forEachActive([&](unsigned k) {
-        ReadyBuf &buf = readyBufs[k];
-        buf.seq.clear();
-        buf.ready.clear();
-        buf.cursor = 0;
-        bufStamp[k] = cycle;
-        const Stage &st = stages[k];
-        if (st.task < 0 || cycle < st.resumeCycle)
-            return;
-        // Workers only read the op-state lanes and write their own
-        // stage's buffer; the main thread blocks in wait(), so the
-        // fan-out is race-free and the buffer contents do not depend
-        // on worker scheduling.
-        intraPool->submit(
-            [this, &buf, base = st.windowBase, end = st.fetchPtr]() {
-                for (SeqNum seq =
-                         static_cast<SeqNum>(simd::nextReadyCandidate(
-                             state.flagsData(), base, end,
-                             kNotIssuable));
-                     seq < end;
-                     seq = static_cast<SeqNum>(simd::nextReadyCandidate(
-                         state.flagsData(), seq + 1, end,
-                         kNotIssuable))) {
-                    buf.seq.push_back(seq);
-                    buf.ready.push_back(srcsReady(seq) ? 1 : 0);
-                }
-            });
-    });
-    intraPool->wait();
-    readyValid = true;
-}
-
-void
-MultiscalarProcessor::stageStep(unsigned stage_idx)
-{
-    Stage &stage = stages[stage_idx];
-    if (stage.task < 0 || cycle < stage.resumeCycle)
-        return;
-
-    // The phase-A verdict cache costs a revalidation load on every
-    // candidate, so the scan is instantiated separately for the
-    // serial path, which pays nothing for the intra-run machinery.
-    // A stage spliced into the due list mid-cycle (same-cycle wake)
-    // was absent when phase A ran, so its buffer holds a previous
-    // cycle's verdicts; the stamp check forces the live path there.
-    if (readyValid && !readyBufs.empty() && bufStamp[stage_idx] == cycle)
-        issueScan<true>(stage, stage_idx);
-    else
-        issueScan<false>(stage, stage_idx);
-}
-
-template <bool UsePhaseA>
-void
-MultiscalarProcessor::issueScan(Stage &stage, unsigned stage_idx)
-{
-    uint32_t t = static_cast<uint32_t>(stage.task);
-    SeqNum end = tasks.taskEnd(t);
-
-    // Fetch in program order into the scheduling window (the range
-    // [windowBase, fetchPtr) of the status lane).  An op whose
-    // producers have not all issued waits out of the scan until the
-    // last one issues (onIssued).
-    unsigned fetched = 0;
-    while (fetched < cfg.issueWidth &&
-           stage.windowCount < cfg.stageWindow &&
-           stage.fetchPtr < end) {
-        if (!armReady(stage.fetchPtr))
-            state.set(stage.fetchPtr, kAwaitingSrc);
-        ++stage.fetchPtr;
-        ++stage.windowCount;
-        ++fetched;
-    }
-    if (fetched)
-        act();
-
-    // Out-of-order issue from the window.
-    unsigned simple_fu = cfg.simpleIntFUs;
-    unsigned complex_fu = cfg.complexIntFUs;
-    unsigned fp_fu = cfg.fpFUs;
-    unsigned branch_fu = cfg.branchFUs;
-    unsigned mem_ports = cfg.memPorts;
-    unsigned issued = 0;
-
-    // Retire the issued prefix from the range view.
-    const OpLanes::FlagsView fv = state.flagsView();
-    while (stage.windowBase < stage.fetchPtr &&
-           fv.test(stage.windowBase, kIssued))
-        ++stage.windowBase;
-
-    ReadyBuf *cache = UsePhaseA ? &readyBufs[stage_idx] : nullptr;
-
-    // Adaptive scan.  The usual span is ~2x occupancy (issued holes),
-    // where a fused scalar loop -- one masked lane test per element
-    // through a pinned-base view -- is cheapest.  A load blocked at
-    // windowBase pins the range while issue keeps punching holes
-    // behind it, though, and such spans grow far past occupancy; once
-    // a span exceeds the kernels' inline threshold the scan hops
-    // between candidates with the compare-mask kernel instead, which
-    // chews the hole runs 16 flags per vector op.  Both drivers visit
-    // the identical candidate sequence in program order.  fetchPtr is
-    // re-read every iteration because a squash inside tryIssueMem can
-    // rewind it; flag updates land in place, so the view stays valid.
-    if (stage.fetchPtr - stage.windowBase <= simd::kInlineSpan16) {
-        for (SeqNum seq = stage.windowBase;
-             seq < stage.fetchPtr && issued < cfg.issueWidth; ++seq) {
-            if (fv.test(seq, kNotIssuable))
-                continue;
-            issueOne<UsePhaseA>(seq, t, stage, cache, simple_fu,
-                                complex_fu, fp_fu, branch_fu, mem_ports,
-                                issued);
-        }
-    } else {
-        for (SeqNum seq = static_cast<SeqNum>(simd::nextReadyCandidate(
-                 state.flagsData(), stage.windowBase, stage.fetchPtr,
-                 kNotIssuable));
-             seq < stage.fetchPtr && issued < cfg.issueWidth;
-             seq = static_cast<SeqNum>(simd::nextReadyCandidate(
-                 state.flagsData(), seq + 1, stage.fetchPtr,
-                 kNotIssuable))) {
-            issueOne<UsePhaseA>(seq, t, stage, cache, simple_fu,
-                                complex_fu, fp_fu, branch_fu, mem_ports,
-                                issued);
-        }
-    }
-}
-
-/** One issue attempt for a scan candidate; shared by both drivers. */
-template <bool UsePhaseA>
+/** One issue attempt for a scan candidate; shared by stageStep's two
+ *  scan drivers. */
 __attribute__((always_inline)) inline void
 MultiscalarProcessor::issueOne(SeqNum seq, uint32_t t, Stage &stage,
-                               ReadyBuf *cache, unsigned &simple_fu,
-                               unsigned &complex_fu, unsigned &fp_fu,
-                               unsigned &branch_fu, unsigned &mem_ports,
-                               unsigned &issued)
+                               unsigned &simple_fu, unsigned &complex_fu,
+                               unsigned &fp_fu, unsigned &branch_fu,
+                               unsigned &mem_ports, unsigned &issued)
 {
-    {
-        bool ready;
-        if (UsePhaseA) {
-            // Phase-A cached verdict, revalidated per candidate: a
-            // squash during this cycle drops the cache (producers may
-            // have been un-issued), and anything fetched after phase
-            // A is simply absent from the buffer.
-            if (readyValid) {
-                while (cache->cursor < cache->seq.size() &&
-                       cache->seq[cache->cursor] < seq)
-                    ++cache->cursor;
-                if (cache->cursor < cache->seq.size() &&
-                    cache->seq[cache->cursor] == seq) {
-                    ready = cache->ready[cache->cursor] != 0;
-                    ++cache->cursor;
-                } else {
-                    ready = srcsReady(seq);
-                }
-            } else {
-                ready = srcsReady(seq);
-            }
-        } else {
-            ready = srcsReady(seq);
-        }
-        if (!ready)
-            return;
-    }
+    if (!srcsReady(seq))
+        return;
 
     const OpKind kind = trc.kind(seq);
     if (isMem(kind)) {
@@ -1017,6 +751,80 @@ MultiscalarProcessor::issueOne(SeqNum seq, uint32_t t, Stage &stage,
     act();
 }
 
+void
+MultiscalarProcessor::stageStep(unsigned stage_idx)
+{
+    Stage &stage = stages[stage_idx];
+    if (stage.task < 0 || cycle < stage.resumeCycle)
+        return;
+
+    uint32_t t = static_cast<uint32_t>(stage.task);
+    SeqNum end = tasks.taskEnd(t);
+
+    // Fetch in program order into the scheduling window (the range
+    // [windowBase, fetchPtr) of the status lane).  An op whose
+    // producers have not all issued waits out of the scan until the
+    // last one issues (onIssued).
+    unsigned fetched = 0;
+    while (fetched < cfg.issueWidth &&
+           stage.windowCount < cfg.stageWindow &&
+           stage.fetchPtr < end) {
+        if (!armReady(stage.fetchPtr))
+            state.set(stage.fetchPtr, kAwaitingSrc);
+        ++stage.fetchPtr;
+        ++stage.windowCount;
+        ++fetched;
+    }
+    if (fetched)
+        act();
+
+    // Out-of-order issue from the window.
+    unsigned simple_fu = cfg.simpleIntFUs;
+    unsigned complex_fu = cfg.complexIntFUs;
+    unsigned fp_fu = cfg.fpFUs;
+    unsigned branch_fu = cfg.branchFUs;
+    unsigned mem_ports = cfg.memPorts;
+    unsigned issued = 0;
+
+    // Retire the issued prefix from the range view.
+    const OpLanes::FlagsView fv = state.flagsView();
+    while (stage.windowBase < stage.fetchPtr &&
+           fv.test(stage.windowBase, kIssued))
+        ++stage.windowBase;
+
+    // Adaptive scan.  The usual span is ~2x occupancy (issued holes),
+    // where a fused scalar loop -- one masked lane test per element
+    // through a pinned-base view -- is cheapest.  A load blocked at
+    // windowBase pins the range while issue keeps punching holes
+    // behind it, though, and such spans grow far past occupancy; once
+    // a span exceeds the kernels' inline threshold the scan hops
+    // between candidates with the compare-mask kernel instead, which
+    // chews the hole runs 16 flags per vector op.  Both drivers visit
+    // the identical candidate sequence in program order.  fetchPtr is
+    // re-read every iteration because a squash inside tryIssueMem can
+    // rewind it; flag updates land in place, so the view stays valid.
+    if (stage.fetchPtr - stage.windowBase <= simd::kInlineSpan16) {
+        for (SeqNum seq = stage.windowBase;
+             seq < stage.fetchPtr && issued < cfg.issueWidth; ++seq) {
+            if (fv.test(seq, kNotIssuable))
+                continue;
+            issueOne(seq, t, stage, simple_fu, complex_fu, fp_fu,
+                     branch_fu, mem_ports, issued);
+        }
+    } else {
+        for (SeqNum seq = static_cast<SeqNum>(simd::nextReadyCandidate(
+                 state.flagsData(), stage.windowBase, stage.fetchPtr,
+                 kNotIssuable));
+             seq < stage.fetchPtr && issued < cfg.issueWidth;
+             seq = static_cast<SeqNum>(simd::nextReadyCandidate(
+                 state.flagsData(), seq + 1, stage.fetchPtr,
+                 kNotIssuable))) {
+            issueOne(seq, t, stage, simple_fu, complex_fu, fp_fu,
+                     branch_fu, mem_ports, issued);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Blocked-load release
 // ---------------------------------------------------------------------
@@ -1041,9 +849,7 @@ MultiscalarProcessor::frontierScan()
             if (bound >= seq) {
                 state.clear(seq, kBlockedFrontier);
                 act();
-                if (frontierOn)
-                    wakeStage(trc.taskId(seq) % cfg.numStages,
-                              cycle + 1);
+                wakeStage(trc.taskId(seq) % cfg.numStages, cycle + 1);
                 return false;
             }
             return true;
@@ -1074,9 +880,7 @@ MultiscalarProcessor::frontierScan()
                     classify(seq, true, false);
                 }
                 ++res.frontierReleases;
-                if (frontierOn)
-                    wakeStage(trc.taskId(seq) % cfg.numStages,
-                              cycle + 1);
+                wakeStage(trc.taskId(seq) % cfg.numStages, cycle + 1);
                 return false;
             }
             return true;
@@ -1109,8 +913,7 @@ MultiscalarProcessor::drainSyncReleases()
                 state.clear(l, kPredPendingY);
                 classify(l, true, false);
             }
-            if (frontierOn)
-                wakeStage(trc.taskId(l) % cfg.numStages, cycle + 1);
+            wakeStage(trc.taskId(l) % cfg.numStages, cycle + 1);
         }
     }
 }
@@ -1203,8 +1006,7 @@ MultiscalarProcessor::squashFrom(SeqNum squash_start)
                 st.windowCount = static_cast<uint32_t>(
                     (squash_start - tasks.taskStart(tt)) - tr.issuedOps);
                 st.resumeCycle = cycle + cfg.squashPenalty;
-                if (frontierOn)
-                    wakeStage(tt % cfg.numStages, st.resumeCycle);
+                wakeStage(tt % cfg.numStages, st.resumeCycle);
             }
         } else {
             taskRun[tt] = TaskRun{};
@@ -1213,15 +1015,10 @@ MultiscalarProcessor::squashFrom(SeqNum squash_start)
                 st.windowBase = st.fetchPtr;
                 st.windowCount = 0;
                 st.resumeCycle = cycle + cfg.squashPenalty;
-                if (frontierOn)
-                    wakeStage(tt % cfg.numStages, st.resumeCycle);
+                wakeStage(tt % cfg.numStages, st.resumeCycle);
             }
         }
     }
-
-    // Squashing un-issues producers, so any phase-A readiness verdicts
-    // computed before this point are stale.
-    readyValid = false;
 
     // Purge bookkeeping that refers to squashed operations.
     std::erase_if(frontierBlocked,
@@ -1290,8 +1087,7 @@ MultiscalarProcessor::commitStep()
 
     st.task = -1;
     st.windowCount = 0;
-    if (frontierOn)
-        peFrontier->unschedule(t % cfg.numStages);
+    peFrontier.unschedule(t % cfg.numStages);
     ++committedTasks;
     act();
 }

@@ -22,7 +22,6 @@
 
 #include "base/event_frontier.hh"
 #include "base/soa_lanes.hh"
-#include "base/thread_pool.hh"
 #include "mdp/dep_policy.hh"
 #include "mdp/sync_unit.hh"
 #include "multiscalar/arb.hh"
@@ -51,22 +50,13 @@ class MultiscalarProcessor : public TaskPcSource
                          LanePool *pool = nullptr);
     ~MultiscalarProcessor() override;
 
-    /** Execute the whole trace; returns aggregate results. */
-    SimResult run();
-
     /**
-     * Per-cycle stepping interface for the lockstep multi-config
-     * evaluator (serve/lockstep.hh): advance the machine by one
-     * simulated cycle (honoring the event-driven fast-forward jump)
-     * and return false once the run is over -- all tasks committed or
-     * the cycle cap tripped.  run() is exactly `while (stepCycle())`
-     * followed by finish(), so stepped execution is byte-identical to
-     * run-to-completion.
+     * Execute the whole trace -- until every task commits or the cycle
+     * cap trips -- and return aggregate results.  Each simulated cycle
+     * visits only the stages whose frontier entry is due, and a cycle
+     * that changes nothing jumps straight to nextInterestingCycle().
      */
-    bool stepCycle();
-
-    /** Seal and return the result once stepCycle() returned false. */
-    SimResult finish();
+    SimResult run();
 
     /** TaskPcSource: PC of an in-flight task, 0 when unknown. */
     Addr taskPc(uint64_t instance) const override;
@@ -128,42 +118,15 @@ class MultiscalarProcessor : public TaskPcSource
     // --- per-cycle phases -------------------------------------------
     void sequencerStep();
 
-    /**
-     * Intra-run parallel phase A: precompute the srcsReady verdict of
-     * every issue candidate in every active stage window, fanned out
-     * over the persistent worker set (cfg.intraJobs > 1).  Strictly
-     * read-only on the op-state lanes; each worker writes only its own
-     * stage's ReadyBuf, so the fan-out is race-free and the buffers
-     * are deterministic regardless of worker scheduling.  stageStep
-     * (phase B, serial, deterministic stage order) consumes the cached
-     * verdicts and falls back to live evaluation for ops the cache
-     * missed; a squash invalidates the whole cache (readyValid) since
-     * it un-issues producers.  Cached and live verdicts agree because
-     * an op issued in phase B completes strictly after the current
-     * cycle, so it cannot flip a same-cycle srcsReady outcome.
-     */
-    void readyPrecompute();
-
+    /** Fetch into stage @p stage_idx's window and issue from it. */
     void stageStep(unsigned stage_idx);
 
-    /**
-     * The fetch + issue scan body of stageStep, instantiated twice:
-     * UsePhaseA=true consults (and revalidates) the phase-A verdict
-     * buffer; UsePhaseA=false is the serial path with no trace of the
-     * intra-run machinery in its inner loop.
-     */
-    template <bool UsePhaseA>
-    void issueScan(Stage &stage, unsigned stage_idx);
-
-    struct ReadyBuf;
-
-    /** One issue attempt for a scan candidate (see issueScan).
+    /** One issue attempt for a stageStep scan candidate.
      *  Force-inlined: the out-of-line form passes ten live references
      *  per candidate and spills the FU budget out of registers, which
      *  costs a few percent of the whole run on the dense benches. */
-    template <bool UsePhaseA>
     __attribute__((always_inline)) inline
-    void issueOne(SeqNum seq, uint32_t t, Stage &stage, ReadyBuf *cache,
+    void issueOne(SeqNum seq, uint32_t t, Stage &stage,
                   unsigned &simple_fu, unsigned &complex_fu,
                   unsigned &fp_fu, unsigned &branch_fu,
                   unsigned &mem_ports, unsigned &issued);
@@ -171,32 +134,39 @@ class MultiscalarProcessor : public TaskPcSource
     void drainSyncReleases();
     void commitStep();
 
-    // --- per-PE event frontier (manycore fast path) -----------------
+    // --- per-PE event frontier --------------------------------------
     /**
      * Drain the PE frontier into this cycle's due bitmap: the
      * positions (ring order relative to the head task's stage) of
      * every stage whose park time has arrived.  Skipping every other
-     * stage is provably invisible -- a stage is only parked past a
-     * cycle when stepping it that cycle could not mutate any semantic
-     * state, and every event that can change that verdict wakes it
-     * (wakeStage).
+     * stage is invisible: a stage is only parked past a cycle when
+     * stepping it that cycle could not mutate any semantic state, and
+     * every event that can change that verdict wakes it (wakeStage).
      */
     void collectDue();
 
+    /** Visit the due stages in ring order, then re-park each one. */
+    void walkDue();
+
+    /**
+     * Park stage @p s at @p t, its exact next interesting cycle; a
+     * stage with none before the cycle cap leaves the frontier until
+     * a wake re-arms it.
+     */
+    void park(unsigned s, uint64_t t);
+
     /**
      * Lower stage @p s's park time to @p t.  A wake at the current
-     * cycle (a flag cleared mid stage-loop by another stage's store)
-     * sets the stage's due bit when its ring position comes after the
-     * one being visited -- exactly the stages the reference all-stage
-     * loop would still visit -- and otherwise re-arms it for the next
-     * cycle.
+     * cycle (a flag cleared mid-walk by another stage's store) sets
+     * the stage's due bit when its ring position comes after the one
+     * being visited, so the stage still sees the change this cycle,
+     * and otherwise re-arms it for the next cycle.
      */
     void wakeStage(unsigned s, uint64_t t);
 
     /** Producer @p seq (task @p t) issued: forwarding statistics,
-     *  readiness of each consumer whose last producer this was, and
-     *  (frontier) a wake of each consumer's stage at its value-arrival
-     *  cycle. */
+     *  readiness of each consumer whose last producer this was, and a
+     *  wake of each consumer's stage at its value-arrival cycle. */
     void onIssued(SeqNum seq, uint32_t t);
 
     /**
@@ -208,26 +178,30 @@ class MultiscalarProcessor : public TaskPcSource
 
     /**
      * The per-stage portion of nextInterestingCycle() -- squash
-     * resume and timed window readiness of stage @p k, with the same
-     * "strictly after the current cycle" filter; @p cap + 1 when
-     * none.  The reference scan takes the min over all stages; the
-     * frontier path uses it as the exact park time of one stage.
+     * resume and timed window readiness of stage @p k, strictly after
+     * the current cycle; @p cap + 1 when none.  It is the exact park
+     * time of the stage.
      */
     uint64_t stageNextInteresting(unsigned k, uint64_t cap) const;
 
     /**
-     * Frontier-mode jump target: the global O(1) terms (sequencer
-     * recovery, head-task commit, synchronizer wakeup) plus the
-     * validated frontier minimum.  Park times are conservative-early
-     * (wakes only ever lower them), so the top entry is re-validated
-     * against stageNextInteresting() until it is exact -- at which
-     * point every other entry is provably no earlier, and the target
-     * equals the reference scan's to the cycle.
+     * Earliest cycle after the current one at which a time-gated
+     * predicate can change behavior: sequencer recovery completes,
+     * the head task's last completion lands (commit), the
+     * synchronizer fires a timed wakeup, or a stage's park time
+     * arrives (squash resume, or an op's operands arriving over the
+     * interconnect).  Blocked loads are excluded on purpose -- only
+     * another op's activity releases them.  Park times are
+     * conservative-early (wakes only ever lower them), so the top
+     * frontier entry is re-validated against stageNextInteresting()
+     * until it is exact, at which point no other entry is earlier.
+     * Clamped to @p cap + 1, so a deadlocked machine still hits the
+     * cap.
      */
-    uint64_t frontierJumpTarget(uint64_t cap);
+    uint64_t nextInterestingCycle(uint64_t cap);
 
-    /** Record a semantic mutation: licenses no fast-forward jump this
-     *  cycle, and marks the currently stepped stage as active. */
+    /** Record a semantic mutation: licenses no jump this cycle, and
+     *  marks the currently visited stage as active. */
     void
     act()
     {
@@ -244,18 +218,6 @@ class MultiscalarProcessor : public TaskPcSource
             ? ringTaskHops(p, c)
             : meshTaskHops(p, c, cfg.numStages, meshXr, meshYr);
     }
-
-    /**
-     * Earliest cycle after the current one at which a time-gated
-     * predicate can change behavior: sequencer recovery completes, a
-     * stage's squash penalty elapses, an in-flight op becomes ready
-     * once its producers' results arrive over the ring, the head task's
-     * last completion lands (commit), or the synchronizer fires a timed
-     * wakeup.  Blocked loads are excluded on purpose -- they are only
-     * ever released by another op's activity.  Clamped to @p cap + 1
-     * so a deadlocked machine hits the cap like the reference loop.
-     */
-    uint64_t nextInterestingCycle(uint64_t cap) const;
 
     // --- issue helpers ----------------------------------------------
     /** Every operand of the fetched, non-awaiting op @p seq has
@@ -321,53 +283,22 @@ class MultiscalarProcessor : public TaskPcSource
     /**
      * Consumer CSR over the trace: the consumers of op s are
      * consList[consStart[s] .. consStart[s+1]).  A producer's issue
-     * walks it to ready its consumers and, in frontier mode, to wake
-     * their stages.
+     * walks it to ready its consumers and to wake their stages.
      */
     std::vector<uint32_t> consStart;
     std::vector<SeqNum> consList;
 
-    // --- intra-run parallelism (phase A cache) ----------------------
-    /** Cached issue candidates of one stage, ascending seq order. */
-    struct ReadyBuf
-    {
-        std::vector<SeqNum> seq;
-        std::vector<uint8_t> ready;
-        size_t cursor = 0;
-    };
-
-    /** Workers for readyPrecompute(); null when cfg.intraJobs <= 1. */
-    std::unique_ptr<ThreadPool> intraPool;
-    std::vector<ReadyBuf> readyBufs;
-    /** The phase-A cache matches this cycle's pre-issue state; cleared
-     *  by squashes (and by skipping the precompute). */
-    bool readyValid = false;
-
-    /** Cycle each ReadyBuf was last refreshed.  The frontier path only
-     *  refreshes due stages, and a stage spliced into the due walk
-     *  mid-cycle has no verdicts at all -- a stale buffer must fall
-     *  back to live evaluation, never be consulted. */
-    std::vector<uint64_t> bufStamp;
-
-    /** Total window occupancy below which the parallel precompute is
-     *  skipped (fan-out overhead would dominate; verdicts are
-     *  identical either way, so the threshold cannot change results). */
-    static constexpr uint64_t kIntraMinOccupancy = 32;
-
     MemorySystem memsys;
-    ShardedArb arb;
+    Arb arb;
     std::unique_ptr<DependencePolicy> policy;
     std::unique_ptr<DepSynchronizer> sync;
 
     // --- per-PE event frontier state --------------------------------
-    /** Frontier fast path engaged (config flag minus the
-     *  MDP_FRONTIER_REFERENCE kill switch). */
-    bool frontierOn = false;
     /** Resolved mesh grid (0 when the topology is the ring). */
     unsigned meshXr = 0;
     unsigned meshYr = 0;
     /** Park time per stage; due stages are popped each cycle. */
-    std::unique_ptr<EventFrontier> peFrontier;
+    EventFrontier peFrontier;
     /** Scratch: ids popped due this cycle. */
     std::vector<uint32_t> dueBuf;
     /** This cycle's unvisited due stages, one bit per ring position;
@@ -437,11 +368,7 @@ class MultiscalarProcessor : public TaskPcSource
     /** Deadlock-guard cycle cap (maxCycles or the trace-derived
      *  default), fixed at construction. */
     uint64_t capCycle = 0;
-    /** The cap tripped: stepCycle() must keep returning false. */
-    bool halted = false;
 
-    /** Fast-forward enabled (config flag minus the env kill switch). */
-    bool ffEnabled;
     /** Did the current cycle mutate any semantic state?  Every mutation
      *  site must set this; a cycle that ends with it clear is provably
      *  identical to the next, which is what licenses the jump. */

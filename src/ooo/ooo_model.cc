@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "base/env.hh"
 #include "base/flat_hash.hh"
 #include "base/logging.hh"
 #include "base/ordered.hh"
@@ -19,8 +18,7 @@ OooProcessor::OooProcessor(const TraceView &trace,
       state(trace.size(), pool), instanceOf(trace.size(), 0),
       capCycle(config.maxCycles
                    ? config.maxCycles
-                   : 1000 + static_cast<uint64_t>(trace.size()) * 60),
-      ffEnabled(config.fastForward && !tickReference())
+                   : 1000 + static_cast<uint64_t>(trace.size()) * 60)
 {
     // Blocked/wakeup lists are bounded by the instruction window;
     // pre-sizing keeps the cycle loop allocation-free after warmup.
@@ -357,152 +355,135 @@ OooProcessor::nextInterestingCycle(uint64_t cap) const
 OooResult
 OooProcessor::run()
 {
-    while (stepCycle()) {
-    }
-    return finish();
-}
-
-bool
-OooProcessor::stepCycle()
-{
+    // An empty trace leaves the default-constructed result alone.
     const SeqNum n = static_cast<SeqNum>(trc.size());
-    if (halted || head >= n)
-        return false;
+    if (n == 0)
+        return res;
 
-    ++cycle;
-    ++res.cyclesSimulated;
-    if (cycle > capCycle) {
-        warn("ooo: cycle cap hit with %u/%u ops committed", head, n);
-        halted = true;
-        return false;
-    }
-    cycleActivity = false;
-
-    // Fetch.
-    if (cycle >= resumeCycle) {
-        unsigned fetched = 0;
-        while (fetched < cfg.fetchWidth &&
-               fetchPtr < n &&
-               fetchPtr - head < cfg.windowSize) {
-            ++fetchPtr;
-            ++fetched;
-        }
-        if (fetched)
-            cycleActivity = true;
-    }
-
-    // Issue.
-    unsigned simple_fu = cfg.simpleIntFUs;
-    unsigned complex_fu = cfg.complexIntFUs;
-    unsigned fp_fu = cfg.fpFUs;
-    unsigned branch_fu = cfg.branchFUs;
-    unsigned mem_ports = cfg.memPorts;
-    unsigned issued = 0;
-
-    // The wakeup-match kernel hops over issued/blocked runs in the
-    // packed status lane; every visited index is a live candidate.
-    for (SeqNum s = static_cast<SeqNum>(simd::nextReadyCandidate(
-             state.flagsData(), head, fetchPtr, kNotIssuable));
-         s < fetchPtr && issued < cfg.issueWidth;
-         s = static_cast<SeqNum>(simd::nextReadyCandidate(
-             state.flagsData(), s + 1, fetchPtr, kNotIssuable))) {
-        if (!srcsReady(s))
-            continue;
-
-        const OpKind kind = trc.kind(s);
-        if (isMem(kind)) {
-            if (!tryIssueMem(s, mem_ports))
-                continue;
-            // Issued or newly blocked -- both are state changes.
-            cycleActivity = true;
-            if (state.test(s, kIssued))
-                ++issued;
-            continue;
-        }
-
-        unsigned *fu = nullptr;
-        switch (kind) {
-          case OpKind::IntAlu:
-            fu = &simple_fu;
-            break;
-          case OpKind::IntMul:
-          case OpKind::IntDiv:
-            fu = &complex_fu;
-            break;
-          case OpKind::FpAdd:
-          case OpKind::FpMul:
-          case OpKind::FpDiv:
-            fu = &fp_fu;
-            break;
-          case OpKind::Branch:
-            fu = &branch_fu;
-            break;
-          default:
-            fu = &simple_fu;
+    while (head < n) {
+        ++cycle;
+        ++res.cyclesSimulated;
+        if (cycle > capCycle) {
+            warn("ooo: cycle cap hit with %u/%u ops committed", head, n);
             break;
         }
-        if (*fu == 0)
-            continue;
-        --*fu;
-        state.setDone(s, cycle + opLatency(kind));
-        state.set(s, kIssued);
-        ++issued;
-        cycleActivity = true;
-    }
+        cycleActivity = false;
 
-    frontierScan();
-    if (sync) {
-        wakeupBuf.clear();
-        sync->drainReleasedLoads(wakeupBuf);
-        for (LoadId l : wakeupBuf) {
-            if (state.test(l, kBlockedSync)) {
-                state.clear(l, kBlockedSync);
-                state.set(l, kSyncDone);
+        // Fetch.
+        if (cycle >= resumeCycle) {
+            unsigned fetched = 0;
+            while (fetched < cfg.fetchWidth &&
+                   fetchPtr < n &&
+                   fetchPtr - head < cfg.windowSize) {
+                ++fetchPtr;
+                ++fetched;
+            }
+            if (fetched)
                 cycleActivity = true;
+        }
+
+        // Issue.
+        unsigned simple_fu = cfg.simpleIntFUs;
+        unsigned complex_fu = cfg.complexIntFUs;
+        unsigned fp_fu = cfg.fpFUs;
+        unsigned branch_fu = cfg.branchFUs;
+        unsigned mem_ports = cfg.memPorts;
+        unsigned issued = 0;
+
+        // The wakeup-match kernel hops over issued/blocked runs in the
+        // packed status lane; every visited index is a live candidate.
+        for (SeqNum s = static_cast<SeqNum>(simd::nextReadyCandidate(
+                 state.flagsData(), head, fetchPtr, kNotIssuable));
+             s < fetchPtr && issued < cfg.issueWidth;
+             s = static_cast<SeqNum>(simd::nextReadyCandidate(
+                 state.flagsData(), s + 1, fetchPtr, kNotIssuable))) {
+            if (!srcsReady(s))
+                continue;
+
+            const OpKind kind = trc.kind(s);
+            if (isMem(kind)) {
+                if (!tryIssueMem(s, mem_ports))
+                    continue;
+                // Issued or newly blocked -- both are state changes.
+                cycleActivity = true;
+                if (state.test(s, kIssued))
+                    ++issued;
+                continue;
+            }
+
+            unsigned *fu = nullptr;
+            switch (kind) {
+              case OpKind::IntAlu:
+                fu = &simple_fu;
+                break;
+              case OpKind::IntMul:
+              case OpKind::IntDiv:
+                fu = &complex_fu;
+                break;
+              case OpKind::FpAdd:
+              case OpKind::FpMul:
+              case OpKind::FpDiv:
+                fu = &fp_fu;
+                break;
+              case OpKind::Branch:
+                fu = &branch_fu;
+                break;
+              default:
+                fu = &simple_fu;
+                break;
+            }
+            if (*fu == 0)
+                continue;
+            --*fu;
+            state.setDone(s, cycle + opLatency(kind));
+            state.set(s, kIssued);
+            ++issued;
+            cycleActivity = true;
+        }
+
+        frontierScan();
+        if (sync) {
+            wakeupBuf.clear();
+            sync->drainReleasedLoads(wakeupBuf);
+            for (LoadId l : wakeupBuf) {
+                if (state.test(l, kBlockedSync)) {
+                    state.clear(l, kBlockedSync);
+                    state.set(l, kSyncDone);
+                    cycleActivity = true;
+                }
+            }
+        }
+
+        // In-order commit.
+        unsigned committed = 0;
+        while (committed < cfg.commitWidth && head < fetchPtr) {
+            if (!state.test(head, kIssued) || state.done(head) > cycle)
+                break;
+            if (trc.isLoad(head)) {
+                arb.commitLoad(trc.addr(head), head);
+                ++res.committedLoads;
+            } else if (trc.isStore(head)) {
+                arb.commitStore(trc.addr(head), head);
+            }
+            ++res.committedOps;
+            ++head;
+            ++committed;
+        }
+        if (committed)
+            cycleActivity = true;
+
+        // An idle cycle changed nothing, so every following cycle is
+        // identical until a time-gated predicate flips; jump to just
+        // before the earliest such cycle (the next increment lands on
+        // it).
+        if (!cycleActivity && head < n) {
+            uint64_t target = nextInterestingCycle(capCycle);
+            if (target > cycle + 1) {
+                res.cyclesSkipped += target - 1 - cycle;
+                cycle = target - 1;
             }
         }
     }
-
-    // In-order commit.
-    unsigned committed = 0;
-    while (committed < cfg.commitWidth && head < fetchPtr) {
-        if (!state.test(head, kIssued) || state.done(head) > cycle)
-            break;
-        if (trc.isLoad(head)) {
-            arb.commitLoad(trc.addr(head), head);
-            ++res.committedLoads;
-        } else if (trc.isStore(head)) {
-            arb.commitStore(trc.addr(head), head);
-        }
-        ++res.committedOps;
-        ++head;
-        ++committed;
-    }
-    if (committed)
-        cycleActivity = true;
-
-    // Event-driven fast-forward: an idle cycle changed nothing, so
-    // every following cycle is identical until a time-gated
-    // predicate flips; jump to just before the earliest such cycle
-    // (the next step's increment lands on it).
-    if (ffEnabled && !cycleActivity && head < n) {
-        uint64_t target = nextInterestingCycle(capCycle);
-        if (target > cycle + 1) {
-            res.cyclesSkipped += target - 1 - cycle;
-            cycle = target - 1;
-        }
-    }
-    return true;
-}
-
-OooResult
-OooProcessor::finish()
-{
-    // An empty trace never entered the loop; leave the
-    // default-constructed result untouched (matching the historical
-    // early return).
-    if (trc.size() == 0)
-        return res;
     res.cycles = cycle;
     return res;
 }

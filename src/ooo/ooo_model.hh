@@ -60,16 +60,6 @@ struct OooConfig
     SyncOrganization organization = SyncOrganization::Combined;
     uint64_t seed = 0xacce55;
     uint64_t maxCycles = 0;
-
-    /**
-     * Event-driven fast-forward: after a cycle that retires no work and
-     * frees no resource, jump straight to the next cycle at which any
-     * time-gated predicate can flip (see nextInterestingCycle) instead
-     * of ticking through the idle gap.  Results are byte-identical in
-     * both modes; MDP_TICK_REFERENCE=1 forces the naive loop
-     * process-wide regardless of this flag.
-     */
-    bool fastForward = true;
 };
 
 /** Results of one superscalar run. */
@@ -86,7 +76,7 @@ struct OooResult
     /**
      * Skip accounting: cycles the loop actually executed vs. cycles it
      * jumped over.  Invariant: cyclesSimulated + cyclesSkipped ==
-     * cycles, in every mode (the reference loop reports zero skips).
+     * cycles.
      */
     uint64_t cyclesSimulated = 0;
     uint64_t cyclesSkipped = 0;
@@ -110,21 +100,12 @@ class OooProcessor
                  const OooConfig &config, LanePool *pool = nullptr);
     ~OooProcessor();
 
-    OooResult run();
-
     /**
-     * Per-cycle stepping interface for the lockstep multi-config
-     * evaluator (serve/lockstep.hh): advance the machine by one
-     * simulated cycle (honoring the event-driven fast-forward jump)
-     * and return false once the run is over -- all ops committed or
-     * the cycle cap tripped.  run() is exactly `while (stepCycle())`
-     * followed by finish(), so stepped execution is byte-identical to
-     * run-to-completion.
+     * Execute the whole trace -- until every op commits or the cycle
+     * cap trips -- and return aggregate results.  A cycle that changes
+     * nothing jumps straight to nextInterestingCycle().
      */
-    bool stepCycle();
-
-    /** Seal and return the result once stepCycle() returned false. */
-    OooResult finish();
+    OooResult run();
 
   private:
     // Op-state flags, stored in the OpLanes status lane.
@@ -162,7 +143,7 @@ class OooProcessor
      * resumes, or the synchronizer fires a timed wakeup.  Blocked loads
      * are excluded on purpose -- they are only ever released by another
      * op's activity, never by time passing.  Clamped to @p cap + 1 so a
-     * deadlocked machine hits the cap exactly like the reference loop.
+     * deadlocked machine still hits the cap.
      */
     uint64_t nextInterestingCycle(uint64_t cap) const;
 
@@ -192,11 +173,7 @@ class OooProcessor
     /** Deadlock-guard cycle cap (maxCycles or the trace-derived
      *  default), fixed at construction. */
     uint64_t capCycle = 0;
-    /** The cap tripped: stepCycle() must keep returning false. */
-    bool halted = false;
 
-    /** Fast-forward enabled (config flag minus the env kill switch). */
-    bool ffEnabled;
     /** Did the current cycle mutate any semantic state?  Every mutation
      *  site must set this; a cycle that ends with it clear is provably
      *  identical to the next, which is what licenses the jump. */

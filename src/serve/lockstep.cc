@@ -25,12 +25,8 @@ LockstepEvaluator::runLane(const LockstepJob &job)
     ScopedPhase phase("simulate");
     LockstepResult r;
     if (job.model == LockstepJob::Model::Multiscalar) {
-        // Lanes already parallelize across the server's job pool;
-        // nesting per-lane intra-run workers would oversubscribe.
-        MultiscalarConfig ms = job.ms;
-        ms.intraJobs = 1;
         MultiscalarProcessor proc(ctx.trace(), ctx.oracle(), ctx.tasks(),
-                                  ms, &lanePool);
+                                  job.ms, &lanePool);
         r.ms = proc.run();
         addCycleStats(r.ms.cyclesSimulated, r.ms.cyclesSkipped);
     } else {

@@ -56,8 +56,8 @@ Trace makeSpmvRowSplitTrace(double scale, uint64_t seed,
  * cascade (a few huge subtrees, many tiny ones) and every task loads
  * the node record stored by its parent task at an arbitrary earlier
  * position in the spawn order.  The imbalance leaves most PEs idle
- * while stragglers run -- the case where per-PE event frontiers beat
- * the all-stage scan hardest.
+ * while stragglers run -- the case where per-PE event frontiers pay
+ * off most.
  */
 Trace makeUtsTrace(double scale, uint64_t seed, unsigned num_pes);
 

@@ -1,12 +1,7 @@
-// Fixture: both halves of the soa-sync rule.  Raw index arithmetic
-// on the lane escape hatches bypasses the OpLanes invariants (only
-// src/base/ may do it), and an unordered-container walk inside the
-// parallel readiness phase would leak hash order into the cached
-// issue verdicts.  The readyPrecompute walks also trip the generic
-// unordered-iter rule (model directory), so both rules must fire
-// there.
+// Fixture: the soa-sync rule.  Raw index arithmetic on the lane
+// escape hatches bypasses the OpLanes invariants (only src/base/ may
+// do it).
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace mdp
@@ -22,8 +17,6 @@ struct FakeLanes {
 
 struct FakeStageModel {
     FakeLanes state;
-    std::unordered_map<uint32_t, uint32_t> pendingByTask;
-    std::vector<uint32_t> worklist;
 
     uint64_t
     peekDone(size_t i) const
@@ -35,17 +28,6 @@ struct FakeStageModel {
     flagsTail(size_t base) const
     {
         return state.flagsData() + base; // expect: soa-sync
-    }
-
-    void
-    readyPrecompute()
-    {
-        uint32_t max_seen = 0;
-        for (auto &kv : pendingByTask) { // expect: soa-sync unordered-iter
-            if (kv.second > max_seen)
-                max_seen = kv.second;
-        }
-        (void)max_seen;
     }
 };
 

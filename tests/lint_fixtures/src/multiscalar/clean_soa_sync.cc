@@ -1,10 +1,7 @@
-// Expected-clean: the repo convention for the SoA lanes and the
-// parallel readiness phase.  The raw lane pointers are only ever
-// passed whole to kernel calls (no indexing, no arithmetic), and
-// readyPrecompute builds its per-stage worklists from index ranges;
-// the hash map is consulted through point lookups only.
+// Expected-clean: the repo convention for the SoA lanes.  The raw
+// lane pointers are only ever passed whole to kernel calls (no
+// indexing, no arithmetic); single ops go through the accessors.
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 namespace mdp
@@ -24,8 +21,6 @@ uint64_t fakeKernel(const uint64_t *done, const uint16_t *flags,
 
 struct CleanStageModel {
     CleanLanes state;
-    std::unordered_map<uint32_t, uint32_t> pendingByTask;
-    std::vector<uint32_t> worklist;
 
     uint64_t
     nextCompletion(size_t begin, size_t end) const
@@ -34,15 +29,7 @@ struct CleanStageModel {
                           end);
     }
 
-    void
-    readyPrecompute()
-    {
-        for (size_t i = 0; i < worklist.size(); ++i) {
-            auto it = pendingByTask.find(worklist[i]);
-            if (it != pendingByTask.end() && state.done(i) > it->second)
-                worklist[i] = it->second;
-        }
-    }
+    uint64_t firstDone() const { return state.done(0); }
 };
 
 } // namespace mdp

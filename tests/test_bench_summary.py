@@ -235,6 +235,30 @@ class BenchSummaryTest(unittest.TestCase):
         self.assertEqual(proc.returncode, 1, proc.stderr)
         self.assertIn("micro_gone", proc.stderr)
 
+    def test_compare_skips_only_retired_kernels(self):
+        # A kernel on the committed retired list may vanish; the
+        # summary records it as retired, not as a ratio.
+        baseline = self.write_baseline(kernel="ms_skip_reference")
+        self.write("micro/m.json",
+                   self.micro_report("micro_x", "k", 0.1))
+        proc = self.run_compare(baseline)
+        self.assertEqual(proc.returncode, 0, proc.stderr)
+        summary = json.loads((self.root / "summary.json").read_text())
+        self.assertEqual(summary["micro_compare"]["retired"],
+                         ["micro_ms_skip_reference"])
+        self.assertEqual(summary["micro_compare"]["regressions"], [])
+
+    def test_compare_gates_retired_name_still_present(self):
+        # The list only excuses absence: a listed kernel that still
+        # runs is gated like any other.
+        baseline = self.write_baseline(kernel="arb_probe_8shard",
+                                       seconds=0.1)
+        self.write("micro/m.json",
+                   self.micro_report("micro_x", "arb_probe_8shard", 0.5))
+        proc = self.run_compare(baseline, threshold=2.0)
+        self.assertEqual(proc.returncode, 1, proc.stderr)
+        self.assertIn("micro_arb_probe_8shard", proc.stderr)
+
     def test_compare_baseline_without_micro_fails(self):
         self.write("cold/a.json", good_report("bench_a"))
         out = self.root / "plain.json"

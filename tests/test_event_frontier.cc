@@ -1,22 +1,17 @@
 /**
  * @file
- * The per-PE event frontier must be a pure scheduling optimization.
+ * The per-PE event frontier: the container and the scheduler built on
+ * it.
  *
  * Part 1 pins the EventFrontier container's semantics: exact-time
  * scheduling with lazy stale drops, earlier-only moves, deterministic
  * (t, id) ordering, and the wheel/heap split across the 64-cycle
  * horizon -- including million-cycle base snaps.
  *
- * Part 2 runs the Multiscalar model with the frontier on and off
- * (cfg.perPeFrontier, the MDP_FRONTIER_REFERENCE kill-switch path)
- * over randomized traces spanning registry policies, both topologies,
- * stage counts up to 64, control mispredictions (the squash /
- * frontier-invalidation path) and ARB shard counts, and requires every
- * observable SimResult field -- including cyclesSimulated and
- * cyclesSkipped, which the stdout tables print -- to be identical.
- * stageVisits/stageSlots are deliberately excluded: they are
- * scheduler-mode-dependent by design (the frontier exists to shrink
- * visits), and a separate test asserts that shrink actually happens.
+ * Part 2 checks that the Multiscalar scheduler actually uses it: on a
+ * machine much wider than its work, stage visits collapse far below
+ * the numStages-per-cycle slot budget.  The scheduler's results are
+ * pinned absolutely in test_result_pin.
  */
 
 #include <gtest/gtest.h>
@@ -219,11 +214,11 @@ TEST(EventFrontier, RandomizedAgainstNaiveArray)
 }
 
 // --------------------------------------------------------------------
-// Model equivalence: frontier scheduler vs global-scan reference
+// The scheduler on an idle-heavy machine
 // --------------------------------------------------------------------
 
-/** Aliasing memory traffic + serial latency chains + cross-task
- *  register deps, as in test_fastforward_equiv. */
+/** Aliasing memory traffic, serial latency chains and cross-task
+ *  register dependences. */
 Trace
 randomTrace(uint64_t seed)
 {
@@ -272,155 +267,24 @@ randomTrace(uint64_t seed)
     return b.take();
 }
 
-void
-expectSimEqual(const SimResult &ref, const SimResult &fr)
-{
-    EXPECT_EQ(ref.cycles, fr.cycles);
-    // Identity covers the skip accounting itself: the stdout tables
-    // print cyclesSimulated/cyclesSkipped, so they must match, not
-    // just sum to the same total.
-    EXPECT_EQ(ref.cyclesSimulated, fr.cyclesSimulated);
-    EXPECT_EQ(ref.cyclesSkipped, fr.cyclesSkipped);
-    EXPECT_EQ(ref.committedOps, fr.committedOps);
-    EXPECT_EQ(ref.committedLoads, fr.committedLoads);
-    EXPECT_EQ(ref.committedStores, fr.committedStores);
-    EXPECT_EQ(ref.committedTasks, fr.committedTasks);
-    EXPECT_EQ(ref.misSpeculations, fr.misSpeculations);
-    EXPECT_EQ(ref.squashedOps, fr.squashedOps);
-    EXPECT_EQ(ref.controlStalls, fr.controlStalls);
-    EXPECT_EQ(ref.loadsBlockedSync, fr.loadsBlockedSync);
-    EXPECT_EQ(ref.loadsBlockedFrontier, fr.loadsBlockedFrontier);
-    EXPECT_EQ(ref.frontierReleases, fr.frontierReleases);
-    EXPECT_EQ(ref.syncWaitCycles, fr.syncWaitCycles);
-    EXPECT_EQ(ref.signalWaitCycles, fr.signalWaitCycles);
-    EXPECT_EQ(ref.frontierWaitCycles, fr.frontierWaitCycles);
-    EXPECT_EQ(ref.regForwards, fr.regForwards);
-    EXPECT_EQ(ref.regForwardHops, fr.regForwardHops);
-    EXPECT_EQ(ref.valuePredUses, fr.valuePredUses);
-    EXPECT_EQ(ref.valuePredHits, fr.valuePredHits);
-    EXPECT_EQ(ref.valuePredMisses, fr.valuePredMisses);
-    EXPECT_EQ(ref.pred.nn, fr.pred.nn);
-    EXPECT_EQ(ref.pred.ny, fr.pred.ny);
-    EXPECT_EQ(ref.pred.yn, fr.pred.yn);
-    EXPECT_EQ(ref.pred.yy, fr.pred.yy);
-    EXPECT_EQ(ref.misspecLog, fr.misspecLog);
-    // stageVisits/stageSlots intentionally NOT compared: they are
-    // scheduler-mode-dependent by design.
-}
-
-SimResult
-runMode(const TraceView &trc, const DepOracle &oracle,
-        const TaskSet &tasks, const std::string &policy, Topology topo,
-        unsigned stages, bool frontier, double mispredict_rate = 0.0,
-        unsigned arb_shards = 0)
-{
-    MultiscalarConfig cfg;
-    cfg.numStages = stages;
-    cfg.topology = topo;
-    cfg.policyName = policy;
-    cfg.perPeFrontier = frontier;
-    cfg.taskMispredictRate = mispredict_rate;
-    cfg.arbShards = arb_shards;
-    cfg.sync.slotsPerEntry = std::min(stages, 64u);
-    cfg.logMisSpeculations = true;
-    MultiscalarProcessor proc(trc, oracle, tasks, cfg);
-    return proc.run();
-}
-
-TEST(FrontierEquiv, PoliciesTopologiesAndStageCounts)
-{
-    uint64_t visits_saved = 0;
-    for (uint64_t seed = 1; seed <= 4; ++seed) {
-        Trace trc = randomTrace(seed);
-        TraceView view(trc);
-        DepOracle oracle(view);
-        TaskSet tasks(view);
-        for (const char *policy : {"always", "sync", "storeset"}) {
-            for (Topology topo : {Topology::Ring, Topology::Mesh}) {
-                for (unsigned stages : {4u, 8u, 64u}) {
-                    SCOPED_TRACE(testing::Message()
-                                 << "seed=" << seed << " policy="
-                                 << policy << " topo="
-                                 << static_cast<int>(topo)
-                                 << " stages=" << stages);
-                    SimResult ref = runMode(view, oracle, tasks, policy,
-                                            topo, stages, false);
-                    SimResult fr = runMode(view, oracle, tasks, policy,
-                                           topo, stages, true);
-                    expectSimEqual(ref, fr);
-                    ASSERT_GE(ref.stageVisits, fr.stageVisits);
-                    visits_saved += ref.stageVisits - fr.stageVisits;
-                }
-            }
-        }
-    }
-    // The corpus must actually exercise the optimization: somewhere
-    // the frontier visited strictly fewer stages than the scan.
-    EXPECT_GT(visits_saved, 0u);
-}
-
-TEST(FrontierEquiv, SquashesAndControlMispredicts)
-{
-    // Control mispredictions + the "always" policy's violation squash
-    // storm drive the frontier-invalidation path (squashed stages must
-    // be re-armed, stale park times dropped).
-    Trace trc = randomTrace(23);
-    TraceView view(trc);
-    DepOracle oracle(view);
-    TaskSet tasks(view);
-    for (double rate : {0.2, 0.6}) {
-        for (unsigned stages : {8u, 64u}) {
-            SCOPED_TRACE(testing::Message()
-                         << "rate=" << rate << " stages=" << stages);
-            SimResult ref = runMode(view, oracle, tasks, "always",
-                                    Topology::Ring, stages, false,
-                                    rate);
-            SimResult fr = runMode(view, oracle, tasks, "always",
-                                   Topology::Ring, stages, true, rate);
-            expectSimEqual(ref, fr);
-        }
-    }
-}
-
-TEST(FrontierEquiv, ArbShardingIsSemanticallyInvisible)
-{
-    // The sharded ARB must be invisible at every shard count, in both
-    // scheduler modes: compare auto (0), single-bank, and 8-way
-    // explicitly, all against the single-bank reference-scheduler run.
-    Trace trc = randomTrace(7);
-    TraceView view(trc);
-    DepOracle oracle(view);
-    TaskSet tasks(view);
-    SimResult base = runMode(view, oracle, tasks, "always",
-                             Topology::Ring, 64, false, 0.0, 1);
-    for (bool frontier : {false, true}) {
-        for (unsigned shards : {0u, 1u, 8u}) {
-            SCOPED_TRACE(testing::Message() << "frontier=" << frontier
-                                            << " shards=" << shards);
-            SimResult r = runMode(view, oracle, tasks, "always",
-                                  Topology::Ring, 64, frontier, 0.0,
-                                  shards);
-            expectSimEqual(base, r);
-        }
-    }
-}
-
 TEST(FrontierEquiv, IdleHeavyMachineSkipsMostStageVisits)
 {
     // The point of the frontier: on a machine much wider than its
-    // work, visits collapse while the reference scan still walks
-    // every stage every simulated cycle.
+    // work, visits collapse far below one per stage per simulated
+    // cycle.
     Trace trc = randomTrace(11);
     TraceView view(trc);
     DepOracle oracle(view);
     TaskSet tasks(view);
-    SimResult ref = runMode(view, oracle, tasks, "sync",
-                            Topology::Ring, 64, false);
-    SimResult fr = runMode(view, oracle, tasks, "sync", Topology::Ring,
-                           64, true);
-    expectSimEqual(ref, fr);
-    EXPECT_EQ(ref.stageVisits, ref.stageSlots);
-    EXPECT_LT(fr.stageVisits * 2, ref.stageVisits);
+    MultiscalarConfig cfg;
+    cfg.numStages = 64;
+    cfg.policyName = "sync";
+    cfg.sync.slotsPerEntry = 64;
+    MultiscalarProcessor proc(view, oracle, tasks, cfg);
+    const SimResult r = proc.run();
+    EXPECT_EQ(r.committedTasks, tasks.numTasks());
+    EXPECT_EQ(r.stageSlots, 64 * r.cyclesSimulated);
+    EXPECT_LT(r.stageVisits * 2, r.stageSlots);
 }
 
 } // namespace

@@ -1,19 +1,20 @@
 /**
  * @file
- * Unit tests for the register-forwarding interconnect models (ring and
- * 2D mesh) and the manycore config validation they depend on.
+ * Unit tests for the register-forwarding hop counts (ring and 2D mesh)
+ * and the manycore config validation they depend on.
  *
  * The hop formulas are pure integer functions, so the tests pin them
  * exactly: ring hops are task distance (additive along the ring), mesh
  * hops are dimension-ordered XY distance plus one grid diameter per
  * full revolution of the task distance.  Validation is exercised
- * through death tests -- a bad stage count, a non-factoring mesh grid
- * or a non-power-of-two shard count must exit(1) with the offending
- * value in the message, never simulate.
+ * through death tests -- a bad stage count or a non-factoring mesh
+ * grid must exit(1) with the offending value in the message, never
+ * simulate.
  */
 
 #include <gtest/gtest.h>
 
+#include "multiscalar/config.hh"
 #include "multiscalar/interconnect.hh"
 
 namespace mdp
@@ -110,26 +111,8 @@ TEST(Interconnect, MeshNeverExceedsDiameterWithinRevolution)
 }
 
 // --------------------------------------------------------------------
-// Factory + config resolution
+// Config resolution
 // --------------------------------------------------------------------
-
-TEST(Interconnect, FactoryBuildsConfiguredTopology)
-{
-    MultiscalarConfig cfg;
-    cfg.numStages = 16;
-
-    auto ring = makeInterconnect(cfg);
-    EXPECT_STREQ(ring->name(), "ring");
-    EXPECT_EQ(ring->taskHops(2, 9), 7u);
-    EXPECT_EQ(ring->latency(2, 9), 7u);   // 1 cycle/hop default
-
-    cfg.topology = Topology::Mesh;
-    cfg.ringHopLatency = 3;
-    auto mesh = makeInterconnect(cfg);
-    EXPECT_STREQ(mesh->name(), "mesh");
-    EXPECT_EQ(mesh->taskHops(0, 15), 6u); // auto-factored 4x4
-    EXPECT_EQ(mesh->latency(0, 15), 18u); // hops x hop latency
-}
 
 TEST(Interconnect, MeshAutoFactorsMostNearlySquare)
 {
@@ -171,23 +154,6 @@ TEST(Interconnect, MeshPartialDimsResolveFromStages)
     EXPECT_EQ(my2, 8u);
 }
 
-TEST(Interconnect, ArbShardsAutoSizeWithStages)
-{
-    MultiscalarConfig cfg;
-    // One shard per 8 stages, rounded up to a power of two.
-    cfg.numStages = 8;
-    EXPECT_EQ(resolveArbShards(cfg), 1u);
-    cfg.numStages = 64;
-    EXPECT_EQ(resolveArbShards(cfg), 8u);
-    cfg.numStages = 256;
-    EXPECT_EQ(resolveArbShards(cfg), 32u);
-    cfg.numStages = 1024;
-    EXPECT_EQ(resolveArbShards(cfg), 128u);
-    // An explicit count wins.
-    cfg.arbShards = 4;
-    EXPECT_EQ(resolveArbShards(cfg), 4u);
-}
-
 // --------------------------------------------------------------------
 // Validation death tests
 // --------------------------------------------------------------------
@@ -220,15 +186,6 @@ TEST(InterconnectDeath, NonFactoringMeshGrid)
     EXPECT_EXIT(validateMultiscalarConfig(cfg),
                 testing::ExitedWithCode(1),
                 "meshY=5 does not divide numStages=16");
-}
-
-TEST(InterconnectDeath, NonPowerOfTwoArbShards)
-{
-    MultiscalarConfig cfg;
-    cfg.arbShards = 3;
-    EXPECT_EXIT(validateMultiscalarConfig(cfg),
-                testing::ExitedWithCode(1),
-                "arbShards must be 0 .auto. or a power of two");
 }
 
 TEST(InterconnectDeath, DegenerateStageParameters)

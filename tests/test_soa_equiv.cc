@@ -1,9 +1,8 @@
 /**
  * @file
- * Randomized differential tests for the SoA dense-loop kernels and
- * the intra-run parallel phase.
+ * Randomized differential tests for the SoA dense-loop kernels.
  *
- * Three layers of equivalence, all bit-exact:
+ * Two layers of equivalence, all bit-exact:
  *
  *  1. Kernel vs. retained object-form reference: each simd kernel
  *     (base/simd_kernels.hh) is checked against a straight AoS loop
@@ -14,10 +13,6 @@
  *     kernel result and every model observable must agree (skipped
  *     when the host lacks AVX2 -- the scalar path is then the only
  *     behavior and is covered by layer 1).
- *  3. Serial vs. intra-parallel: MultiscalarConfig::intraJobs 1 vs 4
- *     must produce identical SimResults across all speculation
- *     policies (the phase-A readiness cache may never change what
- *     phase B decides).
  */
 
 #include <gtest/gtest.h>
@@ -359,13 +354,12 @@ expectOooEqual(const OooResult &a, const OooResult &b)
 
 SimResult
 runMs(const TraceView &trc, const DepOracle &oracle,
-      const TaskSet &tasks, SpecPolicy policy, unsigned intra_jobs)
+      const TaskSet &tasks, SpecPolicy policy)
 {
     MultiscalarConfig cfg;
     cfg.policy = policy;
     cfg.taskMispredictRate = 0.15;
     cfg.logMisSpeculations = true;
-    cfg.intraJobs = intra_jobs;
     MultiscalarProcessor proc(trc, oracle, tasks, cfg);
     return proc.run();
 }
@@ -394,31 +388,13 @@ TEST(SoaEquiv, ScalarVsAvx2AllPoliciesBothModels)
                          << "seed=" << seed
                          << " policy=" << static_cast<int>(p));
             simd::forceLevel(simd::SimdLevel::Scalar);
-            SimResult ms_s = runMs(view, oracle, tasks, p, 1);
+            SimResult ms_s = runMs(view, oracle, tasks, p);
             OooResult oo_s = runOoo(view, oracle, p);
             simd::forceLevel(simd::SimdLevel::Avx2);
-            SimResult ms_v = runMs(view, oracle, tasks, p, 1);
+            SimResult ms_v = runMs(view, oracle, tasks, p);
             OooResult oo_v = runOoo(view, oracle, p);
             expectSimEqual(ms_s, ms_v);
             expectOooEqual(oo_s, oo_v);
-        }
-    }
-}
-
-TEST(SoaEquiv, IntraJobsSerialVsParallelAllPolicies)
-{
-    for (uint64_t seed = 1; seed <= 4; ++seed) {
-        Trace trc = randomTrace(seed);
-        TraceView view(trc);
-        DepOracle oracle(view);
-        TaskSet tasks(view);
-        for (SpecPolicy p : kPolicies) {
-            SCOPED_TRACE(testing::Message()
-                         << "seed=" << seed
-                         << " policy=" << static_cast<int>(p));
-            SimResult serial = runMs(view, oracle, tasks, p, 1);
-            SimResult parallel = runMs(view, oracle, tasks, p, 4);
-            expectSimEqual(serial, parallel);
         }
     }
 }

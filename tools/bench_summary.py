@@ -33,7 +33,9 @@ micro_* per-kernel phase totals are gated against a previous summary:
 
 fails when any kernel present in the baseline got more than
 --threshold times slower (or disappeared), and records the per-kernel
-current/baseline ratios under "micro_compare" either way.
+current/baseline ratios under "micro_compare" either way.  Kernels
+deleted on purpose are listed in RETIRED_MICRO_KERNELS; only those may
+be missing from the current run.
 
 Reports that carry a "cycle_stats" section (cycles simulated vs.
 skipped by the event-driven fast-forward; see EXPERIMENTS.md) have it
@@ -74,6 +76,24 @@ ACQUIRE_PHASES = ("trace_cache_load", "trace_generate")
 # Baselines shorter than this are timer noise, not kernels; --compare
 # does not gate on them (their ratios are still recorded).
 MICRO_COMPARE_FLOOR_SECONDS = 1e-3
+
+# Kernels deleted together with the mechanism they measured.  A
+# baseline that still has one is not a regression when it is missing
+# now; every other vanished kernel is.
+RETIRED_MICRO_KERNELS = frozenset({
+    # micro_cycle_skip: tick loop vs fast-forward (the tick loop is gone).
+    "micro_ooo_skip_ff",
+    "micro_ooo_skip_reference",
+    "micro_ms_skip_ff",
+    "micro_ms_skip_reference",
+    # micro_frontier: the 1024-PE model with the frontier on and off.
+    "micro_chain_wake_frontier_1024",
+    "micro_chain_wake_scan_1024",
+    # micro_frontier: the sharded ARB (one Arb per model now).
+    "micro_arb_probe_8shard",
+    "micro_arb_probe_256shard",
+    "micro_arb_probe_1024shard",
+})
 
 # The lint suppression marker, composed so mdp_lint's own scanner
 # never mistakes this file for a suppression site.
@@ -338,7 +358,8 @@ def compare_micro(baseline_path, micro_totals, threshold):
 
     Returns (compare_doc, regression_messages).  A kernel present in
     the baseline but absent now is a regression (a renamed or dropped
-    kernel must update the baseline explicitly, not pass silently).
+    kernel must update the baseline explicitly, not pass silently),
+    unless it is listed in RETIRED_MICRO_KERNELS.
     """
     try:
         base = json.loads(Path(baseline_path).read_text())
@@ -355,8 +376,12 @@ def compare_micro(baseline_path, micro_totals, threshold):
     cur_agg = aggregate_micro_phases(micro_totals)
 
     ratios = {}
+    retired = []
     regressions = []
     for phase, base_secs in sorted(base_agg.items()):
+        if phase not in cur_agg and phase in RETIRED_MICRO_KERNELS:
+            retired.append(phase)
+            continue
         if phase not in cur_agg:
             regressions.append(
                 f"{phase}: present in baseline but not in this run")
@@ -376,6 +401,7 @@ def compare_micro(baseline_path, micro_totals, threshold):
         "baseline": str(baseline_path),
         "threshold": threshold,
         "ratios": ratios,
+        "retired": retired,
         "regressions": regressions,
     }, regressions
 

@@ -391,12 +391,11 @@ inAnyBody(const std::vector<std::pair<size_t, size_t>> &bodies,
 }
 
 /**
- * The fast-forward skip-target scan (any function named
- * nextInterestingCycle in a model directory) must visit its
- * candidates in a platform-stable order: its result steers which
- * cycles are jumped over, so a hash-order dependence there silently
- * changes simulated results between standard libraries even when
- * every candidate is considered.
+ * The jump-target scan (any function named nextInterestingCycle in a
+ * model directory) must visit its candidates in a platform-stable
+ * order: its result steers which cycles are jumped over, so a
+ * hash-order dependence there silently changes simulated results
+ * between standard libraries even when every candidate is considered.
  */
 void
 checkFastForwardOrder(const std::string &path,
@@ -457,38 +456,6 @@ checkSoaRawIndex(const std::string &path,
                  "the simd kernels; use the OpLanes accessors "
                  "(done/flags/test/set) outside src/base/"});
     }
-}
-
-/**
- * The intra-run parallel phase (any readyPrecompute definition in a
- * model directory) fans per-stage jobs over a worker pool; its
- * per-stage worklists must come from vectors or index ranges.  An
- * unordered-container walk there would make the cached readiness
- * verdicts -- and with them the issue order -- depend on hash
- * layout.
- */
-void
-checkSoaSyncPhase(const std::string &path,
-                  const std::vector<Token> &code,
-                  const std::set<std::string> &names,
-                  std::vector<Diag> &out)
-{
-    std::vector<std::pair<size_t, size_t>> bodies =
-        functionBodies(code, "readyPrecompute");
-    if (bodies.empty())
-        return;
-    forEachContainerIteration(
-        code, names, [&](size_t idx, const std::string &name, bool) {
-            if (!inAnyBody(bodies, idx))
-                return;
-            out.push_back(
-                {path, code[idx].line, "soa-sync",
-                 "readyPrecompute iterates unordered container '" +
-                     name +
-                     "': the parallel readiness phase must consume "
-                     "a deterministic worklist; iterate a vector or "
-                     "an index range instead"});
-        });
 }
 
 // ---- rule: frontier-order ------------------------------------------
@@ -796,7 +763,6 @@ contextPass(const std::string &path, const std::vector<Token> &code,
     if (inModelDir(scoped)) {
         checkUnorderedIter(path, code, names, out);
         checkFastForwardOrder(path, code, names, out);
-        checkSoaSyncPhase(path, code, names, out);
     }
     if (startsWith(scoped, "src/serve/"))
         checkLockstepBlocking(path, code, names, out);
@@ -1174,8 +1140,7 @@ ruleDocs()
          "pointer values (std::map<T *, ...>, std::less<T *>)"},
         {"soa-sync",
          "no raw index arithmetic on the SoA lane escape hatches "
-         "(doneData()/flagsData()) outside src/base/, and no "
-         "unordered iteration inside readyPrecompute"},
+         "(doneData()/flagsData()) outside src/base/"},
         {"unordered-iter",
          "no iteration over unordered containers in the model "
          "directories; order leaks into state and reports"},
