@@ -3,11 +3,24 @@
 #   for b in build/bench/*; do $b; done
 set(MDP_BENCH_DIR ${CMAKE_CURRENT_LIST_DIR})
 
+# Every bench's stdout at MDP_SCALE=0.1 is pinned by a committed
+# capture, tests/golden/<name without bench_>.stdout, and checked by a
+# Golden.<bench> ctest under the golden label
+# (tools/regen_golden.sh re-captures them all).
 function(mdp_add_bench name)
     add_executable(${name} ${MDP_BENCH_DIR}/${name}.cc)
     target_link_libraries(${name} PRIVATE mdp_harness)
     set_target_properties(${name} PROPERTIES
         RUNTIME_OUTPUT_DIRECTORY ${CMAKE_BINARY_DIR}/bench)
+    string(REGEX REPLACE "^bench_" "" golden ${name})
+    add_test(NAME Golden.${name}
+        COMMAND ${CMAKE_COMMAND}
+            -DBENCH=$<TARGET_FILE:${name}>
+            -DGOLDEN=${CMAKE_SOURCE_DIR}/tests/golden/${golden}.stdout
+            -DACTUAL=${CMAKE_BINARY_DIR}/bench/${golden}.stdout
+            -P ${CMAKE_SOURCE_DIR}/tests/check_golden.cmake)
+    set_tests_properties(Golden.${name} PROPERTIES
+        LABELS golden TIMEOUT 300)
 endfunction()
 
 mdp_add_bench(bench_table1_instcounts)
