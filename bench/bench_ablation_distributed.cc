@@ -25,7 +25,7 @@ main()
     for (const auto &name : specInt92Names()) {
         const WorkloadContext &ctx = cachedContext(name, benchScale());
         MultiscalarConfig cfg =
-            makeMultiscalarConfig(ctx, 8, SpecPolicy::ESync);
+            makeMultiscalarConfig(ctx, 8, "esync");
         SimResult central = runMultiscalar(ctx, cfg);
         cfg.organization = SyncOrganization::Distributed;
         SimResult dist = runMultiscalar(ctx, cfg);

@@ -30,16 +30,16 @@ main()
         const WorkloadContext &ctx = cachedContext(name, benchScale());
         uint64_t prev_misspec = 0;
         for (unsigned w : windows) {
-            auto run = [&](SpecPolicy p) {
+            auto run = [&](const std::string &p) {
                 OooConfig cfg;
                 cfg.windowSize = w;
-                cfg.policy = p;
+                cfg.policyName = p;
                 return runOoo(ctx, cfg);
             };
-            OooResult never = run(SpecPolicy::Never);
-            OooResult always = run(SpecPolicy::Always);
-            OooResult sync = run(SpecPolicy::Sync);
-            OooResult psync = run(SpecPolicy::PerfectSync);
+            OooResult never = run("never");
+            OooResult always = run("always");
+            OooResult sync = run("sync");
+            OooResult psync = run("psync");
 
             t.beginRow();
             t.cell(name);

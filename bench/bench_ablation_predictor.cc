@@ -25,7 +25,7 @@ main()
         ctxs.push_back(&cachedContext(n, benchScale()));
         base.push_back(runMultiscalar(
             *ctxs.back(),
-            makeMultiscalarConfig(*ctxs.back(), 8, SpecPolicy::Always)));
+            makeMultiscalarConfig(*ctxs.back(), 8, "always")));
     }
 
     struct Variant
@@ -60,7 +60,7 @@ main()
         t.cell(v.label);
         for (size_t i = 0; i < names.size(); ++i) {
             MultiscalarConfig cfg =
-                makeMultiscalarConfig(*ctxs[i], 8, SpecPolicy::ESync);
+                makeMultiscalarConfig(*ctxs[i], 8, "esync");
             cfg.sync.counterBits = v.bits;
             cfg.sync.threshold = v.threshold;
             cfg.sync.initialCount = v.init;

@@ -34,7 +34,7 @@ main()
         ctxs.push_back(&cachedContext(n, benchScale()));
         base.push_back(runMultiscalar(
             *ctxs.back(),
-            makeMultiscalarConfig(*ctxs.back(), 8, SpecPolicy::Always)));
+            makeMultiscalarConfig(*ctxs.back(), 8, "always")));
     }
 
     std::vector<double> small_gain(names.size()), big_gain(names.size());
@@ -43,7 +43,7 @@ main()
         t.integer(sz);
         for (size_t i = 0; i < names.size(); ++i) {
             MultiscalarConfig cfg =
-                makeMultiscalarConfig(*ctxs[i], 8, SpecPolicy::ESync);
+                makeMultiscalarConfig(*ctxs[i], 8, "esync");
             cfg.sync.numEntries = sz;
             SimResult r = runMultiscalar(*ctxs[i], cfg);
             double sp = speedupPct(base[i], r);

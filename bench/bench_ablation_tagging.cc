@@ -25,7 +25,7 @@ main()
     for (const auto &name : specInt92Names()) {
         const WorkloadContext &ctx = cachedContext(name, benchScale());
         SimResult base = runMultiscalar(
-            ctx, makeMultiscalarConfig(ctx, 8, SpecPolicy::Always));
+            ctx, makeMultiscalarConfig(ctx, 8, "always"));
 
         t.beginRow();
         t.cell(name);
@@ -36,7 +36,7 @@ main()
             for (SyncOrganization org : {SyncOrganization::Combined,
                                          SyncOrganization::Split}) {
                 MultiscalarConfig cfg =
-                    makeMultiscalarConfig(ctx, 8, SpecPolicy::Sync);
+                    makeMultiscalarConfig(ctx, 8, "sync");
                 cfg.sync.tags = tags;
                 cfg.organization = org;
                 SimResult r = runMultiscalar(ctx, cfg);

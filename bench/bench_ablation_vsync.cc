@@ -40,14 +40,14 @@ main()
         // mdp-lint: allow(bench-discipline): custom per-row profile.
         WorkloadContext ctx(w.generate(benchScale()));
 
-        auto run = [&](SpecPolicy pol) {
+        auto run = [&](const std::string &pol) {
             return runMultiscalar(ctx,
                                   makeMultiscalarConfig(ctx, 8, pol));
         };
-        SimResult always = run(SpecPolicy::Always);
-        SimResult esync = run(SpecPolicy::ESync);
-        SimResult vsync = run(SpecPolicy::VSync);
-        SimResult psync = run(SpecPolicy::PerfectSync);
+        SimResult always = run("always");
+        SimResult esync = run("esync");
+        SimResult vsync = run("vsync");
+        SimResult psync = run("psync");
 
         t.beginRow();
         t.num(stability, 2);

@@ -29,7 +29,7 @@ main()
     for (const auto &name : specInt92Names()) {
         const WorkloadContext &ctx = cachedContext(name, scale);
         MultiscalarConfig cfg =
-            makeMultiscalarConfig(ctx, 8, SpecPolicy::ESync);
+            makeMultiscalarConfig(ctx, 8, "esync");
         SimResult cold = runMultiscalar(ctx, cfg);
         cfg.preloadEdges = analyzeStaticEdges(ctx, 16);
         SimResult warm = runMultiscalar(ctx, cfg);

@@ -19,7 +19,6 @@
 #include "base/logging.hh"
 #include "bench_common.hh"
 #include "mdp/dep_policy.hh"
-#include "mdp/policy.hh"
 
 using namespace mdp;
 
@@ -73,14 +72,8 @@ main()
     ExperimentRunner runner;
     for (const auto &[suite, name] : programs) {
         for (const std::string &key : policies) {
-            // Paper policies also set the legacy enum (stage-count
-            // derivations key on it); registry-only descendants ride
-            // the policyName override on a harmless Sync backing.
-            SpecPolicy legacy = SpecPolicy::Sync;
-            tryParsePolicy(key, legacy);
-            MultiscalarConfig cfg = makeWorkloadConfig(name, 8, legacy);
-            cfg.policyName = key;
-            runner.add(name, benchScale(), cfg);
+            runner.add(name, benchScale(),
+                       makeWorkloadConfig(name, 8, key));
         }
     }
     runner.runAll();
@@ -205,11 +198,7 @@ main()
     WorkloadContext vctx(vw.generate(benchScale()));
 
     auto runNamed = [&](const std::string &key) {
-        SpecPolicy legacy = SpecPolicy::Sync;
-        tryParsePolicy(key, legacy);
-        MultiscalarConfig cfg = makeMultiscalarConfig(vctx, 8, legacy);
-        cfg.policyName = key;
-        return runMultiscalar(vctx, cfg);
+        return runMultiscalar(vctx, makeMultiscalarConfig(vctx, 8, key));
     };
     SimResult vsync_r = runNamed("sync");
     SimResult vassist_r = runNamed("vassist");

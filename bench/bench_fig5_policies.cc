@@ -24,9 +24,8 @@ main(int argc, char **argv)
                     "  dcache hit 2, miss 13 (+bus), ring hop 1\n\n");
     }
 
-    const std::vector<SpecPolicy> policies = {
-        SpecPolicy::Never, SpecPolicy::Always, SpecPolicy::Wait,
-        SpecPolicy::PerfectSync};
+    const std::vector<std::string> policies = {"never", "always", "wait",
+                                               "psync"};
 
     // Queue the whole (workload x stages x policy) grid, then sweep it
     // in parallel; rows are printed afterwards in submission order so
@@ -34,7 +33,7 @@ main(int argc, char **argv)
     ExperimentRunner runner;
     for (const auto &name : specInt92Names())
         for (unsigned stages : {4u, 8u})
-            for (SpecPolicy p : policies)
+            for (const std::string &p : policies)
                 runner.add(name, benchScale(),
                            makeWorkloadConfig(name, stages, p));
     runner.runAll();

@@ -18,14 +18,13 @@ main()
            "(SPECint92)",
            "Moshovos et al., ISCA'97, Figure 6");
 
-    const std::vector<SpecPolicy> policies = {
-        SpecPolicy::Always, SpecPolicy::Sync, SpecPolicy::ESync,
-        SpecPolicy::PerfectSync};
+    const std::vector<std::string> policies = {"always", "sync", "esync",
+                                               "psync"};
 
     ExperimentRunner runner;
     for (const auto &name : specInt92Names())
         for (unsigned stages : {4u, 8u})
-            for (SpecPolicy p : policies)
+            for (const std::string &p : policies)
                 runner.add(name, benchScale(),
                            makeWorkloadConfig(name, stages, p));
     runner.runAll();

@@ -18,8 +18,8 @@ main()
     banner("Figure 7: SPEC95 mechanism evaluation (8 stages)",
            "Moshovos et al., ISCA'97, Figure 7");
 
-    const std::vector<SpecPolicy> policies = {
-        SpecPolicy::Always, SpecPolicy::ESync, SpecPolicy::PerfectSync};
+    const std::vector<std::string> policies = {"always", "esync",
+                                               "psync"};
 
     // Both suites go into one grid so the 18 workloads sweep together.
     std::vector<std::pair<std::string, std::string>> programs;
@@ -30,7 +30,7 @@ main()
 
     ExperimentRunner runner;
     for (const auto &[suite, name] : programs)
-        for (SpecPolicy p : policies)
+        for (const std::string &p : policies)
             runner.add(name, benchScale(),
                        makeWorkloadConfig(name, 8, p));
     runner.runAll();

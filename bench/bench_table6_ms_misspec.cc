@@ -26,8 +26,7 @@ main()
     for (unsigned stages : {4u, 8u})
         for (const auto &name : specInt92Names())
             runner.add(name, benchScale(),
-                       makeWorkloadConfig(name, stages,
-                                          SpecPolicy::Always));
+                       makeWorkloadConfig(name, stages, "always"));
     runner.runAll();
 
     std::vector<uint64_t> at4, at8;

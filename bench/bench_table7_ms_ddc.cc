@@ -29,7 +29,7 @@ main()
     ExperimentRunner runner;
     for (const auto &name : specInt92Names()) {
         MultiscalarConfig cfg =
-            makeWorkloadConfig(name, 8, SpecPolicy::Always);
+            makeWorkloadConfig(name, 8, "always");
         cfg.logMisSpeculations = true;
         runner.add(name, benchScale(), cfg);
     }

@@ -47,8 +47,7 @@ main()
         std::vector<PredBreakdown> rows;
         for (const WorkloadContext *ctx : ctxs) {
             MultiscalarConfig cfg = makeMultiscalarConfig(
-                *ctx, 8,
-                variant == 2 ? SpecPolicy::ESync : SpecPolicy::Sync);
+                *ctx, 8, variant == 2 ? "esync" : "sync");
             if (variant == 0)
                 cfg.sync.predictor = PredictorKind::AlwaysSync;
             SimResult r = runMultiscalar(*ctx, cfg);

@@ -16,13 +16,13 @@ main()
     banner("Table 9: mis-speculations per committed load",
            "Moshovos et al., ISCA'97, Table 9");
 
-    const std::vector<SpecPolicy> policies = {
-        SpecPolicy::Always, SpecPolicy::Sync, SpecPolicy::ESync};
+    const std::vector<std::string> policies = {"always", "sync",
+                                               "esync"};
 
     ExperimentRunner runner;
     for (const auto &name : specInt92Names())
         for (unsigned stages : {4u, 8u})
-            for (SpecPolicy p : policies)
+            for (const std::string &p : policies)
                 runner.add(name, benchScale(),
                            makeWorkloadConfig(name, stages, p));
     runner.runAll();

@@ -61,8 +61,7 @@ class MicroSuite
      * Time @p fn (a deterministic callable returning a uint64_t
      * checksum) over the configured repetitions.
      * @return the kernel's checksum, so callers can shape-check that
-     * two implementations of the same computation agree (the AoS/SoA
-     * pairs in micro_model_cycle do).
+     * two implementations of the same computation agree.
      */
     template <typename Fn>
     uint64_t

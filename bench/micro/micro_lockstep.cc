@@ -27,12 +27,11 @@ namespace
 std::vector<LockstepJob>
 fig5Jobs(const WorkloadContext &ctx)
 {
-    const SpecPolicy policies[] = {SpecPolicy::Never,
-                                   SpecPolicy::Always, SpecPolicy::Wait,
-                                   SpecPolicy::PerfectSync};
+    const std::string policies[] = {"never", "always", "wait",
+                                    "psync"};
     std::vector<LockstepJob> jobs;
     for (unsigned stages : {4u, 8u}) {
-        for (SpecPolicy p : policies) {
+        for (const std::string &p : policies) {
             LockstepJob job;
             job.ms = makeMultiscalarConfig(ctx, stages, p);
             jobs.push_back(job);

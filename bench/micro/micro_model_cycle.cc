@@ -5,24 +5,13 @@
  * issue/wakeup/commit loops (the dominant cost of every bench), so a
  * regression here is a regression everywhere.
  *
- * Alongside the end-to-end kernels, three AoS-vs-SoA pairs isolate the
- * dense inner loops the SoA refactor vectorized: the completion scan
- * (scan_*), the issue-window wakeup match (wakeup_*), and the ARB
- * violation probe (probe_*).  Each pair computes the identical fold
- * over the identical synthetic data -- the _aos kernel strides over
- * per-op structs exactly like the pre-SoA models did, the _soa kernel
- * calls the packed-lane kernels under the process dispatch level -- so
- * their checksums must match (shape-checked), and the timing ratio is
- * the CI speedup gate.
- *
  * MDP_MICRO_SCALE sets the workload scale (default 0.05 -- small
  * enough that a kernel is tens of milliseconds, large enough that the
  * window fills and the blocked-list scans matter).
  */
 
-#include <vector>
+#include <string>
 
-#include "base/simd_kernels.hh"
 #include "micro_common.hh"
 #include "ooo/ooo_model.hh"
 
@@ -32,10 +21,10 @@ namespace
 {
 
 uint64_t
-oooKernel(const WorkloadContext &ctx, SpecPolicy policy)
+oooKernel(const WorkloadContext &ctx, const std::string &policy)
 {
     OooConfig cfg;
-    cfg.policy = policy;
+    cfg.policyName = policy;
     const OooResult r = runOoo(ctx, cfg);
     uint64_t sum = mixChecksum(r.cycles, r.committedOps);
     sum = mixChecksum(sum, r.misSpeculations);
@@ -44,7 +33,7 @@ oooKernel(const WorkloadContext &ctx, SpecPolicy policy)
 }
 
 uint64_t
-msKernel(const WorkloadContext &ctx, SpecPolicy policy)
+msKernel(const WorkloadContext &ctx, const std::string &policy)
 {
     const MultiscalarConfig cfg = makeMultiscalarConfig(ctx, 8, policy);
     const SimResult r = runMultiscalar(ctx, cfg);
@@ -52,192 +41,6 @@ msKernel(const WorkloadContext &ctx, SpecPolicy policy)
     sum = mixChecksum(sum, r.misSpeculations);
     sum = mixChecksum(sum, r.loadsBlockedSync);
     return mixChecksum(sum, r.syncWaitCycles);
-}
-
-// ---------------------------------------------------------------------
-// AoS-vs-SoA dense-loop pairs
-// ---------------------------------------------------------------------
-
-/** Flag masks mirroring the shape of the models' op-state bits. */
-constexpr uint16_t kRequired = 1 << 1;   // "issued" for the scan
-constexpr uint16_t kSkip = 0x1e;         // "not issuable" for wakeup
-
-/** Synthetic in-flight window + ARB lanes, in both layouts. */
-struct DenseData
-{
-    // Op state, SoA lanes and the equivalent per-op structs.
-    std::vector<uint64_t> done;
-    std::vector<uint16_t> flags;
-    struct Op
-    {
-        uint64_t done = 0;
-        uint16_t flags = 0;
-    };
-    std::vector<Op> aos;
-
-    // Per-address executed-load records for the probe pair.
-    std::vector<uint32_t> seq, version, task;
-    struct LoadRec
-    {
-        uint32_t seq = 0, version = 0, task = 0;
-    };
-    std::vector<LoadRec> recs;
-};
-
-/** xorshift64*: deterministic, seeded -- no clock or libc rand. */
-uint64_t
-nextRand(uint64_t &s)
-{
-    s ^= s >> 12;
-    s ^= s << 25;
-    s ^= s >> 27;
-    return s * 0x2545f4914f6cdd1dULL;
-}
-
-DenseData
-makeDenseData(size_t window, size_t lanes)
-{
-    DenseData d;
-    uint64_t rng = 0x9e3779b97f4a7c15ULL;
-    d.done.resize(window);
-    d.flags.resize(window);
-    d.aos.resize(window);
-    for (size_t i = 0; i < window; ++i) {
-        const uint64_t r = nextRand(rng);
-        d.done[i] = 1 + (r & 0xfff);
-        // Mostly not-issuable lanes: realistic full-window shape, and
-        // it exercises the wakeup kernel's skip-run hopping.
-        d.flags[i] = static_cast<uint16_t>(
-            (r >> 16) % 16 == 0 ? 0 : (kRequired | ((r >> 20) & kSkip)));
-        d.aos[i] = {d.done[i], d.flags[i]};
-    }
-    d.seq.resize(lanes);
-    d.version.resize(lanes);
-    d.task.resize(lanes);
-    d.recs.resize(lanes);
-    for (size_t i = 0; i < lanes; ++i) {
-        const uint64_t r = nextRand(rng);
-        d.seq[i] = static_cast<uint32_t>(r & 0xffff);
-        d.version[i] = (r >> 16) % 4 == 0
-                           ? simd::kNone32
-                           : static_cast<uint32_t>((r >> 18) & 0x3fff);
-        d.task[i] = static_cast<uint32_t>((r >> 40) & 0xf);
-        d.recs[i] = {d.seq[i], d.version[i], d.task[i]};
-    }
-    return d;
-}
-
-/** Completion scan (fast-forward "next completion" probe). */
-uint64_t
-scanAos(const DenseData &d, unsigned queries)
-{
-    uint64_t sum = 0;
-    const size_t n = d.aos.size();
-    for (unsigned q = 0; q < queries; ++q) {
-        const uint64_t cyc = (q * 97) & 0xfff;
-        uint64_t best = UINT64_MAX;
-        for (size_t i = 0; i < n; ++i) {
-            const DenseData::Op &op = d.aos[i];
-            if ((op.flags & kRequired) && op.done > cyc &&
-                op.done < best) {
-                best = op.done;
-            }
-        }
-        sum = mixChecksum(sum, best);
-    }
-    return sum;
-}
-
-uint64_t
-scanSoa(const DenseData &d, unsigned queries)
-{
-    uint64_t sum = 0;
-    const size_t n = d.done.size();
-    for (unsigned q = 0; q < queries; ++q) {
-        const uint64_t cyc = (q * 97) & 0xfff;
-        sum = mixChecksum(
-            sum, simd::minPendingDone(d.done.data(), d.flags.data(), 0,
-                                      n, kRequired, cyc));
-    }
-    return sum;
-}
-
-/** Issue-window wakeup match: visit every issuable candidate. */
-uint64_t
-wakeupAos(const DenseData &d, unsigned queries)
-{
-    uint64_t sum = 0;
-    const size_t n = d.aos.size();
-    for (unsigned q = 0; q < queries; ++q) {
-        for (size_t i = 0; i < n; ++i) {
-            if (!(d.aos[i].flags & kSkip))
-                sum = mixChecksum(sum, i);
-        }
-    }
-    return sum;
-}
-
-uint64_t
-wakeupSoa(const DenseData &d, unsigned queries)
-{
-    uint64_t sum = 0;
-    const size_t n = d.flags.size();
-    for (unsigned q = 0; q < queries; ++q) {
-        for (size_t i = simd::nextReadyCandidate(d.flags.data(), 0, n,
-                                                 kSkip);
-             i < n; i = simd::nextReadyCandidate(d.flags.data(), i + 1,
-                                                 n, kSkip)) {
-            sum = mixChecksum(sum, i);
-        }
-    }
-    return sum;
-}
-
-/** ARB probes: newest store below a load + earliest violating load. */
-uint64_t
-probeAos(const DenseData &d, unsigned queries)
-{
-    uint64_t sum = 0;
-    const size_t n = d.recs.size();
-    for (unsigned q = 0; q < queries; ++q) {
-        const uint32_t store = (q * 31) & 0xffff;
-        const uint32_t stask = q & 0xf;
-        uint32_t newest = simd::kNone32;
-        bool found = false;
-        uint32_t violator = simd::kNone32;
-        for (size_t i = 0; i < n; ++i) {
-            const DenseData::LoadRec &rec = d.recs[i];
-            if (rec.seq < store && (!found || rec.seq > newest)) {
-                newest = rec.seq;
-                found = true;
-            }
-            if (rec.seq > store && rec.task > stask &&
-                (rec.version == simd::kNone32 || rec.version < store) &&
-                rec.seq < violator) {
-                violator = rec.seq;
-            }
-        }
-        sum = mixChecksum(sum, found ? newest : simd::kNone32);
-        sum = mixChecksum(sum, violator);
-    }
-    return sum;
-}
-
-uint64_t
-probeSoa(const DenseData &d, unsigned queries)
-{
-    uint64_t sum = 0;
-    const size_t n = d.seq.size();
-    for (unsigned q = 0; q < queries; ++q) {
-        const uint32_t store = (q * 31) & 0xffff;
-        const uint32_t stask = q & 0xf;
-        sum = mixChecksum(sum,
-                          simd::maxStoreBelow(d.seq.data(), n, store));
-        sum = mixChecksum(
-            sum, simd::earliestViolator(d.seq.data(), d.version.data(),
-                                        d.task.data(), n, store, stask));
-    }
-    return sum;
 }
 
 } // namespace
@@ -253,34 +56,13 @@ main()
     const WorkloadContext &ctx = cachedContext("compress", scale);
 
     suite.kernel("ooo_cycle_always",
-                 [&] { return oooKernel(ctx, SpecPolicy::Always); });
+                 [&] { return oooKernel(ctx, "always"); });
     suite.kernel("ooo_cycle_sync",
-                 [&] { return oooKernel(ctx, SpecPolicy::Sync); });
+                 [&] { return oooKernel(ctx, "sync"); });
     suite.kernel("ms_cycle_always",
-                 [&] { return msKernel(ctx, SpecPolicy::Always); });
+                 [&] { return msKernel(ctx, "always"); });
     suite.kernel("ms_cycle_sync",
-                 [&] { return msKernel(ctx, SpecPolicy::Sync); });
-
-    // Dense-loop pairs (identical folds, different layouts).  The CI
-    // perf gate compares micro_<k>_aos vs micro_<k>_soa phase seconds.
-    const DenseData d = makeDenseData(1 << 15, 1 << 11);
-    const uint64_t scan_a =
-        suite.kernel("scan_aos", [&] { return scanAos(d, 512); });
-    const uint64_t scan_s =
-        suite.kernel("scan_soa", [&] { return scanSoa(d, 512); });
-    suite.check(scan_a == scan_s, "scan: AoS/SoA checksums identical");
-    const uint64_t wake_a =
-        suite.kernel("wakeup_aos", [&] { return wakeupAos(d, 1024); });
-    const uint64_t wake_s =
-        suite.kernel("wakeup_soa", [&] { return wakeupSoa(d, 1024); });
-    suite.check(wake_a == wake_s,
-                "wakeup: AoS/SoA checksums identical");
-    const uint64_t probe_a =
-        suite.kernel("probe_aos", [&] { return probeAos(d, 16384); });
-    const uint64_t probe_s =
-        suite.kernel("probe_soa", [&] { return probeSoa(d, 16384); });
-    suite.check(probe_a == probe_s,
-                "probe: AoS/SoA checksums identical");
+                 [&] { return msKernel(ctx, "sync"); });
 
     return suite.finish();
 }

@@ -9,9 +9,11 @@
 
 #include <cstdio>
 #include <iostream>
+#include <string>
 
 #include "base/table.hh"
 #include "harness/runner.hh"
+#include "mdp/dep_policy.hh"
 #include "window/window_model.hh"
 #include "workloads/workload.hh"
 
@@ -73,14 +75,13 @@ main()
     WorkloadContext ctx(std::move(trace));
     TextTable mt({"policy", "IPC", "misspec"});
     SimResult always;
-    for (auto pol : {SpecPolicy::Always, SpecPolicy::ESync,
-                     SpecPolicy::PerfectSync}) {
+    for (const std::string pol : {"always", "esync", "psync"}) {
         SimResult r =
             runMultiscalar(ctx, makeMultiscalarConfig(ctx, 8, pol));
-        if (pol == SpecPolicy::Always)
+        if (pol == "always")
             always = r;
         mt.beginRow();
-        mt.cell(policyName(pol));
+        mt.cell(policyDisplayName(pol));
         mt.num(r.ipc(), 2);
         mt.cell(formatCount(r.misSpeculations));
     }
@@ -88,8 +89,7 @@ main()
     mt.print(std::cout);
 
     SimResult esync =
-        runMultiscalar(ctx, makeMultiscalarConfig(
-                                ctx, 8, SpecPolicy::ESync));
+        runMultiscalar(ctx, makeMultiscalarConfig(ctx, 8, "esync"));
     std::printf("\nprediction+synchronization speedup over blind "
                 "speculation: %.1f%%\n",
                 speedupPct(always, esync));

@@ -12,9 +12,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
+#include <string>
 
 #include "base/table.hh"
 #include "harness/runner.hh"
+#include "mdp/dep_policy.hh"
 #include "workloads/suites.hh"
 
 using namespace mdp;
@@ -48,15 +50,14 @@ main(int argc, char **argv)
     TextTable t({"policy", "IPC", "cycles", "misspec", "msq/load",
                  "blocked", "frontier rel", "vs NEVER"});
     SimResult never;
-    for (auto pol : {SpecPolicy::Never, SpecPolicy::Always,
-                     SpecPolicy::Wait, SpecPolicy::Sync,
-                     SpecPolicy::ESync, SpecPolicy::PerfectSync}) {
+    for (const std::string pol :
+         {"never", "always", "wait", "sync", "esync", "psync"}) {
         SimResult r = runMultiscalar(
             ctx, makeMultiscalarConfig(ctx, stages, pol));
-        if (pol == SpecPolicy::Never)
+        if (pol == "never")
             never = r;
         t.beginRow();
-        t.cell(policyName(pol));
+        t.cell(policyDisplayName(pol));
         t.num(r.ipc(), 2);
         t.cell(formatCount(r.cycles));
         t.cell(formatCount(r.misSpeculations));

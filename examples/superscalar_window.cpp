@@ -32,17 +32,17 @@ main(int argc, char **argv)
     TextTable t({"window", "NEVER", "ALWAYS", "SYNC", "PSYNC",
                  "misspec (ALWAYS)"});
     for (unsigned w : {16u, 32u, 64u, 128u, 256u}) {
-        auto run = [&](SpecPolicy pol) {
+        auto run = [&](const std::string &pol) {
             OooConfig cfg;
             cfg.windowSize = w;
-            cfg.policy = pol;
+            cfg.policyName = pol;
             OooProcessor proc(trace, oracle, cfg);
             return proc.run();
         };
-        OooResult never = run(SpecPolicy::Never);
-        OooResult always = run(SpecPolicy::Always);
-        OooResult sync = run(SpecPolicy::Sync);
-        OooResult psync = run(SpecPolicy::PerfectSync);
+        OooResult never = run("never");
+        OooResult always = run("always");
+        OooResult sync = run("sync");
+        OooResult psync = run("psync");
         t.beginRow();
         t.integer(w);
         t.num(never.ipc(), 2);

@@ -6,17 +6,10 @@
  * doneCycle; uint16_t flags; }` per dynamic instruction.  The dense
  * per-cycle loops (completion scan, wakeup match) touch only one of
  * the two fields at a time, so the AoS layout wastes half of every
- * cache line and defeats vectorization.  OpLanes stores the same
- * state as two parallel lanes -- a completion-time lane and a status
- * bitmask lane -- behind the same accessor vocabulary, and exposes
- * the raw lane pointers only for handing to the compare-mask kernels
- * in base/simd_kernels.hh.
- *
- * Raw-lane discipline: doneData()/flagsData() exist solely to be
- * passed to those kernels.  Indexing or pointer arithmetic on them
- * outside src/base is a lint finding (mdp_lint rule `soa-sync`);
- * every per-element access goes through the accessors so the layout
- * stays swappable and the parallel-phase readers are auditable.
+ * cache line.  OpLanes stores the same state as two parallel lanes --
+ * a completion-time lane and a status bitmask lane -- behind the same
+ * accessor vocabulary; every per-element access goes through the
+ * accessors, so the layout stays swappable.
  */
 
 #ifndef MDP_BASE_SOA_LANES_HH
@@ -96,13 +89,6 @@ class OpLanes
     }
 
     /**
-     * Raw lane pointers -- for the base/simd_kernels.hh compare-mask
-     * kernels only (see the file comment for the access discipline).
-     */
-    const uint64_t *doneData() const { return doneLane.data(); }
-    const uint16_t *flagsData() const { return flagsLane.data(); }
-
-    /**
      * Immutable flags-lane view for fused scan loops.  Going through
      * the pool accessor re-derives the lane base on every probe,
      * because the compiler cannot prove loop-body stores leave the
@@ -117,6 +103,17 @@ class OpLanes
         test(size_t i, uint16_t mask) const
         {
             return (lane[i] & mask) != 0;
+        }
+
+        /** The first index in [begin, end) with no bit of @p mask set,
+         *  or end: lets a scan hop over runs of skipped ops in one
+         *  tight loop. */
+        size_t
+        nextClear(size_t begin, size_t end, uint16_t mask) const
+        {
+            while (begin < end && (lane[begin] & mask))
+                ++begin;
+            return begin;
         }
 
       private:

@@ -142,11 +142,11 @@ runGrid(const std::vector<ExperimentCell> &grid, unsigned jobs)
 
 MultiscalarConfig
 makeWorkloadConfig(const std::string &workload_name, unsigned stages,
-                   SpecPolicy policy)
+                   const std::string &policy)
 {
     MultiscalarConfig cfg;
     cfg.numStages = stages;
-    cfg.policy = policy;
+    cfg.policyName = policy;
     cfg.taskMispredictRate =
         findWorkload(workload_name).profile().taskMispredictRate;
     cfg.sync.slotsPerEntry = stages;

@@ -113,7 +113,8 @@ std::vector<SimResult> runGrid(const std::vector<ExperimentCell> &grid,
  * before any trace has been generated.
  */
 MultiscalarConfig makeWorkloadConfig(const std::string &workload_name,
-                                     unsigned stages, SpecPolicy policy);
+                                     unsigned stages,
+                                     const std::string &policy);
 
 } // namespace mdp
 

@@ -56,11 +56,11 @@ WorkloadContext::WorkloadContext(Trace trace,
 
 MultiscalarConfig
 makeMultiscalarConfig(const WorkloadContext &ctx, unsigned stages,
-                      SpecPolicy policy)
+                      const std::string &policy)
 {
     MultiscalarConfig cfg;
     cfg.numStages = stages;
-    cfg.policy = policy;
+    cfg.policyName = policy;
     cfg.taskMispredictRate = ctx.taskMispredictRate();
     cfg.sync.slotsPerEntry = stages;
     return cfg;

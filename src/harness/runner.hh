@@ -76,7 +76,7 @@ class WorkloadContext
  */
 MultiscalarConfig makeMultiscalarConfig(const WorkloadContext &ctx,
                                         unsigned stages,
-                                        SpecPolicy policy);
+                                        const std::string &policy);
 
 /**
  * Run the Multiscalar model once.  Accounts the run's wall time under

@@ -387,20 +387,6 @@ makeDependencePolicy(const std::string &name)
 }
 
 std::string
-policyKey(SpecPolicy p)
-{
-    return lowered(policyName(p));
-}
-
-std::string
-resolvePolicyName(const std::string &override_name, SpecPolicy legacy)
-{
-    if (override_name.empty())
-        return policyKey(legacy);
-    return lowered(override_name);
-}
-
-std::string
 policyDisplayName(const std::string &key)
 {
     std::string up = key;

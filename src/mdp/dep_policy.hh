@@ -2,10 +2,13 @@
  * @file
  * Pluggable data-dependence speculation policies.
  *
- * The paper evaluates a fixed set of seven policies (mdp/policy.hh);
- * its mechanism also has well-known descendants -- store-set
- * prediction, per-load wait counters, value-speculation hybrids --
- * that ROADMAP item 2 races against the original.  To keep the timing
+ * The paper evaluates seven policies (NEVER, ALWAYS, WAIT, PSYNC,
+ * SYNC, ESYNC and the section-6 VSYNC); its mechanism also has
+ * well-known descendants -- store-set prediction, per-load wait
+ * counters, value-speculation hybrids -- raced against the original
+ * in the A8 ablation.  Every config names its policy by registry key
+ * (lowercase: "never", "always", "wait", "psync", "sync", "esync",
+ * "vsync", "storeset", "counter", "vassist").  To keep the timing
  * models policy-agnostic, every per-load speculation decision is made
  * by a DependencePolicy object obtained from a string-keyed registry:
  * the models present each ready load through a LoadIssueContext and
@@ -28,7 +31,6 @@
 #include <string>
 #include <vector>
 
-#include "mdp/policy.hh"
 #include "mdp/sync_unit.hh"
 #include "trace/microop.hh"
 
@@ -206,18 +208,6 @@ bool knownDependencePolicy(const std::string &name);
 /** Build a policy by name (case-insensitive); fatal on unknown. */
 std::unique_ptr<DependencePolicy>
 makeDependencePolicy(const std::string &name);
-
-/** Registry key of a legacy enum value. */
-std::string policyKey(SpecPolicy p);
-
-/**
- * The registry key a config selects: the explicit string override when
- * non-empty (lowercased), otherwise the legacy enum's key.  This is
- * how configs address descendant policies the SpecPolicy enum cannot
- * name while every existing enum-configured call site keeps working.
- */
-std::string resolvePolicyName(const std::string &override_name,
-                              SpecPolicy legacy);
 
 /** Display form of a registry key (uppercase, paper style). */
 std::string policyDisplayName(const std::string &key);

@@ -2,15 +2,8 @@
 
 #include <algorithm>
 
-#include "base/simd_kernels.hh"
-
 namespace mdp
 {
-
-// The kernels speak raw uint32_t with their own sentinel; the two
-// "none" encodings must coincide for the probes below to be drop-in.
-static_assert(simd::kNone32 == kNoSeq,
-              "ARB probes assume the kernel sentinel equals kNoSeq");
 
 SeqNum
 Arb::loadExecuted(Addr addr, SeqNum load, uint32_t load_task)
@@ -22,10 +15,9 @@ Arb::loadExecuted(Addr addr, SeqNum load, uint32_t load_task)
     if (const auto *stores = inflightStores.find(addr)) {
         // Newest in-flight store older than the load; it supersedes
         // the committed version when younger.
-        SeqNum newest = simd::maxStoreBelow(stores->data(),
-                                            stores->size(), load);
-        if (newest != kNoSeq && (version == kNoSeq || newest > version))
-            version = newest;
+        for (SeqNum s : *stores)
+            if (s < load && (version == kNoSeq || s > version))
+                version = s;
     }
 
     LoadLanes &lanes = loads[addr];
@@ -44,9 +36,16 @@ Arb::findViolator(Addr addr, SeqNum store, uint32_t store_task) const
     const auto *les = loads.find(addr);
     if (!les)
         return kNoSeq;
-    return simd::earliestViolator(les->seq.data(), les->version.data(),
-                                  les->task.data(), les->size(), store,
-                                  store_task);
+    // The earliest later-task load that read a version older than this
+    // store (or memory before any store).
+    SeqNum violator = kNoSeq;
+    for (size_t i = 0; i < les->size(); ++i) {
+        if (les->seq[i] > store && les->task[i] > store_task &&
+            (les->version[i] == kNoSeq || les->version[i] < store) &&
+            les->seq[i] < violator)
+            violator = les->seq[i];
+    }
+    return violator;
 }
 
 SeqNum

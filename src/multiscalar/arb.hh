@@ -78,9 +78,9 @@ class Arb
   private:
     /**
      * Per-address executed-load records in SoA form: three parallel
-     * lanes (sequence number, observed version, owning task) so the
-     * violation probe runs as one compare-mask kernel over packed
-     * 32-bit lanes instead of striding over 12-byte records.
+     * lanes (sequence number, observed version, owning task), so the
+     * violation probe scans packed 32-bit lanes instead of striding
+     * over 12-byte records.
      */
     struct LoadLanes
     {

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "mdp/config.hh"
-#include "mdp/policy.hh"
 #include "mdp/sync_unit.hh"
 
 namespace mdp
@@ -85,13 +84,11 @@ struct MultiscalarConfig
     unsigned busBusyPerMiss = 4;   ///< bus occupancy per line transfer
 
     // Speculation.
-    SpecPolicy policy = SpecPolicy::Always;
-
-    /** Registry key of the dependence policy (mdp/dep_policy.hh).
-     *  Empty selects the legacy enum above; non-empty wins, and can
-     *  name descendant policies (storeset, counter, vassist) the enum
-     *  cannot express. */
-    std::string policyName;
+    /** Registry key of the dependence policy (mdp/dep_policy.hh),
+     *  case-insensitive: a paper policy (never, always, wait, psync,
+     *  sync, esync, vsync) or a descendant (storeset, counter,
+     *  vassist). */
+    std::string policyName = "always";
 
     SyncUnitConfig sync;           ///< used by predictor-backed policies
     SyncOrganization organization = SyncOrganization::Combined;

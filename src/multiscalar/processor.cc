@@ -6,7 +6,6 @@
 #include "base/logging.hh"
 #include "base/ordered.hh"
 #include "base/random.hh"
-#include "base/simd_kernels.hh"
 
 namespace mdp
 {
@@ -74,8 +73,7 @@ MultiscalarProcessor::MultiscalarProcessor(const TraceView &trace,
     frontierBlocked.reserve(window_cap);
     syncBlocked.reserve(window_cap);
 
-    policy = makeDependencePolicy(
-        resolvePolicyName(cfg.policyName, cfg.policy));
+    policy = makeDependencePolicy(cfg.policyName);
     if (policy->needsSynchronizer()) {
         sync = policy->makeSyncUnit(cfg.sync, cfg.organization,
                                     ModelKind::Multiscalar,
@@ -223,15 +221,11 @@ MultiscalarProcessor::stageNextInteresting(unsigned k, uint64_t cap) const
     // once the last result arrives over the interconnect.  An op with
     // an unissued producer (kAwaitingSrc) has no timed readiness; the
     // producer's own issue wakes the stage through the consumer CSR.
-    // The window is the non-issued range [windowBase, fetchPtr); the
-    // flags-lane kernel hops directly between candidates.
-    for (SeqNum seq = static_cast<SeqNum>(simd::nextReadyCandidate(
-             state.flagsData(), st.windowBase, st.fetchPtr,
-             kNotIssuable));
-         seq < st.fetchPtr;
-         seq = static_cast<SeqNum>(simd::nextReadyCandidate(
-             state.flagsData(), seq + 1, st.fetchPtr, kNotIssuable)))
-        consider(readyAt[seq]);
+    // The window is the non-issued range [windowBase, fetchPtr).
+    const OpLanes::FlagsView fv = state.flagsView();
+    for (SeqNum seq = st.windowBase; seq < st.fetchPtr; ++seq)
+        if (!fv.test(seq, kNotIssuable))
+            consider(readyAt[seq]);
 
     return next;
 }
@@ -792,36 +786,16 @@ MultiscalarProcessor::stageStep(unsigned stage_idx)
            fv.test(stage.windowBase, kIssued))
         ++stage.windowBase;
 
-    // Adaptive scan.  The usual span is ~2x occupancy (issued holes),
-    // where a fused scalar loop -- one masked lane test per element
-    // through a pinned-base view -- is cheapest.  A load blocked at
-    // windowBase pins the range while issue keeps punching holes
-    // behind it, though, and such spans grow far past occupancy; once
-    // a span exceeds the kernels' inline threshold the scan hops
-    // between candidates with the compare-mask kernel instead, which
-    // chews the hole runs 16 flags per vector op.  Both drivers visit
-    // the identical candidate sequence in program order.  fetchPtr is
-    // re-read every iteration because a squash inside tryIssueMem can
-    // rewind it; flag updates land in place, so the view stays valid.
-    if (stage.fetchPtr - stage.windowBase <= simd::kInlineSpan16) {
-        for (SeqNum seq = stage.windowBase;
-             seq < stage.fetchPtr && issued < cfg.issueWidth; ++seq) {
-            if (fv.test(seq, kNotIssuable))
-                continue;
-            issueOne(seq, t, stage, simple_fu, complex_fu, fp_fu,
-                     branch_fu, mem_ports, issued);
-        }
-    } else {
-        for (SeqNum seq = static_cast<SeqNum>(simd::nextReadyCandidate(
-                 state.flagsData(), stage.windowBase, stage.fetchPtr,
-                 kNotIssuable));
-             seq < stage.fetchPtr && issued < cfg.issueWidth;
-             seq = static_cast<SeqNum>(simd::nextReadyCandidate(
-                 state.flagsData(), seq + 1, stage.fetchPtr,
-                 kNotIssuable))) {
-            issueOne(seq, t, stage, simple_fu, complex_fu, fp_fu,
-                     branch_fu, mem_ports, issued);
-        }
+    // Scan the window in program order, one masked lane test per op
+    // through the pinned-base view.  fetchPtr is re-read every
+    // iteration because a squash inside tryIssueMem can rewind it;
+    // flag updates land in place, so the view stays valid.
+    for (SeqNum seq = stage.windowBase;
+         seq < stage.fetchPtr && issued < cfg.issueWidth; ++seq) {
+        if (fv.test(seq, kNotIssuable))
+            continue;
+        issueOne(seq, t, stage, simple_fu, complex_fu, fp_fu, branch_fu,
+                 mem_ports, issued);
     }
 }
 

@@ -92,8 +92,8 @@ class MultiscalarProcessor : public TaskPcSource
      * packed status lane: exactly the non-issued ops in
      * [windowBase, fetchPtr), in ascending order.  windowBase is
      * lazily advanced past the issued prefix, windowCount mirrors the
-     * window occupancy (fetch gating), and the issue scan hops
-     * non-candidates via the flags-lane kernel -- no per-stage seq
+     * window occupancy (fetch gating), and the issue scan skips
+     * non-candidates with one flags-lane test each -- no per-stage seq
      * vector to erase/compact every cycle.
      */
     struct Stage
@@ -270,8 +270,7 @@ class MultiscalarProcessor : public TaskPcSource
     const TaskSet &tasks;
     MultiscalarConfig cfg;
 
-    /** Per-op completion-time and status lanes (SoA; the dense scans
-     *  run as compare-mask kernels over the packed lanes). */
+    /** Per-op completion-time and status lanes (SoA). */
     OpLanes state;
     std::vector<TaskRun> taskRun;
     std::vector<Stage> stages;

@@ -6,7 +6,6 @@
 #include "base/logging.hh"
 #include "base/ordered.hh"
 #include "base/random.hh"
-#include "base/simd_kernels.hh"
 
 namespace mdp
 {
@@ -36,8 +35,7 @@ OooProcessor::OooProcessor(const TraceView &trace,
             instanceOf[s] = counters[trc.pc(s)]++;
     }
 
-    policy = makeDependencePolicy(
-        resolvePolicyName(cfg.policyName, cfg.policy));
+    policy = makeDependencePolicy(cfg.policyName);
     if (policy->needsSynchronizer()) {
         sync = policy->makeSyncUnit(cfg.sync, cfg.organization,
                                     ModelKind::Superscalar, 0);
@@ -339,13 +337,10 @@ OooProcessor::nextInterestingCycle(uint64_t cap) const
     // srcReady, its consumers.  Waking at the *earliest* completion is
     // conservative for a consumer whose other source finishes later --
     // the extra simulated cycle is idle and re-skips immediately.
-    // The packed completion scan (min issued doneCycle > cycle) is
-    // exactly consider() folded over the window.
-    uint64_t pending = simd::minPendingDone(
-        state.doneData(), state.flagsData(), head, fetchPtr, kIssued,
-        cycle);
-    if (pending < next)
-        next = pending;
+    const OpLanes::FlagsView fv = state.flagsView();
+    for (SeqNum s = head; s < fetchPtr; ++s)
+        if (fv.test(s, kIssued))
+            consider(state.done(s));
 
     if (sync)
         consider(sync->nextWakeupCycle());
@@ -390,13 +385,15 @@ OooProcessor::run()
         unsigned mem_ports = cfg.memPorts;
         unsigned issued = 0;
 
-        // The wakeup-match kernel hops over issued/blocked runs in the
-        // packed status lane; every visited index is a live candidate.
-        for (SeqNum s = static_cast<SeqNum>(simd::nextReadyCandidate(
-                 state.flagsData(), head, fetchPtr, kNotIssuable));
+        // Visit the window in program order, hopping over issued and
+        // blocked ops.  Flag updates land in place, so the pinned-base
+        // view stays valid across the loop body.
+        const OpLanes::FlagsView fv = state.flagsView();
+        for (SeqNum s = static_cast<SeqNum>(
+                 fv.nextClear(head, fetchPtr, kNotIssuable));
              s < fetchPtr && issued < cfg.issueWidth;
-             s = static_cast<SeqNum>(simd::nextReadyCandidate(
-                 state.flagsData(), s + 1, fetchPtr, kNotIssuable))) {
+             s = static_cast<SeqNum>(
+                 fv.nextClear(s + 1, fetchPtr, kNotIssuable))) {
             if (!srcsReady(s))
                 continue;
 

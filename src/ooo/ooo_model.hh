@@ -22,7 +22,6 @@
 
 #include "base/soa_lanes.hh"
 #include "mdp/dep_policy.hh"
-#include "mdp/policy.hh"
 #include "mdp/sync_unit.hh"
 #include "multiscalar/arb.hh"
 #include "trace/dep_oracle.hh"
@@ -50,11 +49,9 @@ struct OooConfig
     double missRate = 0.05;         ///< simple probabilistic dcache
     unsigned squashPenalty = 4;     ///< refetch delay after violation
 
-    SpecPolicy policy = SpecPolicy::Always;
-
-    /** Registry key of the dependence policy (mdp/dep_policy.hh).
-     *  Empty selects the legacy enum above; non-empty wins. */
-    std::string policyName;
+    /** Registry key of the dependence policy (mdp/dep_policy.hh),
+     *  case-insensitive. */
+    std::string policyName = "always";
 
     SyncUnitConfig sync;
     SyncOrganization organization = SyncOrganization::Combined;
@@ -155,8 +152,7 @@ class OooProcessor
     const DepOracle &oracle;
     OooConfig cfg;
 
-    /** Per-op completion-time and status lanes (SoA; the dense scans
-     *  run as compare-mask kernels over the packed lanes). */
+    /** Per-op completion-time and status lanes (SoA). */
     OpLanes state;
     /** Per-PC instance number of each memory op (precomputed). */
     std::vector<uint32_t> instanceOf;

@@ -10,7 +10,6 @@
 #include "harness/experiment.hh"
 #include "harness/phase_timer.hh"
 #include "harness/sim_stats.hh"
-#include "mdp/policy.hh"
 #include "serve/lockstep.hh"
 #include "workloads/suites.hh"
 
@@ -39,20 +38,14 @@ tagsOf(const Request &r)
                                : TagScheme::Distance;
 }
 
-/** Build the lane exactly the way mdp_sim builds its config: paper
- *  policies also set the legacy enum, registry-only descendants ride
- *  the policyName override. */
+/** Build the lane exactly the way mdp_sim builds its config. */
 LockstepJob
 jobOf(const WorkloadContext &ctx, const Request &r)
 {
-    SpecPolicy legacy = SpecPolicy::Sync;
-    tryParsePolicy(r.policy, legacy);
-
     LockstepJob job;
     if (r.model == "ooo") {
         job.model = LockstepJob::Model::Ooo;
         job.ooo.windowSize = r.window;
-        job.ooo.policy = legacy;
         job.ooo.policyName = r.policy;
         job.ooo.sync.numEntries = r.entries;
         job.ooo.sync.tags = tagsOf(r);
@@ -60,8 +53,7 @@ jobOf(const WorkloadContext &ctx, const Request &r)
         return job;
     }
     job.model = LockstepJob::Model::Multiscalar;
-    job.ms = makeMultiscalarConfig(ctx, r.stages, legacy);
-    job.ms.policyName = r.policy;
+    job.ms = makeMultiscalarConfig(ctx, r.stages, r.policy);
     job.ms.sync.numEntries = r.entries;
     job.ms.sync.tags = tagsOf(r);
     job.ms.organization = orgOf(r);

@@ -248,6 +248,24 @@ class BenchSummaryTest(unittest.TestCase):
                          ["micro_ms_skip_reference"])
         self.assertEqual(summary["micro_compare"]["regressions"], [])
 
+    def test_compare_skips_retired_soa_pairs(self):
+        # micro_model_cycle's AoS/SoA pairs left with the SIMD kernels;
+        # a baseline that still has one of them compares clean.
+        self.write("micro/m.json",
+                   self.micro_report("micro_x", "k", 0.1))
+        for pair in ("scan", "wakeup", "probe"):
+            for layout in ("aos", "soa"):
+                kernel = f"{pair}_{layout}"
+                with self.subTest(kernel=kernel):
+                    baseline = self.write_baseline(kernel=kernel)
+                    proc = self.run_compare(baseline)
+                    self.assertEqual(proc.returncode, 0, proc.stderr)
+                    summary = json.loads(
+                        (self.root / "summary.json").read_text())
+                    self.assertEqual(
+                        summary["micro_compare"]["retired"],
+                        [f"micro_{kernel}"])
+
     def test_compare_gates_retired_name_still_present(self):
         # The list only excuses absence: a listed kernel that still
         # runs is gated like any other.

@@ -139,8 +139,7 @@ sampleGrid()
     std::vector<ExperimentCell> grid;
     for (const auto &name : {"espresso", "compress"}) {
         for (unsigned stages : {4u, 8u}) {
-            for (SpecPolicy p :
-                 {SpecPolicy::Always, SpecPolicy::ESync}) {
+            for (const char *p : {"always", "esync"}) {
                 ExperimentCell cell;
                 cell.workload = name;
                 cell.scale = kScale;
@@ -169,11 +168,9 @@ TEST(ExperimentRunnerTest, IncrementalAddAndIndexedResults)
 {
     ExperimentRunner runner(2);
     size_t a = runner.add("espresso", kScale,
-                          makeWorkloadConfig("espresso", 4,
-                                             SpecPolicy::Always));
+                          makeWorkloadConfig("espresso", 4, "always"));
     size_t b = runner.add("espresso", kScale,
-                          makeWorkloadConfig("espresso", 4,
-                                             SpecPolicy::ESync));
+                          makeWorkloadConfig("espresso", 4, "esync"));
     EXPECT_EQ(a, 0u);
     EXPECT_EQ(b, 1u);
     runner.runAll();
@@ -185,8 +182,7 @@ TEST(ExperimentRunnerTest, IncrementalAddAndIndexedResults)
 
     // Adding after a run re-runs only the new cells.
     size_t c = runner.add("espresso", kScale,
-                          makeWorkloadConfig("espresso", 8,
-                                             SpecPolicy::Always));
+                          makeWorkloadConfig("espresso", 8, "always"));
     runner.runAll();
     EXPECT_EQ(runner.numCells(), 3u);
     EXPECT_GT(runner.result(c).cycles, 0u);
@@ -199,10 +195,9 @@ TEST(ExperimentRunnerTest, ConfigVariantsStayIndependent)
     // on the same input.
     ExperimentRunner runner(4);
     size_t always = runner.add(
-        "sc", kScale, makeWorkloadConfig("sc", 8, SpecPolicy::Always));
+        "sc", kScale, makeWorkloadConfig("sc", 8, "always"));
     size_t psync = runner.add(
-        "sc", kScale,
-        makeWorkloadConfig("sc", 8, SpecPolicy::PerfectSync));
+        "sc", kScale, makeWorkloadConfig("sc", 8, "psync"));
     runner.runAll();
     EXPECT_GE(runner.result(psync).ipc(), runner.result(always).ipc());
 }

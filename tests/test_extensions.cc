@@ -77,8 +77,7 @@ TEST(Distributed, StoreBroadcastReachesTheWaitingCopy)
 TEST(Distributed, EndToEndMatchesCentralizedBehaviour)
 {
     WorkloadContext ctx("espresso", 0.01);
-    MultiscalarConfig cfg =
-        makeMultiscalarConfig(ctx, 8, SpecPolicy::Sync);
+    MultiscalarConfig cfg = makeMultiscalarConfig(ctx, 8, "sync");
     SimResult central = runMultiscalar(ctx, cfg);
     cfg.organization = SyncOrganization::Distributed;
     SimResult dist = runMultiscalar(ctx, cfg);
@@ -178,9 +177,9 @@ TEST(VSync, AbsorbsViolationsWhenValuesRepeat)
 {
     WorkloadContext ctx{repeatingValueLoop(true)};
     SimResult esync = runMultiscalar(
-        ctx, makeMultiscalarConfig(ctx, 8, SpecPolicy::ESync));
+        ctx, makeMultiscalarConfig(ctx, 8, "esync"));
     SimResult vsync = runMultiscalar(
-        ctx, makeMultiscalarConfig(ctx, 8, SpecPolicy::VSync));
+        ctx, makeMultiscalarConfig(ctx, 8, "vsync"));
     EXPECT_EQ(vsync.committedOps, ctx.trace().size());
     EXPECT_GT(vsync.valuePredUses, 10u);
     EXPECT_GT(vsync.valuePredHits, 10u);
@@ -193,7 +192,7 @@ TEST(VSync, FallsBackWhenValuesDoNotRepeat)
 {
     WorkloadContext ctx{repeatingValueLoop(false)};
     SimResult vsync = runMultiscalar(
-        ctx, makeMultiscalarConfig(ctx, 8, SpecPolicy::VSync));
+        ctx, makeMultiscalarConfig(ctx, 8, "vsync"));
     EXPECT_EQ(vsync.committedOps, ctx.trace().size());
     // Confidence never builds: the hybrid degenerates to ESYNC.
     EXPECT_EQ(vsync.valuePredHits, 0u);
@@ -219,8 +218,7 @@ TEST(StaticEdges, AnalyzerFindsRecurringEdges)
 TEST(StaticEdges, PreloadEliminatesTrainingMisspecs)
 {
     WorkloadContext ctx("espresso", 0.01);
-    MultiscalarConfig cfg =
-        makeMultiscalarConfig(ctx, 8, SpecPolicy::ESync);
+    MultiscalarConfig cfg = makeMultiscalarConfig(ctx, 8, "esync");
     SimResult cold = runMultiscalar(ctx, cfg);
     cfg.preloadEdges = analyzeStaticEdges(ctx, 8);
     SimResult warm = runMultiscalar(ctx, cfg);
@@ -301,9 +299,9 @@ TEST(Serialize, LoadedTraceRunsIdentically)
     WorkloadContext a{std::move(orig)};
     WorkloadContext b{std::move(back)};
     SimResult ra =
-        runMultiscalar(a, makeMultiscalarConfig(a, 4, SpecPolicy::Sync));
+        runMultiscalar(a, makeMultiscalarConfig(a, 4, "sync"));
     SimResult rb =
-        runMultiscalar(b, makeMultiscalarConfig(b, 4, SpecPolicy::Sync));
+        runMultiscalar(b, makeMultiscalarConfig(b, 4, "sync"));
     EXPECT_EQ(ra.cycles, rb.cycles);
     EXPECT_EQ(ra.misSpeculations, rb.misSpeculations);
 }

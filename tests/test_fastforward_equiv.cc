@@ -92,7 +92,7 @@ runOooCapped(const TraceView &trc, const DepOracle &oracle,
              uint64_t max_cycles)
 {
     OooConfig cfg;
-    cfg.policy = SpecPolicy::Never;
+    cfg.policyName = "never";
     cfg.maxCycles = max_cycles;
     OooProcessor proc(trc, oracle, cfg);
     return proc.run();
@@ -139,7 +139,7 @@ runMsCapped(const TraceView &trc, const DepOracle &oracle,
             const TaskSet &tasks, uint64_t max_cycles)
 {
     MultiscalarConfig cfg;
-    cfg.policy = SpecPolicy::Never;
+    cfg.policyName = "never";
     cfg.maxCycles = max_cycles;
     MultiscalarProcessor proc(trc, oracle, tasks, cfg);
     return proc.run();

@@ -38,7 +38,7 @@ racyTrace(int filler_before_store = 20, int filler_before_load = 0)
 }
 
 SimResult
-runPolicy(const Trace &t, SpecPolicy policy, unsigned stages = 4)
+runPolicy(const Trace &t, const std::string &policy, unsigned stages = 4)
 {
     WorkloadContext ctx{Trace(t)};
     MultiscalarConfig cfg = makeMultiscalarConfig(ctx, stages, policy);
@@ -48,7 +48,7 @@ runPolicy(const Trace &t, SpecPolicy policy, unsigned stages = 4)
 TEST(Multiscalar, CompletesAndCommitsEverything)
 {
     Trace t = racyTrace();
-    SimResult r = runPolicy(t, SpecPolicy::Always);
+    SimResult r = runPolicy(t, "always");
     EXPECT_EQ(r.committedOps, t.size());
     EXPECT_EQ(r.committedTasks, t.numTasks());
     EXPECT_EQ(r.committedLoads, 1u);
@@ -58,20 +58,20 @@ TEST(Multiscalar, CompletesAndCommitsEverything)
 
 TEST(Multiscalar, BlindSpeculationViolatesTheRace)
 {
-    SimResult r = runPolicy(racyTrace(), SpecPolicy::Always);
+    SimResult r = runPolicy(racyTrace(), "always");
     EXPECT_EQ(r.misSpeculations, 1u);
 }
 
 TEST(Multiscalar, NeverPolicyHasNoViolations)
 {
-    SimResult r = runPolicy(racyTrace(), SpecPolicy::Never);
+    SimResult r = runPolicy(racyTrace(), "never");
     EXPECT_EQ(r.misSpeculations, 0u);
     EXPECT_GT(r.loadsBlockedFrontier, 0u);
 }
 
 TEST(Multiscalar, PerfectSyncHasNoViolationsAndNoFalseWaits)
 {
-    SimResult r = runPolicy(racyTrace(), SpecPolicy::PerfectSync);
+    SimResult r = runPolicy(racyTrace(), "psync");
     EXPECT_EQ(r.misSpeculations, 0u);
     EXPECT_EQ(r.loadsBlockedSync, 1u);
     EXPECT_EQ(r.frontierReleases, 0u);
@@ -79,7 +79,7 @@ TEST(Multiscalar, PerfectSyncHasNoViolationsAndNoFalseWaits)
 
 TEST(Multiscalar, WaitPolicyHasNoViolations)
 {
-    SimResult r = runPolicy(racyTrace(), SpecPolicy::Wait);
+    SimResult r = runPolicy(racyTrace(), "wait");
     EXPECT_EQ(r.misSpeculations, 0u);
 }
 
@@ -95,12 +95,11 @@ TEST(Multiscalar, IndependentLoadIsNeverDelayed)
     for (int i = 0; i < 10; ++i)
         b.alu(0x20);
     Trace t = b.take();
-    for (auto pol : {SpecPolicy::Always, SpecPolicy::PerfectSync,
-                     SpecPolicy::Wait}) {
+    for (const char *pol : {"always", "psync", "wait"}) {
         SimResult r = runPolicy(t, pol);
-        EXPECT_EQ(r.misSpeculations, 0u) << policyName(pol);
+        EXPECT_EQ(r.misSpeculations, 0u) << pol;
         EXPECT_EQ(r.loadsBlockedSync + r.loadsBlockedFrontier, 0u)
-            << policyName(pol);
+            << pol;
     }
 }
 
@@ -120,8 +119,8 @@ TEST(Multiscalar, SyncPolicyLearnsAfterOneViolation)
     }
     Trace t = b.take();
 
-    SimResult always = runPolicy(t, SpecPolicy::Always, 8);
-    SimResult sync = runPolicy(t, SpecPolicy::Sync, 8);
+    SimResult always = runPolicy(t, "always", 8);
+    SimResult sync = runPolicy(t, "sync", 8);
     EXPECT_GT(always.misSpeculations, 10u);
     EXPECT_LT(sync.misSpeculations, always.misSpeculations / 3);
     EXPECT_GT(sync.syncStats.signalsDelivered +
@@ -142,7 +141,7 @@ TEST(Multiscalar, IntraTaskDependencesAreNeverViolated)
             b.alu(0x20);
     }
     Trace t = b.take();
-    SimResult r = runPolicy(t, SpecPolicy::Always, 8);
+    SimResult r = runPolicy(t, "always", 8);
     EXPECT_EQ(r.misSpeculations, 0u);
 }
 
@@ -151,8 +150,7 @@ TEST(Multiscalar, DeterministicAcrossRuns)
     const Workload &w = findWorkload("xlisp");
     Trace t = w.generate(0.005);
     WorkloadContext ctx(std::move(t));
-    MultiscalarConfig cfg =
-        makeMultiscalarConfig(ctx, 8, SpecPolicy::ESync);
+    MultiscalarConfig cfg = makeMultiscalarConfig(ctx, 8, "esync");
     SimResult a = runMultiscalar(ctx, cfg);
     SimResult b2 = runMultiscalar(ctx, cfg);
     EXPECT_EQ(a.cycles, b2.cycles);
@@ -165,8 +163,7 @@ TEST(Multiscalar, ControlMispredictionStallsSequencer)
     const Workload &w = findWorkload("espresso");
     Trace t = w.generate(0.01);
     WorkloadContext ctx(std::move(t));
-    MultiscalarConfig cfg =
-        makeMultiscalarConfig(ctx, 4, SpecPolicy::Always);
+    MultiscalarConfig cfg = makeMultiscalarConfig(ctx, 4, "always");
     cfg.taskMispredictRate = 0.2;
     SimResult bad = runMultiscalar(ctx, cfg);
     cfg.taskMispredictRate = 0.0;
@@ -181,8 +178,7 @@ TEST(Multiscalar, MisspecLogMatchesCount)
     const Workload &w = findWorkload("compress");
     Trace t = w.generate(0.01);
     WorkloadContext ctx(std::move(t));
-    MultiscalarConfig cfg =
-        makeMultiscalarConfig(ctx, 8, SpecPolicy::Always);
+    MultiscalarConfig cfg = makeMultiscalarConfig(ctx, 8, "always");
     cfg.logMisSpeculations = true;
     SimResult r = runMultiscalar(ctx, cfg);
     EXPECT_EQ(r.misspecLog.size(), r.misSpeculations);
@@ -194,8 +190,7 @@ TEST(Multiscalar, PredBreakdownCoversPredictedLoads)
     const Workload &w = findWorkload("espresso");
     Trace t = w.generate(0.01);
     WorkloadContext ctx(std::move(t));
-    MultiscalarConfig cfg =
-        makeMultiscalarConfig(ctx, 8, SpecPolicy::Sync);
+    MultiscalarConfig cfg = makeMultiscalarConfig(ctx, 8, "sync");
     SimResult r = runMultiscalar(ctx, cfg);
     EXPECT_GT(r.pred.total(), 0u);
     // The overwhelming majority of loads have no dependence.
@@ -231,14 +226,14 @@ TEST_P(PolicyOrdering, PaperInvariantsHold)
     const auto &[name, stages] = GetParam();
     WorkloadContext ctx(name, 0.02);
 
-    auto run = [&](SpecPolicy p) {
+    auto run = [&](const std::string &p) {
         return runMultiscalar(ctx, makeMultiscalarConfig(ctx, stages, p));
     };
-    SimResult never = run(SpecPolicy::Never);
-    SimResult always = run(SpecPolicy::Always);
-    SimResult psync = run(SpecPolicy::PerfectSync);
-    SimResult sync = run(SpecPolicy::Sync);
-    SimResult esync = run(SpecPolicy::ESync);
+    SimResult never = run("never");
+    SimResult always = run("always");
+    SimResult psync = run("psync");
+    SimResult sync = run("sync");
+    SimResult esync = run("esync");
 
     // Conservation: every policy commits the whole trace.
     for (const SimResult *r : {&never, &always, &psync, &sync, &esync})
@@ -281,11 +276,10 @@ class Organizations
 TEST_P(Organizations, EndToEndReducesMisspecs)
 {
     WorkloadContext ctx("espresso", 0.01);
-    MultiscalarConfig cfg =
-        makeMultiscalarConfig(ctx, 8, SpecPolicy::Sync);
+    MultiscalarConfig cfg = makeMultiscalarConfig(ctx, 8, "sync");
     cfg.organization = GetParam();
     SimResult sync = runMultiscalar(ctx, cfg);
-    cfg.policy = SpecPolicy::Always;
+    cfg.policyName = "always";
     SimResult always = runMultiscalar(ctx, cfg);
     EXPECT_EQ(sync.committedOps, ctx.trace().size());
     EXPECT_LT(sync.misSpeculations, always.misSpeculations);
@@ -301,7 +295,7 @@ TEST_P(EveryWorkload, RunsUnderTheMechanism)
 {
     WorkloadContext ctx(GetParam(), 0.004);
     SimResult r = runMultiscalar(
-        ctx, makeMultiscalarConfig(ctx, 8, SpecPolicy::ESync));
+        ctx, makeMultiscalarConfig(ctx, 8, "esync"));
     EXPECT_EQ(r.committedOps, ctx.trace().size());
     EXPECT_EQ(r.committedTasks, ctx.tasks().numTasks());
     EXPECT_GT(r.ipc(), 0.3);

@@ -1,11 +1,9 @@
 /**
  * @file
  * The DependencePolicy registry contract: deterministic enumeration,
- * case-insensitive lookup, name round-trips, legacy SpecPolicy
- * interop, unknown-name rejection on every entry path (parsePolicy,
- * makeDependencePolicy, the serve protocol), and the lockstep identity
- * of the string-keyed lane with the legacy enum lane on both timing
- * models.
+ * case-insensitive lookup, name round-trips, unknown-name rejection on
+ * every entry path (makeDependencePolicy, the serve protocol), and the
+ * default policy key of both timing models' configs.
  */
 
 #include <algorithm>
@@ -18,22 +16,10 @@
 #include "harness/runner.hh"
 #include "harness/sim_stats.hh"
 #include "mdp/dep_policy.hh"
-#include "mdp/policy.hh"
 #include "ooo/ooo_model.hh"
 #include "serve/protocol.hh"
 
 using namespace mdp;
-
-namespace
-{
-
-const std::vector<SpecPolicy> kPaperPolicies = {
-    SpecPolicy::Never, SpecPolicy::Always,      SpecPolicy::Wait,
-    SpecPolicy::Sync,  SpecPolicy::PerfectSync, SpecPolicy::ESync,
-    SpecPolicy::VSync,
-};
-
-} // namespace
 
 TEST(PolicyRegistry, EnumeratesSortedUniqueNames)
 {
@@ -77,44 +63,6 @@ TEST(PolicyRegistry, LookupIsCaseInsensitive)
     EXPECT_EQ(makeDependencePolicy("ESYNC")->name(), "esync");
 }
 
-TEST(PolicyRegistry, LegacyEnumKeysAreRegisteredAndParseBack)
-{
-    for (SpecPolicy p : kPaperPolicies) {
-        const std::string key = policyKey(p);
-        EXPECT_TRUE(knownDependencePolicy(key)) << key;
-
-        SpecPolicy parsed = p == SpecPolicy::Never ? SpecPolicy::Always
-                                                   : SpecPolicy::Never;
-        EXPECT_TRUE(tryParsePolicy(key, parsed)) << key;
-        EXPECT_EQ(parsed, p) << key;
-    }
-}
-
-TEST(PolicyRegistry, RegistryOnlyNamesFailTheLegacyParse)
-{
-    for (const std::string name : {"storeset", "counter", "vassist"}) {
-        EXPECT_TRUE(knownDependencePolicy(name)) << name;
-        SpecPolicy out = SpecPolicy::Wait;
-        EXPECT_FALSE(tryParsePolicy(name, out)) << name;
-        EXPECT_EQ(out, SpecPolicy::Wait) << name << ": out clobbered";
-    }
-}
-
-TEST(PolicyRegistry, ResolveNamePrefersOverride)
-{
-    EXPECT_EQ(resolvePolicyName("", SpecPolicy::ESync), "esync");
-    EXPECT_EQ(resolvePolicyName("", SpecPolicy::PerfectSync), "psync");
-    EXPECT_EQ(resolvePolicyName("STORESET", SpecPolicy::Never),
-              "storeset");
-    EXPECT_EQ(policyDisplayName("vassist"), "VASSIST");
-}
-
-TEST(PolicyRegistryDeathTest, ParsePolicyRejectsUnknownNames)
-{
-    EXPECT_EXIT(parsePolicy("bogus"), testing::ExitedWithCode(1),
-                "unknown speculation policy 'bogus'");
-}
-
 TEST(PolicyRegistryDeathTest, MakeDependencePolicyRejectsUnknownNames)
 {
     EXPECT_EXIT(makeDependencePolicy("bogus"),
@@ -142,37 +90,20 @@ TEST(ServeProtocolPolicies, RejectsUnregisteredPolicy)
     EXPECT_NE(m.error.find("policy"), std::string::npos) << m.error;
 }
 
-TEST(PolicyRegistry, StringLaneMatchesEnumLaneMultiscalar)
+TEST(PolicyRegistry, DefaultConfigsRunAlways)
 {
+    // A config that never names a policy gets its default from the
+    // policyName field: blind speculation, on both models.
     WorkloadContext ctx("espresso", 0.02);
-    for (SpecPolicy p : kPaperPolicies) {
-        const std::string key = policyKey(p);
 
-        MultiscalarConfig byEnum = makeMultiscalarConfig(ctx, 4, p);
-        MultiscalarConfig byName = byEnum;
-        byName.policyName = key;
+    MultiscalarConfig ms_always;
+    ms_always.policyName = "always";
+    EXPECT_EQ(multiscalarStats(runMultiscalar(ctx, MultiscalarConfig{}))
+                  .all(),
+              multiscalarStats(runMultiscalar(ctx, ms_always)).all());
 
-        SimResult a = runMultiscalar(ctx, byEnum);
-        SimResult b = runMultiscalar(ctx, byName);
-        EXPECT_EQ(multiscalarStats(a).all(), multiscalarStats(b).all())
-            << key << ": registry lane diverged from the enum lane";
-    }
-}
-
-TEST(PolicyRegistry, StringLaneMatchesEnumLaneOoo)
-{
-    WorkloadContext ctx("espresso", 0.02);
-    for (SpecPolicy p : kPaperPolicies) {
-        const std::string key = policyKey(p);
-
-        OooConfig byEnum;
-        byEnum.policy = p;
-        OooConfig byName = byEnum;
-        byName.policyName = key;
-
-        OooResult a = runOoo(ctx, byEnum);
-        OooResult b = runOoo(ctx, byName);
-        EXPECT_EQ(oooStats(a).all(), oooStats(b).all())
-            << key << ": registry lane diverged from the enum lane";
-    }
+    OooConfig ooo_always;
+    ooo_always.policyName = "always";
+    EXPECT_EQ(oooStats(runOoo(ctx, OooConfig{})).all(),
+              oooStats(runOoo(ctx, ooo_always)).all());
 }

@@ -27,11 +27,11 @@ run(Trace t, MultiscalarConfig cfg)
 }
 
 MultiscalarConfig
-baseCfg(unsigned stages = 4, SpecPolicy pol = SpecPolicy::Always)
+baseCfg(unsigned stages = 4, const std::string &pol = "always")
 {
     MultiscalarConfig cfg;
     cfg.numStages = stages;
-    cfg.policy = pol;
+    cfg.policyName = pol;
     return cfg;
 }
 
@@ -185,8 +185,8 @@ TEST(ProcDetail, NeverPolicyOrdersAllStoresFirst)
     b.beginTask(2);
     b.load(0x400, 0x999);   // unrelated address
     Trace t = b.take();
-    SimResult always = run(Trace(t), baseCfg(2, SpecPolicy::Always));
-    SimResult never = run(Trace(t), baseCfg(2, SpecPolicy::Never));
+    SimResult always = run(Trace(t), baseCfg(2, "always"));
+    SimResult never = run(Trace(t), baseCfg(2, "never"));
     EXPECT_GT(never.cycles, always.cycles);
     EXPECT_EQ(never.loadsBlockedFrontier, 1u);
 }
@@ -216,8 +216,7 @@ TEST(ProcDetail, MispredictPenaltyScales)
     const Workload &w = findWorkload("espresso");
     Trace t = w.generate(0.005);
     WorkloadContext ctx{std::move(t)};
-    MultiscalarConfig cfg = makeMultiscalarConfig(ctx, 4,
-                                                  SpecPolicy::Always);
+    MultiscalarConfig cfg = makeMultiscalarConfig(ctx, 4, "always");
     cfg.taskMispredictRate = 0.1;
     cfg.mispredictPenalty = 1;
     uint64_t cheap = runMultiscalar(ctx, cfg).cycles;
@@ -252,9 +251,9 @@ TEST(ProcDetail, EsyncSkipsOffPathDependences)
     Trace t = b.take();
     WorkloadContext ctx{std::move(t)};
     SimResult sync = runMultiscalar(
-        ctx, makeMultiscalarConfig(ctx, 8, SpecPolicy::Sync));
+        ctx, makeMultiscalarConfig(ctx, 8, "sync"));
     SimResult esync = runMultiscalar(
-        ctx, makeMultiscalarConfig(ctx, 8, SpecPolicy::ESync));
+        ctx, makeMultiscalarConfig(ctx, 8, "esync"));
     // SYNC imposes waits after every type-B predecessor (the signal
     // never comes); ESYNC filters them via the recorded task PC.
     EXPECT_LT(esync.frontierReleases, sync.frontierReleases);

@@ -28,7 +28,7 @@
 
 #include "harness/experiment.hh"
 #include "harness/sim_stats.hh"
-#include "mdp/policy.hh"
+#include "mdp/dep_policy.hh"
 #include "serve/lockstep.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
@@ -228,15 +228,10 @@ expectSameSimResult(const SimResult &a, const SimResult &b)
 TEST(Lockstep, ByteIdenticalToSequentialRuns)
 {
     const WorkloadContext &ctx = cachedContext("espresso", kScale);
-    const SpecPolicy policies[] = {
-        SpecPolicy::Never, SpecPolicy::Always, SpecPolicy::Wait,
-        SpecPolicy::PerfectSync, SpecPolicy::Sync, SpecPolicy::ESync,
-        SpecPolicy::VSync};
-
     std::vector<LockstepJob> jobs;
     std::vector<SimResult> solo;
     for (unsigned stages : {4u, 8u}) {
-        for (SpecPolicy p : policies) {
+        for (const std::string &p : dependencePolicyNames()) {
             LockstepJob job;
             job.ms = makeMultiscalarConfig(ctx, stages, p);
             jobs.push_back(job);
@@ -257,11 +252,10 @@ TEST(Lockstep, OooLanesMatchSequential)
     const WorkloadContext &ctx = cachedContext("espresso", kScale);
     std::vector<LockstepJob> jobs;
     std::vector<OooResult> solo;
-    for (SpecPolicy p :
-         {SpecPolicy::Always, SpecPolicy::Sync, SpecPolicy::Never}) {
+    for (const char *p : {"always", "sync", "never"}) {
         LockstepJob job;
         job.model = LockstepJob::Model::Ooo;
-        job.ooo.policy = p;
+        job.ooo.policyName = p;
         jobs.push_back(job);
         solo.push_back(runOoo(ctx, job.ooo));
     }
@@ -404,8 +398,7 @@ TEST(Server, ResultsMatchSharedReportWriter)
     JsonValue stats = parseLine(out[0].line).get("stats");
 
     const WorkloadContext &ctx = cachedContext("espresso", kScale);
-    MultiscalarConfig cfg =
-        makeMultiscalarConfig(ctx, 8, SpecPolicy::ESync);
+    MultiscalarConfig cfg = makeMultiscalarConfig(ctx, 8, "esync");
     SimResult ref = runMultiscalar(ctx, cfg);
     StatGroup g = multiscalarStats(ref);
     for (const auto &[name, value] : g.all()) {

@@ -329,9 +329,9 @@ TEST(TraceCacheHarnessTest, ContextPopulatesThenHitsAndMatches)
 
     // The mmap'd trace drives the simulation to identical results.
     SimResult rc = runMultiscalar(
-        cold, makeMultiscalarConfig(cold, 4, SpecPolicy::ESync));
+        cold, makeMultiscalarConfig(cold, 4, "esync"));
     SimResult rw = runMultiscalar(
-        warm, makeMultiscalarConfig(warm, 4, SpecPolicy::ESync));
+        warm, makeMultiscalarConfig(warm, 4, "esync"));
     EXPECT_EQ(rc.cycles, rw.cycles);
     EXPECT_EQ(rc.committedOps, rw.committedOps);
     EXPECT_EQ(rc.misSpeculations, rw.misSpeculations);

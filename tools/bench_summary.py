@@ -93,6 +93,13 @@ RETIRED_MICRO_KERNELS = frozenset({
     "micro_arb_probe_8shard",
     "micro_arb_probe_256shard",
     "micro_arb_probe_1024shard",
+    # micro_model_cycle: the AoS/SoA pairs (the SIMD kernels are gone).
+    "micro_scan_aos",
+    "micro_scan_soa",
+    "micro_wakeup_aos",
+    "micro_wakeup_soa",
+    "micro_probe_aos",
+    "micro_probe_soa",
 })
 
 # The lint suppression marker, composed so mdp_lint's own scanner

@@ -423,41 +423,6 @@ checkFastForwardOrder(const std::string &path,
         });
 }
 
-// ---- rule: soa-sync ------------------------------------------------
-
-/**
- * The packed op-state lanes (base/soa_lanes.hh) expose raw-pointer
- * escape hatches -- doneData()/flagsData() -- solely so model code
- * can hand the lanes to the compare-mask kernels.  Indexing or
- * pointer arithmetic on those pointers outside the accessor layer
- * bypasses the OpLanes invariants (paired lane length, reset
- * semantics), so only src/base/ may do it.
- */
-void
-checkSoaRawIndex(const std::string &path,
-                 const std::vector<Token> &code, std::vector<Diag> &out)
-{
-    for (size_t i = 0; i + 2 < code.size(); ++i) {
-        if ((!isIdent(code[i], "doneData") &&
-             !isIdent(code[i], "flagsData")) ||
-            !isPunct(code[i + 1], "("))
-            continue;
-        size_t close = matchGroup(code, i + 1);
-        if (close == SIZE_MAX || close + 1 >= code.size())
-            continue;
-        const Token &next = code[close + 1];
-        if (!isPunct(next, "[") && !isPunct(next, "+") &&
-            !isPunct(next, "-"))
-            continue;
-        out.push_back(
-            {path, code[i].line, "soa-sync",
-             "raw index arithmetic on '" + code[i].spelling +
-                 "()': the lane escape hatches exist only to feed "
-                 "the simd kernels; use the OpLanes accessors "
-                 "(done/flags/test/set) outside src/base/"});
-    }
-}
-
 // ---- rule: frontier-order ------------------------------------------
 
 /**
@@ -715,8 +680,6 @@ localPass(const std::string &path, const std::string &text,
     if (inDeterministicScope(scoped)) {
         checkNondet(path, code, f.local);
         checkPtrOrder(path, code, f.local);
-        if (!startsWith(scoped, "src/base/"))
-            checkSoaRawIndex(path, code, f.local);
     }
     if (isHeaderPath(scoped))
         checkHeader(path, scoped, code, f.local);
@@ -1138,9 +1101,6 @@ ruleDocs()
         {"ptr-order",
          "ordered containers and comparators must not key on "
          "pointer values (std::map<T *, ...>, std::less<T *>)"},
-        {"soa-sync",
-         "no raw index arithmetic on the SoA lane escape hatches "
-         "(doneData()/flagsData()) outside src/base/"},
         {"unordered-iter",
          "no iteration over unordered containers in the model "
          "directories; order leaks into state and reports"},

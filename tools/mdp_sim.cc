@@ -143,16 +143,12 @@ main(int argc, char **argv)
         return 0;
     }
 
-    // Resolve the policy through the registry: paper policies also set
-    // the legacy enum (some config derivations key on it); descendant
-    // policies are registry-only and ride the policyName override.
+    // The policy is a registry key; reject an unknown one up front.
     const std::string policy_arg = args.get("policy");
     if (!knownDependencePolicy(policy_arg))
         mdp_fatal("unknown policy '%s' (--list-policies prints the "
                   "registry)",
                   policy_arg.c_str());
-    SpecPolicy legacy_policy = SpecPolicy::Sync;
-    tryParsePolicy(policy_arg, legacy_policy);
 
     // ---- obtain the shared workload context -------------------------
     // Default-seed generated workloads go through the process-wide
@@ -218,7 +214,6 @@ main(int argc, char **argv)
     if (model == "ooo") {
         OooConfig cfg;
         cfg.windowSize = static_cast<unsigned>(args.getLong("window"));
-        cfg.policy = legacy_policy;
         cfg.policyName = policy_arg;
         cfg.sync.numEntries =
             static_cast<size_t>(args.getLong("entries"));
@@ -237,8 +232,7 @@ main(int argc, char **argv)
 
     MultiscalarConfig cfg = makeMultiscalarConfig(
         *ctx, static_cast<unsigned>(args.getLong("stages")),
-        legacy_policy);
-    cfg.policyName = policy_arg;
+        policy_arg);
     cfg.sync.numEntries = static_cast<size_t>(args.getLong("entries"));
     cfg.sync.tags = parseTags(args.get("tags"));
     cfg.organization = parseOrg(args.get("org"));
@@ -247,9 +241,7 @@ main(int argc, char **argv)
 
     SimResult r = runMultiscalar(*ctx, cfg);
     emitResult("multiscalar results (" +
-                   policyDisplayName(resolvePolicyName(cfg.policyName,
-                                                       cfg.policy)) +
-                   ")",
+                   policyDisplayName(cfg.policyName) + ")",
                multiscalarStats(r), csv);
     maybeWriteJson(json_out, model, scale, multiscalarStats(r));
     return 0;
