@@ -1,5 +1,6 @@
 // Fixture: hash containers and wall-clock reads inside the manycore
-// scheduler layer (basename matches the frontier-order scope).
+// scheduler layer (basename matches ordered-scope's frontier row; the
+// clock read is nondet-source's, as anywhere in src/).
 #include <chrono>
 #include <cstdint>
 #include <unordered_map>
@@ -9,7 +10,7 @@ namespace mdp
 
 struct BadFrontier
 {
-    std::unordered_map<uint32_t, uint64_t> parked; // expect: frontier-order
+    std::unordered_map<uint32_t, uint64_t> parked; // expect: ordered-scope
 
     void
     schedule(uint32_t id, uint64_t t)
@@ -20,7 +21,7 @@ struct BadFrontier
     uint64_t
     jitterSeed() const
     {
-        auto now = std::chrono::steady_clock::now(); // expect: frontier-order nondet-source
+        auto now = std::chrono::steady_clock::now(); // expect: nondet-source
         return static_cast<uint64_t>(
             now.time_since_epoch().count());
     }

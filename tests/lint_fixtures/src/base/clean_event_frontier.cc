@@ -1,4 +1,4 @@
-// Fixture: the shapes frontier-order wants -- vectors, explicit
+// Fixture: the shapes ordered-scope wants -- vectors, explicit
 // (t, id) ordering, no hash containers, no clocks.  Must lint clean.
 #include <algorithm>
 #include <cstdint>

@@ -14,11 +14,11 @@ uint64_t
 drainBad()
 {
     uint64_t sum = 0;
-    for (const auto &[pc, n] : edgeHits)        // expect: unordered-iter
+    for (const auto &[pc, n] : edgeHits)        // expect: ordered-scope
         sum += pc * n;
-    for (uint64_t pc : seenPcs)                 // expect: unordered-iter
+    for (uint64_t pc : seenPcs)                 // expect: ordered-scope
         sum ^= pc;
-    for (auto it = edgeHits.begin(); true;) {   // expect: unordered-iter
+    for (auto it = edgeHits.begin(); true;) {   // expect: ordered-scope
         sum += it->second;
         break;
     }

@@ -1,4 +1,4 @@
-// Deliberate lockstep-blocking violations: blocking calls and
+// Deliberate ordered-scope violations: blocking calls and
 // unordered-container iteration inside a runLane definition.  The
 // same calls outside runLane are fine (the completion callback and
 // the transport block all the time) and must stay undiagnosed.
@@ -21,13 +21,13 @@ struct BadEvaluator {
 int
 BadEvaluator::runLane(int lane)
 {
-    std::lock_guard<std::mutex> hold(mtx); // expect: lockstep-blocking
+    std::lock_guard<std::mutex> hold(mtx); // expect: ordered-scope
     char buf[8];
-    if (read(fd, buf, sizeof buf) < 0) // expect: lockstep-blocking
+    if (read(fd, buf, sizeof buf) < 0) // expect: ordered-scope
         return -1;
-    poll(nullptr, 0, 1); // expect: lockstep-blocking
+    poll(nullptr, 0, 1); // expect: ordered-scope
     int n = lane;
-    for (auto &kv : laneState) // expect: lockstep-blocking
+    for (auto &kv : laneState) // expect: ordered-scope
         n += kv.second;
     return n;
 }

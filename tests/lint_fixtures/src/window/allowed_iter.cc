@@ -12,7 +12,7 @@ uint64_t
 totalHits()
 {
     uint64_t n = 0;
-    // mdp-lint: allow(unordered-iter): order-independent sum.
+    // mdp-lint: allow(ordered-scope): order-independent sum.
     for (const auto &[k, v] : hits)
         n += v;
     return n;

@@ -3,8 +3,9 @@
  * mdp_lint behaves exactly as specified: every fixture in
  * tests/lint_fixtures triggers precisely the diagnostics its
  * `expect:` markers declare (no more, no less), the real tree lints
- * clean, and the helper primitives (guard derivation, comment/string
- * blanking, suppression parsing) hold their contracts.
+ * clean, every ordered-scope row still covers real code, and the
+ * helper primitives (guard derivation, comment/string blanking,
+ * suppression parsing) hold their contracts.
  */
 
 #include <gtest/gtest.h>
@@ -17,6 +18,8 @@
 #include <string>
 #include <vector>
 
+#include "lint/dataflow.hh"
+#include "lint/lexer.hh"
 #include "lint_core.hh"
 
 namespace fs = std::filesystem;
@@ -108,8 +111,9 @@ TEST(LintFixtures, EveryFixtureMatchesItsMarkers)
         std::string rel =
             fs::relative(f, kRoot).generic_string();
         DiagSet expected = expectedOf(f);
-        std::vector<Diag> diags =
-            mdp::lint::lintPaths(kRoot, {rel});
+        mdp::lint::LintRun run = mdp::lint::lintPaths(kRoot, {rel});
+        ASSERT_EQ(run.unreadable, "");
+        const std::vector<Diag> &diags = run.diags;
         for (const Diag &d : diags)
             EXPECT_EQ(d.file, rel);
         DiagSet actual = actualOf(diags);
@@ -137,7 +141,9 @@ TEST(LintTree, RepoIsClean)
         mdp::lint::discoverFiles(kRoot);
     ASSERT_GE(files.size(), 100u)
         << "discovery must see the whole tree";
-    std::vector<Diag> diags = mdp::lint::lintPaths(kRoot, files);
+    mdp::lint::LintRun run = mdp::lint::lintPaths(kRoot, files);
+    ASSERT_EQ(run.unreadable, "");
+    const std::vector<Diag> &diags = run.diags;
     std::ostringstream os;
     for (const Diag &d : diags)
         os << d.file << ":" << d.line << ": [" << d.rule << "] "
@@ -150,6 +156,39 @@ TEST(LintTree, DiscoverySkipsFixturesAndBuildTrees)
     for (const std::string &f : mdp::lint::discoverFiles(kRoot)) {
         EXPECT_EQ(f.find("lint_fixtures"), std::string::npos) << f;
         EXPECT_EQ(f.rfind("build", 0), std::string::npos) << f;
+    }
+}
+
+TEST(LintCore, ScopeTableTargetsExist)
+{
+    // Each ordered-scope row must cover at least one real file, and a
+    // row naming a function must find a definition of it there, so a
+    // rename fails here instead of leaving a row that guards nothing.
+    std::vector<std::string> files = mdp::lint::discoverFiles(kRoot);
+    for (const mdp::lint::OrderedScope &row :
+         mdp::lint::orderedScopes()) {
+        size_t in_scope = 0, defs = 0;
+        for (const std::string &f : files) {
+            if (!row.contains(f))
+                continue;
+            ++in_scope;
+            if (!row.function)
+                continue;
+            std::ifstream in(fs::path(kRoot) / f);
+            std::ostringstream text;
+            text << in.rdbuf();
+            std::vector<mdp::lint::Token> code =
+                mdp::lint::codeTokens(mdp::lint::lex(text.str()));
+            for (const mdp::lint::FunctionDef &fd :
+                 mdp::lint::functionDefs(code))
+                if (code[fd.params_open - 1].spelling == row.function)
+                    ++defs;
+        }
+        EXPECT_GT(in_scope, 0u) << "no file in scope of " << row.where;
+        if (row.function) {
+            EXPECT_GT(defs, 0u)
+                << "no definition of " << row.function << " in scope";
+        }
     }
 }
 
@@ -205,7 +244,7 @@ TEST(LintCore, InMemorySourcesCrossFileDecls)
     ASSERT_EQ(diags.size(), 1u);
     EXPECT_EQ(diags[0].file, "src/mdp/widget.cc");
     EXPECT_EQ(diags[0].line, 4);
-    EXPECT_EQ(diags[0].rule, "unordered-iter");
+    EXPECT_EQ(diags[0].rule, "ordered-scope");
 }
 
 TEST(LintCore, AllowAppliesToSameAndNextLineOnly)
@@ -215,7 +254,7 @@ TEST(LintCore, AllowAppliesToSameAndNextLineOnly)
         "std::unordered_map<int, int> m;\n"
         "int f() {\n"
         "    int n = 0;\n"
-        "    // mdp-lint: allow(unordered-iter): safe sum.\n"
+        "    // mdp-lint: allow(ordered-scope): safe sum.\n"
         "    for (auto &kv : m) n += kv.second;\n"
         "    for (auto &kv : m) n -= kv.second;\n"
         "    return n;\n"

@@ -2,9 +2,9 @@
  * @file
  * The repo's #include DAG and the layering rules over it.
  *
- * Per-file include extraction is a pure function of file content
- * (cache-friendly); graph construction and the two rule families
- * (include-cycle, layering) run over a whole batch of files:
+ * Per-file include extraction is a pure function of file content;
+ * graph construction and the two rule families (include-cycle,
+ * layering) run over a whole batch of files:
  *
  *  - `layering`: a file in src/<dir> may include headers only from
  *    directories of equal or lower rank in tools/lint/layers.txt.

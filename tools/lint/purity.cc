@@ -106,8 +106,9 @@ checkStaticRun(const std::vector<Token> &code, size_t b, size_t e,
         {code[static_at].line, "policy-static-state",
          std::string(tls ? "thread_local" : "mutable static") +
              (at_class_scope ? " data member" : " local") +
-             " in a DependencePolicy: policies must be pure (state "
-             "shared across lanes breaks lockstep identity)"});
+             " in a DependencePolicy: policies must be pure (one "
+             "object serves every lane, so state would couple "
+             "them)"});
 }
 
 } // namespace

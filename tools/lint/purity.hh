@@ -2,10 +2,10 @@
  * @file
  * Policy-purity analysis: DependencePolicy subclasses must be pure.
  *
- * A single policy object drives both timing models and (under
- * mdp_served) several lockstep lanes, so the registry contract is
- * strict: a policy's behavior may depend only on its own members and
- * the LoadIssueContext it is handed per call.  Two rule families
+ * A single policy object drives both timing models and every lane
+ * of an mdp_served batch, so the registry contract is strict: a
+ * policy's behavior may depend only on its own members and the
+ * LoadIssueContext it is handed per call.  Two rule families
  * enforce that mechanically:
  *
  *  - `policy-static-state`: no mutable `static` (or `thread_local`)
@@ -16,7 +16,7 @@
  *    retained beyond the call — no members mentioning the type, and
  *    no taking the address of a context parameter inside a method.
  *
- * Extraction is per-file and purely syntactic (cache-friendly):
+ * Extraction is per-file and purely syntactic:
  * collectClassFacts() records every class, its base names, and the
  * would-be findings.  Whether a class actually IS a policy needs the
  * whole batch (SyncFamilyPolicy subclasses resolve transitively), so

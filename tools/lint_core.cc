@@ -9,8 +9,6 @@
 #include <sstream>
 #include <tuple>
 
-#include "base/hash.hh"
-#include "base/thread_pool.hh"
 #include "lint/dataflow.hh"
 #include "lint/include_graph.hh"
 #include "lint/lexer.hh"
@@ -160,6 +158,16 @@ collectAllows(const std::string &path, const std::string &text)
                      marker + "<rule>): <why>"});
             continue;
         }
+        std::vector<std::string> known = ruleNames();
+        if (std::find(known.begin(), known.end(), rule) ==
+            known.end()) {
+            out.malformed.push_back(
+                {path, lineno, "lint-allow",
+                 "suppression names unknown rule '" + rule +
+                     "'; mdp_lint --list-rules prints the known "
+                     "ids"});
+            continue;
+        }
         out.allowed.insert({lineno, rule});
     }
     return out;
@@ -233,7 +241,7 @@ checkPtrOrder(const std::string &path, const std::vector<Token> &code,
     }
 }
 
-// ---- rule: unordered-iter ------------------------------------------
+// ---- rule: ordered-scope -------------------------------------------
 
 /** Names declared as unordered containers, per scoped directory. */
 using DeclMap = std::map<std::string, std::set<std::string>>;
@@ -325,166 +333,10 @@ forEachContainerIteration(const std::vector<Token> &code,
     }
 }
 
-void
-checkUnorderedIter(const std::string &path,
-                   const std::vector<Token> &code,
-                   const std::set<std::string> &names,
-                   std::vector<Diag> &out)
-{
-    forEachContainerIteration(
-        code, names,
-        [&](size_t idx, const std::string &name, bool range_for) {
-            out.push_back(
-                {path, code[idx].line, "unordered-iter",
-                 std::string(range_for ? "range-for over"
-                                       : "iterator walk over") +
-                     " unordered container '" + name +
-                     "': iteration order is implementation-defined; "
-                     "use an ordered container or a sorted drain "
-                     "(base/ordered.hh)"});
-        });
-}
-
-// ---- rules scoped to one function's body ---------------------------
-
-/**
- * Token ranges (body_open, body_close) of every *definition* of a
- * function named @p fn.  Declarations (a parameter list followed by
- * ';' before any '{') and call sites are skipped.
- */
-std::vector<std::pair<size_t, size_t>>
-functionBodies(const std::vector<Token> &code, const char *fn)
-{
-    std::vector<std::pair<size_t, size_t>> out;
-    for (size_t i = 0; i + 1 < code.size(); ++i) {
-        if (!isIdent(code[i], fn) || !isPunct(code[i + 1], "("))
-            continue;
-        size_t close = matchGroup(code, i + 1);
-        if (close == SIZE_MAX)
-            continue;
-        // A definition has a '{' before the next ';' (qualifiers
-        // like `const`/`noexcept`/a trailing return type may
-        // intervene).
-        size_t j = close + 1;
-        while (j < code.size() && !isPunct(code[j], "{") &&
-               !isPunct(code[j], ";"))
-            ++j;
-        if (j >= code.size() || !isPunct(code[j], "{"))
-            continue;
-        size_t end = matchGroup(code, j);
-        if (end == SIZE_MAX)
-            continue;
-        out.push_back({j, end});
-        i = j;
-    }
-    return out;
-}
-
-bool
-inAnyBody(const std::vector<std::pair<size_t, size_t>> &bodies,
-          size_t idx)
-{
-    for (const auto &[b, e] : bodies)
-        if (idx > b && idx < e)
-            return true;
-    return false;
-}
-
-/**
- * The jump-target scan (any function named nextInterestingCycle in a
- * model directory) must visit its candidates in a platform-stable
- * order: its result steers which cycles are jumped over, so a
- * hash-order dependence there silently changes simulated results
- * between standard libraries even when every candidate is considered.
- */
-void
-checkFastForwardOrder(const std::string &path,
-                      const std::vector<Token> &code,
-                      const std::set<std::string> &names,
-                      std::vector<Diag> &out)
-{
-    std::vector<std::pair<size_t, size_t>> bodies =
-        functionBodies(code, "nextInterestingCycle");
-    if (bodies.empty())
-        return;
-    forEachContainerIteration(
-        code, names, [&](size_t idx, const std::string &name, bool) {
-            if (!inAnyBody(bodies, idx))
-                return;
-            out.push_back(
-                {path, code[idx].line, "fastforward-order",
-                 "nextInterestingCycle iterates unordered container "
-                 "'" +
-                     name +
-                     "': the skip-target scan steers which cycles "
-                     "fast-forward jumps over, so candidates must be "
-                     "visited in a platform-stable order; iterate a "
-                     "vector or an index range instead"});
-        });
-}
-
-// ---- rule: frontier-order ------------------------------------------
-
-/**
- * The event-frontier scheduler and the interconnect hop models are
- * the determinism-critical core of the manycore scale-out: which PE
- * steps on which cycle, and how far a forwarded value travels, must
- * be pure platform-stable functions of simulated state.  Files
- * implementing them (basename containing "event_frontier" or
- * "interconnect", under src/) may not *contain* hash containers at
- * all -- stricter than unordered-iter, which only flags iteration and
- * does not cover src/base/ -- and wall-clock/random sources there are
- * called out under this rule as well as nondet-source, so suppressing
- * one cannot quietly waive the other.
- */
-bool
-isFrontierOrderScope(const std::string &scoped)
-{
-    if (!startsWith(scoped, "src/"))
-        return false;
-    std::string base = scoped.substr(scoped.find_last_of('/') + 1);
-    return base.find("event_frontier") != std::string::npos ||
-           base.find("interconnect") != std::string::npos;
-}
-
-void
-checkFrontierOrder(const std::string &path,
-                   const std::vector<Token> &code,
-                   std::vector<Diag> &out)
-{
-    static const char *const kHashContainers[] = {
-        "unordered_map", "unordered_set", "unordered_multimap",
-        "unordered_multiset",
-    };
-    for (size_t i = 0; i < code.size(); ++i) {
-        if (code[i].pp)
-            continue;   // the include line itself is not a use
-        for (const char *name : kHashContainers) {
-            if (!isIdent(code[i], name))
-                continue;
-            out.push_back(
-                {path, code[i].line, "frontier-order",
-                 "hash container '" + code[i].spelling +
-                     "' in frontier/interconnect code: event and hop "
-                     "ordering must be platform-stable; use the "
-                     "bucket wheel / min-heap / vectors with explicit "
-                     "(t, id) ordering"});
-        }
-    }
-    for (const std::string &token : nondetSourceTokens()) {
-        size_t pos = 0;
-        while ((pos = findIdentSeq(code, token, pos)) != SIZE_MAX) {
-            out.push_back({path, code[pos].line, "frontier-order",
-                           "nondeterminism source '" + token +
-                               "' in frontier/interconnect code: park "
-                               "times and hop counts must derive only "
-                               "from simulated state"});
-            ++pos;
-        }
-    }
-}
-
-// ---- rule: lockstep-blocking ---------------------------------------
+const char *const kHashContainers[] = {
+    "unordered_map", "unordered_set", "unordered_multimap",
+    "unordered_multiset",
+};
 
 /**
  * Calls that block (or can block) the calling thread.  Matched as
@@ -502,56 +354,91 @@ const char *const kBlockingTokens[] = {
     "unique_lock", "usleep",    "wait",        "waitpid",   "write",
 };
 
-/**
- * The evaluator's lane loop (any function named runLane under
- * src/serve/) is the served simulation path: it builds, runs and
- * finishes one lane, and a shard runs its lanes through it back to
- * back.  One blocking call there stalls that lane and every lane
- * queued behind it, and unordered-container iteration there leaks
- * hash order into lane results.
- */
-void
-checkLockstepBlocking(const std::string &path,
-                      const std::vector<Token> &code,
-                      const std::set<std::string> &names,
-                      std::vector<Diag> &out)
+template <size_t N>
+bool
+isOneOf(const std::string &s, const char *const (&names)[N])
 {
-    std::vector<std::pair<size_t, size_t>> bodies =
-        functionBodies(code, "runLane");
-    if (bodies.empty())
-        return;
+    for (const char *name : names)
+        if (s == name)
+            return true;
+    return false;
+}
 
-    for (size_t i = 0; i + 1 < code.size(); ++i) {
-        if (code[i].kind != Tok::Ident || !inAnyBody(bodies, i))
+/** The event-frontier scheduler and the interconnect hop models. */
+bool
+inFrontierFile(const std::string &scoped)
+{
+    if (!startsWith(scoped, "src/"))
+        return false;
+    std::string base = scoped.substr(scoped.find_last_of('/') + 1);
+    return base.find("event_frontier") != std::string::npos ||
+           base.find("interconnect") != std::string::npos;
+}
+
+bool
+inServeDir(const std::string &scoped)
+{
+    return startsWith(scoped, "src/serve/");
+}
+
+void
+checkOrderedScope(const std::string &path, const std::string &scoped,
+                  const std::vector<Token> &code,
+                  const std::set<std::string> &names,
+                  std::vector<Diag> &out)
+{
+    for (const OrderedScope &row : orderedScopes()) {
+        if (!row.contains(scoped))
             continue;
-        bool blocking = false;
-        for (const char *token : kBlockingTokens)
-            blocking = blocking || code[i].spelling == token;
-        // Only calls: the token must be followed by '(' or be a
-        // lock type instantiated as `lock_guard<...> g(...)`.
-        if (!blocking || (!isPunct(code[i + 1], "(") &&
-                          !isPunct(code[i + 1], "<")))
-            continue;
-        out.push_back(
-            {path, code[i].line, "lockstep-blocking",
-             "'" + code[i].spelling +
-                 "' in runLane: the served simulation path must "
-                 "never block; one stalled call holds back every "
-                 "lane behind it -- do I/O and locking in the "
-                 "completion callback"});
+        std::vector<std::pair<size_t, size_t>> bodies;
+        if (row.function)
+            for (const FunctionDef &fd : functionDefs(code))
+                if (isIdent(code[fd.params_open - 1], row.function))
+                    bodies.push_back({fd.body_open, fd.body_close});
+        auto covered = [&](size_t idx) {
+            if (!row.function)
+                return true;
+            for (const auto &[b, e] : bodies)
+                if (idx > b && idx < e)
+                    return true;
+            return false;
+        };
+        auto report = [&](size_t idx, const std::string &what) {
+            out.push_back({path, code[idx].line, "ordered-scope",
+                           what + " in " + row.where + ": " +
+                               row.why});
+        };
+
+        if (row.forbid & kUnorderedIter)
+            forEachContainerIteration(
+                code, names,
+                [&](size_t idx, const std::string &name,
+                    bool range_for) {
+                    if (!covered(idx))
+                        return;
+                    std::string how =
+                        range_for ? "range-for" : "iterator walk";
+                    report(idx, how + " over unordered container '" +
+                                    name + "'");
+                });
+        for (size_t i = 0; i < code.size(); ++i) {
+            const Token &t = code[i];
+            // An #include line is not a use.
+            if (t.kind != Tok::Ident || t.pp || !covered(i))
+                continue;
+            if ((row.forbid & kHashContainer) &&
+                isOneOf(t.spelling, kHashContainers))
+                report(i, "hash container '" + t.spelling + "'");
+            // Only calls: the token must be followed by '(' or be a
+            // lock type instantiated as `lock_guard<...> g(...)`.
+            if ((row.forbid & kBlockingCall) &&
+                isOneOf(t.spelling, kBlockingTokens) &&
+                i + 1 < code.size() &&
+                (isPunct(code[i + 1], "(") ||
+                 isPunct(code[i + 1], "<")))
+                report(i, "blocking call '" + t.spelling + "'");
+        }
     }
-
-    forEachContainerIteration(
-        code, names, [&](size_t idx, const std::string &name, bool) {
-            if (!inAnyBody(bodies, idx))
-                return;
-            out.push_back(
-                {path, code[idx].line, "lockstep-blocking",
-                 "runLane iterates unordered container '" + name +
-                     "': hash order would leak into lane results; "
-                     "keep the simulation path on vectors and index "
-                     "ranges"});
-        });
 }
 
 // ---- rules: header-guard, using-namespace-header -------------------
@@ -655,88 +542,46 @@ checkBench(const std::string &path, const std::vector<Token> &code,
     }
 }
 
-// ---- the per-file pipeline -----------------------------------------
+// ---- the pipeline --------------------------------------------------
 
-/** Facts extracted from one file, a pure function of its content. */
-struct FileFacts {
+/** One lexed file and the facts the cross-file rules need from it. */
+struct Unit {
+    std::string path;
+    std::string scoped;
+    std::vector<Token> code;
     std::vector<IncludeEdge> includes;
     std::set<std::string> unordered_names;
     std::vector<ClassFact> classes;
     AllowSet allows;
-    std::vector<Diag> local;  ///< diags needing no cross-file context
 };
 
-FileFacts
-localPass(const std::string &path, const std::string &text,
-          const std::vector<Token> &code)
+/** Every per-file rule.  @p names holds the unordered containers
+ *  declared anywhere in the file's directory. */
+void
+checkFile(const Unit &u, const std::set<std::string> &names,
+          const std::map<std::string, std::vector<std::string>> &bases_of,
+          std::vector<Diag> &out)
 {
-    FileFacts f;
-    std::string scoped = scopedPath(path);
-    f.includes = collectIncludes(code);
-    f.unordered_names = collectUnorderedDecls(code);
-    f.classes = collectClassFacts(code);
-    f.allows = collectAllows(path, text);
-
+    const std::string &path = u.path, &scoped = u.scoped;
     if (inDeterministicScope(scoped)) {
-        checkNondet(path, code, f.local);
-        checkPtrOrder(path, code, f.local);
+        checkNondet(path, u.code, out);
+        checkPtrOrder(path, u.code, out);
     }
     if (isHeaderPath(scoped))
-        checkHeader(path, scoped, code, f.local);
+        checkHeader(path, scoped, u.code, out);
     std::string base = scoped.substr(scoped.find_last_of('/') + 1);
     if (startsWith(scoped, "bench/") && startsWith(base, "bench_") &&
         endsWith(base, ".cc"))
-        checkBench(path, code, f.includes, f.local);
-    if (isFrontierOrderScope(scoped))
-        checkFrontierOrder(path, code, f.local);
-    return f;
-}
-
-/** Cross-file inputs to the context pass, shared by every file. */
-struct BatchContext {
-    DeclMap decls;  ///< unordered names per scoped directory
-    std::map<std::string, std::vector<std::string>> bases_of;
-    uint64_t classmap_fnv = 0;
-};
-
-uint64_t
-contextKey(const BatchContext &ctx, const std::string &scoped)
-{
-    Fnv1a h;
-    h.str(scoped);
-    auto it = ctx.decls.find(dirOf(scoped));
-    if (it != ctx.decls.end())
-        for (const std::string &n : it->second)
-            h.str(n);
-    h.value<uint64_t>(ctx.classmap_fnv);
-    return h.digest();
-}
-
-std::vector<Diag>
-contextPass(const std::string &path, const std::vector<Token> &code,
-            const FileFacts &facts, const BatchContext &ctx)
-{
-    std::vector<Diag> out;
-    std::string scoped = scopedPath(path);
-    static const std::set<std::string> kNoNames;
-    auto decl_it = ctx.decls.find(dirOf(scoped));
-    const std::set<std::string> &names =
-        decl_it == ctx.decls.end() ? kNoNames : decl_it->second;
-
-    if (inModelDir(scoped)) {
-        checkUnorderedIter(path, code, names, out);
-        checkFastForwardOrder(path, code, names, out);
-    }
-    if (startsWith(scoped, "src/serve/"))
-        checkLockstepBlocking(path, code, names, out);
+        checkBench(path, u.code, u.includes, out);
+    checkOrderedScope(path, scoped, u.code, names, out);
     if (inTaintScope(scoped)) {
-        for (const TaintDiag &td : checkNondetTaint(code, names))
+        for (const TaintDiag &td : checkNondetTaint(u.code, names))
             out.push_back({path, td.line, "nondet-taint", td.msg});
     }
     if (startsWith(scoped, "src/")) {
-        for (const ClassFact &cf : facts.classes) {
+        for (const ClassFact &cf : u.classes) {
             if (cf.findings.empty() ||
-                !resolvesToPolicy(cf.name, ctx.bases_of))
+                !resolvesToPolicy(cf.name, bases_of))
                 continue;
             for (const ClassFinding &cfind : cf.findings)
                 out.push_back({path, cfind.line, cfind.rule,
@@ -744,315 +589,76 @@ contextPass(const std::string &path, const std::vector<Token> &code,
                                    cfind.msg});
         }
     }
-    return out;
-}
-
-// ---- the on-disk result cache --------------------------------------
-
-struct CacheEntry {
-    uint64_t content_fnv = 0;
-    FileFacts facts;
-    uint64_t ctx_fnv = 0;
-    bool has_ctx = false;
-    std::vector<Diag> ctx_diags;
-};
-
-std::string
-escapeMsg(const std::string &s)
-{
-    std::string out;
-    for (char c : s)
-        out += c == '\n' ? ' ' : c;
-    return out;
-}
-
-std::map<std::string, CacheEntry>
-loadCache(const std::string &path)
-{
-    std::map<std::string, CacheEntry> cache;
-    std::ifstream in(path);
-    if (!in)
-        return cache;
-    std::string line;
-    if (!std::getline(in, line) || line != "mdp_lint_cache v1")
-        return cache;
-    CacheEntry *cur = nullptr;
-    std::string cur_path;
-    while (std::getline(in, line)) {
-        std::istringstream ls(line);
-        std::string tag;
-        ls >> tag;
-        if (tag == "file") {
-            std::string fnv_hex;
-            ls >> fnv_hex >> cur_path;
-            cur = &cache[cur_path];
-            cur->content_fnv = std::stoull(fnv_hex, nullptr, 16);
-        } else if (cur == nullptr) {
-            continue;
-        } else if (tag == "i") {
-            IncludeEdge e;
-            std::string kind;
-            ls >> e.line >> kind;
-            e.angled = kind == "a";
-            std::getline(ls >> std::ws, e.path);
-            cur->facts.includes.push_back(std::move(e));
-        } else if (tag == "u") {
-            std::string name;
-            ls >> name;
-            cur->facts.unordered_names.insert(name);
-        } else if (tag == "c") {
-            ClassFact cf;
-            ls >> cf.name;
-            std::string b;
-            while (ls >> b)
-                cf.bases.push_back(b);
-            cur->facts.classes.push_back(std::move(cf));
-        } else if (tag == "f" && !cur->facts.classes.empty()) {
-            ClassFinding cfind;
-            ls >> cfind.line >> cfind.rule;
-            std::getline(ls >> std::ws, cfind.msg);
-            cur->facts.classes.back().findings.push_back(
-                std::move(cfind));
-        } else if (tag == "a") {
-            int l;
-            std::string rule;
-            ls >> l >> rule;
-            cur->facts.allows.allowed.insert({l, rule});
-        } else if (tag == "m" || tag == "d" || tag == "y") {
-            Diag d;
-            d.file = cur_path;
-            ls >> d.line >> d.rule;
-            std::getline(ls >> std::ws, d.msg);
-            if (tag == "m")
-                cur->facts.allows.malformed.push_back(std::move(d));
-            else if (tag == "d")
-                cur->facts.local.push_back(std::move(d));
-            else
-                cur->ctx_diags.push_back(std::move(d));
-        } else if (tag == "x") {
-            std::string fnv_hex;
-            ls >> fnv_hex;
-            cur->ctx_fnv = std::stoull(fnv_hex, nullptr, 16);
-            cur->has_ctx = true;
-        }
-    }
-    return cache;
-}
-
-void
-saveCache(const std::string &path,
-          const std::map<std::string, CacheEntry> &cache)
-{
-    std::ofstream out(path, std::ios::trunc);
-    if (!out)
-        return;  // caching is best-effort; a read-only tree is fine
-    out << "mdp_lint_cache v1\n";
-    for (const auto &[file, e] : cache) {
-        out << "file " << hashHex(e.content_fnv) << ' ' << file
-            << '\n';
-        for (const IncludeEdge &inc : e.facts.includes)
-            out << "i " << inc.line << ' '
-                << (inc.angled ? 'a' : 'q') << ' ' << inc.path
-                << '\n';
-        for (const std::string &n : e.facts.unordered_names)
-            out << "u " << n << '\n';
-        for (const ClassFact &cf : e.facts.classes) {
-            out << "c " << cf.name;
-            for (const std::string &b : cf.bases)
-                out << ' ' << b;
-            out << '\n';
-            for (const ClassFinding &cfind : cf.findings)
-                out << "f " << cfind.line << ' ' << cfind.rule << ' '
-                    << escapeMsg(cfind.msg) << '\n';
-        }
-        for (const auto &[l, rule] : e.facts.allows.allowed)
-            out << "a " << l << ' ' << rule << '\n';
-        for (const Diag &d : e.facts.allows.malformed)
-            out << "m " << d.line << ' ' << d.rule << ' '
-                << escapeMsg(d.msg) << '\n';
-        for (const Diag &d : e.facts.local)
-            out << "d " << d.line << ' ' << d.rule << ' '
-                << escapeMsg(d.msg) << '\n';
-        if (e.has_ctx) {
-            out << "x " << hashHex(e.ctx_fnv) << '\n';
-            for (const Diag &d : e.ctx_diags)
-                out << "y " << d.line << ' ' << d.rule << ' '
-                    << escapeMsg(d.msg) << '\n';
-        }
-        out << "end\n";
-    }
-}
-
-// ---- whole-batch analysis ------------------------------------------
-
-std::vector<Diag>
-analyzeSources(const std::vector<SourceFile> &sources, unsigned jobs,
-               const std::string &cache_path)
-{
-    std::map<std::string, CacheEntry> cache;
-    if (!cache_path.empty())
-        cache = loadCache(cache_path);
-
-    struct PerFile {
-        uint64_t content_fnv = 0;
-        FileFacts facts;
-        std::vector<Token> code;  ///< empty on a facts cache hit
-        bool from_cache = false;
-        uint64_t ctx_key = 0;
-        std::vector<Diag> ctx_diags;
-    };
-    std::vector<PerFile> per(sources.size());
-
-    ThreadPool pool(jobs);
-
-    // Phase 1: per-file facts and local diags (pure function of
-    // content; served from the cache when the content hash matches).
-    for (size_t i = 0; i < sources.size(); ++i) {
-        pool.submit([&, i] {
-            const SourceFile &src = sources[i];
-            PerFile &pf = per[i];
-            pf.content_fnv =
-                fnv1a(src.text.data(), src.text.size());
-            auto it = cache.find(src.path);
-            if (it != cache.end() &&
-                it->second.content_fnv == pf.content_fnv) {
-                pf.facts = it->second.facts;
-                pf.from_cache = true;
-                return;
-            }
-            pf.code = codeTokens(lex(src.text));
-            pf.facts = localPass(src.path, src.text, pf.code);
-        });
-    }
-    pool.wait();
-
-    // Phase 2 (serial): cross-file context.
-    BatchContext ctx;
-    std::map<std::string, std::vector<IncludeEdge>> includes_of;
-    std::map<std::string, std::string> original_of;
-    for (size_t i = 0; i < sources.size(); ++i) {
-        std::string scoped = scopedPath(sources[i].path);
-        ctx.decls[dirOf(scoped)].insert(
-            per[i].facts.unordered_names.begin(),
-            per[i].facts.unordered_names.end());
-        includes_of[scoped] = per[i].facts.includes;
-        original_of[scoped] = sources[i].path;
-        for (const ClassFact &cf : per[i].facts.classes) {
-            auto &bases = ctx.bases_of[cf.name];
-            bases.insert(bases.end(), cf.bases.begin(),
-                         cf.bases.end());
-        }
-    }
-    Fnv1a ch;
-    for (const auto &[name, bases] : ctx.bases_of) {
-        ch.str(name);
-        for (const std::string &b : bases)
-            ch.str(b);
-    }
-    ctx.classmap_fnv = ch.digest();
-
-    // Phase 3: context diags (cache-keyed by content + context).
-    for (size_t i = 0; i < sources.size(); ++i) {
-        pool.submit([&, i] {
-            const SourceFile &src = sources[i];
-            PerFile &pf = per[i];
-            pf.ctx_key = contextKey(ctx, scopedPath(src.path));
-            auto it = cache.find(src.path);
-            if (pf.from_cache && it != cache.end() &&
-                it->second.has_ctx &&
-                it->second.ctx_fnv == pf.ctx_key) {
-                pf.ctx_diags = it->second.ctx_diags;
-                return;
-            }
-            if (pf.code.empty() && !src.text.empty())
-                pf.code = codeTokens(lex(src.text));
-            pf.ctx_diags =
-                contextPass(src.path, pf.code, pf.facts, ctx);
-        });
-    }
-    pool.wait();
-
-    // Phase 4 (serial): the include graph runs over the whole batch
-    // and is recomputed every time (it is cheap and global).
-    std::map<std::string, std::vector<Diag>> graph_diags;
-    for (const GraphDiag &gd :
-         checkIncludeGraph(includes_of, defaultLayers())) {
-        const std::string &orig = original_of[gd.file];
-        graph_diags[orig].push_back(
-            {orig, gd.line, gd.rule, gd.msg});
-    }
-
-    // Phase 5: apply suppressions, merge, sort; refresh the cache.
-    std::vector<Diag> all;
-    for (size_t i = 0; i < sources.size(); ++i) {
-        const SourceFile &src = sources[i];
-        PerFile &pf = per[i];
-        std::vector<Diag> mine = pf.facts.local;
-        mine.insert(mine.end(), pf.ctx_diags.begin(),
-                    pf.ctx_diags.end());
-        auto git = graph_diags.find(src.path);
-        if (git != graph_diags.end())
-            mine.insert(mine.end(), git->second.begin(),
-                        git->second.end());
-        for (Diag &d : mine)
-            if (!pf.facts.allows.allows(d.line, d.rule))
-                all.push_back(std::move(d));
-        for (const Diag &d : pf.facts.allows.malformed)
-            all.push_back(d);
-
-        if (!cache_path.empty()) {
-            CacheEntry &e = cache[src.path];
-            e.content_fnv = pf.content_fnv;
-            e.facts = pf.facts;
-            e.ctx_fnv = pf.ctx_key;
-            e.has_ctx = true;
-            e.ctx_diags = pf.ctx_diags;
-        }
-    }
-    if (!cache_path.empty())
-        saveCache(cache_path, cache);
-
-    std::sort(all.begin(), all.end(),
-              [](const Diag &a, const Diag &b) {
-                  return std::tie(a.file, a.line, a.rule, a.msg) <
-                         std::tie(b.file, b.line, b.rule, b.msg);
-              });
-    all.erase(std::unique(all.begin(), all.end(),
-                          [](const Diag &a, const Diag &b) {
-                              return std::tie(a.file, a.line, a.rule,
-                                              a.msg) ==
-                                     std::tie(b.file, b.line, b.rule,
-                                              b.msg);
-                          }),
-              all.end());
-    return all;
-}
-
-std::vector<SourceFile>
-readSources(const std::string &root,
-            const std::vector<std::string> &rel_paths, bool &ok)
-{
-    ok = true;
-    std::vector<SourceFile> sources;
-    sources.reserve(rel_paths.size());
-    for (const std::string &rel : rel_paths) {
-        std::ifstream in(fs::path(root) / rel, std::ios::binary);
-        if (!in) {
-            ok = false;
-            sources.clear();
-            sources.push_back({rel, ""});
-            return sources;
-        }
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        sources.push_back({rel, buf.str()});
-    }
-    return sources;
 }
 
 } // namespace
 
 // ---- public API -----------------------------------------------------
+
+std::vector<Diag>
+lintSources(const std::vector<SourceFile> &sources)
+{
+    // Pass 1: lex every file and gather the cross-file context.
+    std::vector<Unit> units;
+    units.reserve(sources.size());
+    DeclMap decls;
+    std::map<std::string, std::vector<std::string>> bases_of;
+    std::map<std::string, std::vector<IncludeEdge>> includes_of;
+    std::map<std::string, std::string> original_of;
+    for (const SourceFile &src : sources) {
+        Unit u;
+        u.path = src.path;
+        u.scoped = scopedPath(src.path);
+        u.code = codeTokens(lex(src.text));
+        u.includes = collectIncludes(u.code);
+        u.unordered_names = collectUnorderedDecls(u.code);
+        u.classes = collectClassFacts(u.code);
+        u.allows = collectAllows(src.path, src.text);
+        decls[dirOf(u.scoped)].insert(u.unordered_names.begin(),
+                                      u.unordered_names.end());
+        includes_of[u.scoped] = u.includes;
+        original_of[u.scoped] = u.path;
+        for (const ClassFact &cf : u.classes) {
+            auto &bases = bases_of[cf.name];
+            bases.insert(bases.end(), cf.bases.begin(), cf.bases.end());
+        }
+        units.push_back(std::move(u));
+    }
+
+    // Pass 2: the per-file rules, then the include graph over the
+    // whole batch.
+    std::map<std::string, std::vector<Diag>> found;
+    for (const Unit &u : units)
+        checkFile(u, decls[dirOf(u.scoped)], bases_of, found[u.path]);
+    for (const GraphDiag &gd :
+         checkIncludeGraph(includes_of, defaultLayers())) {
+        const std::string &orig = original_of[gd.file];
+        found[orig].push_back({orig, gd.line, gd.rule, gd.msg});
+    }
+
+    // Apply suppressions, merge, sort.
+    std::vector<Diag> all;
+    for (const Unit &u : units) {
+        for (Diag &d : found[u.path])
+            if (!u.allows.allows(d.line, d.rule))
+                all.push_back(std::move(d));
+        all.insert(all.end(), u.allows.malformed.begin(),
+                   u.allows.malformed.end());
+    }
+    auto key = [](const Diag &d) {
+        return std::tie(d.file, d.line, d.rule, d.msg);
+    };
+    std::sort(all.begin(), all.end(),
+              [&](const Diag &a, const Diag &b) {
+                  return key(a) < key(b);
+              });
+    all.erase(std::unique(all.begin(), all.end(),
+                          [&](const Diag &a, const Diag &b) {
+                              return key(a) == key(b);
+                          }),
+              all.end());
+    return all;
+}
 
 std::vector<RuleDoc>
 ruleDocs()
@@ -1061,15 +667,6 @@ ruleDocs()
         {"bench-discipline",
          "bench/bench_*.cc must use cachedContext()/ExperimentRunner "
          "and finish through finishBench()"},
-        {"fastforward-order",
-         "no unordered-container iteration inside "
-         "nextInterestingCycle: the skip-target scan must be "
-         "platform-stable"},
-        {"frontier-order",
-         "no hash containers or wall-clock/random sources in "
-         "event-frontier/interconnect files: the manycore "
-         "scheduler's event and hop ordering must be "
-         "platform-stable"},
         {"header-guard",
          "headers carry the canonical MDP_<PATH>_HH include guard "
          "(no #pragma once)"},
@@ -1079,11 +676,8 @@ ruleDocs()
          "includes must respect tools/lint/layers.txt: no src/ "
          "directory may include a higher layer"},
         {"lint-allow",
-         "a suppression comment must name a rule and give a "
+         "a suppression comment must name a known rule and give a "
          "justification"},
-        {"lockstep-blocking",
-         "no blocking calls or unordered iteration inside runLane "
-         "(the served simulation path) under src/serve/"},
         {"nondet-source",
          "banned nondeterminism sources (wall clocks, random "
          "engines, pids, thread ids) in src/ and bench/"},
@@ -1091,19 +685,21 @@ ruleDocs()
          "a value derived from a nondet source (clock, "
          "reinterpret_cast of a pointer, unordered iteration) must "
          "not reach model or report state"},
+        {"ordered-scope",
+         "no unordered iteration in the model directories, no hash "
+         "containers in event-frontier/interconnect files, and no "
+         "unordered iteration or blocking call in runLane under "
+         "src/serve/"},
         {"policy-ctx-escape",
          "DependencePolicy code must not retain the per-call "
          "LoadIssueContext (no members of that type, no address-of "
          "a context parameter)"},
         {"policy-static-state",
          "DependencePolicy classes must not hold mutable static or "
-         "thread_local state (lockstep lanes share the object)"},
+         "thread_local state (one policy object serves every lane)"},
         {"ptr-order",
          "ordered containers and comparators must not key on "
          "pointer values (std::map<T *, ...>, std::less<T *>)"},
-        {"unordered-iter",
-         "no iteration over unordered containers in the model "
-         "directories; order leaks into state and reports"},
         {"using-namespace-header",
          "no `using namespace` in headers"},
     };
@@ -1116,6 +712,28 @@ ruleNames()
     for (const RuleDoc &r : ruleDocs())
         names.push_back(r.id);
     return names;
+}
+
+const std::vector<OrderedScope> &
+orderedScopes()
+{
+    static const std::vector<OrderedScope> kRows = {
+        {"model code", inModelDir, nullptr, kUnorderedIter,
+         "iteration order is implementation-defined and leaks into "
+         "state and reports; use an ordered container or a sorted "
+         "drain (base/ordered.hh)"},
+        {"frontier/interconnect code", inFrontierFile, nullptr,
+         kHashContainer,
+         "which PE steps when, and how far a value travels, must be "
+         "platform-stable; use the bucket wheel, min-heap or vectors "
+         "with explicit (t, id) ordering"},
+        {"runLane", inServeDir, "runLane",
+         kUnorderedIter | kBlockingCall,
+         "the served simulation path must neither block every lane "
+         "queued behind it nor leak hash order into lane results; do "
+         "I/O and locking in the completion callback"},
+    };
+    return kRows;
 }
 
 std::string
@@ -1161,12 +779,6 @@ codeView(const std::string &text)
     return out;
 }
 
-std::vector<Diag>
-lintSources(const std::vector<SourceFile> &sources)
-{
-    return analyzeSources(sources, 1, "");
-}
-
 std::vector<std::string>
 discoverFiles(const std::string &root)
 {
@@ -1200,91 +812,21 @@ discoverFiles(const std::string &root)
     return out;
 }
 
-std::vector<Diag>
+LintRun
 lintPaths(const std::string &root,
           const std::vector<std::string> &rel_paths)
 {
-    bool ok = false;
-    std::vector<SourceFile> sources = readSources(root, rel_paths, ok);
-    if (!ok)
-        return {{sources[0].path, 0, "lint-allow",
-                 "cannot read file (bad path?)"}};
-    return analyzeSources(sources, 1, "");
-}
-
-std::vector<Diag>
-lintTree(const std::string &root,
-         const std::vector<std::string> &rel_paths,
-         const LintOptions &options)
-{
-    bool ok = false;
-    std::vector<SourceFile> sources = readSources(root, rel_paths, ok);
-    if (!ok)
-        return {{sources[0].path, 0, "lint-allow",
-                 "cannot read file (bad path?)"}};
-    unsigned jobs = options.jobs != 0 ? options.jobs
-                                      : ThreadPool::defaultJobs();
-    return analyzeSources(sources, jobs, options.cache_path);
-}
-
-std::vector<Diag>
-filterRules(const std::vector<Diag> &diags,
-            const std::vector<std::string> &only,
-            const std::vector<std::string> &exclude)
-{
-    std::set<std::string> keep(only.begin(), only.end());
-    std::set<std::string> drop(exclude.begin(), exclude.end());
-    std::vector<Diag> out;
-    for (const Diag &d : diags) {
-        if (!keep.empty() && !keep.count(d.rule))
-            continue;
-        if (drop.count(d.rule))
-            continue;
-        out.push_back(d);
+    std::vector<SourceFile> sources;
+    sources.reserve(rel_paths.size());
+    for (const std::string &rel : rel_paths) {
+        std::ifstream in(fs::path(root) / rel, std::ios::binary);
+        if (!in)
+            return {{}, rel};
+        std::ostringstream buf;
+        buf << in.rdbuf();
+        sources.push_back({rel, buf.str()});
     }
-    return out;
-}
-
-std::string
-writeBaseline(const std::vector<Diag> &diags)
-{
-    std::map<std::pair<std::string, std::string>, int> counts;
-    for (const Diag &d : diags)
-        ++counts[{d.file, d.rule}];
-    std::ostringstream out;
-    out << "# mdp_lint baseline: \"<count> <rule> <file>\" findings "
-           "accepted as existing debt\n";
-    for (const auto &[key, n] : counts)
-        out << n << ' ' << key.second << ' ' << key.first << '\n';
-    return out.str();
-}
-
-std::vector<Diag>
-applyBaseline(const std::vector<Diag> &diags,
-              const std::string &baseline_text)
-{
-    std::map<std::pair<std::string, std::string>, int> budget;
-    std::istringstream in(baseline_text);
-    std::string line;
-    while (std::getline(in, line)) {
-        if (line.empty() || line[0] == '#')
-            continue;
-        std::istringstream ls(line);
-        int n = 0;
-        std::string rule, file;
-        if (ls >> n >> rule >> file)
-            budget[{file, rule}] += n;
-    }
-    std::vector<Diag> out;
-    for (const Diag &d : diags) {
-        auto it = budget.find({d.file, d.rule});
-        if (it != budget.end() && it->second > 0) {
-            --it->second;
-            continue;
-        }
-        out.push_back(d);
-    }
-    return out;
+    return {lintSources(sources), ""};
 }
 
 } // namespace mdp::lint

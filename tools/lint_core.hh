@@ -2,29 +2,30 @@
  * @file
  * Core of mdp_lint, the repo-specific determinism and hygiene linter.
  *
- * Since PR 8 the linter is a real analysis pipeline, not a line
- * scanner: every file is lexed into a comment-, string-, raw-string-
- * and preprocessor-aware token stream (lint/lexer.hh), rules match
+ * The linter is an analysis pipeline, not a line scanner: every file
+ * is lexed into a comment-, string-, raw-string- and
+ * preprocessor-aware token stream (lint/lexer.hh), rules match
  * identifiers and punctuators, an include-graph pass enforces the
  * layering spec (lint/include_graph.hh, tools/lint/layers.txt), an
  * intra-procedural taint pass tracks nondeterminism from source to
  * sink (lint/dataflow.hh), and a purity pass checks the
  * DependencePolicy contract (lint/purity.hh).  Rule ids and their
  * one-line docs live in ruleDocs(); `mdp_lint --list-rules` prints
- * them.
+ * them.  The `ordered-scope` rule is driven by one table,
+ * orderedScopes(): each row names a scope and what code in it may
+ * not do.
  *
- * Suppression: `// mdp-lint: allow(<rule>): <justification>` silences
- * <rule> on its own line and the following line.  The justification
- * is mandatory; an allow without one is itself a diagnostic.
+ * Suppression: a `// mdp-lint:` comment reading
+ * `allow(<rule>): <justification>` silences <rule> on its own line
+ * and the following line.  The justification is mandatory and <rule>
+ * must be a known id; any other allow is itself a diagnostic.
  *
  * Paths under tests/lint_fixtures/ are scoped as if that prefix were
  * absent, so fixtures exercise path-scoped rules (e.g. a fixture at
  * tests/lint_fixtures/src/mdp/x.cc is linted as src/mdp/x.cc).
  *
- * lintTree() is the CLI entry point: file-parallel on the harness
- * ThreadPool with an FNV-content-keyed result cache, so a no-change
- * full-tree lint does not even re-lex.  lintSources()/lintPaths()
- * run the same analysis serially with no cache (what the tests use).
+ * lintSources() lints in-memory files and lintPaths() reads them from
+ * disk first; both run one serial pass over the whole batch.
  */
 
 #ifndef MDP_TOOLS_LINT_CORE_HH
@@ -62,6 +63,35 @@ std::vector<RuleDoc> ruleDocs();
 /** The rule ids the linter can emit (sorted). */
 std::vector<std::string> ruleNames();
 
+/** What an ordered-scope row forbids (bit flags). */
+enum OrderedForbid : unsigned {
+    /** Range-for or .begin() walk over an unordered container. */
+    kUnorderedIter = 1u,
+    /** Naming a hash container type at all. */
+    kHashContainer = 2u,
+    /** A call that can block the calling thread. */
+    kBlockingCall = 4u,
+};
+
+/**
+ * One row of the ordered-scope table: code in files whose scoped
+ * path satisfies @c contains -- restricted to the bodies of
+ * @c function when it is set -- may not do what @c forbid names.
+ */
+struct OrderedScope {
+    /** How diagnostics name the scope. */
+    const char *where;
+    bool (*contains)(const std::string &scoped_path);
+    /** Only definitions of this function; nullptr = whole file. */
+    const char *function;
+    unsigned forbid;
+    /** Why the scope must stay ordered, and what to do instead. */
+    const char *why;
+};
+
+/** The ordered-scope rule's table. */
+const std::vector<OrderedScope> &orderedScopes();
+
 /** Canonical include guard for a root-relative header path. */
 std::string expectedGuard(const std::string &rel_path);
 
@@ -73,9 +103,9 @@ std::string expectedGuard(const std::string &rel_path);
 std::string codeView(const std::string &text);
 
 /**
- * Lint a set of sources as one unit.  Cross-file context —
+ * Lint a set of sources as one unit.  Cross-file context --
  * unordered-container declarations per directory, the include graph,
- * the class hierarchy for policy resolution — is built across the
+ * the class hierarchy for policy resolution -- is built across the
  * whole set.  Diagnostics come back sorted by (file, line, rule).
  */
 std::vector<Diag> lintSources(const std::vector<SourceFile> &sources);
@@ -88,45 +118,17 @@ std::vector<Diag> lintSources(const std::vector<SourceFile> &sources);
  */
 std::vector<std::string> discoverFiles(const std::string &root);
 
-/** Read the given root-relative paths and lint them. */
-std::vector<Diag> lintPaths(const std::string &root,
-                            const std::vector<std::string> &rel_paths);
-
-/** Knobs for the parallel, cached tree lint. */
-struct LintOptions {
-    /** Worker threads; 0 means ThreadPool::defaultJobs(). */
-    unsigned jobs = 0;
-    /** On-disk result cache path; empty disables caching. */
-    std::string cache_path;
+/** The outcome of linting files read from disk. */
+struct LintRun {
+    std::vector<Diag> diags;
+    /** The first path that could not be read; when set, nothing was
+     *  linted and diags is empty. */
+    std::string unreadable;
 };
 
-/**
- * Lint @p rel_paths under @p root, file-parallel, reusing and
- * refreshing the result cache at options.cache_path.  Identical
- * output to lintPaths() on the same inputs.
- */
-std::vector<Diag> lintTree(const std::string &root,
-                           const std::vector<std::string> &rel_paths,
-                           const LintOptions &options);
-
-/**
- * Keep only diagnostics selected by --rule/--exclude-rule: when
- * @p only is non-empty, a diag's rule must be in it; rules in
- * @p exclude are always dropped.
- */
-std::vector<Diag> filterRules(const std::vector<Diag> &diags,
-                              const std::vector<std::string> &only,
-                              const std::vector<std::string> &exclude);
-
-/**
- * Baseline support (--write-baseline / --baseline): a baseline
- * records how many findings of each (file, rule) pair are accepted;
- * comparing returns only findings beyond the accepted count, so new
- * debt fails while the recorded debt does not.
- */
-std::string writeBaseline(const std::vector<Diag> &diags);
-std::vector<Diag> applyBaseline(const std::vector<Diag> &diags,
-                                const std::string &baseline_text);
+/** Read the given root-relative paths and lint them as one unit. */
+LintRun lintPaths(const std::string &root,
+                  const std::vector<std::string> &rel_paths);
 
 } // namespace mdp::lint
 

@@ -8,41 +8,26 @@
  * Options:
  *   --root DIR            repo root (default: current directory)
  *   --list-rules          print every rule id with its one-line doc
- *   --rule ID             report only this rule (repeatable)
- *   --exclude-rule ID     drop this rule from the report (repeatable)
  *   --sarif PATH          also write a SARIF 2.1.0 report ('-' =
  *                         stdout)
- *   --baseline PATH       subtract the findings recorded in PATH;
- *                         only new findings count
- *   --write-baseline PATH record current findings as accepted debt
- *   --jobs N              analysis threads (default: MDP_JOBS or
- *                         hardware concurrency)
- *   --cache PATH          result-cache file (default:
- *                         <root>/build/.mdp_lint_cache when build/
- *                         exists)
- *   --no-cache            disable the result cache
+ *   --help                print usage and exit
  *
  * With no files, lints the default set (src/, bench/, tools/,
  * tests/, examples/ minus tests/lint_fixtures).  When files ARE
- * given, the whole default set is still analyzed — cross-file rules
+ * given, the whole default set is still analyzed -- cross-file rules
  * (layering, cycles, policy resolution, per-directory container
- * declarations) need it — but only diagnostics in the named files
- * are reported.  That is what makes a changed-files-only CI fast
- * path sound.
+ * declarations) need it -- but only diagnostics in the named files
+ * are reported.
  *
  * Exit codes: 0 clean, 1 findings, 2 usage or I/O error.  See
- * tools/lint_core.hh for the rule set and the
- * `// mdp-lint: allow(<rule>): <why>` suppression syntax.
+ * tools/lint_core.hh for the rule set and the suppression syntax.
  */
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -61,30 +46,16 @@ usageError(const char *msg, const char *arg)
     return 2;
 }
 
-bool
-knownRule(const std::string &id)
-{
-    for (const std::string &r : mdp::lint::ruleNames())
-        if (r == id)
-            return true;
-    return false;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    namespace fs = std::filesystem;
     using mdp::lint::Diag;
 
     std::string root = ".";
     std::vector<std::string> files;
-    std::vector<std::string> only_rules, exclude_rules;
-    std::string sarif_path, baseline_path, write_baseline_path;
-    std::string cache_path;
-    bool no_cache = false;
-    unsigned jobs = 0;
+    std::string sarif_path;
 
     auto needValue = [&](int &i) -> const char * {
         return i + 1 < argc ? argv[++i] : nullptr;
@@ -102,54 +73,15 @@ main(int argc, char **argv)
                 std::printf("%-24s %s\n", r.id.c_str(),
                             r.doc.c_str());
             return 0;
-        } else if (std::strcmp(a, "--rule") == 0) {
-            const char *v = needValue(i);
-            if (!v || !knownRule(v))
-                return usageError("--rule needs a known rule id", v);
-            only_rules.push_back(v);
-        } else if (std::strcmp(a, "--exclude-rule") == 0) {
-            const char *v = needValue(i);
-            if (!v || !knownRule(v))
-                return usageError(
-                    "--exclude-rule needs a known rule id", v);
-            exclude_rules.push_back(v);
         } else if (std::strcmp(a, "--sarif") == 0) {
             const char *v = needValue(i);
             if (!v)
                 return usageError("--sarif needs a path", nullptr);
             sarif_path = v;
-        } else if (std::strcmp(a, "--baseline") == 0) {
-            const char *v = needValue(i);
-            if (!v)
-                return usageError("--baseline needs a path", nullptr);
-            baseline_path = v;
-        } else if (std::strcmp(a, "--write-baseline") == 0) {
-            const char *v = needValue(i);
-            if (!v)
-                return usageError("--write-baseline needs a path",
-                                  nullptr);
-            write_baseline_path = v;
-        } else if (std::strcmp(a, "--jobs") == 0) {
-            const char *v = needValue(i);
-            int n = v ? std::atoi(v) : 0;
-            if (n <= 0)
-                return usageError("--jobs needs a positive count",
-                                  v);
-            jobs = static_cast<unsigned>(n);
-        } else if (std::strcmp(a, "--cache") == 0) {
-            const char *v = needValue(i);
-            if (!v)
-                return usageError("--cache needs a path", nullptr);
-            cache_path = v;
-        } else if (std::strcmp(a, "--no-cache") == 0) {
-            no_cache = true;
         } else if (std::strcmp(a, "--help") == 0) {
             std::printf(
-                "usage: mdp_lint [--root DIR] [--list-rules]\n"
-                "                [--rule ID] [--exclude-rule ID]\n"
-                "                [--sarif PATH] [--baseline PATH]\n"
-                "                [--write-baseline PATH] [--jobs N]\n"
-                "                [--cache PATH] [--no-cache]\n"
+                "usage: mdp_lint [--root DIR] [--list-rules] "
+                "[--sarif PATH] [--help]\n"
                 "                [file...]\n"
                 "exit codes: 0 clean, 1 findings, 2 usage/IO "
                 "error\n");
@@ -183,61 +115,16 @@ main(int argc, char **argv)
         return 2;
     }
 
-    mdp::lint::LintOptions options;
-    options.jobs = jobs;
-    if (!no_cache) {
-        if (!cache_path.empty())
-            options.cache_path = cache_path;
-        else if (fs::is_directory(fs::path(root) / "build"))
-            options.cache_path =
-                (fs::path(root) / "build" / ".mdp_lint_cache")
-                    .string();
-    }
-
-    std::vector<Diag> diags =
-        mdp::lint::lintTree(root, analyze, options);
-    if (diags.size() == 1 && diags[0].line == 0 &&
-        diags[0].rule == "lint-allow") {
-        std::fprintf(stderr, "mdp_lint: %s: %s\n",
-                     diags[0].file.c_str(), diags[0].msg.c_str());
+    mdp::lint::LintRun run = mdp::lint::lintPaths(root, analyze);
+    if (!run.unreadable.empty()) {
+        std::fprintf(stderr, "mdp_lint: cannot read %s\n",
+                     run.unreadable.c_str());
         return 2;
     }
-
-    diags = mdp::lint::filterRules(diags, only_rules, exclude_rules);
-    if (!report_filter.empty()) {
-        std::vector<Diag> kept;
-        for (Diag &d : diags)
-            if (report_filter.count(d.file))
-                kept.push_back(std::move(d));
-        diags = std::move(kept);
-    }
-
-    if (!write_baseline_path.empty()) {
-        std::ofstream out(write_baseline_path, std::ios::trunc);
-        if (!out) {
-            std::fprintf(stderr,
-                         "mdp_lint: cannot write baseline %s\n",
-                         write_baseline_path.c_str());
-            return 2;
-        }
-        out << mdp::lint::writeBaseline(diags);
-        std::printf("mdp_lint: baseline with %zu finding(s) "
-                    "written to %s\n",
-                    diags.size(), write_baseline_path.c_str());
-        return 0;
-    }
-    if (!baseline_path.empty()) {
-        std::ifstream in(baseline_path);
-        if (!in) {
-            std::fprintf(stderr,
-                         "mdp_lint: cannot read baseline %s\n",
-                         baseline_path.c_str());
-            return 2;
-        }
-        std::ostringstream buf;
-        buf << in.rdbuf();
-        diags = mdp::lint::applyBaseline(diags, buf.str());
-    }
+    std::vector<Diag> diags;
+    for (Diag &d : run.diags)
+        if (report_filter.empty() || report_filter.count(d.file))
+            diags.push_back(std::move(d));
 
     if (!sarif_path.empty()) {
         std::vector<mdp::lint::SarifRule> rules;
@@ -265,9 +152,7 @@ main(int argc, char **argv)
         std::printf("%s:%d: [%s] %s\n", d.file.c_str(), d.line,
                     d.rule.c_str(), d.msg.c_str());
     if (diags.empty()) {
-        std::printf("mdp_lint: %zu files clean%s\n", analyze.size(),
-                    baseline_path.empty() ? ""
-                                          : " (after baseline)");
+        std::printf("mdp_lint: %zu files clean\n", analyze.size());
         return 0;
     }
     std::fprintf(stderr,
