@@ -47,7 +47,7 @@ target_link_libraries(bench_manycore_scaling PRIVATE mdp_workloads)
 
 # Microbenchmarks: deterministic kernels over the hot structures and
 # cycle loops, reporting per-kernel wall time as micro_* phases in the
-# standard JSON artifact (tools/bench_summary.py --micro / --compare).
+# standard JSON artifact (gated by tools/bench_gate.py micro).
 # The micro_ prefix keeps them out of the bench_* shape-check globs.
 function(mdp_add_micro name)
     add_executable(${name} ${MDP_BENCH_DIR}/micro/${name}.cc)

@@ -14,8 +14,8 @@
  * Deterministic stdout: every table value derives from simulator
  * state (IPC, violations, forwarding hops, cycle counts).  Wall-clock
  * lands only in the JSON artifact's phase_seconds (one sim_<pes>pe_
- * <topo> phase per sweep group), which bench_summary.py --trend turns
- * into sim-seconds per million simulated cycles.
+ * <topo> phase per sweep group); bench/perf's manycore1024 workload
+ * is the host-time benchmark of this model.
  */
 
 #include <iostream>

@@ -12,7 +12,7 @@
  * Wall time never enters the table (tables stay byte-stable); the best
  * repetition is accumulated as phase "micro_<kernel>" and lands in the
  * standard JSON artifact (MDP_JSON_OUT), where
- * tools/bench_summary.py --compare gates per-kernel regressions.
+ * tools/bench_gate.py micro gates per-kernel regressions.
  *
  * MDP_MICRO_REPS: repetitions per kernel (default 3).  The minimum is
  * reported; it is the repetition least disturbed by the scheduler.

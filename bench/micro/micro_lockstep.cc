@@ -6,7 +6,7 @@
  * runMultiscalar() calls and once through LockstepEvaluator, with a
  * completion sink folding each lane as it finishes (the way the
  * server streams results).  The phase timings land in the JSON
- * artifact as micro_sweep_* so bench_summary.py --compare gates both
+ * artifact as micro_sweep_* so bench_gate.py micro gates both
  * paths, and the wall-time gap between them is what the shared
  * context and lane pool save.
  *

@@ -21,10 +21,11 @@
  * millions of cycles do not walk buckets.
  *
  * Determinism: iteration never touches a hash container or any
- * wall-clock/random source (mdp_lint rule `frontier-order` enforces
- * this); ties are broken by id, and popDue() emits due ids in a
- * deterministic order.  The timing model additionally sorts the due
- * set into ring order, so no container order can leak into results.
+ * wall-clock/random source (mdp_lint rules `ordered-scope` and
+ * `nondet-source` enforce this); ties are broken by id, and popDue()
+ * emits due ids in a deterministic order.  The timing model
+ * additionally sorts the due set into ring order, so no container
+ * order can leak into results.
  */
 
 #ifndef MDP_BASE_EVENT_FRONTIER_HH

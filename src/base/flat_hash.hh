@@ -11,7 +11,7 @@
  * Determinism by construction: this container exposes NO iteration
  * API (no begin/end, no visitation), so probe order and rehash layout
  * can never leak into simulation state or report rows -- the property
- * the mdp-lint `unordered-iter` rule protects.  Callers that need an
+ * the mdp-lint `ordered-scope` rule protects.  Callers that need an
  * ordered read-out must maintain their own key list.
  *
  * Deletion uses backward-shift (no tombstones), so lookup cost stays

@@ -4,7 +4,7 @@
  *
  * Hash-map iteration order is implementation-defined, so model and
  * stats code must never let it leak into simulation state, report
- * rows, or accumulation order (mdp_lint rule `unordered-iter`).
+ * rows, or accumulation order (mdp_lint rule `ordered-scope`).
  * When a hash map is the right structure for the hot path, drain it
  * through these helpers at the (cold) read-out point: they copy the
  * elements and sort by key, giving every consumer a reproducible

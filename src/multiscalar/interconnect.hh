@@ -14,8 +14,8 @@
  *
  * The hop formulas are inline free functions; the processor
  * dispatches on the topology enum.  They are pure integer functions of
- * the endpoints; the `frontier-order` lint rule keeps wall-clock and
- * hash-order sources out of this file.
+ * the endpoints; the `ordered-scope` lint rule keeps hash containers,
+ * and `nondet-source` wall-clock sources, out of this file.
  */
 
 #ifndef MDP_MULTISCALAR_INTERCONNECT_HH
