@@ -61,6 +61,4 @@ mdp_add_micro(micro_mdpt)
 mdp_add_micro(micro_mdst)
 mdp_add_micro(micro_oracle)
 mdp_add_micro(micro_model_cycle)
-mdp_add_micro(micro_lockstep)
 mdp_add_micro(micro_frontier)
-target_link_libraries(micro_lockstep PRIVATE mdp_serve)

@@ -17,52 +17,20 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 namespace mdp
 {
 
-class LanePool;
-
 /**
  * The per-op state pool: completion-time and status-flag lanes of one
- * fixed size, zero-initialized.  Move-only (an OpLanes may own
- * buffers borrowed from a LanePool, returned at destruction).
+ * fixed size, zero-initialized.
  */
 class OpLanes
 {
   public:
-    OpLanes() = default;
-
-    /** @param n pool size; @param pool optional recycling arena the
-     *  lane buffers are borrowed from and returned to. */
-    explicit OpLanes(size_t n, LanePool *pool = nullptr);
-
-    ~OpLanes();
-
-    OpLanes(const OpLanes &) = delete;
-    OpLanes &operator=(const OpLanes &) = delete;
-
-    OpLanes(OpLanes &&other) noexcept
-        : doneLane(std::move(other.doneLane)),
-          flagsLane(std::move(other.flagsLane)), pool(other.pool)
-    {
-        other.pool = nullptr;
-    }
-
-    OpLanes &
-    operator=(OpLanes &&other) noexcept
-    {
-        if (this != &other) {
-            releaseToPool();
-            doneLane = std::move(other.doneLane);
-            flagsLane = std::move(other.flagsLane);
-            pool = other.pool;
-            other.pool = nullptr;
-        }
-        return *this;
-    }
+    /** @param n pool size. */
+    explicit OpLanes(size_t n) : doneLane(n, 0), flagsLane(n, 0) {}
 
     size_t size() const { return doneLane.size(); }
 
@@ -125,84 +93,9 @@ class OpLanes
     FlagsView flagsView() const { return FlagsView(flagsLane.data()); }
 
   private:
-    friend class LanePool;
-
-    void releaseToPool();
-
     std::vector<uint64_t> doneLane;
     std::vector<uint16_t> flagsLane;
-    LanePool *pool = nullptr;
 };
-
-/**
- * Recycling arena for OpLanes buffers.  The lockstep multi-config
- * evaluator builds one processor per lane over the same trace; every
- * lane's state pool has the same size, so recycling the backing
- * vectors across lane construction/teardown keeps the one-pass sweep
- * allocation-flat.  Not thread-safe: a pool must only be used from
- * the thread that owns the evaluator, and it must outlive every
- * OpLanes borrowed from it.
- */
-class LanePool
-{
-  public:
-    /** Fill @p lanes with zeroed buffers of size @p n, reusing cached
-     *  capacity when available. */
-    void
-    acquire(size_t n, OpLanes &lanes)
-    {
-        if (!doneFree.empty()) {
-            lanes.doneLane = std::move(doneFree.back());
-            doneFree.pop_back();
-        }
-        lanes.doneLane.assign(n, 0);
-        if (!flagsFree.empty()) {
-            lanes.flagsLane = std::move(flagsFree.back());
-            flagsFree.pop_back();
-        }
-        lanes.flagsLane.assign(n, 0);
-        lanes.pool = this;
-    }
-
-    /** Take a lane's buffers back into the free lists. */
-    void
-    recycle(std::vector<uint64_t> &&done, std::vector<uint16_t> &&flags)
-    {
-        doneFree.push_back(std::move(done));
-        flagsFree.push_back(std::move(flags));
-    }
-
-    /** Cached buffer pairs (for tests). */
-    size_t cached() const { return doneFree.size(); }
-
-  private:
-    std::vector<std::vector<uint64_t>> doneFree;
-    std::vector<std::vector<uint16_t>> flagsFree;
-};
-
-inline OpLanes::OpLanes(size_t n, LanePool *lane_pool)
-{
-    if (lane_pool) {
-        lane_pool->acquire(n, *this);
-    } else {
-        doneLane.assign(n, 0);
-        flagsLane.assign(n, 0);
-    }
-}
-
-inline void
-OpLanes::releaseToPool()
-{
-    if (pool) {
-        pool->recycle(std::move(doneLane), std::move(flagsLane));
-        pool = nullptr;
-    }
-}
-
-inline OpLanes::~OpLanes()
-{
-    releaseToPool();
-}
 
 } // namespace mdp
 

@@ -1,10 +1,136 @@
 #include "harness/sim_stats.hh"
 
+#include <cmath>
+#include <utility>
+
 #include "base/table.hh"
+#include "harness/experiment.hh"
 #include "harness/report.hh"
+#include "mdp/dep_policy.hh"
+#include "workloads/suites.hh"
 
 namespace mdp
 {
+
+namespace
+{
+
+/** A name RunSpec's model, org or tags field accepts, with the enum
+ *  value it selects (models dispatch on the name itself). */
+struct SpecName
+{
+    const char *field;
+    const char *name;
+    int value;
+};
+
+constexpr SpecName kSpecNames[] = {
+    {"model", "multiscalar", 0},
+    {"model", "ooo", 0},
+    {"org", "combined", static_cast<int>(SyncOrganization::Combined)},
+    {"org", "split", static_cast<int>(SyncOrganization::Split)},
+    {"org", "distributed",
+     static_cast<int>(SyncOrganization::Distributed)},
+    {"tags", "distance", static_cast<int>(TagScheme::Distance)},
+    {"tags", "address", static_cast<int>(TagScheme::Address)},
+};
+
+const SpecName *
+findSpecName(const std::string &field, const std::string &name)
+{
+    for (const SpecName &n : kSpecNames)
+        if (field == n.field && name == n.name)
+            return &n;
+    return nullptr;
+}
+
+/** The enum a checked spec's @p name selects for @p field. */
+template <typename E>
+E
+specEnum(const std::string &field, const std::string &name)
+{
+    return static_cast<E>(findSpecName(field, name)->value);
+}
+
+} // namespace
+
+std::string
+specChoices(const std::string &field)
+{
+    std::string out;
+    for (const SpecName &n : kSpecNames) {
+        if (field != n.field)
+            continue;
+        if (!out.empty())
+            out += '|';
+        out += n.name;
+    }
+    return out;
+}
+
+std::string
+checkRunSpec(const RunSpec &spec)
+{
+    if (!hasWorkload(spec.workload))
+        return "unknown workload '" + spec.workload +
+               "' (mdp_sim --list prints the registry)";
+    if (!(spec.scale > 0.0) || !std::isfinite(spec.scale))
+        return "scale must be a positive number (got " +
+               formatDouble(spec.scale, 6) + ")";
+    const std::pair<const char *, const std::string *> names[] = {
+        {"model", &spec.model}, {"org", &spec.org}, {"tags", &spec.tags}};
+    for (const auto &[field, name] : names)
+        if (!findSpecName(field, *name))
+            return "unknown " + std::string(field) + " '" + *name +
+                   "' (" + specChoices(field) + ")";
+    if (!knownDependencePolicy(spec.policy))
+        return "unknown policy '" + spec.policy +
+               "' (mdp_sim --list-policies prints the registry)";
+    if (spec.stages < 1 || spec.stages > kMaxStages)
+        return "stages must be in 1.." + std::to_string(kMaxStages) +
+               " (got " + std::to_string(spec.stages) + ")";
+    if (spec.entries < 1)
+        return "entries must be >= 1 (got 0)";
+    if (spec.window < 1)
+        return "window must be >= 1 (got 0)";
+    return "";
+}
+
+const WorkloadContext &
+specContext(const RunSpec &spec, std::unique_ptr<WorkloadContext> &owned)
+{
+    if (spec.seed == 0)
+        return cachedContext(spec.workload, spec.scale);
+    const Workload &w = findWorkload(spec.workload);
+    owned = std::make_unique<WorkloadContext>(
+        w.generate(spec.scale, spec.seed),
+        w.profile().taskMispredictRate);
+    return *owned;
+}
+
+StatGroup
+runSpec(const WorkloadContext &ctx, const RunSpec &spec)
+{
+    const auto org = specEnum<SyncOrganization>("org", spec.org);
+    const auto tags = specEnum<TagScheme>("tags", spec.tags);
+    if (spec.model == "ooo") {
+        OooConfig cfg;
+        cfg.windowSize = spec.window;
+        cfg.policyName = spec.policy;
+        cfg.sync.numEntries = spec.entries;
+        cfg.sync.tags = tags;
+        cfg.organization = org;
+        return oooStats(runOoo(ctx, cfg));
+    }
+    MultiscalarConfig cfg =
+        makeMultiscalarConfig(ctx, spec.stages, spec.policy);
+    cfg.sync.numEntries = spec.entries;
+    cfg.sync.tags = tags;
+    cfg.organization = org;
+    if (spec.preload)
+        cfg.preloadEdges = analyzeStaticEdges(ctx);
+    return multiscalarStats(runMultiscalar(ctx, cfg));
+}
 
 StatGroup
 multiscalarStats(const SimResult &r)

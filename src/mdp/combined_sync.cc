@@ -168,12 +168,15 @@ CombinedSyncUnit::loadReady(Addr ldpc, Addr addr, uint64_t instance,
             // re-execution must still find the flag set, or it would
             // wait for a signal that will never be repeated.  Stale
             // flags age out via oldest-first scavenging.
+            //
+            // The synchronization succeeded (merely early), so the
+            // edge is strengthened, not weakened: the paper argues the
+            // entry is still useful, and edges whose stores usually
+            // win the race would otherwise see only weakens and decay
+            // into a mis-speculation spiral.
             res.fullBypass = true;
             ++st.fullBypasses;
-            if (cfg.weakenOnFullBypass)
-                mdpt.weaken(idx);
-            else if (cfg.strengthenOnFullBypass)
-                mdpt.strengthen(idx);
+            mdpt.strengthen(idx);
         } else if (s) {
             // A waiting slot already exists for this instance.  A
             // stale ldid can only belong to a squashed prior attempt;
@@ -229,8 +232,8 @@ CombinedSyncUnit::storeReady(Addr stpc, Addr addr, uint64_t instance,
             s->full = true;
             s->storeId = store_id;
             ++st.signalsDelivered;
-            if (cfg.strengthenOnSyncSuccess)
-                mdpt.strengthen(idx);
+            // The sync avoided a likely mis-speculation.
+            mdpt.strengthen(idx);
             if (waiting != kNoLoad && !pending.count(waiting))
                 wakeups.push_back(waiting);
         } else if (s) {
@@ -279,13 +282,10 @@ CombinedSyncUnit::frontierRelease(LoadId ldid)
     for (uint32_t e : entryBuf) {
         for (Slot &s : slots[e]) {
             if (s.valid && !s.full && s.ldid == ldid) {
-                // The predicted store never came: false dependence.
-                if (cfg.weakenOnFrontierRelease) {
-                    for (unsigned w = 0; w < cfg.frontierReleasePenalty;
-                         ++w) {
-                        mdpt.weaken(e);
-                    }
-                }
+                // The predicted store never came: false dependence,
+                // so weaken the predictor behind it.
+                for (unsigned w = 0; w < cfg.frontierReleasePenalty; ++w)
+                    mdpt.weaken(e);
                 detach(s);
                 invalidateSlot(e, s);
                 ++st.frontierReleases;

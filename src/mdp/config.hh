@@ -80,32 +80,12 @@ struct SyncUnitConfig
      *  single increment (ablation knob; the paper's counter is +/-1). */
     bool saturateOnMisspec = false;
 
-    /** Weaken the predictor when a waiting load is released because
-     *  all prior stores resolved without a signal (a false dependence
-     *  prediction). */
-    bool weakenOnFrontierRelease = true;
-
-    /** How many counter steps a frontier release subtracts.  False
-     *  waits are far more expensive than successful synchronizations
-     *  are valuable (the load stalls for the whole store frontier), so
-     *  the update is asymmetric: edges that frequently fail to signal
-     *  decay back to speculation. */
+    /** How many counter steps a frontier release (a false dependence
+     *  prediction) subtracts.  False waits are far more expensive than
+     *  successful synchronizations are valuable (the load stalls for
+     *  the whole store frontier), so the update is asymmetric: edges
+     *  that frequently fail to signal decay back to speculation. */
     unsigned frontierReleasePenalty = 2;
-
-    /** Weaken when a load finds a pre-set full flag (store had already
-     *  executed; the sync imposed no delay).  The paper argues the
-     *  entry is still useful, so this defaults off. */
-    bool weakenOnFullBypass = false;
-
-    /** Strengthen when a signal releases a waiting load (the sync
-     *  avoided a likely mis-speculation). */
-    bool strengthenOnSyncSuccess = true;
-
-    /** Strengthen when a load consumes a pre-set full flag: the
-     *  synchronization succeeded (merely early).  Without this, edges
-     *  whose stores usually win the race see only weakens and decay
-     *  into a mis-speculation spiral. */
-    bool strengthenOnFullBypass = true;
 
     PredictorKind predictor = PredictorKind::Counter;
     TagScheme tags = TagScheme::Distance;

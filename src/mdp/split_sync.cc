@@ -79,13 +79,11 @@ SplitSyncUnit::loadReady(Addr ldpc, Addr addr, uint64_t instance,
         int slot = mdst.find(e.ldpc, e.stpc, tag);
         if (slot >= 0 && mdst.entry(slot).full) {
             // Keep the flag set (see the combined organization): a
-            // squashed-and-reexecuted load must still find it.
+            // squashed-and-reexecuted load must still find it.  The
+            // early signal is a success, so strengthen, as there.
             res.fullBypass = true;
             ++st.fullBypasses;
-            if (cfg.weakenOnFullBypass)
-                mdpt.weaken(idx);
-            else if (cfg.strengthenOnFullBypass)
-                mdpt.strengthen(idx);
+            mdpt.strengthen(idx);
         } else if (slot >= 0) {
             const Mdst::Entry &se = mdst.entry(slot);
             if (se.ldid != ldid) {
@@ -144,8 +142,8 @@ SplitSyncUnit::storeReady(Addr stpc, Addr addr, uint64_t instance,
             mdst.setStid(slot, store_id);
             mdst.signal(slot);
             ++st.signalsDelivered;
-            if (cfg.strengthenOnSyncSuccess)
-                mdpt.strengthen(idx);
+            // The sync avoided a likely mis-speculation.
+            mdpt.strengthen(idx);
             if (waiting != kNoLoad) {
                 unpend(waiting);
                 if (!pending.count(waiting))
@@ -193,19 +191,18 @@ SplitSyncUnit::frontierRelease(LoadId ldid)
     std::vector<uint32_t> waiting;
     mdst.waitingFor(ldid, waiting);
     for (uint32_t slot : waiting) {
-        // Weaken the predictor entry behind the false prediction.
+        // The predicted store never came: weaken the predictor
+        // entry behind the false dependence prediction.
         const Mdst::Entry &se = mdst.entry(slot);
-        if (cfg.weakenOnFrontierRelease) {
-            matchBuf.clear();
-            mdpt.lookupLoad(se.ldpc, matchBuf);
-            for (uint32_t idx : matchBuf) {
-                if (mdpt.entry(idx).stpc == se.stpc) {
-                    for (unsigned w = 0; w < cfg.frontierReleasePenalty;
-                         ++w) {
-                        mdpt.weaken(idx);
-                    }
-                    break;
+        matchBuf.clear();
+        mdpt.lookupLoad(se.ldpc, matchBuf);
+        for (uint32_t idx : matchBuf) {
+            if (mdpt.entry(idx).stpc == se.stpc) {
+                for (unsigned w = 0; w < cfg.frontierReleasePenalty;
+                     ++w) {
+                    mdpt.weaken(idx);
                 }
+                break;
             }
         }
         mdst.free(slot);

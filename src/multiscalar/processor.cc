@@ -27,10 +27,9 @@ validatedConfig(const MultiscalarConfig &config)
 MultiscalarProcessor::MultiscalarProcessor(const TraceView &trace,
                                            const DepOracle &dep_oracle,
                                            const TaskSet &task_set,
-                                           const MultiscalarConfig &config,
-                                           LanePool *pool)
+                                           const MultiscalarConfig &config)
     : trc(trace), oracle(dep_oracle), tasks(task_set),
-      cfg(validatedConfig(config)), state(trace.size(), pool),
+      cfg(validatedConfig(config)), state(trace.size()),
       taskRun(task_set.numTasks()), stages(config.numStages),
       readyAt(trace.size()), memsys(config), peFrontier(config.numStages),
       dueBits((config.numStages + 63) / 64, 0),

@@ -42,12 +42,9 @@ namespace mdp
 class MultiscalarProcessor : public TaskPcSource
 {
   public:
-    /** @param pool optional recycling arena for the state lanes (the
-     *  lockstep evaluator shares one across its lanes). */
     MultiscalarProcessor(const TraceView &trace, const DepOracle &oracle,
                          const TaskSet &tasks,
-                         const MultiscalarConfig &config,
-                         LanePool *pool = nullptr);
+                         const MultiscalarConfig &config);
     ~MultiscalarProcessor() override;
 
     /**

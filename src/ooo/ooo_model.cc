@@ -1,6 +1,7 @@
 #include "ooo/ooo_model.hh"
 
 #include <algorithm>
+#include <utility>
 
 #include "base/flat_hash.hh"
 #include "base/logging.hh"
@@ -10,11 +11,43 @@
 namespace mdp
 {
 
+void
+validateOooConfig(const OooConfig &cfg)
+{
+    const std::pair<const char *, unsigned> counts[] = {
+        {"windowSize", cfg.windowSize},
+        {"fetchWidth", cfg.fetchWidth},
+        {"issueWidth", cfg.issueWidth},
+        {"commitWidth", cfg.commitWidth},
+        {"simpleIntFUs", cfg.simpleIntFUs},
+        {"complexIntFUs", cfg.complexIntFUs},
+        {"fpFUs", cfg.fpFUs},
+        {"branchFUs", cfg.branchFUs},
+        {"memPorts", cfg.memPorts},
+    };
+    for (const auto &[name, value] : counts)
+        if (value < 1)
+            mdp_fatal("%s must be >= 1 (got %u)", name, value);
+}
+
+namespace
+{
+
+/** Ctor-init-list hook, as in the Multiscalar processor. */
+const OooConfig &
+validatedConfig(const OooConfig &config)
+{
+    validateOooConfig(config);
+    return config;
+}
+
+} // namespace
+
 OooProcessor::OooProcessor(const TraceView &trace,
                            const DepOracle &dep_oracle,
-                           const OooConfig &config, LanePool *pool)
-    : trc(trace), oracle(dep_oracle), cfg(config),
-      state(trace.size(), pool), instanceOf(trace.size(), 0),
+                           const OooConfig &config)
+    : trc(trace), oracle(dep_oracle), cfg(validatedConfig(config)),
+      state(trace.size()), instanceOf(trace.size(), 0),
       capCycle(config.maxCycles
                    ? config.maxCycles
                    : 1000 + static_cast<uint64_t>(trace.size()) * 60)

@@ -59,6 +59,15 @@ struct OooConfig
     uint64_t maxCycles = 0;
 };
 
+/**
+ * Validate the window, widths, FU counts and memory ports (each must
+ * be >= 1), mdp_fatal (exit 1) with a precise message on the first
+ * violation.  The OooProcessor constructor runs this, so a config
+ * that could never commit an op fails instead of running to the
+ * cycle cap.
+ */
+void validateOooConfig(const OooConfig &cfg);
+
 /** Results of one superscalar run. */
 struct OooResult
 {
@@ -91,10 +100,9 @@ struct OooResult
 class OooProcessor
 {
   public:
-    /** @param pool optional recycling arena for the state lanes (the
-     *  lockstep evaluator shares one across its lanes). */
+    /** Fatal on a config validateOooConfig() rejects. */
     OooProcessor(const TraceView &trace, const DepOracle &oracle,
-                 const OooConfig &config, LanePool *pool = nullptr);
+                 const OooConfig &config);
     ~OooProcessor();
 
     /**

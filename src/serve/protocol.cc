@@ -4,9 +4,6 @@
 #include <cctype>
 #include <cmath>
 
-#include "mdp/dep_policy.hh"
-#include "workloads/suites.hh"
-
 namespace mdp::serve
 {
 
@@ -18,14 +15,6 @@ validIdChar(char c)
 {
     return std::isalnum(static_cast<unsigned char>(c)) || c == '.' ||
            c == '_' || c == '-' || c == ':';
-}
-
-bool
-validPolicy(const std::string &s)
-{
-    // Any registered dependence policy is accepted, so the serve
-    // protocol and mdp_sim --policy stay in lockstep automatically.
-    return knownDependencePolicy(s);
 }
 
 /** Extract a non-negative integral number; false on any mismatch. */
@@ -114,39 +103,26 @@ parseMessage(const std::string &line)
     }
 
     for (const auto &[key, value] : doc.members()) {
+        // Names are checked by checkRunSpec below; here only types.
+        std::string *name = key == "workload" ? &req.workload
+                            : key == "model"  ? &req.model
+                            : key == "policy" ? &req.policy
+                            : key == "org"    ? &req.org
+                            : key == "tags"   ? &req.tags
+                                              : nullptr;
         if (key == "id") {
             continue;
-        } else if (key == "workload") {
+        } else if (name) {
             if (value.kind() != JsonValue::Kind::String)
-                return invalid("'workload' must be a string", req.id);
-            req.workload = value.asString();
-            if (!hasWorkload(req.workload))
-                return invalid("unknown workload '" + req.workload +
-                                   "'",
-                               req.id);
-            have_workload = true;
+                return invalid("'" + key + "' must be a string", req.id);
+            *name = value.asString();
+            have_workload |= key == "workload";
         } else if (key == "scale") {
             if (value.kind() != JsonValue::Kind::Number)
                 return invalid("'scale' must be a number", req.id);
             req.scale = value.asNumber();
             if (!(req.scale > 0.0) || req.scale > 4.0)
                 return invalid("'scale' must be in (0, 4]", req.id);
-        } else if (key == "model") {
-            if (value.kind() != JsonValue::Kind::String ||
-                (value.asString() != "multiscalar" &&
-                 value.asString() != "ooo"))
-                return invalid("'model' must be \"multiscalar\" or "
-                               "\"ooo\"",
-                               req.id);
-            req.model = value.asString();
-        } else if (key == "policy") {
-            if (value.kind() != JsonValue::Kind::String ||
-                !validPolicy(value.asString()))
-                return invalid("'policy' must be a registered "
-                               "dependence policy (mdp_sim "
-                               "--list-policies)",
-                               req.id);
-            req.policy = value.asString();
         } else if (key == "stages") {
             uint64_t n = 0;
             if (!asUint(value, 64, n) || n == 0)
@@ -160,22 +136,6 @@ parseMessage(const std::string &line)
                     "'entries' must be an integer in 1..65536",
                     req.id);
             req.entries = static_cast<size_t>(n);
-        } else if (key == "org") {
-            if (value.kind() != JsonValue::Kind::String ||
-                (value.asString() != "combined" &&
-                 value.asString() != "split" &&
-                 value.asString() != "distributed"))
-                return invalid("'org' must be combined|split|"
-                               "distributed",
-                               req.id);
-            req.org = value.asString();
-        } else if (key == "tags") {
-            if (value.kind() != JsonValue::Kind::String ||
-                (value.asString() != "distance" &&
-                 value.asString() != "address"))
-                return invalid("'tags' must be distance|address",
-                               req.id);
-            req.tags = value.asString();
         } else if (key == "window") {
             uint64_t n = 0;
             if (!asUint(value, 4096, n) || n == 0)
@@ -201,6 +161,8 @@ parseMessage(const std::string &line)
         return invalid("missing required field 'id'");
     if (!have_workload)
         return invalid("missing required field 'workload'", req.id);
+    if (std::string error = checkRunSpec(req); !error.empty())
+        return invalid(error, req.id);
 
     Message m;
     m.kind = MsgKind::Submit;

@@ -21,16 +21,18 @@
  * call mdp_fatal), a malformed line must never take the server down.
  * Unknown fields, wrong types, out-of-range values, oversized lines
  * and unregistered workloads all come back as structured errors.
+ * Values get mdp_sim's checks (checkRunSpec) plus the serve-only caps
+ * scale <= 4, stages <= 64, entries <= 65536 and window <= 4096.
  */
 
 #ifndef MDP_SERVE_PROTOCOL_HH
 #define MDP_SERVE_PROTOCOL_HH
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 
 #include "harness/report.hh"
+#include "harness/sim_stats.hh"
 
 namespace mdp::serve
 {
@@ -41,21 +43,10 @@ constexpr size_t kMaxRequestBytes = 64 * 1024;
 /** Longest accepted request id. */
 constexpr size_t kMaxIdBytes = 128;
 
-/** A validated experiment request (defaults match mdp_sim's). */
-struct Request
+/** A validated experiment request: an id naming one checked run. */
+struct Request : RunSpec
 {
     std::string id;
-    std::string workload;
-    double scale = 0.1;
-    std::string model = "multiscalar"; ///< "multiscalar" | "ooo"
-    std::string policy = "esync";
-    unsigned stages = 8;
-    size_t entries = 64;
-    std::string org = "combined";
-    std::string tags = "distance";
-    unsigned window = 64; ///< ooo model only
-    bool preload = false;
-    uint64_t seed = 0; ///< 0 = the workload profile's default
 };
 
 /** What one protocol line meant. */

@@ -7,60 +7,14 @@
 
 #include "base/thread_pool.hh"
 #include "harness/cycle_stats.hh"
-#include "harness/experiment.hh"
 #include "harness/phase_timer.hh"
 #include "harness/sim_stats.hh"
-#include "serve/lockstep.hh"
-#include "workloads/suites.hh"
 
 namespace mdp::serve
 {
 
 namespace
 {
-
-// The protocol layer has already validated every enum string, so
-// these converters never hit the parsers' fatal paths.
-SyncOrganization
-orgOf(const Request &r)
-{
-    if (r.org == "split")
-        return SyncOrganization::Split;
-    if (r.org == "distributed")
-        return SyncOrganization::Distributed;
-    return SyncOrganization::Combined;
-}
-
-TagScheme
-tagsOf(const Request &r)
-{
-    return r.tags == "address" ? TagScheme::Address
-                               : TagScheme::Distance;
-}
-
-/** Build the lane exactly the way mdp_sim builds its config. */
-LockstepJob
-jobOf(const WorkloadContext &ctx, const Request &r)
-{
-    LockstepJob job;
-    if (r.model == "ooo") {
-        job.model = LockstepJob::Model::Ooo;
-        job.ooo.windowSize = r.window;
-        job.ooo.policyName = r.policy;
-        job.ooo.sync.numEntries = r.entries;
-        job.ooo.sync.tags = tagsOf(r);
-        job.ooo.organization = orgOf(r);
-        return job;
-    }
-    job.model = LockstepJob::Model::Multiscalar;
-    job.ms = makeMultiscalarConfig(ctx, r.stages, r.policy);
-    job.ms.sync.numEntries = r.entries;
-    job.ms.sync.tags = tagsOf(r);
-    job.ms.organization = orgOf(r);
-    if (r.preload)
-        job.ms.preloadEdges = analyzeStaticEdges(ctx);
-    return job;
-}
 
 JsonValue
 statsJson(const StatGroup &g)
@@ -74,15 +28,12 @@ statsJson(const StatGroup &g)
 /**
  * A finished request's "done" line.  Its --results-dir report is
  * written first, so a client that has read the line can open the
- * file.  Runs on the worker that finished the lane.
+ * file.  Runs on the worker that finished the run.
  */
 std::string
-doneLine(const Request &req, const LockstepResult &result,
+doneLine(const Request &req, const StatGroup &stats,
          const std::string &results_dir)
 {
-    const StatGroup stats = req.model == "ooo"
-                                ? oooStats(result.ooo)
-                                : multiscalarStats(result.ms);
     JsonValue doc = JsonValue::object();
     doc.set("id", JsonValue::string(req.id));
     doc.set("status", JsonValue::string("done"));
@@ -219,14 +170,14 @@ Server::runQueuedLocked(uint64_t run_client, bool emit_summary,
         // the earliest requests tend to finish first.
         using GroupKey = std::tuple<std::string, double, uint64_t>;
         std::map<GroupKey, size_t> groupIndex;
-        std::vector<std::pair<GroupKey, std::vector<size_t>>> groups;
+        std::vector<std::vector<size_t>> groups;
         for (size_t i = 0; i < batch.size(); ++i) {
             const Request &r = batch[i].req;
             const auto [it, fresh] = groupIndex.emplace(
                 GroupKey{r.workload, r.scale, r.seed}, groups.size());
             if (fresh)
-                groups.push_back({it->first, {}});
-            groups[it->second].second.push_back(i);
+                groups.emplace_back();
+            groups[it->second].push_back(i);
         }
 
         // Contexts built for seed overrides live here until the pool
@@ -243,29 +194,21 @@ Server::runQueuedLocked(uint64_t run_client, bool emit_summary,
         };
         std::vector<Shard> shards;
 
-        for (const auto &[key, members] : groups) {
-            const auto &[wname, scale, seed] = key;
-            const WorkloadContext *ctx = nullptr;
-            if (seed == 0) {
-                ctx = &cachedContext(wname, scale);
-            } else {
-                const Workload &w = findWorkload(wname);
-                owned.push_back(std::make_unique<WorkloadContext>(
-                    w.generate(scale, seed),
-                    w.profile().taskMispredictRate));
-                ctx = owned.back().get();
-            }
+        for (const std::vector<size_t> &members : groups) {
+            owned.emplace_back();
+            const WorkloadContext &ctx =
+                specContext(batch[members.front()].req, owned.back());
             ++counters.groups;
             ++counters.tracePasses;
             counters.configsEvaluated += members.size();
 
-            // Shard the group's lanes across the pool; every shard
+            // Shard the group's runs across the pool; every shard
             // runs its subset back to back over the shared context.
             const size_t nshards = std::min<size_t>(
                 std::max(1u, jobs), members.size());
             for (size_t s = 0; s < nshards; ++s) {
                 Shard shard;
-                shard.ctx = ctx;
+                shard.ctx = &ctx;
                 for (size_t m = s; m < members.size(); m += nshards)
                     shard.indices.push_back(members[m]);
                 shards.push_back(std::move(shard));
@@ -280,9 +223,9 @@ Server::runQueuedLocked(uint64_t run_client, bool emit_summary,
         std::vector<std::string> lines(batch.size());
         std::vector<char> finished(batch.size(), 0);
         size_t delivered = 0;
-        auto complete = [&](size_t idx, const LockstepResult &r) {
+        auto complete = [&](size_t idx, const StatGroup &stats) {
             std::string line =
-                doneLine(batch[idx].req, r, cfg.resultsDir);
+                doneLine(batch[idx].req, stats, cfg.resultsDir);
             std::lock_guard<std::mutex> hold(deliverMtx);
             lines[idx] = std::move(line);
             finished[idx] = 1;
@@ -294,16 +237,8 @@ Server::runQueuedLocked(uint64_t run_client, bool emit_summary,
 
         for (const Shard &shard : shards) {
             pool.submit([&batch, &shard, &complete] {
-                std::vector<LockstepJob> lanes;
-                lanes.reserve(shard.indices.size());
                 for (size_t idx : shard.indices)
-                    lanes.push_back(
-                        jobOf(*shard.ctx, batch[idx].req));
-                LockstepEvaluator eval(*shard.ctx, std::move(lanes));
-                eval.run([&shard, &complete](size_t lane,
-                                             const LockstepResult &r) {
-                    complete(shard.indices[lane], r);
-                });
+                    complete(idx, runSpec(*shard.ctx, batch[idx].req));
             });
         }
         pool.wait();
@@ -360,7 +295,8 @@ Server::batchReport(double wall_seconds) const
     for (const auto &[phase, seconds] : phaseSeconds())
         report.addTiming(phase, seconds);
     CycleStats cs = cycleStats();
-    report.setCycleCounts(cs.cyclesSimulated, cs.cyclesSkipped);
+    report.setCycleCounts(cs.cyclesSimulated, cs.cyclesSkipped,
+                          cs.stageVisits, cs.stageSlots);
 
     JsonValue doc = report.toJson();
     JsonValue batch = JsonValue::object();

@@ -18,8 +18,9 @@
  *
  * Evaluation groups the queue by (workload, scale, seed); each group
  * shares one WorkloadContext -- one logical trace pass -- and its
- * configurations are sharded across a bounded worker pool, each shard
- * running its lanes back to back through the evaluator.  The batch
+ * requests are sharded across a bounded worker pool, each shard
+ * running its requests back to back through runSpec()
+ * (harness/sim_stats.hh), the same call mdp_sim makes.  The batch
  * counters therefore report trace_passes == number of groups, and the
  * amortization factor configs_evaluated / trace_passes is the
  * one-pass win the serve-integration CI job gates on.
@@ -72,7 +73,7 @@ struct BatchStats
     uint64_t groups = 0;
     uint64_t tracePasses = 0;
     uint64_t configsEvaluated = 0;
-    /** Lanes the evaluator ran (one per configuration evaluated). */
+    /** Runs evaluated; always equal to configsEvaluated. */
     uint64_t lockstepRounds = 0;
 
     /** Configs evaluated per trace pass (the one-pass sweep win). */

@@ -1,7 +1,7 @@
 // Fixture: a DependencePolicy with hidden shared state.  One policy
-// object drives both timing models and every lockstep lane, so a
+// object drives both timing models and every served run, so a
 // mutable static (class-scope or function-local) silently couples
-// lanes.  `static const` is the blessed idiom and stays unflagged.
+// runs.  `static const` is the blessed idiom and stays unflagged.
 #include "mdp/dep_policy.hh"
 
 #include <string>

@@ -10,6 +10,7 @@
 #include "harness/experiment.hh"
 #include "harness/phase_timer.hh"
 #include "harness/runner.hh"
+#include "harness/sim_stats.hh"
 #include "mdp/dep_policy.hh"
 #include "trace/builder.hh"
 #include "workloads/suites.hh"
@@ -92,6 +93,54 @@ TEST(Harness, ConfigCarriesStagesAndPolicy)
     EXPECT_EQ(cfg.sync.slotsPerEntry, 8u);
     EXPECT_DOUBLE_EQ(cfg.taskMispredictRate,
                      ctx.taskMispredictRate());
+}
+
+TEST(Harness, CheckRunSpecRejectsWhatTheModelsCannotRun)
+{
+    EXPECT_EQ(checkRunSpec(RunSpec()), "");
+    RunSpec ooo;
+    ooo.model = "ooo";
+    ooo.org = "split";
+    ooo.tags = "address";
+    EXPECT_EQ(checkRunSpec(ooo), "");
+
+    // Each bad field is named in the reason.
+    const auto rejects = [](RunSpec spec, const std::string &what) {
+        const std::string error = checkRunSpec(spec);
+        EXPECT_NE(error.find(what), std::string::npos)
+            << "'" << error << "' lacks '" << what << "'";
+    };
+    RunSpec s;
+    s.scale = -1;
+    rejects(s, "scale");
+    s.scale = 0;
+    rejects(s, "scale");
+    s = RunSpec();
+    s.entries = 0;
+    rejects(s, "entries");
+    s = RunSpec();
+    s.stages = 0;
+    rejects(s, "stages");
+    s.stages = kMaxStages + 1;
+    rejects(s, "stages");
+    s = RunSpec();
+    s.window = 0;
+    rejects(s, "window");
+    s = RunSpec();
+    s.org = "hybrid";
+    rejects(s, "unknown org 'hybrid' (combined|split|distributed)");
+    s = RunSpec();
+    s.tags = "pc";
+    rejects(s, "unknown tags 'pc' (distance|address)");
+    s = RunSpec();
+    s.model = "window";
+    rejects(s, "unknown model 'window' (multiscalar|ooo)");
+    s = RunSpec();
+    s.policy = "yolo";
+    rejects(s, "unknown policy 'yolo'");
+    s = RunSpec();
+    s.workload = "nonesuch";
+    rejects(s, "unknown workload 'nonesuch'");
 }
 
 TEST(Harness, SpeedupPct)

@@ -88,6 +88,26 @@ runOoo(const Trace &t, const std::string &policy, unsigned window = 64)
     return p.run();
 }
 
+TEST(OooDeath, DegenerateConfigFailsFast)
+{
+    // A zero window could never commit an op; it must fail in the
+    // constructor, not run to the cycle cap.
+    Trace t = racyTrace();
+    DepOracle o(t);
+    OooConfig cfg;
+    cfg.windowSize = 0;
+    EXPECT_EXIT(OooProcessor(t, o, cfg), testing::ExitedWithCode(1),
+                "windowSize must be >= 1");
+    cfg = OooConfig();
+    cfg.memPorts = 0;
+    EXPECT_EXIT(validateOooConfig(cfg), testing::ExitedWithCode(1),
+                "memPorts must be >= 1");
+    cfg = OooConfig();
+    cfg.fpFUs = 0;
+    EXPECT_EXIT(validateOooConfig(cfg), testing::ExitedWithCode(1),
+                "fpFUs must be >= 1");
+}
+
 TEST(Ooo, CompletesAllPolicies)
 {
     Trace t = racyTrace();

@@ -1,7 +1,7 @@
 /**
  * @file
- * The mdp_served protocol and server core, and the multi-config
- * evaluator's byte-identity guarantee.
+ * The mdp_served protocol and server core, and the byte-identity of
+ * its reports to the shared run path.
  *
  * Protocol: every malformed input (bad JSON, wrong shapes, unknown
  * fields, oversized lines, out-of-range values) must come back as a
@@ -10,9 +10,10 @@
  * results, drain semantics, and thread-safety under racing writers
  * (this binary runs in the ASan and TSan CI jobs).  Streaming: the
  * sink sees exactly the collecting path's lines, in submission order,
- * each as its lane finishes, with its report already on disk.
- * Lockstep: N model instances run back to back over one context are
- * byte-identical to running each configuration alone.
+ * each as its run finishes, with its report already on disk.
+ * Reports: every --results-dir file is byte-identical to the shared
+ * runSpec() + writeSimReport() path mdp_sim takes, across models,
+ * organizations, tag schemes, preload and seeds.
  */
 
 #include <gtest/gtest.h>
@@ -21,6 +22,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <memory>
 #include <set>
 #include <string>
 #include <thread>
@@ -28,8 +30,6 @@
 
 #include "harness/experiment.hh"
 #include "harness/sim_stats.hh"
-#include "mdp/dep_policy.hh"
-#include "serve/lockstep.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
 
@@ -185,95 +185,6 @@ TEST(Protocol, ControlOps)
     EXPECT_EQ(parseMessage("{\"op\":7}").kind, MsgKind::Invalid);
 }
 
-// ---- lockstep byte-identity -----------------------------------------
-
-/** Run @p jobs through one evaluator; lanes must report in order. */
-std::vector<LockstepResult>
-evaluate(const WorkloadContext &ctx, std::vector<LockstepJob> jobs)
-{
-    const size_t n = jobs.size();
-    LockstepEvaluator eval(ctx, std::move(jobs));
-    std::vector<LockstepResult> got;
-    eval.run([&got](size_t lane, const LockstepResult &r) {
-        EXPECT_EQ(lane, got.size());
-        got.push_back(r);
-    });
-    EXPECT_EQ(got.size(), n);
-    return got;
-}
-
-void
-expectSameSimResult(const SimResult &a, const SimResult &b)
-{
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.committedOps, b.committedOps);
-    EXPECT_EQ(a.committedLoads, b.committedLoads);
-    EXPECT_EQ(a.committedStores, b.committedStores);
-    EXPECT_EQ(a.committedTasks, b.committedTasks);
-    EXPECT_EQ(a.misSpeculations, b.misSpeculations);
-    EXPECT_EQ(a.squashedOps, b.squashedOps);
-    EXPECT_EQ(a.controlStalls, b.controlStalls);
-    EXPECT_EQ(a.loadsBlockedSync, b.loadsBlockedSync);
-    EXPECT_EQ(a.loadsBlockedFrontier, b.loadsBlockedFrontier);
-    EXPECT_EQ(a.frontierReleases, b.frontierReleases);
-    EXPECT_EQ(a.syncWaitCycles, b.syncWaitCycles);
-    EXPECT_EQ(a.cyclesSimulated, b.cyclesSimulated);
-    EXPECT_EQ(a.cyclesSkipped, b.cyclesSkipped);
-    EXPECT_EQ(a.pred.nn, b.pred.nn);
-    EXPECT_EQ(a.pred.ny, b.pred.ny);
-    EXPECT_EQ(a.pred.yn, b.pred.yn);
-    EXPECT_EQ(a.pred.yy, b.pred.yy);
-}
-
-TEST(Lockstep, ByteIdenticalToSequentialRuns)
-{
-    const WorkloadContext &ctx = cachedContext("espresso", kScale);
-    std::vector<LockstepJob> jobs;
-    std::vector<SimResult> solo;
-    for (unsigned stages : {4u, 8u}) {
-        for (const std::string &p : dependencePolicyNames()) {
-            LockstepJob job;
-            job.ms = makeMultiscalarConfig(ctx, stages, p);
-            jobs.push_back(job);
-            solo.push_back(runMultiscalar(ctx, job.ms));
-        }
-    }
-
-    // Lanes share one context and one lane pool, so each reuses the
-    // buffers of the one before it; none may see another's state.
-    const std::vector<LockstepResult> got = evaluate(ctx, jobs);
-    ASSERT_EQ(got.size(), solo.size());
-    for (size_t i = 0; i < solo.size(); ++i)
-        expectSameSimResult(got[i].ms, solo[i]);
-}
-
-TEST(Lockstep, OooLanesMatchSequential)
-{
-    const WorkloadContext &ctx = cachedContext("espresso", kScale);
-    std::vector<LockstepJob> jobs;
-    std::vector<OooResult> solo;
-    for (const char *p : {"always", "sync", "never"}) {
-        LockstepJob job;
-        job.model = LockstepJob::Model::Ooo;
-        job.ooo.policyName = p;
-        jobs.push_back(job);
-        solo.push_back(runOoo(ctx, job.ooo));
-    }
-    const std::vector<LockstepResult> got = evaluate(ctx, jobs);
-    ASSERT_EQ(got.size(), solo.size());
-    for (size_t i = 0; i < solo.size(); ++i) {
-        EXPECT_EQ(got[i].ooo.cycles, solo[i].cycles);
-        EXPECT_EQ(got[i].ooo.committedOps, solo[i].committedOps);
-        EXPECT_EQ(got[i].ooo.misSpeculations,
-                  solo[i].misSpeculations);
-        EXPECT_EQ(got[i].ooo.squashedOps, solo[i].squashedOps);
-        EXPECT_EQ(got[i].ooo.loadsBlocked, solo[i].loadsBlocked);
-        EXPECT_EQ(got[i].ooo.cyclesSimulated,
-                  solo[i].cyclesSimulated);
-        EXPECT_EQ(got[i].ooo.cyclesSkipped, solo[i].cyclesSkipped);
-    }
-}
-
 // ---- server ---------------------------------------------------------
 
 ServeConfig
@@ -384,6 +295,18 @@ TEST(Server, RunGroupsIntoOnePassAndPreservesOrder)
     EXPECT_EQ(summary.get("trace_passes").asNumber(), 1.0);
     EXPECT_EQ(summary.get("configs_evaluated").asNumber(), 8.0);
     EXPECT_EQ(summary.get("amortization_factor").asNumber(), 8.0);
+
+    // Multiscalar runs count stage visits, and the batch report
+    // carries them with the cycle counts.
+    const JsonValue cycles =
+        server.batchReport(1.0).get("cycle_stats");
+    for (const char *key :
+         {"cycles_simulated", "stage_visits", "stage_slots",
+          "stage_occupancy"}) {
+        ASSERT_TRUE(cycles.has(key)) << key;
+        EXPECT_GT(cycles.get(key).asNumber(), 0.0) << key;
+    }
+    EXPECT_LE(cycles.get("stage_occupancy").asNumber(), 1.0);
 }
 
 TEST(Server, ResultsMatchSharedReportWriter)
@@ -405,6 +328,65 @@ TEST(Server, ResultsMatchSharedReportWriter)
         ASSERT_TRUE(stats.has(name)) << name;
         EXPECT_DOUBLE_EQ(stats.get(name).asNumber(), value) << name;
     }
+}
+
+namespace fs = std::filesystem;
+
+std::string
+readFile(const std::string &path)
+{
+    std::ifstream in(path, std::ios::binary);
+    EXPECT_TRUE(in.good()) << path;
+    return std::string((std::istreambuf_iterator<char>(in)),
+                       std::istreambuf_iterator<char>());
+}
+
+TEST(Server, ResultsDirMatchesSharedRunForEverySpec)
+{
+    // Both models, all three organizations, both tag schemes, preload
+    // and a non-zero seed: each served report must be the bytes
+    // mdp_sim writes for the same spec.
+    const std::string dir = testing::TempDir() + "/mdp_serve_specs";
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    const std::vector<std::string> extras = {
+        "\"org\":\"split\",\"policy\":\"sync\"",
+        "\"org\":\"distributed\",\"tags\":\"address\"",
+        "\"tags\":\"address\",\"preload\":true,\"stages\":4",
+        "\"seed\":7,\"policy\":\"psync\",\"entries\":16",
+        "\"model\":\"ooo\",\"org\":\"split\",\"window\":32",
+        "\"model\":\"ooo\",\"org\":\"distributed\","
+        "\"tags\":\"address\",\"policy\":\"sync\"",
+        "\"model\":\"ooo\",\"seed\":7,\"policy\":\"esync\"",
+    };
+    ServeConfig cfg = smallConfig();
+    cfg.resultsDir = dir;
+    Server server(cfg);
+    std::vector<Request> specs;
+    for (size_t i = 0; i < extras.size(); ++i) {
+        const std::string line =
+            submitLine("s" + std::to_string(i), extras[i]);
+        const Message m = parseMessage(line);
+        ASSERT_EQ(m.kind, MsgKind::Submit) << m.error;
+        specs.push_back(m.req);
+        server.handleLine(1, line);
+    }
+    server.handleLine(1, "{\"op\":\"run\"}");
+
+    for (const Request &spec : specs) {
+        std::unique_ptr<WorkloadContext> owned;
+        const StatGroup stats =
+            runSpec(specContext(spec, owned), spec);
+        const std::string want = dir + "/" + spec.id + ".cli.json";
+        std::string error;
+        ASSERT_TRUE(writeSimReport(want, spec.model, spec.scale, stats,
+                                   error))
+            << error;
+        EXPECT_EQ(readFile(dir + "/" + spec.id + ".json"),
+                  readFile(want))
+            << spec.id;
+    }
+    fs::remove_all(dir);
 }
 
 TEST(Server, DrainCompletesEverythingExactlyOnce)
@@ -484,8 +466,6 @@ TEST(Server, RacingClientsOneServer)
 }
 
 // ---- streaming -------------------------------------------------------
-
-namespace fs = std::filesystem;
 
 /** Submit @p lines, then run; every response as the sink saw it. */
 std::vector<Response>

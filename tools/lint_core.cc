@@ -376,9 +376,9 @@ inFrontierFile(const std::string &scoped)
 }
 
 bool
-inServeDir(const std::string &scoped)
+inHarnessDir(const std::string &scoped)
 {
-    return startsWith(scoped, "src/serve/");
+    return startsWith(scoped, "src/harness/");
 }
 
 void
@@ -688,8 +688,8 @@ ruleDocs()
         {"ordered-scope",
          "no unordered iteration in the model directories, no hash "
          "containers in event-frontier/interconnect files, and no "
-         "unordered iteration or blocking call in runLane under "
-         "src/serve/"},
+         "unordered iteration or blocking call in runSpec under "
+         "src/harness/"},
         {"policy-ctx-escape",
          "DependencePolicy code must not retain the per-call "
          "LoadIssueContext (no members of that type, no address-of "
@@ -727,11 +727,11 @@ orderedScopes()
          "which PE steps when, and how far a value travels, must be "
          "platform-stable; use the bucket wheel, min-heap or vectors "
          "with explicit (t, id) ordering"},
-        {"runLane", inServeDir, "runLane",
+        {"runSpec", inHarnessDir, "runSpec",
          kUnorderedIter | kBlockingCall,
-         "the served simulation path must neither block every lane "
-         "queued behind it nor leak hash order into lane results; do "
-         "I/O and locking in the completion callback"},
+         "the one simulation path of mdp_sim and mdp_served must "
+         "neither block every request queued behind it nor leak hash "
+         "order into results; do I/O and locking in the caller"},
     };
     return kRows;
 }

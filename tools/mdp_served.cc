@@ -129,7 +129,7 @@ setNonBlocking(int fd)
 int
 runStdin(serve::Server &server, int sigpipe_read)
 {
-    // Workers finishing lanes write through this sink, one line at a
+    // Workers finishing runs write through this sink, one line at a
     // time, each flushed so the client sees it at once.
     std::mutex out_mtx;
     const serve::Sink emit = [&out_mtx](const serve::Response &r) {
@@ -224,7 +224,7 @@ runSocket(serve::Server &server, const std::string &path,
     uint64_t next_client = 1;
 
     // The poll loop is blocked inside handleLine while workers finish
-    // lanes, so the sink queues each line on its submitter and sends
+    // runs, so the sink queues each line on its submitter and sends
     // what the socket takes now; the loop flushes the rest later.
     std::mutex out_mtx;
     const serve::Sink route = [&clients,

@@ -9,19 +9,16 @@
  *   mdp_sim --load-trace sc.trc --policy psync --csv
  */
 
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
-#include <optional>
+#include <memory>
 
 #include "base/args.hh"
 #include "base/stats.hh"
 #include "base/table.hh"
-#include "harness/experiment.hh"
-#include "mdp/dep_policy.hh"
-#include "harness/report.hh"
-#include "harness/runner.hh"
 #include "harness/sim_stats.hh"
-#include "ooo/ooo_model.hh"
+#include "mdp/dep_policy.hh"
 #include "trace/serialize.hh"
 #include "window/window_model.hh"
 #include "workloads/suites.hh"
@@ -30,29 +27,6 @@ using namespace mdp;
 
 namespace
 {
-
-SyncOrganization
-parseOrg(const std::string &s)
-{
-    if (s == "combined")
-        return SyncOrganization::Combined;
-    if (s == "split")
-        return SyncOrganization::Split;
-    if (s == "distributed")
-        return SyncOrganization::Distributed;
-    mdp_fatal("unknown organization '%s' (combined|split|distributed)",
-              s.c_str());
-}
-
-TagScheme
-parseTags(const std::string &s)
-{
-    if (s == "distance")
-        return TagScheme::Distance;
-    if (s == "address")
-        return TagScheme::Address;
-    mdp_fatal("unknown tag scheme '%s' (distance|address)", s.c_str());
-}
 
 void
 emitResult(const std::string &title, const StatGroup &stats, bool csv)
@@ -89,25 +63,27 @@ maybeWriteJson(const std::string &path, const std::string &model,
 int
 main(int argc, char **argv)
 {
+    const RunSpec defaults;
     ArgParser args("mdp_sim");
     args.addFlag("list", "list registered workloads and exit");
     args.addFlag("list-policies",
                  "list registered dependence policies and exit");
     args.addFlag("help", "show this help");
-    args.addOption("workload", "espresso", "registered workload name");
+    args.addOption("workload", defaults.workload,
+                   "registered workload name");
     args.addOption("load-trace", "", "read the trace from a file");
     args.addOption("save-trace", "",
                    "write the generated trace to a file and exit");
     args.addOption("scale", "0.1", "trace-length scale factor");
     args.addOption("seed", "0", "generation seed override (0 = profile)");
-    args.addOption("model", "multiscalar",
-                   "multiscalar | ooo | window");
-    args.addOption("policy", "esync",
+    args.addOption("model", defaults.model,
+                   specChoices("model") + "|window");
+    args.addOption("policy", defaults.policy,
                    "dependence policy (--list-policies)");
     args.addOption("stages", "8", "Multiscalar processing stages");
     args.addOption("entries", "64", "MDPT entries");
-    args.addOption("org", "combined", "combined | split | distributed");
-    args.addOption("tags", "distance", "distance | address");
+    args.addOption("org", defaults.org, specChoices("org"));
+    args.addOption("tags", defaults.tags, specChoices("tags"));
     args.addOption("window", "64",
                    "window size (ooo and window models)");
     args.addFlag("preload",
@@ -143,38 +119,49 @@ main(int argc, char **argv)
         return 0;
     }
 
-    // The policy is a registry key; reject an unknown one up front.
-    const std::string policy_arg = args.get("policy");
-    if (!knownDependencePolicy(policy_arg))
-        mdp_fatal("unknown policy '%s' (--list-policies prints the "
-                  "registry)",
-                  policy_arg.c_str());
+    // A count option: negative or 32-bit-overflowing values are
+    // rejected here, zero by checkRunSpec.
+    auto count = [&args](const char *name) {
+        const long v = args.getLong(name);
+        if (v < 0 || v > long{UINT32_MAX})
+            mdp_fatal("--%s out of range (got %ld)", name, v);
+        return static_cast<unsigned>(v);
+    };
+    RunSpec spec;
+    spec.workload = args.get("workload");
+    spec.scale = args.getDouble("scale");
+    spec.seed = static_cast<uint64_t>(args.getLong("seed"));
+    spec.policy = args.get("policy");
+    spec.stages = count("stages");
+    spec.entries = count("entries");
+    spec.org = args.get("org");
+    spec.tags = args.get("tags");
+    spec.window = count("window");
+    spec.preload = args.flag("preload");
+    // The window study is mdp_sim's own model; the rest of the spec
+    // gets the same checks as a served request.
+    const bool window_study = args.get("model") == "window";
+    if (!window_study)
+        spec.model = args.get("model");
+    if (std::string error = checkRunSpec(spec); !error.empty())
+        mdp_fatal("%s", error.c_str());
 
     // ---- obtain the shared workload context -------------------------
     // Default-seed generated workloads go through the process-wide
     // context cache (harness/experiment.hh) so repeated invocations in
     // one process -- and the oracle/task artifacts below -- are built
     // exactly once.  Loaded traces and seed overrides stay private.
-    double scale = args.getDouble("scale");
-    std::optional<WorkloadContext> owned;
+    std::unique_ptr<WorkloadContext> owned;
     const WorkloadContext *ctx = nullptr;
     if (!args.get("load-trace").empty()) {
         std::string error;
         Trace trace = loadTrace(args.get("load-trace"), error);
         if (!error.empty())
             mdp_fatal("load-trace: %s", error.c_str());
-        owned.emplace(std::move(trace));
-        ctx = &*owned;
+        owned = std::make_unique<WorkloadContext>(std::move(trace));
+        ctx = owned.get();
     } else {
-        const Workload &w = findWorkload(args.get("workload"));
-        auto seed = static_cast<uint64_t>(args.getLong("seed"));
-        if (seed == 0) {
-            ctx = &cachedContext(w.name(), scale);
-        } else {
-            owned.emplace(w.generate(scale, seed),
-                          w.profile().taskMispredictRate);
-            ctx = &*owned;
-        }
+        ctx = &specContext(spec, owned);
     }
 
     if (!args.get("save-trace").empty()) {
@@ -186,16 +173,13 @@ main(int argc, char **argv)
         return 0;
     }
 
-    std::string model = args.get("model");
     bool csv = args.flag("csv");
     std::string json_out = args.get("json-out");
 
     // ---- perfect-window dependence study ----------------------------
-    if (model == "window") {
+    if (window_study) {
         WindowModel wm(ctx->trace(), ctx->oracle());
-        auto r = wm.study(
-            static_cast<uint32_t>(args.getLong("window")),
-            {32, 128, 512});
+        auto r = wm.study(spec.window, {32, 128, 512});
         StatGroup g;
         g.set("window_size", r.windowSize);
         g.set("misspeculations",
@@ -206,43 +190,17 @@ main(int argc, char **argv)
         for (auto &[sz, rate] : r.ddcMissRates)
             g.set("ddc_missrate_" + std::to_string(sz), rate);
         emitResult("window model results", g, csv);
-        maybeWriteJson(json_out, model, scale, g);
+        maybeWriteJson(json_out, "window", spec.scale, g);
         return 0;
     }
 
-    // ---- superscalar continuous-window model ------------------------
-    if (model == "ooo") {
-        OooConfig cfg;
-        cfg.windowSize = static_cast<unsigned>(args.getLong("window"));
-        cfg.policyName = policy_arg;
-        cfg.sync.numEntries =
-            static_cast<size_t>(args.getLong("entries"));
-        cfg.sync.tags = parseTags(args.get("tags"));
-        cfg.organization = parseOrg(args.get("org"));
-        OooResult r = runOoo(*ctx, cfg);
-        StatGroup g = oooStats(r);
-        emitResult("superscalar model results", g, csv);
-        maybeWriteJson(json_out, model, scale, g);
-        return 0;
-    }
-
-    // ---- Multiscalar model -------------------------------------------
-    if (model != "multiscalar")
-        mdp_fatal("unknown model '%s'", model.c_str());
-
-    MultiscalarConfig cfg = makeMultiscalarConfig(
-        *ctx, static_cast<unsigned>(args.getLong("stages")),
-        policy_arg);
-    cfg.sync.numEntries = static_cast<size_t>(args.getLong("entries"));
-    cfg.sync.tags = parseTags(args.get("tags"));
-    cfg.organization = parseOrg(args.get("org"));
-    if (args.flag("preload"))
-        cfg.preloadEdges = analyzeStaticEdges(*ctx);
-
-    SimResult r = runMultiscalar(*ctx, cfg);
-    emitResult("multiscalar results (" +
-                   policyDisplayName(cfg.policyName) + ")",
-               multiscalarStats(r), csv);
-    maybeWriteJson(json_out, model, scale, multiscalarStats(r));
+    // ---- Multiscalar or superscalar model ---------------------------
+    const StatGroup g = runSpec(*ctx, spec);
+    emitResult(spec.model == "ooo"
+                   ? "superscalar model results"
+                   : "multiscalar results (" +
+                         policyDisplayName(spec.policy) + ")",
+               g, csv);
+    maybeWriteJson(json_out, spec.model, spec.scale, g);
     return 0;
 }
