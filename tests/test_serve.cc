@@ -14,6 +14,8 @@
  * Reports: every --results-dir file is byte-identical to the shared
  * runSpec() + writeSimReport() path mdp_sim takes, across models,
  * organizations, tag schemes, preload and seeds.
+ * Lockstep: the specs of one group run back to back over one shared
+ * context and are identical to running each configuration alone.
  */
 
 #include <gtest/gtest.h>
@@ -30,6 +32,7 @@
 
 #include "harness/experiment.hh"
 #include "harness/sim_stats.hh"
+#include "mdp/dep_policy.hh"
 #include "serve/protocol.hh"
 #include "serve/server.hh"
 
@@ -387,6 +390,90 @@ TEST(Server, ResultsDirMatchesSharedRunForEverySpec)
             << spec.id;
     }
     fs::remove_all(dir);
+}
+
+// ---- lockstep ---------------------------------------------------------
+//
+// A run op evaluates every queued spec of one (workload, scale, seed)
+// group back to back over one shared context, sharded across the
+// pool.  Each result must equal the same configuration run alone.
+
+/** Submit one request per @p extras entry, run them as one batch and
+ *  return each request's "done" stats, in submission order. */
+std::vector<JsonValue>
+runOneBatch(const std::vector<std::string> &extras)
+{
+    Server server(smallConfig());
+    for (size_t i = 0; i < extras.size(); ++i)
+        server.handleLine(1, submitLine("l" + std::to_string(i),
+                                        extras[i]));
+    auto out = server.handleLine(1, "{\"op\":\"run\"}");
+    EXPECT_EQ(out.size(), extras.size() + 1);
+    EXPECT_EQ(parseLine(out.back().line).get("trace_passes").asNumber(),
+              1.0);
+    std::vector<JsonValue> got;
+    for (size_t i = 0; i + 1 < out.size(); ++i) {
+        JsonValue doc = parseLine(out[i].line);
+        EXPECT_EQ(doc.get("status").asString(), "done");
+        got.push_back(doc.get("stats"));
+    }
+    return got;
+}
+
+void
+expectSameStats(const JsonValue &got, const StatGroup &solo)
+{
+    for (const auto &[name, value] : solo.all()) {
+        ASSERT_TRUE(got.has(name)) << name;
+        EXPECT_DOUBLE_EQ(got.get(name).asNumber(), value) << name;
+    }
+}
+
+TEST(Lockstep, ByteIdenticalToSequentialRuns)
+{
+    const WorkloadContext &ctx = cachedContext("espresso", kScale);
+    std::vector<std::string> extras;
+    std::vector<StatGroup> solo;
+    for (unsigned stages : {4u, 8u}) {
+        for (const std::string &p : dependencePolicyNames()) {
+            extras.push_back("\"policy\":\"" + p +
+                             "\",\"stages\":" + std::to_string(stages));
+            solo.push_back(multiscalarStats(
+                runMultiscalar(ctx, makeMultiscalarConfig(ctx, stages, p))));
+        }
+    }
+
+    // Runs of one shard follow each other on one context; none may
+    // see another's state.
+    const std::vector<JsonValue> got = runOneBatch(extras);
+    ASSERT_EQ(got.size(), solo.size());
+    for (size_t i = 0; i < solo.size(); ++i) {
+        SCOPED_TRACE(extras[i]);
+        expectSameStats(got[i], solo[i]);
+    }
+}
+
+TEST(Lockstep, OooLanesMatchSequential)
+{
+    const WorkloadContext &ctx = cachedContext("espresso", kScale);
+    const RunSpec defaults;
+    std::vector<std::string> extras;
+    std::vector<StatGroup> solo;
+    for (const char *p : {"always", "sync", "never"}) {
+        extras.push_back("\"model\":\"ooo\",\"policy\":\"" +
+                         std::string(p) + "\"");
+        OooConfig cfg;
+        cfg.windowSize = defaults.window;
+        cfg.sync.numEntries = defaults.entries;
+        cfg.policyName = p;
+        solo.push_back(oooStats(runOoo(ctx, cfg)));
+    }
+    const std::vector<JsonValue> got = runOneBatch(extras);
+    ASSERT_EQ(got.size(), solo.size());
+    for (size_t i = 0; i < solo.size(); ++i) {
+        SCOPED_TRACE(extras[i]);
+        expectSameStats(got[i], solo[i]);
+    }
 }
 
 TEST(Server, DrainCompletesEverythingExactlyOnce)
