@@ -13,6 +13,7 @@
 #ifndef MDP_BASE_HASH_HH
 #define MDP_BASE_HASH_HH
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
@@ -81,30 +82,79 @@ fnv1a(const void *data, size_t len)
  * detection role, used for trace-file payloads (serialize.hh).  Word
  * loads make the result byte-order dependent, like every other part
  * of the (little-endian) trace format.
+ *
+ * Incremental: update() may be fed the payload in pieces of any size
+ * (a writer checksums the trace columns where they lie), and digest()
+ * equals fnv1aBulk() over the concatenation.
  */
-inline uint64_t
-fnv1aBulk(const void *data, size_t len)
+class Fnv1aBulk
 {
-    const auto *p = static_cast<const unsigned char *>(data);
-    uint64_t lane[4] = {Fnv1a::kOffsetBasis ^ 1,
-                        Fnv1a::kOffsetBasis ^ 2,
-                        Fnv1a::kOffsetBasis ^ 3,
-                        Fnv1a::kOffsetBasis ^ 4};
-    size_t i = 0;
-    for (; i + 32 <= len; i += 32) {
+  public:
+    /** Mix the next @p len payload bytes. */
+    Fnv1aBulk &
+    update(const void *data, size_t len)
+    {
+        if (len == 0)
+            return *this;
+        const auto *p = static_cast<const unsigned char *>(data);
+        total += len;
+        if (pending > 0) {
+            const size_t take = std::min(len, kBlock - pending);
+            std::memcpy(block + pending, p, take);
+            pending += take;
+            p += take;
+            len -= take;
+            if (pending < kBlock)
+                return *this;
+            mix(block);
+            pending = 0;
+        }
+        for (; len >= kBlock; p += kBlock, len -= kBlock)
+            mix(p);
+        if (len > 0)
+            std::memcpy(block, p, len);
+        pending = len;
+        return *this;
+    }
+
+    /** Checksum of every byte fed so far. */
+    uint64_t
+    digest() const
+    {
+        Fnv1a h;
+        for (uint64_t l : lane)
+            h.value<uint64_t>(l);
+        h.bytes(block, pending);
+        h.value<uint64_t>(total);
+        return h.digest();
+    }
+
+  private:
+    static constexpr size_t kBlock = 32; ///< four 64-bit lane words
+
+    void
+    mix(const unsigned char *p)
+    {
         uint64_t w[4];
-        std::memcpy(w, p + i, sizeof(w));
+        std::memcpy(w, p, sizeof(w));
         for (int l = 0; l < 4; ++l) {
             lane[l] ^= w[l];
             lane[l] *= Fnv1a::kPrime;
         }
     }
-    Fnv1a h;
-    for (uint64_t l : lane)
-        h.value<uint64_t>(l);
-    h.bytes(p + i, len - i);
-    h.value<uint64_t>(len);
-    return h.digest();
+
+    uint64_t lane[4] = {Fnv1a::kOffsetBasis ^ 1, Fnv1a::kOffsetBasis ^ 2,
+                        Fnv1a::kOffsetBasis ^ 3, Fnv1a::kOffsetBasis ^ 4};
+    unsigned char block[kBlock] = {}; ///< bytes short of a full block
+    size_t pending = 0;
+    uint64_t total = 0;
+};
+
+/** One-shot Fnv1aBulk over a byte range. */
+inline uint64_t
+fnv1aBulk(const void *data, size_t len)
+{
+    return Fnv1aBulk().update(data, len).digest();
 }
 
 /** Render a digest as fixed-width lowercase hex (filename-safe). */

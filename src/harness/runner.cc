@@ -113,10 +113,10 @@ analyzeStaticEdges(const WorkloadContext &ctx, uint64_t min_count)
         if (!o.interTask(l))
             continue;
         SeqNum p = o.producer(l);
-        Info &info = edges[{t[l].pc, t[p].pc}];
+        Info &info = edges[{t.pc(l), t.pc(p)}];
         ++info.count;
         ++info.dists[o.taskDistance(l)];
-        ++info.taskPcs[t[p].taskPc];
+        ++info.taskPcs[t.taskPc(p)];
     }
 
     std::vector<StaticEdge> out;

@@ -87,13 +87,16 @@ class TraceBuilder
     /** Number of ops emitted so far. */
     size_t size() const { return trace.size(); }
 
-    /** Mutable access to the most recently emitted op (e.g. to tag
-     *  value locality after the fact). */
-    MicroOp &
-    lastOp()
+    /**
+     * Tag the most recently emitted op with value locality: it writes
+     * the same value as the previous dynamic instance of its static
+     * store (MicroOp::valueRepeats).
+     */
+    void
+    setLastValueRepeats(bool repeats)
     {
-        mdp_assert(trace.size() > 0, "lastOp on empty trace");
-        return trace[static_cast<SeqNum>(trace.size() - 1)];
+        mdp_assert(!trace.empty(), "setLastValueRepeats on empty trace");
+        trace.repeats.back() = repeats ? 1 : 0;
     }
 
     uint32_t currentTask() const { return curTask; }

@@ -226,15 +226,17 @@ TraceCache::store(const TraceCacheKey &key, const TraceView &trace) const
     const std::string tmp =
         path + ".tmp." + hashHex(traceKeyDigest(key) ^
                                  gStageSeq.fetch_add(1) ^ pid_salt);
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os || !writeTrace(trace, os))
-            return false;
-    }
+    // The close flushes the writer's last bytes, so a failed close is
+    // a failed store; no failure may leave the staging file behind.
+    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
+    bool ok = os && writeTrace(trace, os);
+    os.close();
+    ok = ok && !os.fail();
     // Atomic publication: concurrent writers race benignly -- every
     // writer stages identical bytes, and rename replaces atomically.
-    fs::rename(tmp, path, ec);
-    if (ec) {
+    if (ok)
+        fs::rename(tmp, path, ec);
+    if (!ok || ec) {
         fs::remove(tmp, ec);
         return false;
     }

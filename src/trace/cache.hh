@@ -6,10 +6,14 @@
  * default every process regenerates its workload traces from scratch.
  * The cache turns generation into a build-once artifact: entries are
  * columnar trace files (serialize.hh format v2) in a directory named
- * by MDP_TRACE_CACHE, keyed by a digest of everything that determines
- * the trace bytes (format version, workload name, scale, seed, and a
- * digest of the full generator profile), and loaded back zero-copy by
- * mmap'ing the file and wrapping it in a TraceView.
+ * by MDP_TRACE_CACHE, keyed by a digest of the generator's inputs
+ * (format version, workload name, scale, seed, and a digest of the
+ * full generator profile), and loaded back zero-copy by mmap'ing the
+ * file and wrapping it in a TraceView.  The key has no generator
+ * version: a profile change regenerates, while a change to generator
+ * code that alters trace bytes must fail the byte pins in
+ * tests/test_trace_bytes.cc, so it cannot go unnoticed while a local
+ * cache serves stale entries.
  *
  * Trust model: entries are an optimization, never an authority.
  * Corrupted, truncated or version-stale files fail their header or
@@ -33,7 +37,8 @@
 namespace mdp
 {
 
-/** Everything that determines the bytes of a generated trace. */
+/** The generator inputs that determine a trace's bytes (generator
+ *  code aside, which tests/test_trace_bytes.cc pins). */
 struct TraceCacheKey
 {
     std::string workload;      ///< registered workload name
@@ -104,10 +109,12 @@ class TraceCache
     std::unique_ptr<MappedTrace> load(const TraceCacheKey &key) const;
 
     /**
-     * Write @p trace under @p key: staged to a ".tmp" sibling, then
-     * atomically renamed.  Creates the cache directory if missing.
-     * @return false when the entry could not be written (disk full,
-     * permissions); the caller keeps its in-memory trace either way.
+     * Write @p trace under @p key: staged to a ".tmp" sibling, closed,
+     * then atomically renamed.  Creates the cache directory if
+     * missing.  @return false when the entry could not be written or
+     * closed (disk full, file-size limit, permissions), in which case
+     * the staging file is removed; the caller keeps its in-memory
+     * trace either way.
      */
     bool store(const TraceCacheKey &key, const TraceView &trace) const;
 

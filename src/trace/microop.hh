@@ -77,8 +77,9 @@ opLatency(OpKind k)
 }
 
 /**
- * One dynamic instruction.  Kept compact: traces run to millions of
- * entries and are replayed many times.
+ * One dynamic instruction, as appended to a trace or gathered from
+ * one.  Traces store each field as its own column (trace/trace.hh);
+ * this struct is the by-value record that crosses that API.
  */
 struct MicroOp
 {

@@ -1,11 +1,15 @@
 #include "trace/serialize.hh"
 
+#include <algorithm>
+#include <array>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <istream>
 #include <limits>
 #include <ostream>
-#include <vector>
+#include <span>
+#include <type_traits>
 
 #include "base/hash.hh"
 
@@ -18,40 +22,16 @@ using trace_format::Layout;
 namespace
 {
 
-/** Serialize the payload (name + columns) of a trace into @p buf. */
-std::vector<std::byte>
-buildPayload(const TraceView &trace)
+constexpr std::byte kZeroPad[8] = {};
+
+/** Start offset of each payload region in file order (the name, then
+ *  the eight columns), plus the payload end. */
+std::array<uint64_t, 10>
+regionStarts(uint64_t count, uint32_t name_len)
 {
-    const uint64_t n = trace.size();
-    const std::string_view name = trace.name();
-    const Layout l = trace_format::layoutFor(
-        n, static_cast<uint32_t>(name.size()));
-
-    std::vector<std::byte> buf(l.end); // zero-filled: padding is 0
-    std::memcpy(buf.data() + l.name, name.data(), name.size());
-
-    auto *pc = reinterpret_cast<Addr *>(buf.data() + l.pc);
-    auto *addr = reinterpret_cast<Addr *>(buf.data() + l.addr);
-    auto *task_pc = reinterpret_cast<Addr *>(buf.data() + l.taskPc);
-    auto *src1 = reinterpret_cast<SeqNum *>(buf.data() + l.src1);
-    auto *src2 = reinterpret_cast<SeqNum *>(buf.data() + l.src2);
-    auto *task_id = reinterpret_cast<uint32_t *>(buf.data() + l.taskId);
-    auto *kind = reinterpret_cast<uint8_t *>(buf.data() + l.kind);
-    auto *repeats =
-        reinterpret_cast<uint8_t *>(buf.data() + l.valueRepeats);
-
-    for (SeqNum s = 0; s < n; ++s) {
-        const MicroOp op = trace[s];
-        pc[s] = op.pc;
-        addr[s] = op.addr;
-        task_pc[s] = op.taskPc;
-        src1[s] = op.src1;
-        src2[s] = op.src2;
-        task_id[s] = op.taskId;
-        kind[s] = static_cast<uint8_t>(op.kind);
-        repeats[s] = op.valueRepeats ? 1 : 0;
-    }
-    return buf;
+    const Layout l = trace_format::layoutFor(count, name_len);
+    return {l.name,   l.pc,   l.addr, l.taskPc,       l.src1,
+            l.src2,   l.taskId, l.kind, l.valueRepeats, l.end};
 }
 
 } // namespace
@@ -85,7 +65,23 @@ checkHeader(const FileHeader &header, uint64_t file_bytes)
 bool
 writeTrace(const TraceView &trace, std::ostream &os)
 {
-    const std::vector<std::byte> payload = buildPayload(trace);
+    // The regions are written where they lie; each is followed by the
+    // zero pad that brings it to the next region's offset.
+    std::array<std::span<const std::byte>, 9> regions;
+    regions[0] = std::as_bytes(std::span(trace.name()));
+    const auto columns = trace.columns();
+    std::copy(columns.begin(), columns.end(), regions.begin() + 1);
+    const auto starts = regionStarts(
+        trace.size(), static_cast<uint32_t>(trace.name().size()));
+    auto padAfter = [&](size_t i) {
+        return starts[i + 1] - starts[i] - regions[i].size();
+    };
+
+    Fnv1aBulk checksum;
+    for (size_t i = 0; i < regions.size(); ++i) {
+        checksum.update(regions[i].data(), regions[i].size());
+        checksum.update(kZeroPad, padAfter(i));
+    }
 
     FileHeader header{};
     std::memcpy(header.magic, trace_format::kMagic,
@@ -93,13 +89,16 @@ writeTrace(const TraceView &trace, std::ostream &os)
     header.version = trace_format::kVersion;
     header.nameLen = static_cast<uint32_t>(trace.name().size());
     header.count = trace.size();
-    header.payloadBytes = payload.size();
-    header.payloadChecksum =
-        fnv1aBulk(payload.data(), payload.size());
+    header.payloadBytes = starts.back();
+    header.payloadChecksum = checksum.digest();
 
     os.write(reinterpret_cast<const char *>(&header), sizeof(header));
-    os.write(reinterpret_cast<const char *>(payload.data()),
-             static_cast<std::streamsize>(payload.size()));
+    for (size_t i = 0; i < regions.size(); ++i) {
+        os.write(reinterpret_cast<const char *>(regions[i].data()),
+                 static_cast<std::streamsize>(regions[i].size()));
+        os.write(reinterpret_cast<const char *>(kZeroPad),
+                 static_cast<std::streamsize>(padAfter(i)));
+    }
     return os.good();
 }
 
@@ -107,7 +106,10 @@ bool
 saveTrace(const TraceView &trace, const std::string &path)
 {
     std::ofstream os(path, std::ios::binary);
-    return os && writeTrace(trace, os);
+    if (!os || !writeTrace(trace, os))
+        return false;
+    os.close();
+    return !os.fail();
 }
 
 Trace
@@ -124,34 +126,51 @@ readTrace(std::istream &is, std::string &error)
     if (!error.empty())
         return Trace();
 
-    std::vector<std::byte> payload(header.payloadBytes);
-    is.read(reinterpret_cast<char *>(payload.data()),
-            static_cast<std::streamsize>(payload.size()));
-    if (static_cast<uint64_t>(is.gcount()) != header.payloadBytes) {
+    const auto starts = regionStarts(header.count, header.nameLen);
+    Fnv1aBulk checksum;
+    size_t region = 0;
+    // Read the next region (n elements into v) and its pad.  v grows
+    // by at most 1 MiB per read, so a header claiming more ops than
+    // the stream holds cannot size an allocation.
+    auto next = [&](auto &v, uint64_t n) {
+        using T = typename std::decay_t<decltype(v)>::value_type;
+        constexpr uint64_t kChunk = (uint64_t{1} << 20) / sizeof(T);
+        while (v.size() < n) {
+            const size_t have = v.size();
+            const auto take =
+                static_cast<size_t>(std::min(n - have, kChunk));
+            v.resize(have + take);
+            auto *dst = reinterpret_cast<char *>(v.data() + have);
+            const auto bytes =
+                static_cast<std::streamsize>(take * sizeof(T));
+            if (!is.read(dst, bytes))
+                return false;
+            checksum.update(dst, static_cast<size_t>(bytes));
+        }
+        char pad[sizeof(kZeroPad)] = {};
+        const auto pad_len = static_cast<std::streamsize>(
+            starts[region + 1] - starts[region] - n * sizeof(T));
+        ++region;
+        if (!is.read(pad, pad_len))
+            return false;
+        checksum.update(pad, static_cast<size_t>(pad_len));
+        return true;
+    };
+
+    Trace trace;
+    const uint64_t n = header.count;
+    if (!(next(trace.name, header.nameLen) && next(trace.pcs, n) &&
+          next(trace.addrs, n) && next(trace.taskPcs, n) &&
+          next(trace.src1s, n) && next(trace.src2s, n) &&
+          next(trace.taskIds, n) && next(trace.kinds, n) &&
+          next(trace.repeats, n))) {
         error = "truncated payload";
         return Trace();
     }
-    if (fnv1aBulk(payload.data(), payload.size()) !=
-        header.payloadChecksum) {
+    if (checksum.digest() != header.payloadChecksum) {
         error = "payload checksum mismatch";
         return Trace();
     }
-
-    const Layout l =
-        trace_format::layoutFor(header.count, header.nameLen);
-    std::string name(reinterpret_cast<const char *>(payload.data()),
-                     header.nameLen);
-    const TraceView view = TraceView::columnar(
-        header.count, name, payload.data() + l.pc,
-        payload.data() + l.addr, payload.data() + l.taskPc,
-        payload.data() + l.src1, payload.data() + l.src2,
-        payload.data() + l.taskId, payload.data() + l.kind,
-        payload.data() + l.valueRepeats);
-
-    Trace trace(name);
-    trace.reserve(header.count);
-    for (SeqNum s = 0; s < header.count; ++s)
-        trace.append(view[s]);
 
     std::string invalid = trace.validate();
     if (!invalid.empty()) {
@@ -169,6 +188,23 @@ loadTrace(const std::string &path, std::string &error)
         error = "cannot open " + path;
         return Trace();
     }
+    // Check the header against the file's real size first, as
+    // MappedTrace::open does; then read it again with the payload.
+    std::error_code ec;
+    const uint64_t file_bytes = std::filesystem::file_size(path, ec);
+    if (ec) {
+        error = "cannot stat " + path;
+        return Trace();
+    }
+    FileHeader header{};
+    if (!is.read(reinterpret_cast<char *>(&header), sizeof(header))) {
+        error = "truncated header";
+        return Trace();
+    }
+    error = trace_format::checkHeader(header, file_bytes);
+    if (!error.empty())
+        return Trace();
+    is.seekg(0);
     return readTrace(is, error);
 }
 

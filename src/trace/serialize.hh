@@ -5,13 +5,14 @@
  * Generated traces are deterministic, but saving them lets external
  * tools exchange workloads, makes long-trace experiments restartable,
  * and -- through the trace cache (trace/cache.hh) -- turns trace
- * generation into a build-once artifact.  Format v2 is columnar so a
- * file can be mmap'd and wrapped by a TraceView without any
- * deserialization: after a fixed little-endian header and the name
- * bytes, each MicroOp field is stored as one packed column, every
- * column 8-byte aligned.  A bulk FNV-1a checksum over the payload
- * (fnv1aBulk, base/hash.hh) detects corruption and truncation; readers
- * never trust a file.
+ * generation into a build-once artifact.  Format v2 is the layout
+ * Trace and TraceView already use: after a fixed little-endian header
+ * and the name bytes, each MicroOp field is one packed column of its
+ * own width, so the writer emits the columns where they lie and an
+ * mmap'd file is wrapped by a TraceView without any deserialization.
+ * The name and the two 1-byte columns are zero-padded to 8 bytes.  A
+ * bulk FNV-1a checksum over the payload (Fnv1aBulk, base/hash.hh)
+ * detects corruption and truncation; readers never trust a file.
  */
 
 #ifndef MDP_TRACE_SERIALIZE_HH
@@ -97,18 +98,23 @@ std::string checkHeader(const FileHeader &header, uint64_t file_bytes);
 /** Write a trace to a stream.  @return false on I/O failure. */
 bool writeTrace(const TraceView &trace, std::ostream &os);
 
-/** Write a trace to a file.  @return false on I/O failure. */
+/** Write a trace to a file.  @return false on I/O failure,
+ *  including a failed final flush on close. */
 bool saveTrace(const TraceView &trace, const std::string &path);
 
 /**
  * Read a trace from a stream (checksum-verified copy into memory; for
- * the zero-copy path see MappedTrace in trace/cache.hh).
+ * the zero-copy path see MappedTrace in trace/cache.hh).  Each
+ * column's allocation follows the bytes the stream has delivered
+ * (within twice that plus one 1 MiB read), never the op count the
+ * header claims.
  * @param error Receives a description when reading fails.
  * @return the trace, empty on failure (check @p error).
  */
 Trace readTrace(std::istream &is, std::string &error);
 
-/** Read a trace from a file. */
+/** Read a trace from a file, checking the header against the file's
+ *  size before reading the payload. */
 Trace loadTrace(const std::string &path, std::string &error);
 
 } // namespace mdp

@@ -7,25 +7,32 @@
 namespace mdp
 {
 
-TraceView::TraceView(const Trace &trace)
-    : count(trace.size()), viewName(trace.traceName())
+namespace
 {
-    if (count == 0)
-        return;
-    const MicroOp *ops = trace.all().data();
-    constexpr auto stride = static_cast<uint32_t>(sizeof(MicroOp));
-    auto field = [](const void *p) {
-        return Field{static_cast<const std::byte *>(p), stride};
-    };
-    fPc = field(&ops->pc);
-    fAddr = field(&ops->addr);
-    fTaskPc = field(&ops->taskPc);
-    fSrc1 = field(&ops->src1);
-    fSrc2 = field(&ops->src2);
-    fTaskId = field(&ops->taskId);
-    fKind = field(&ops->kind);
-    fValueRepeats = field(&ops->valueRepeats);
+
+template <typename T>
+TraceView::Column<T>
+columnOf(const std::vector<T> &v)
+{
+    return {reinterpret_cast<const std::byte *>(v.data())};
 }
+
+template <typename T>
+std::span<const std::byte>
+bytesOf(TraceView::Column<T> c, size_t count)
+{
+    return {c.base, count * sizeof(T)};
+}
+
+} // namespace
+
+TraceView::TraceView(const Trace &trace)
+    : count(trace.size()), viewName(trace.traceName()),
+      cPc(columnOf(trace.pcs)), cAddr(columnOf(trace.addrs)),
+      cTaskPc(columnOf(trace.taskPcs)), cSrc1(columnOf(trace.src1s)),
+      cSrc2(columnOf(trace.src2s)), cTaskId(columnOf(trace.taskIds)),
+      cKind(columnOf(trace.kinds)), cValueRepeats(columnOf(trace.repeats))
+{}
 
 TraceView
 TraceView::columnar(size_t count, std::string_view trace_name,
@@ -38,15 +45,24 @@ TraceView::columnar(size_t count, std::string_view trace_name,
     TraceView v;
     v.count = count;
     v.viewName = trace_name;
-    v.fPc = {pc, sizeof(Addr)};
-    v.fAddr = {addr, sizeof(Addr)};
-    v.fTaskPc = {task_pc, sizeof(Addr)};
-    v.fSrc1 = {src1, sizeof(SeqNum)};
-    v.fSrc2 = {src2, sizeof(SeqNum)};
-    v.fTaskId = {task_id, sizeof(uint32_t)};
-    v.fKind = {kind, sizeof(uint8_t)};
-    v.fValueRepeats = {value_repeats, sizeof(uint8_t)};
+    v.cPc = {pc};
+    v.cAddr = {addr};
+    v.cTaskPc = {task_pc};
+    v.cSrc1 = {src1};
+    v.cSrc2 = {src2};
+    v.cTaskId = {task_id};
+    v.cKind = {kind};
+    v.cValueRepeats = {value_repeats};
     return v;
+}
+
+std::array<std::span<const std::byte>, 8>
+TraceView::columns() const
+{
+    return {bytesOf(cPc, count),     bytesOf(cAddr, count),
+            bytesOf(cTaskPc, count), bytesOf(cSrc1, count),
+            bytesOf(cSrc2, count),   bytesOf(cTaskId, count),
+            bytesOf(cKind, count),   bytesOf(cValueRepeats, count)};
 }
 
 uint32_t
@@ -54,7 +70,7 @@ TraceView::numTasks() const
 {
     if (count == 0)
         return 0;
-    return at<uint32_t>(fTaskId, count - 1) + 1;
+    return cTaskId[count - 1] + 1;
 }
 
 std::vector<SeqNum>
@@ -63,7 +79,7 @@ TraceView::taskBoundaries() const
     std::vector<SeqNum> bounds;
     uint32_t last = UINT32_MAX;
     for (SeqNum s = 0; s < count; ++s) {
-        uint32_t task = at<uint32_t>(fTaskId, s);
+        uint32_t task = cTaskId[s];
         if (task != last) {
             bounds.push_back(s);
             last = task;
@@ -79,7 +95,7 @@ TraceView::stats() const
     TraceStats st;
     st.numOps = count;
     for (SeqNum s = 0; s < count; ++s) {
-        switch (static_cast<OpKind>(at<uint8_t>(fKind, s))) {
+        switch (kind(s)) {
           case OpKind::Load:
             ++st.numLoads;
             break;

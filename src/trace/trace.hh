@@ -1,15 +1,18 @@
 /**
  * @file
- * Trace container, the zero-copy TraceView accessor, and summary
- * statistics.
+ * Trace container, the zero-copy columnar TraceView accessor, and
+ * summary statistics.
  */
 
 #ifndef MDP_TRACE_TRACE_HH
 #define MDP_TRACE_TRACE_HH
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <iosfwd>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,22 +39,33 @@ struct TraceStats
 class Trace;
 
 /**
- * A non-owning, uniformly strided view of a dynamic instruction
- * stream.  This is the type every timing model consumes; it reads
- * either
- *
- *  - an in-memory Trace (array-of-structs: each field pointer starts
- *    inside MicroOp[0] and strides by sizeof(MicroOp)), or
- *  - an mmap'd columnar trace file (struct-of-arrays: each field
- *    pointer is the column base and strides by the field width),
- *
- * through the same branch-free (base + seq * stride) access, so cached
- * on-disk traces replay with zero deserialization.  The view borrows
- * its storage: the Trace or MappedTrace behind it must outlive it.
+ * A non-owning, columnar view of a dynamic instruction stream.  This
+ * is the type every timing model consumes.  Each MicroOp field is one
+ * packed, fixed-width column (the serialize.hh v2 order and widths),
+ * whether it lies in an in-memory Trace or in an mmap'd trace file, so
+ * cached on-disk traces replay with zero deserialization.  Reads go
+ * through std::memcpy, which makes them independent of the column's
+ * alignment in the file.  The view borrows its storage: the Trace or
+ * MappedTrace behind it must outlive it.
  */
 class TraceView
 {
   public:
+    /** One packed column of @c T, read by value. */
+    template <typename T>
+    struct Column
+    {
+        const std::byte *base = nullptr;
+
+        T
+        operator[](size_t i) const
+        {
+            T v;
+            std::memcpy(&v, base + i * sizeof(T), sizeof(T));
+            return v;
+        }
+    };
+
     TraceView() = default;
 
     /** View an in-memory trace (implicit: models take TraceView). */
@@ -81,14 +95,14 @@ class TraceView
     operator[](SeqNum s) const
     {
         MicroOp op;
-        op.pc = at<Addr>(fPc, s);
-        op.addr = at<Addr>(fAddr, s);
-        op.taskPc = at<Addr>(fTaskPc, s);
-        op.src1 = at<SeqNum>(fSrc1, s);
-        op.src2 = at<SeqNum>(fSrc2, s);
-        op.taskId = at<uint32_t>(fTaskId, s);
-        op.kind = static_cast<OpKind>(at<uint8_t>(fKind, s));
-        op.valueRepeats = at<uint8_t>(fValueRepeats, s) != 0;
+        op.pc = cPc[s];
+        op.addr = cAddr[s];
+        op.taskPc = cTaskPc[s];
+        op.src1 = cSrc1[s];
+        op.src2 = cSrc2[s];
+        op.taskId = cTaskId[s];
+        op.kind = static_cast<OpKind>(cKind[s]);
+        op.valueRepeats = cValueRepeats[s] != 0;
         return op;
     }
 
@@ -99,25 +113,23 @@ class TraceView
      * full operator[] gather of all eight fields is a measured hot
      * spot there, so these read exactly one column.
      */
-    Addr pc(SeqNum s) const { return at<Addr>(fPc, s); }
-    Addr addr(SeqNum s) const { return at<Addr>(fAddr, s); }
-    Addr taskPc(SeqNum s) const { return at<Addr>(fTaskPc, s); }
-    SeqNum src1(SeqNum s) const { return at<SeqNum>(fSrc1, s); }
-    SeqNum src2(SeqNum s) const { return at<SeqNum>(fSrc2, s); }
-    uint32_t taskId(SeqNum s) const { return at<uint32_t>(fTaskId, s); }
-    OpKind
-    kind(SeqNum s) const
-    {
-        return static_cast<OpKind>(at<uint8_t>(fKind, s));
-    }
-    bool
-    valueRepeats(SeqNum s) const
-    {
-        return at<uint8_t>(fValueRepeats, s) != 0;
-    }
+    Addr pc(SeqNum s) const { return cPc[s]; }
+    Addr addr(SeqNum s) const { return cAddr[s]; }
+    Addr taskPc(SeqNum s) const { return cTaskPc[s]; }
+    SeqNum src1(SeqNum s) const { return cSrc1[s]; }
+    SeqNum src2(SeqNum s) const { return cSrc2[s]; }
+    uint32_t taskId(SeqNum s) const { return cTaskId[s]; }
+    OpKind kind(SeqNum s) const { return static_cast<OpKind>(cKind[s]); }
+    bool valueRepeats(SeqNum s) const { return cValueRepeats[s] != 0; }
     bool isLoad(SeqNum s) const { return kind(s) == OpKind::Load; }
     bool isStore(SeqNum s) const { return kind(s) == OpKind::Store; }
     bool isMemOp(SeqNum s) const { return isMem(kind(s)); }
+
+    /**
+     * The eight columns as raw bytes, in file order (pc, addr, taskPc,
+     * src1, src2, taskId, kind, valueRepeats); what writeTrace emits.
+     */
+    std::array<std::span<const std::byte>, 8> columns() const;
 
     /** Number of tasks (max taskId + 1, or 0 for empty traces). */
     uint32_t numTasks() const;
@@ -137,30 +149,18 @@ class TraceView
     std::string validate() const;
 
   private:
-    /** One field: column (or struct-member) base and element stride. */
-    struct Field
-    {
-        const std::byte *base = nullptr;
-        uint32_t stride = 0;
-    };
-
-    template <typename T>
-    static T
-    at(Field f, size_t i)
-    {
-        T v;
-        std::memcpy(&v, f.base + i * size_t{f.stride}, sizeof(T));
-        return v;
-    }
-
     size_t count = 0;
     std::string_view viewName;
-    Field fPc, fAddr, fTaskPc, fSrc1, fSrc2, fTaskId, fKind,
-        fValueRepeats;
+    Column<Addr> cPc, cAddr, cTaskPc;
+    Column<SeqNum> cSrc1, cSrc2;
+    Column<uint32_t> cTaskId;
+    Column<uint8_t> cKind, cValueRepeats;
 };
 
 /**
- * A dynamic instruction stream in program order (owning container).
+ * A dynamic instruction stream in program order (owning container):
+ * one packed column per MicroOp field, the layout TraceView reads and
+ * writeTrace emits without a staging copy.
  *
  * Invariants (checked by validate()):
  *  - taskId values are non-decreasing and contiguous from 0;
@@ -173,23 +173,40 @@ class Trace
     Trace() = default;
     explicit Trace(std::string trace_name) : name(std::move(trace_name)) {}
 
-    void reserve(size_t n) { ops.reserve(n); }
+    void
+    reserve(size_t n)
+    {
+        pcs.reserve(n);
+        addrs.reserve(n);
+        taskPcs.reserve(n);
+        src1s.reserve(n);
+        src2s.reserve(n);
+        taskIds.reserve(n);
+        kinds.reserve(n);
+        repeats.reserve(n);
+    }
 
     /** Append an op; returns its sequence number. */
     SeqNum
     append(const MicroOp &op)
     {
-        ops.push_back(op);
-        return static_cast<SeqNum>(ops.size() - 1);
+        pcs.push_back(op.pc);
+        addrs.push_back(op.addr);
+        taskPcs.push_back(op.taskPc);
+        src1s.push_back(op.src1);
+        src2s.push_back(op.src2);
+        taskIds.push_back(op.taskId);
+        kinds.push_back(static_cast<uint8_t>(op.kind));
+        repeats.push_back(op.valueRepeats ? 1 : 0);
+        return static_cast<SeqNum>(pcs.size() - 1);
     }
 
-    const MicroOp &operator[](SeqNum s) const { return ops[s]; }
-    MicroOp &operator[](SeqNum s) { return ops[s]; }
+    /** Materialize one op (a gather of all fields at @p s). */
+    MicroOp operator[](SeqNum s) const { return TraceView(*this)[s]; }
 
-    size_t size() const { return ops.size(); }
-    bool empty() const { return ops.empty(); }
+    size_t size() const { return pcs.size(); }
+    bool empty() const { return pcs.empty(); }
 
-    const std::vector<MicroOp> &all() const { return ops; }
     const std::string &traceName() const { return name; }
 
     /** Number of tasks (max taskId + 1, or 0 for empty traces). */
@@ -213,8 +230,15 @@ class Trace
     std::string validate() const { return TraceView(*this).validate(); }
 
   private:
+    friend class TraceView;
+    friend class TraceBuilder;
+    friend Trace readTrace(std::istream &is, std::string &error);
+
     std::string name;
-    std::vector<MicroOp> ops;
+    std::vector<Addr> pcs, addrs, taskPcs;
+    std::vector<SeqNum> src1s, src2s;
+    std::vector<uint32_t> taskIds;
+    std::vector<uint8_t> kinds, repeats;
 };
 
 } // namespace mdp

@@ -33,8 +33,8 @@ WindowModel::study(uint32_t window_size,
             continue;
         ++res.misSpeculations;
         SeqNum st = oracle.producer(load);
-        Addr ldpc = trc[load].pc;
-        Addr stpc = trc[st].pc;
+        Addr ldpc = trc.pc(load);
+        Addr stpc = trc.pc(st);
         ++edge_counts[(ldpc << 20) ^ stpc];
         for (auto &ddc : ddcs)
             ddc.access(ldpc, stpc);

@@ -261,8 +261,8 @@ Workload::generate(double scale, uint64_t seed_override) const
                                 ev.pcVariant * 0x40000,
                             a, chain, random_src());
                         if (r.valueStability > 0.0)
-                            builder.lastOp().valueRepeats =
-                                rng.chance(r.valueStability);
+                            builder.setLastValueRepeats(
+                                rng.chance(r.valueStability));
                         remember(s);
                     } else {
                         uint64_t src_iter = i - r.distance;

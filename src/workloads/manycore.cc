@@ -102,7 +102,6 @@ makeBfsFrontierTrace(double scale, uint64_t seed, unsigned num_pes)
                 SeqNum old = b.load(tpc + 0x1c, cursor);
                 SeqNum inc = b.alu(tpc + 0x20, old);
                 b.store(tpc + 0x24, cursor, kNoSeq, inc);
-                b.lastOp().valueRepeats = false;
             }
         }
         std::swap(prev, cur);
@@ -163,7 +162,7 @@ makeSpmvRowSplitTrace(double scale, uint64_t seed, unsigned num_pes)
 
         Addr my_y = kVecYBase + static_cast<uint64_t>(blk) * kStride;
         block_result[blk] = b.store(tpc + 0x1c, my_y, kNoSeq, acc);
-        b.lastOp().valueRepeats = rng.chance(0.3);
+        b.setLastValueRepeats(rng.chance(0.3));
     }
     return b.take();
 }
@@ -224,7 +223,7 @@ makeUtsTrace(double scale, uint64_t seed, unsigned num_pes)
         Addr my_addr =
             kNodeBase + (static_cast<uint64_t>(i) + 1) * kStride;
         node[i] = {b.store(tpc + 0x18, my_addr, agen, acc), my_addr};
-        b.lastOp().valueRepeats = rng.chance(0.5);
+        b.setLastValueRepeats(rng.chance(0.5));
     }
     return b.take();
 }

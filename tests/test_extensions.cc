@@ -166,7 +166,7 @@ repeatingValueLoop(bool repeats)
         for (int i = 0; i < 15; ++i)
             b.alu(0x10 + i * 4);
         b.store(0x300, 0x100);
-        b.lastOp().valueRepeats = repeats;
+        b.setLastValueRepeats(repeats);
         for (int i = 0; i < 4; ++i)
             b.alu(0x50 + i * 4);
     }

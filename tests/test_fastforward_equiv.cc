@@ -67,7 +67,7 @@ randomTrace(uint64_t seed)
                 s = b.load(0x100 + rng.below(8) * 4, addr, s1);
             } else if (kind < 4) {
                 s = b.store(0x200 + rng.below(8) * 4, addr, s1, s2);
-                b.lastOp().valueRepeats = rng.below(2) != 0;
+                b.setLastValueRepeats(rng.below(2) != 0);
             } else if (kind < 5) {
                 s = b.op(OpKind::IntDiv, 0x300, s1, s2);
             } else if (kind < 6) {

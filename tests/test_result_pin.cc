@@ -156,7 +156,7 @@ hubTrace(uint64_t seed)
                            i == 0 ? kNoSeq : a);
             } else if (kind < 4) {
                 s = b.store(0x200 + rng.below(8) * 4, addr, a, c);
-                b.lastOp().valueRepeats = rng.below(2) != 0;
+                b.setLastValueRepeats(rng.below(2) != 0);
             } else if (kind < 5) {
                 s = b.op(OpKind::IntDiv, 0x300, a, c);
             } else if (kind < 6) {

@@ -9,8 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <array>
 #include <atomic>
+#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -247,6 +250,38 @@ TEST_F(TraceCacheDamageTest, GarbageFileIsRejected)
     populate("garbage");
     spew(path, std::vector<char>(1024, 'x'));
     expectRejectedAndUnlinked();
+}
+
+/**
+ * Store @p trace with the file-size limit at 4 KiB (SIGXFSZ ignored,
+ * so the write fails instead of killing the process), then exit 0 iff
+ * the store failed and left nothing in @p dir.  Runs in a forked
+ * child so the limit cannot reach the rest of the suite.
+ */
+[[noreturn]] void
+storeUnderFileSizeLimit(const std::string &dir, const TraceCacheKey &key,
+                        const TraceView &trace)
+{
+    std::signal(SIGXFSZ, SIG_IGN);
+    rlimit limit{};
+    limit.rlim_cur = limit.rlim_max = 4096;
+    ::setrlimit(RLIMIT_FSIZE, &limit);
+    const bool stored = TraceCache(dir).store(key, trace);
+    size_t left = 0;
+    for (const auto &de : fs::directory_iterator(dir)) {
+        std::fprintf(stderr, "left behind: %s\n", de.path().c_str());
+        ++left;
+    }
+    std::exit(!stored && left == 0 ? 0 : 1);
+}
+
+TEST(TraceCacheTest, FailedWriteLeavesNoStagingFile)
+{
+    const std::string dir = freshDir("fsize");
+    const TraceCacheKey key = keyFor("compress", 0.02);
+    Trace t = findWorkload("compress").generate(0.02);
+    EXPECT_EXIT(storeUnderFileSizeLimit(dir, key, t),
+                testing::ExitedWithCode(0), "");
 }
 
 // --------------------------------------------------------------------
