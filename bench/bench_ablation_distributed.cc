@@ -22,13 +22,21 @@ main()
                  "distributed IPC", "distributed misspec"});
     ShapeChecks sc;
 
+    ExperimentRunner<SimResult> runner;
     for (const auto &name : specInt92Names()) {
-        const WorkloadContext &ctx = cachedContext(name, benchScale());
-        MultiscalarConfig cfg =
-            makeMultiscalarConfig(ctx, 8, "esync");
-        SimResult central = runMultiscalar(ctx, cfg);
-        cfg.organization = SyncOrganization::Distributed;
-        SimResult dist = runMultiscalar(ctx, cfg);
+        runner.add(multiscalarCell(name, 8, "esync"));
+        runner.add(multiscalarCell(name, 8, "esync",
+                                   [](MultiscalarConfig &cfg) {
+                                       cfg.organization =
+                                           SyncOrganization::Distributed;
+                                   }));
+    }
+    const std::vector<SimResult> results = runner.runAll();
+
+    size_t idx = 0;
+    for (const auto &name : specInt92Names()) {
+        const SimResult &central = results[idx++];
+        const SimResult &dist = results[idx++];
 
         t.beginRow();
         t.cell(name);
@@ -37,7 +45,8 @@ main()
         t.num(dist.ipc(), 2);
         t.cell(formatCount(dist.misSpeculations));
 
-        sc.check(dist.committedOps == ctx.trace().size(),
+        sc.check(dist.committedOps ==
+                     cachedContext(name, benchScale()).trace().size(),
                  name + ": distributed organization completes");
         sc.check(dist.ipc() > central.ipc() * 0.85,
                  name + ": distribution costs at most a modest slowdown"

@@ -19,27 +19,35 @@ main()
     banner("Ablation A4: superscalar continuous-window model",
            "Moshovos et al., ISCA'97, section 6 (other models)");
 
+    const std::vector<std::string> names = {"compress", "espresso",
+                                            "xlisp"};
     const std::vector<unsigned> windows = {16, 32, 64, 128};
+
+    ExperimentRunner<OooResult> runner;
+    for (const auto &name : names)
+        for (unsigned w : windows)
+            for (const char *p : {"never", "always", "sync", "psync"})
+                runner.add([name, w, p] {
+                    OooConfig cfg;
+                    cfg.windowSize = w;
+                    cfg.policyName = p;
+                    return runOoo(cachedContext(name, benchScale()), cfg);
+                });
+    const std::vector<OooResult> results = runner.runAll();
+
     TextTable t({"benchmark", "window", "NEVER", "ALWAYS", "SYNC",
                  "PSYNC", "always misspec/kop"});
     ShapeChecks sc;
 
-    for (const auto &name : {std::string("compress"),
-                             std::string("espresso"),
-                             std::string("xlisp")}) {
-        const WorkloadContext &ctx = cachedContext(name, benchScale());
+    size_t idx = 0;
+    for (const auto &name : names) {
+        const size_t ops = cachedContext(name, benchScale()).trace().size();
         uint64_t prev_misspec = 0;
         for (unsigned w : windows) {
-            auto run = [&](const std::string &p) {
-                OooConfig cfg;
-                cfg.windowSize = w;
-                cfg.policyName = p;
-                return runOoo(ctx, cfg);
-            };
-            OooResult never = run("never");
-            OooResult always = run("always");
-            OooResult sync = run("sync");
-            OooResult psync = run("psync");
+            const OooResult &never = results[idx++];
+            const OooResult &always = results[idx++];
+            const OooResult &sync = results[idx++];
+            const OooResult &psync = results[idx++];
 
             t.beginRow();
             t.cell(name);
@@ -48,8 +56,7 @@ main()
             t.num(always.ipc(), 2);
             t.num(sync.ipc(), 2);
             t.num(psync.ipc(), 2);
-            t.num(1000.0 * always.misSpeculations / ctx.trace().size(),
-                  2);
+            t.num(1000.0 * always.misSpeculations / ops, 2);
 
             std::string tag = name + " w" + std::to_string(w);
             if (w == 16) {

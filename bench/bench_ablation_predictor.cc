@@ -19,14 +19,6 @@ main()
 
     const std::vector<std::string> names = {"compress", "espresso",
                                             "sc"};
-    std::vector<const WorkloadContext *> ctxs;
-    std::vector<SimResult> base;
-    for (const auto &n : names) {
-        ctxs.push_back(&cachedContext(n, benchScale()));
-        base.push_back(runMultiscalar(
-            *ctxs.back(),
-            makeMultiscalarConfig(*ctxs.back(), 8, "always")));
-    }
 
     struct Variant
     {
@@ -47,6 +39,24 @@ main()
         {"2-bit counter (thr 2)", 2, 2, 1, 1, false},
     };
 
+    // The ALWAYS baselines first, then one ESYNC cell per (variant,
+    // workload).
+    ExperimentRunner<SimResult> runner;
+    for (const auto &n : names)
+        runner.add(multiscalarCell(n, 8, "always"));
+    for (const Variant &v : variants) {
+        auto knobs = [v](MultiscalarConfig &cfg) {
+            cfg.sync.counterBits = v.bits;
+            cfg.sync.threshold = v.threshold;
+            cfg.sync.initialCount = v.init;
+            cfg.sync.frontierReleasePenalty = v.penalty;
+            cfg.sync.saturateOnMisspec = v.saturate;
+        };
+        for (const auto &n : names)
+            runner.add(multiscalarCell(n, 8, "esync", knobs));
+    }
+    const std::vector<SimResult> results = runner.runAll();
+
     TextTable t;
     std::vector<std::string> head = {"variant"};
     for (const auto &n : names)
@@ -55,19 +65,12 @@ main()
 
     ShapeChecks sc;
     double default_compress = 0;
+    size_t idx = names.size();
     for (const auto &v : variants) {
         t.beginRow();
         t.cell(v.label);
         for (size_t i = 0; i < names.size(); ++i) {
-            MultiscalarConfig cfg =
-                makeMultiscalarConfig(*ctxs[i], 8, "esync");
-            cfg.sync.counterBits = v.bits;
-            cfg.sync.threshold = v.threshold;
-            cfg.sync.initialCount = v.init;
-            cfg.sync.frontierReleasePenalty = v.penalty;
-            cfg.sync.saturateOnMisspec = v.saturate;
-            SimResult r = runMultiscalar(*ctxs[i], cfg);
-            double sp = speedupPct(base[i], r);
+            double sp = speedupPct(results[i], results[idx++]);
             t.cell(formatDouble(sp, 1) + "%");
             if (&v == &variants[0] && names[i] == "compress")
                 default_compress = sp;

@@ -27,26 +27,26 @@ main()
         head.push_back(n + " (ESYNC vs ALWAYS)");
     t.header(head);
 
-    ShapeChecks sc;
-    std::vector<const WorkloadContext *> ctxs;
-    std::vector<SimResult> base;
-    for (const auto &n : names) {
-        ctxs.push_back(&cachedContext(n, benchScale()));
-        base.push_back(runMultiscalar(
-            *ctxs.back(),
-            makeMultiscalarConfig(*ctxs.back(), 8, "always")));
-    }
+    // The ALWAYS baselines first, then one ESYNC cell per (size,
+    // workload).
+    ExperimentRunner<SimResult> runner;
+    for (const auto &n : names)
+        runner.add(multiscalarCell(n, 8, "always"));
+    for (size_t sz : sizes)
+        for (const auto &n : names)
+            runner.add(multiscalarCell(
+                n, 8, "esync",
+                [sz](MultiscalarConfig &cfg) { cfg.sync.numEntries = sz; }));
+    const std::vector<SimResult> results = runner.runAll();
 
+    ShapeChecks sc;
     std::vector<double> small_gain(names.size()), big_gain(names.size());
+    size_t idx = names.size();
     for (size_t sz : sizes) {
         t.beginRow();
         t.integer(sz);
         for (size_t i = 0; i < names.size(); ++i) {
-            MultiscalarConfig cfg =
-                makeMultiscalarConfig(*ctxs[i], 8, "esync");
-            cfg.sync.numEntries = sz;
-            SimResult r = runMultiscalar(*ctxs[i], cfg);
-            double sp = speedupPct(base[i], r);
+            double sp = speedupPct(results[i], results[idx++]);
             t.cell(formatDouble(sp, 1) + "%");
             if (sz == 16)
                 small_gain[i] = sp;

@@ -18,38 +18,41 @@ main()
            "(8 stages, SYNC)",
            "Moshovos et al., ISCA'97, sections 3, 4, 5.5");
 
+    // Per workload: the ALWAYS baseline, then SYNC under each of the
+    // four (tag scheme, organization) variants.
+    ExperimentRunner<SimResult> runner;
+    for (const auto &name : specInt92Names()) {
+        runner.add(multiscalarCell(name, 8, "always"));
+        for (TagScheme tags : {TagScheme::Distance, TagScheme::Address})
+            for (SyncOrganization org : {SyncOrganization::Combined,
+                                         SyncOrganization::Split})
+                runner.add(multiscalarCell(
+                    name, 8, "sync", [tags, org](MultiscalarConfig &cfg) {
+                        cfg.sync.tags = tags;
+                        cfg.organization = org;
+                    }));
+    }
+    const std::vector<SimResult> results = runner.runAll();
+
     TextTable t({"benchmark", "ALWAYS IPC", "dist/combined",
                  "dist/split", "addr/combined", "addr/split"});
     ShapeChecks sc;
 
+    size_t idx = 0;
     for (const auto &name : specInt92Names()) {
-        const WorkloadContext &ctx = cachedContext(name, benchScale());
-        SimResult base = runMultiscalar(
-            ctx, makeMultiscalarConfig(ctx, 8, "always"));
+        const SimResult &base = results[idx++];
+        const size_t ops = cachedContext(name, benchScale()).trace().size();
 
         t.beginRow();
         t.cell(name);
         t.num(base.ipc(), 2);
 
-        double dist_combined = 0;
-        for (TagScheme tags : {TagScheme::Distance, TagScheme::Address}) {
-            for (SyncOrganization org : {SyncOrganization::Combined,
-                                         SyncOrganization::Split}) {
-                MultiscalarConfig cfg =
-                    makeMultiscalarConfig(ctx, 8, "sync");
-                cfg.sync.tags = tags;
-                cfg.organization = org;
-                SimResult r = runMultiscalar(ctx, cfg);
-                double sp = speedupPct(base, r);
-                t.cell(formatDouble(sp, 1) + "%");
-                if (tags == TagScheme::Distance &&
-                    org == SyncOrganization::Combined)
-                    dist_combined = sp;
-                sc.check(r.committedOps == ctx.trace().size(),
-                         name + ": variant completes the trace");
-            }
+        for (int v = 0; v < 4; ++v) {
+            const SimResult &r = results[idx++];
+            t.cell(formatDouble(speedupPct(base, r), 1) + "%");
+            sc.check(r.committedOps == ops,
+                     name + ": variant completes the trace");
         }
-        (void)dist_combined;
     }
     t.print(std::cout);
     std::printf("\n");

@@ -1,5 +1,3 @@
-// mdp-lint: allow(bench-discipline): every row mutates the profile
-// (value locality sweep), so the shared context cache cannot apply.
 /**
  * @file
  * Ablation A6: the section-6 hybrid -- "a data speculation approach
@@ -11,6 +9,7 @@
  * entirely (the dataflow limit no longer applies).
  */
 
+#include <array>
 #include <iostream>
 
 #include "bench_common.hh"
@@ -28,26 +27,36 @@ main()
                  "VP uses", "VP hits", "VP misses"});
     ShapeChecks sc;
 
-    double vsync_low = 0, vsync_high = 0, psync_high = 0, esync_high = 0;
-    for (double stability : {0.0, 0.5, 0.95}) {
-        // An espresso-like loop whose recurrence stores repeat their
-        // values with the given probability.
-        WorkloadProfile p = findWorkload("espresso").profile();
-        p.name = "espresso-vs" + std::to_string(stability);
-        for (auto &r : p.recurrences)
-            r.valueStability = stability;
-        Workload w(std::move(p));
-        // mdp-lint: allow(bench-discipline): custom per-row profile.
-        WorkloadContext ctx(w.generate(benchScale()));
+    // One cell per value locality: each generates its own variant of
+    // the profile, so it runs every policy on a private context.
+    const std::vector<double> stabilities = {0.0, 0.5, 0.95};
+    using Row = std::array<SimResult, 4>; // ALWAYS, ESYNC, VSYNC, PSYNC
+    ExperimentRunner<Row> runner;
+    for (double stability : stabilities) {
+        runner.add([stability] {
+            // An espresso-like loop whose recurrence stores repeat
+            // their values with the given probability.
+            WorkloadProfile p = findWorkload("espresso").profile();
+            p.name = "espresso-vs" + std::to_string(stability);
+            for (auto &r : p.recurrences)
+                r.valueStability = stability;
+            Workload w(std::move(p));
+            // mdp-lint: allow(bench-discipline): custom per-row profile.
+            WorkloadContext ctx(w.generate(benchScale()));
+            Row row;
+            const char *policies[] = {"always", "esync", "vsync", "psync"};
+            for (size_t i = 0; i < row.size(); ++i)
+                row[i] = runMultiscalar(
+                    ctx, makeMultiscalarConfig(ctx, 8, policies[i]));
+            return row;
+        });
+    }
+    const std::vector<Row> rows = runner.runAll();
 
-        auto run = [&](const std::string &pol) {
-            return runMultiscalar(ctx,
-                                  makeMultiscalarConfig(ctx, 8, pol));
-        };
-        SimResult always = run("always");
-        SimResult esync = run("esync");
-        SimResult vsync = run("vsync");
-        SimResult psync = run("psync");
+    double vsync_low = 0, vsync_high = 0, psync_high = 0, esync_high = 0;
+    for (size_t i = 0; i < stabilities.size(); ++i) {
+        const double stability = stabilities[i];
+        const auto &[always, esync, vsync, psync] = rows[i];
 
         t.beginRow();
         t.num(stability, 2);

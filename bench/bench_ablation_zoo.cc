@@ -69,14 +69,28 @@ main()
     for (const auto &name : specFp95Names())
         programs.emplace_back("SPECfp95", name);
 
-    ExperimentRunner runner;
-    for (const auto &[suite, name] : programs) {
-        for (const std::string &key : policies) {
-            runner.add(name, benchScale(),
-                       makeWorkloadConfig(name, 8, key));
-        }
-    }
-    runner.runAll();
+    // The value-locality addendum's cells (last in the grid): one
+    // espresso variant whose recurrence stores repeat their values 95%
+    // of the time, so the value-assisted descendant must monetize the
+    // locality its stock-profile row cannot show.
+    WorkloadProfile vp = findWorkload("espresso").profile();
+    vp.name = "espresso-zoo-vs0.95";
+    for (auto &rec : vp.recurrences)
+        rec.valueStability = 0.95;
+    Workload vw(std::move(vp));
+    // mdp-lint: allow(bench-discipline): custom value-locality profile.
+    WorkloadContext vctx(vw.generate(benchScale()));
+
+    ExperimentRunner<SimResult> runner;
+    for (const auto &[suite, name] : programs)
+        for (const std::string &key : policies)
+            runner.add(multiscalarCell(name, 8, key));
+    for (const char *key : {"sync", "vassist"})
+        runner.add([&vctx, key] {
+            return runMultiscalar(vctx,
+                                  makeMultiscalarConfig(vctx, 8, key));
+        });
+    const std::vector<SimResult> results = runner.runAll();
 
     size_t baseline = policies.size();
     for (size_t j = 0; j < policies.size(); ++j)
@@ -88,10 +102,9 @@ main()
     std::vector<PolicyAggregate> agg(policies.size());
     for (size_t i = 0; i < programs.size(); ++i) {
         const SimResult &always =
-            runner.result(i * policies.size() + baseline);
+            results[i * policies.size() + baseline];
         for (size_t j = 0; j < policies.size(); ++j) {
-            const SimResult &r =
-                runner.result(i * policies.size() + j);
+            const SimResult &r = results[i * policies.size() + j];
             PolicyAggregate &a = agg[j];
             a.logIpcSum += std::log(r.ipc());
             a.logRatioSum += std::log(r.ipc() / always.ipc());
@@ -186,22 +199,8 @@ main()
     std::printf("\n");
 
     // ---- value-locality addendum ------------------------------------
-    // One espresso variant whose recurrence stores repeat their values
-    // 95% of the time: the value-assisted descendant must actually
-    // monetize the locality its stock-profile row cannot show.
-    WorkloadProfile vp = findWorkload("espresso").profile();
-    vp.name = "espresso-zoo-vs0.95";
-    for (auto &rec : vp.recurrences)
-        rec.valueStability = 0.95;
-    Workload vw(std::move(vp));
-    // mdp-lint: allow(bench-discipline): custom value-locality profile.
-    WorkloadContext vctx(vw.generate(benchScale()));
-
-    auto runNamed = [&](const std::string &key) {
-        return runMultiscalar(vctx, makeMultiscalarConfig(vctx, 8, key));
-    };
-    SimResult vsync_r = runNamed("sync");
-    SimResult vassist_r = runNamed("vassist");
+    const SimResult &vsync_r = results[results.size() - 2];
+    const SimResult &vassist_r = results.back();
 
     TextTable vt({"policy", "IPC", "misspec", "vp uses", "vp hits",
                   "vp misses"});
@@ -233,5 +232,5 @@ main()
                        "Moshovos et al., ISCA'97 + Chrysos/Emer "
                        "store-sets, load-wait counters, value-assisted "
                        "sync",
-                       sc, t, runner.jobs());
+                       sc, t);
 }

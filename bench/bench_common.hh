@@ -9,9 +9,9 @@
  *
  * MDP_SCALE scales trace lengths (default 0.25 here so the full bench
  * suite completes in minutes; use MDP_SCALE=1 for longer runs).
- * MDP_JOBS caps the worker threads of the parallel grid runner
- * (default: hardware concurrency; MDP_JOBS=1 is the serial baseline
- * and must produce byte-identical tables).
+ * MDP_JOBS caps the worker threads of the ExperimentRunner every
+ * bench runs its cells on (default: hardware concurrency; MDP_JOBS=1
+ * is the serial baseline and must produce byte-identical tables).
  * MDP_JSON_OUT=<path> additionally writes rows + shape verdicts as a
  * JSON document for CI artifacts; see harness/report.hh.
  */
@@ -20,6 +20,7 @@
 #define MDP_BENCH_BENCH_COMMON_HH
 
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -31,6 +32,7 @@
 #include "harness/phase_timer.hh"
 #include "harness/report.hh"
 #include "harness/runner.hh"
+#include "window/window_model.hh"
 #include "workloads/suites.hh"
 
 namespace mdp
@@ -41,6 +43,41 @@ inline double
 benchScale()
 {
     return envDouble("MDP_SCALE", 0.25);
+}
+
+/**
+ * The usual runner cell: @p workload (cached, at the bench scale) on
+ * the Multiscalar model under makeMultiscalarConfig(ctx, stages,
+ * policy), adjusted by @p tweak when one is given.
+ */
+inline std::function<SimResult()>
+multiscalarCell(const std::string &workload, unsigned stages,
+                const std::string &policy,
+                std::function<void(MultiscalarConfig &)> tweak = {})
+{
+    return [=] {
+        const WorkloadContext &ctx = cachedContext(workload, benchScale());
+        MultiscalarConfig cfg =
+            makeMultiscalarConfig(ctx, stages, policy);
+        if (tweak)
+            tweak(cfg);
+        return runMultiscalar(ctx, cfg);
+    };
+}
+
+/**
+ * A runner cell: the section-5 perfect-window study of @p workload
+ * (cached, at the bench scale) for one window size.
+ */
+inline std::function<WindowStudyResult()>
+windowCell(const std::string &workload, uint32_t window_size,
+           std::vector<size_t> ddc_sizes = {})
+{
+    return [=] {
+        const WorkloadContext &ctx = cachedContext(workload, benchScale());
+        return WindowModel(ctx.trace(), ctx.oracle())
+            .study(window_size, ddc_sizes);
+    };
 }
 
 /** Print the standard experiment banner. */
@@ -93,13 +130,12 @@ class ShapeChecks
  */
 inline int
 finishBench(const std::string &bench_name, const std::string &paper_ref,
-            const ShapeChecks &sc, const TextTable &table,
-            unsigned jobs = 1)
+            const ShapeChecks &sc, const TextTable &table)
 {
     bool ok = sc.finish();
     BenchReport report(bench_name, paper_ref);
     report.setScale(benchScale());
-    report.setJobs(jobs);
+    report.setJobs(experimentJobs());
     report.addTable(table);
     for (const auto &[check_ok, what] : sc.all())
         report.addCheck(check_ok, what);

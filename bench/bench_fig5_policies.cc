@@ -30,13 +30,12 @@ main(int argc, char **argv)
     // Queue the whole (workload x stages x policy) grid, then sweep it
     // in parallel; rows are printed afterwards in submission order so
     // the table is byte-identical for any MDP_JOBS.
-    ExperimentRunner runner;
+    ExperimentRunner<SimResult> runner;
     for (const auto &name : specInt92Names())
         for (unsigned stages : {4u, 8u})
             for (const std::string &p : policies)
-                runner.add(name, benchScale(),
-                           makeWorkloadConfig(name, stages, p));
-    runner.runAll();
+                runner.add(multiscalarCell(name, stages, p));
+    const std::vector<SimResult> results = runner.runAll();
 
     TextTable t({"stages", "benchmark", "NEVER IPC", "ALWAYS", "WAIT",
                  "PSYNC"});
@@ -46,10 +45,10 @@ main(int argc, char **argv)
     for (const auto &name : specInt92Names()) {
         double gap4 = 0, gap8 = 0;
         for (unsigned stages : {4u, 8u}) {
-            const SimResult &never = runner.result(idx++);
-            const SimResult &always = runner.result(idx++);
-            const SimResult &wait = runner.result(idx++);
-            const SimResult &psync = runner.result(idx++);
+            const SimResult &never = results[idx++];
+            const SimResult &always = results[idx++];
+            const SimResult &wait = results[idx++];
+            const SimResult &psync = results[idx++];
 
             t.beginRow();
             t.integer(stages);
@@ -83,6 +82,5 @@ main(int argc, char **argv)
     t.print(std::cout);
     std::printf("\n");
     return finishBench("fig5_policies",
-                       "Moshovos et al., ISCA'97, Figure 5", sc, t,
-                       runner.jobs());
+                       "Moshovos et al., ISCA'97, Figure 5", sc, t);
 }

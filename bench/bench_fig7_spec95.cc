@@ -28,21 +28,20 @@ main()
     for (const auto &name : specFp95Names())
         programs.emplace_back("SPECfp95", name);
 
-    ExperimentRunner runner;
+    ExperimentRunner<SimResult> runner;
     for (const auto &[suite, name] : programs)
         for (const std::string &p : policies)
-            runner.add(name, benchScale(),
-                       makeWorkloadConfig(name, 8, p));
-    runner.runAll();
+            runner.add(multiscalarCell(name, 8, p));
+    const std::vector<SimResult> results = runner.runAll();
 
     TextTable t({"suite", "benchmark", "ESYNC IPC", "ESYNC", "PSYNC"});
     ShapeChecks sc;
 
     size_t idx = 0;
     for (const auto &[suite, name] : programs) {
-        const SimResult &always = runner.result(idx++);
-        const SimResult &esync = runner.result(idx++);
-        const SimResult &psync = runner.result(idx++);
+        const SimResult &always = results[idx++];
+        const SimResult &esync = results[idx++];
+        const SimResult &psync = results[idx++];
 
         t.beginRow();
         t.cell(suite);
@@ -86,6 +85,5 @@ main()
     t.print(std::cout);
     std::printf("\n");
     return finishBench("fig7_spec95",
-                       "Moshovos et al., ISCA'97, Figure 7", sc, t,
-                       runner.jobs());
+                       "Moshovos et al., ISCA'97, Figure 7", sc, t);
 }

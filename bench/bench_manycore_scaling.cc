@@ -1,6 +1,3 @@
-// mdp-lint: allow(bench-discipline): traces are parameterized by
-// (scale, seed, num_pes), so the name-keyed context cache cannot hold
-// them; each is generated once per PE count and reused across rows.
 /**
  * @file
  * Manycore scale-out study: the Multiscalar timing model swept to
@@ -13,17 +10,18 @@
  *
  * Deterministic stdout: every table value derives from simulator
  * state (IPC, violations, forwarding hops, cycle counts).  Wall-clock
- * lands only in the JSON artifact's phase_seconds (one sim_<pes>pe_
- * <topo> phase per sweep group); bench/perf's manycore1024 workload
- * is the host-time benchmark of this model.
+ * lands only in the JSON artifact's phase_seconds (trace_generate for
+ * the contexts, the standard simulate phase for the runs);
+ * bench/perf's manycore1024 workload is the host-time benchmark of
+ * this model.
  */
 
 #include <iostream>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench_common.hh"
-#include "multiscalar/processor.hh"
 #include "workloads/manycore.hh"
 
 using namespace mdp;
@@ -69,61 +67,77 @@ main()
                                                 "storeset"};
     const uint64_t kSeed = 12345;
 
+    const Topology kTopos[] = {Topology::Ring, Topology::Mesh};
+
+    // One context per (pes, workload): both topologies and all
+    // policies see identical inputs.  The traces are parameterized by
+    // (scale, seed, num_pes), so the name-keyed context cache cannot
+    // hold them; these private contexts live until the sweep ends.
+    std::vector<std::unique_ptr<WorkloadContext>> contexts;
+    {
+        ScopedPhase phase("trace_generate");
+        for (unsigned pes : kPes)
+            for (const WorkloadEntry &w : kWorkloads)
+                contexts.push_back(std::make_unique<WorkloadContext>(
+                    w.make(benchScale(), kSeed, pes)));
+    }
+
+    ExperimentRunner<SimResult> runner;
+    for (size_t p = 0; p < kPes.size(); ++p)
+        for (Topology topo : kTopos)
+            for (size_t wi = 0; wi < std::size(kWorkloads); ++wi)
+                for (const std::string &policy : kPolicies) {
+                    const WorkloadContext &ctx =
+                        *contexts[p * std::size(kWorkloads) + wi];
+                    MultiscalarConfig cfg =
+                        scalingConfig(kPes[p], topo, policy);
+                    runner.add([&ctx, cfg] {
+                        return runMultiscalar(ctx, cfg);
+                    });
+                }
+    const std::vector<SimResult> results = runner.runAll();
+
     TextTable t({"pes", "topo", "policy", "workload", "ipc",
                  "misspec", "fwd_hops", "cycles", "sim_cycles"});
     ShapeChecks sc;
 
-    for (unsigned pes : kPes) {
-        // One trace per (workload, pes): both topologies and all
-        // policies see identical inputs.
-        std::vector<Trace> traces;
-        {
-            ScopedPhase phase("trace_generate");
-            for (const WorkloadEntry &w : kWorkloads)
-                traces.push_back(w.make(benchScale(), kSeed, pes));
-        }
-
-        for (Topology topo : {Topology::Ring, Topology::Mesh}) {
+    // The 1024-PE bfs runs under ALWAYS, one per topology.
+    const SimResult *ring_bfs = nullptr, *mesh_bfs = nullptr;
+    size_t idx = 0;
+    for (size_t p = 0; p < kPes.size(); ++p) {
+        const unsigned pes = kPes[p];
+        for (Topology topo : kTopos) {
             const char *topo_name =
                 topo == Topology::Ring ? "ring" : "mesh";
-            ScopedPhase phase("sim_" + std::to_string(pes) + "pe_" +
-                              topo_name);
-
-            for (size_t wi = 0; wi < traces.size(); ++wi) {
-                TraceView view(traces[wi]);
-                DepOracle oracle(view);
-                TaskSet tasks(view);
-
+            for (size_t wi = 0; wi < std::size(kWorkloads); ++wi) {
+                const WorkloadContext &ctx =
+                    *contexts[p * std::size(kWorkloads) + wi];
+                const std::string name = kWorkloads[wi].name;
                 for (const std::string &policy : kPolicies) {
-                    MultiscalarConfig cfg =
-                        scalingConfig(pes, topo, policy);
-                    MultiscalarProcessor proc(view, oracle, tasks,
-                                              cfg);
-                    SimResult r = proc.run();
-                    addCycleStats(r.cyclesSimulated, r.cyclesSkipped,
-                                  r.stageVisits, r.stageSlots);
+                    const SimResult &r = results[idx++];
+                    if (pes == 1024 && name == "bfs" &&
+                        policy == "always")
+                        (topo == Topology::Ring ? ring_bfs : mesh_bfs) =
+                            &r;
 
                     t.beginRow();
                     t.integer(pes);
                     t.cell(topo_name);
                     t.cell(policy);
-                    t.cell(kWorkloads[wi].name);
+                    t.cell(name);
                     t.num(r.ipc(), 3);
                     t.integer(r.misSpeculations);
                     t.num(r.avgForwardHops(), 2);
                     t.integer(r.cycles);
                     t.integer(r.cyclesSimulated);
 
-                    sc.check(r.committedTasks == tasks.numTasks(),
-                             std::string(kWorkloads[wi].name) + " " +
-                                 std::to_string(pes) + "pe " +
-                                 topo_name + " " + policy +
-                                 ": all tasks committed");
+                    const std::string tag = name + " " +
+                                            std::to_string(pes) + "pe " +
+                                            topo_name + " " + policy;
+                    sc.check(r.committedTasks == ctx.tasks().numTasks(),
+                             tag + ": all tasks committed");
                     sc.check(r.stageVisits <= r.stageSlots,
-                             std::string(kWorkloads[wi].name) + " " +
-                                 std::to_string(pes) + "pe " +
-                                 topo_name + " " + policy +
-                                 ": stage visits within slot budget");
+                             tag + ": stage visits within slot budget");
                 }
             }
         }
@@ -131,27 +145,11 @@ main()
 
     // Topology sanity on the widest machine: dimension-ordered mesh
     // routes are never longer than ring walks, and strictly shorter
-    // once forwarding distances exceed a mesh row.  Re-run one
-    // configuration pair explicitly so the check does not depend on
-    // table parsing.
-    {
-        Trace trc = makeBfsFrontierTrace(benchScale(), kSeed, 1024);
-        TraceView view(trc);
-        DepOracle oracle(view);
-        TaskSet tasks(view);
-        MultiscalarConfig ring_cfg =
-            scalingConfig(1024, Topology::Ring, "always");
-        MultiscalarConfig mesh_cfg =
-            scalingConfig(1024, Topology::Mesh, "always");
-        SimResult ring_r =
-            MultiscalarProcessor(view, oracle, tasks, ring_cfg).run();
-        SimResult mesh_r =
-            MultiscalarProcessor(view, oracle, tasks, mesh_cfg).run();
-        sc.check(ring_r.regForwards > 0,
-                 "1024pe bfs: cross-task register traffic exists");
-        sc.check(mesh_r.avgForwardHops() < ring_r.avgForwardHops(),
-                 "1024pe bfs: mesh forwarding distance beats ring");
-    }
+    // once forwarding distances exceed a mesh row.
+    sc.check(ring_bfs->regForwards > 0,
+             "1024pe bfs: cross-task register traffic exists");
+    sc.check(mesh_bfs->avgForwardHops() < ring_bfs->avgForwardHops(),
+             "1024pe bfs: mesh forwarding distance beats ring");
 
     t.print(std::cout);
     std::printf("\n");

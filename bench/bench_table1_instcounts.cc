@@ -15,14 +15,22 @@ main()
     banner("Table 1: dynamic instruction counts",
            "Moshovos et al., ISCA'97, Table 1");
 
+    // One cell per workload: building its context is the work.
+    const std::vector<std::string> names = allWorkloadNames();
+    ExperimentRunner<TraceStats> runner;
+    for (const auto &name : names)
+        runner.add([name] {
+            return cachedContext(name, benchScale()).trace().stats();
+        });
+    const std::vector<TraceStats> stats = runner.runAll();
+
     TextTable t({"suite", "benchmark", "ops", "loads", "stores",
                  "tasks", "avg task"});
-    for (const auto &name : allWorkloadNames()) {
-        const Workload &w = findWorkload(name);
-        const WorkloadContext &ctx = cachedContext(name, benchScale());
-        TraceStats st = ctx.trace().stats();
+    for (size_t i = 0; i < names.size(); ++i) {
+        const std::string &name = names[i];
+        const TraceStats &st = stats[i];
         t.beginRow();
-        t.cell(w.profile().suite);
+        t.cell(findWorkload(name).profile().suite);
         t.cell(name);
         t.cell(formatCount(st.numOps));
         t.cell(formatCount(st.numLoads));

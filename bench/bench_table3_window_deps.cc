@@ -7,7 +7,6 @@
 #include <iostream>
 
 #include "bench_common.hh"
-#include "window/window_model.hh"
 
 using namespace mdp;
 
@@ -24,19 +23,22 @@ main()
         head.push_back(n);
     t.header(head);
 
+    const std::vector<std::string> names = specInt92Names();
+    ExperimentRunner<WindowStudyResult> runner;
+    for (uint32_t ws : sizes)
+        for (const auto &name : names)
+            runner.add(windowCell(name, ws));
+    const std::vector<WindowStudyResult> results = runner.runAll();
+
     // First/last rows for the shape check.
     std::vector<uint64_t> at8, at32, at512;
 
-    std::vector<const WorkloadContext *> ctxs;
-    for (const auto &name : specInt92Names())
-        ctxs.push_back(&cachedContext(name, benchScale()));
-
+    size_t idx = 0;
     for (uint32_t ws : sizes) {
         t.beginRow();
         t.integer(ws);
-        for (const WorkloadContext *ctx : ctxs) {
-            WindowModel wm(ctx->trace(), ctx->oracle());
-            auto r = wm.study(ws, {});
+        for (size_t w = 0; w < names.size(); ++w) {
+            const WindowStudyResult &r = results[idx++];
             t.cell(formatCount(r.misSpeculations));
             if (ws == 8)
                 at8.push_back(r.misSpeculations);
@@ -50,12 +52,11 @@ main()
     std::printf("\n");
 
     ShapeChecks sc;
-    for (size_t i = 0; i < ctxs.size(); ++i) {
+    for (size_t i = 0; i < names.size(); ++i) {
         sc.check(at32[i] >= 2 * at8[i],
-                 ctxs[i]->name() +
-                     ": dramatic increase from WS 8 to WS 32");
+                 names[i] + ": dramatic increase from WS 8 to WS 32");
         sc.check(at512[i] >= at32[i],
-                 ctxs[i]->name() + ": monotone growth to WS 512");
+                 names[i] + ": monotone growth to WS 512");
     }
     return finishBench("table3_window_deps",
                        "Moshovos et al., ISCA'97, Table 3", sc, t);

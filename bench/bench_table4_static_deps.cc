@@ -7,7 +7,6 @@
 #include <iostream>
 
 #include "bench_common.hh"
-#include "window/window_model.hh"
 
 using namespace mdp;
 
@@ -24,17 +23,20 @@ main()
         head.push_back(n);
     t.header(head);
 
-    std::vector<const WorkloadContext *> ctxs;
-    for (const auto &name : specInt92Names())
-        ctxs.push_back(&cachedContext(name, benchScale()));
+    const std::vector<std::string> names = specInt92Names();
+    ExperimentRunner<WindowStudyResult> runner;
+    for (uint32_t ws : sizes)
+        for (const auto &name : names)
+            runner.add(windowCell(name, ws));
+    const std::vector<WindowStudyResult> results = runner.runAll();
 
     std::vector<uint64_t> at8, at512, total512;
+    size_t idx = 0;
     for (uint32_t ws : sizes) {
         t.beginRow();
         t.integer(ws);
-        for (const WorkloadContext *ctx : ctxs) {
-            WindowModel wm(ctx->trace(), ctx->oracle());
-            auto r = wm.study(ws, {});
+        for (size_t w = 0; w < names.size(); ++w) {
+            const WindowStudyResult &r = results[idx++];
             t.integer(r.staticDepsFor999);
             if (ws == 8)
                 at8.push_back(r.staticDepsFor999);
@@ -48,12 +50,11 @@ main()
     std::printf("\n");
 
     ShapeChecks sc;
-    for (size_t i = 0; i < ctxs.size(); ++i) {
+    for (size_t i = 0; i < names.size(); ++i) {
         sc.check(at512[i] >= at8[i],
-                 ctxs[i]->name() +
-                     ": more static deps exposed at larger windows");
+                 names[i] + ": more static deps exposed at larger windows");
         sc.check(at512[i] <= total512[i],
-                 ctxs[i]->name() + ": coverage set within total");
+                 names[i] + ": coverage set within total");
     }
     // gcc's irregular dependence set is the largest of the suite.
     size_t gcc_idx = 2;   // compress espresso gcc sc xlisp

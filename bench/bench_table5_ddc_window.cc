@@ -7,7 +7,6 @@
 #include <iostream>
 
 #include "bench_common.hh"
-#include "window/window_model.hh"
 
 using namespace mdp;
 
@@ -20,15 +19,20 @@ main()
     const std::vector<uint32_t> windows = {8, 32, 128, 512};
     const std::vector<size_t> ddcs = {32, 128, 512};
 
+    ExperimentRunner<WindowStudyResult> runner;
+    for (const auto &name : specInt92Names())
+        for (uint32_t ws : windows)
+            runner.add(windowCell(name, ws, ddcs));
+    const std::vector<WindowStudyResult> results = runner.runAll();
+
     TextTable t({"benchmark", "WS", "DDC32", "DDC128", "DDC512"});
     ShapeChecks sc;
 
+    size_t idx = 0;
     for (const auto &name : specInt92Names()) {
-        const WorkloadContext &ctx = cachedContext(name, benchScale());
-        WindowModel wm(ctx.trace(), ctx.oracle());
         double worst_big_ddc = 0.0;
         for (uint32_t ws : windows) {
-            auto r = wm.study(ws, ddcs);
+            const WindowStudyResult &r = results[idx++];
             t.beginRow();
             t.cell(name);
             t.integer(ws);

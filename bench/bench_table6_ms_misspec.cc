@@ -22,12 +22,11 @@ main()
         head.push_back(n);
     t.header(head);
 
-    ExperimentRunner runner;
+    ExperimentRunner<SimResult> runner;
     for (unsigned stages : {4u, 8u})
         for (const auto &name : specInt92Names())
-            runner.add(name, benchScale(),
-                       makeWorkloadConfig(name, stages, "always"));
-    runner.runAll();
+            runner.add(multiscalarCell(name, stages, "always"));
+    const std::vector<SimResult> results = runner.runAll();
 
     std::vector<uint64_t> at4, at8;
     size_t idx = 0;
@@ -35,7 +34,7 @@ main()
         t.beginRow();
         t.integer(stages);
         for (size_t w = 0; w < specInt92Names().size(); ++w) {
-            const SimResult &r = runner.result(idx++);
+            const SimResult &r = results[idx++];
             t.cell(formatCount(r.misSpeculations));
             (stages == 4 ? at4 : at8).push_back(r.misSpeculations);
         }
@@ -52,6 +51,5 @@ main()
         sc.check(at4[i] > 0, names[i] + ": violations occur at all");
     }
     return finishBench("table6_ms_misspec",
-                       "Moshovos et al., ISCA'97, Table 6", sc, t,
-                       runner.jobs());
+                       "Moshovos et al., ISCA'97, Table 6", sc, t);
 }

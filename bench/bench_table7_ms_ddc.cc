@@ -26,21 +26,20 @@ main()
 
     // Collect the mis-speculation streams, one parallel cell per
     // workload; the DDC replays below are cheap and stay serial.
-    ExperimentRunner runner;
-    for (const auto &name : specInt92Names()) {
-        MultiscalarConfig cfg =
-            makeWorkloadConfig(name, 8, "always");
-        cfg.logMisSpeculations = true;
-        runner.add(name, benchScale(), cfg);
-    }
-    runner.runAll();
+    ExperimentRunner<SimResult> runner;
+    for (const auto &name : specInt92Names())
+        runner.add(multiscalarCell(name, 8, "always",
+                                   [](MultiscalarConfig &cfg) {
+                                       cfg.logMisSpeculations = true;
+                                   }));
+    const std::vector<SimResult> results = runner.runAll();
 
     std::vector<double> at64, at1024;
     for (size_t cs : sizes) {
         t.beginRow();
         t.integer(cs);
         for (size_t w = 0; w < specInt92Names().size(); ++w) {
-            const auto &stream = runner.result(w).misspecLog;
+            const auto &stream = results[w].misspecLog;
             DepDependenceCache ddc(cs);
             for (const auto &[l, s] : stream)
                 ddc.access(l, s);
@@ -69,6 +68,5 @@ main()
                  names[i] + ": 1024 entries at least as good as 64");
     }
     return finishBench("table7_ms_ddc",
-                       "Moshovos et al., ISCA'97, Table 7", sc, t,
-                       runner.jobs());
+                       "Moshovos et al., ISCA'97, Table 7", sc, t);
 }

@@ -39,20 +39,23 @@ main()
                  "sc", "xlisp"});
     ShapeChecks sc;
 
-    std::vector<const WorkloadContext *> ctxs;
-    for (const auto &name : specInt92Names())
-        ctxs.push_back(&cachedContext(name, benchScale()));
+    const std::vector<std::string> names = specInt92Names();
+    ExperimentRunner<SimResult> runner;
+    for (int variant = 0; variant < 3; ++variant)
+        for (const auto &name : names)
+            runner.add(multiscalarCell(
+                name, 8, variant == 2 ? "esync" : "sync",
+                [variant](MultiscalarConfig &cfg) {
+                    if (variant == 0)
+                        cfg.sync.predictor = PredictorKind::AlwaysSync;
+                }));
+    const std::vector<SimResult> results = runner.runAll();
 
+    size_t idx = 0;
     for (int variant = 0; variant < 3; ++variant) {
         std::vector<PredBreakdown> rows;
-        for (const WorkloadContext *ctx : ctxs) {
-            MultiscalarConfig cfg = makeMultiscalarConfig(
-                *ctx, 8, variant == 2 ? "esync" : "sync");
-            if (variant == 0)
-                cfg.sync.predictor = PredictorKind::AlwaysSync;
-            SimResult r = runMultiscalar(*ctx, cfg);
-            rows.push_back(r.pred);
-        }
+        for (size_t w = 0; w < names.size(); ++w)
+            rows.push_back(results[idx++].pred);
 
         auto pct = [](uint64_t part, uint64_t total) {
             return total ? 100.0 * part / total : 0.0;
@@ -75,12 +78,12 @@ main()
             const PredBreakdown &b = rows[i];
             sc.check(pct(b.nn, b.total()) > 55.0,
                      std::string(variantName(variant)) + "/" +
-                         ctxs[i]->name() +
+                         names[i] +
                          ": most loads correctly predicted "
                          "independent (N/N)");
             sc.check(pct(b.ny, b.total()) < 5.0,
                      std::string(variantName(variant)) + "/" +
-                         ctxs[i]->name() +
+                         names[i] +
                          ": mis-speculations (N/Y) are rare");
         }
     }

@@ -19,13 +19,12 @@ main()
     const std::vector<std::string> policies = {"always", "sync",
                                                "esync"};
 
-    ExperimentRunner runner;
+    ExperimentRunner<SimResult> runner;
     for (const auto &name : specInt92Names())
         for (unsigned stages : {4u, 8u})
             for (const std::string &p : policies)
-                runner.add(name, benchScale(),
-                           makeWorkloadConfig(name, stages, p));
-    runner.runAll();
+                runner.add(multiscalarCell(name, stages, p));
+    const std::vector<SimResult> results = runner.runAll();
 
     TextTable t({"stages", "benchmark", "ALWAYS", "SYNC", "ESYNC"});
     ShapeChecks sc;
@@ -33,9 +32,9 @@ main()
     size_t idx = 0;
     for (const auto &name : specInt92Names()) {
         for (unsigned stages : {4u, 8u}) {
-            const SimResult &always = runner.result(idx++);
-            const SimResult &syncr = runner.result(idx++);
-            const SimResult &esync = runner.result(idx++);
+            const SimResult &always = results[idx++];
+            const SimResult &syncr = results[idx++];
+            const SimResult &esync = results[idx++];
 
             t.beginRow();
             t.integer(stages);
@@ -57,6 +56,5 @@ main()
     t.print(std::cout);
     std::printf("\n");
     return finishBench("table9_misspec_rate",
-                       "Moshovos et al., ISCA'97, Table 9", sc, t,
-                       runner.jobs());
+                       "Moshovos et al., ISCA'97, Table 9", sc, t);
 }

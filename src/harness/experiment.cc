@@ -1,12 +1,11 @@
 #include "harness/experiment.hh"
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <mutex>
 
-#include "base/logging.hh"
 #include "base/thread_pool.hh"
-#include "workloads/suites.hh"
 
 namespace mdp
 {
@@ -66,91 +65,40 @@ cachedContext(const std::string &workload_name, double scale)
     return *slot->ctx;
 }
 
-size_t
-workloadCacheSize()
-{
-    std::lock_guard<std::mutex> lock(cacheMutex());
-    return cacheMap().size();
-}
-
-void
-clearWorkloadCache()
-{
-    std::lock_guard<std::mutex> lock(cacheMutex());
-    cacheMap().clear();
-}
-
 // ---------------------------------------------------------------------
 // ExperimentRunner
 // ---------------------------------------------------------------------
 
-ExperimentRunner::ExperimentRunner(unsigned jobs)
-    : njobs(jobs ? jobs : ThreadPool::defaultJobs())
-{}
-
-size_t
-ExperimentRunner::add(const std::string &workload, double scale,
-                      const MultiscalarConfig &cfg)
+unsigned
+experimentJobs()
 {
-    return add(ExperimentCell{workload, scale, cfg});
+    return ThreadPool::defaultJobs();
 }
 
-size_t
-ExperimentRunner::add(ExperimentCell cell)
+void
+runCells(unsigned jobs, size_t n, const std::function<void(size_t)> &run,
+         const std::function<void(size_t)> &deliver)
 {
-    cells.push_back(std::move(cell));
-    return cells.size() - 1;
-}
+    // In-order delivery: a finished cell waits in `finished` until
+    // every earlier cell has been handed over.  deliver runs under
+    // deliverMtx, which keeps its calls ordered and never concurrent.
+    std::mutex deliverMtx;
+    std::vector<char> finished(n, 0);
+    size_t delivered = 0;
 
-const std::vector<SimResult> &
-ExperimentRunner::runAll()
-{
-    results.resize(cells.size());
-    if (completed == cells.size())
-        return results;
-
-    ThreadPool pool(njobs);
-    for (size_t i = completed; i < cells.size(); ++i) {
-        pool.submit([this, i] {
-            const ExperimentCell &cell = cells[i];
-            const WorkloadContext &ctx =
-                cachedContext(cell.workload, cell.scale);
-            results[i] = runMultiscalar(ctx, cell.cfg);
+    ThreadPool pool(static_cast<unsigned>(std::min<size_t>(jobs, n)));
+    for (size_t i = 0; i < n; ++i) {
+        pool.submit([&, i] {
+            run(i);
+            if (!deliver)
+                return;
+            std::lock_guard<std::mutex> hold(deliverMtx);
+            finished[i] = 1;
+            for (; delivered < n && finished[delivered]; ++delivered)
+                deliver(delivered);
         });
     }
     pool.wait();
-    completed = cells.size();
-    return results;
-}
-
-const SimResult &
-ExperimentRunner::result(size_t idx) const
-{
-    mdp_assert(idx < completed,
-               "ExperimentRunner::result(%zu) before runAll()", idx);
-    return results[idx];
-}
-
-std::vector<SimResult>
-runGrid(const std::vector<ExperimentCell> &grid, unsigned jobs)
-{
-    ExperimentRunner runner(jobs);
-    for (const auto &cell : grid)
-        runner.add(cell);
-    return runner.runAll();
-}
-
-MultiscalarConfig
-makeWorkloadConfig(const std::string &workload_name, unsigned stages,
-                   const std::string &policy)
-{
-    MultiscalarConfig cfg;
-    cfg.numStages = stages;
-    cfg.policyName = policy;
-    cfg.taskMispredictRate =
-        findWorkload(workload_name).profile().taskMispredictRate;
-    cfg.sync.slotsPerEntry = stages;
-    return cfg;
 }
 
 } // namespace mdp

@@ -1,28 +1,32 @@
 /**
  * @file
- * Parallel experiment execution.
+ * The one sweep engine.
  *
- * Every table/figure reproduction is a grid sweep: (workload x stages x
- * policy) cells, each an independent, deterministic simulation.  The
- * ExperimentRunner runs those cells on a thread pool and hands back the
- * results in submission order, so parallel output is bit-identical to
- * serial (MDP_JOBS=1).
+ * Every table/figure reproduction is a grid of independent,
+ * deterministic cells (workload x stages x mechanism, plus the
+ * section-6 variants), and so is every mdp_served batch.  A cell is a
+ * closure returning its result -- a SimResult, an OooResult, a window
+ * study, a served "done" line -- and the ExperimentRunner runs the
+ * cells on a thread pool and hands the results back in submission
+ * order, so parallel output is bit-identical to serial (MDP_JOBS=1).
  *
  * The expensive per-workload artifacts (trace, DepOracle, TaskSet) are
  * shared through a process-wide cache keyed by (name, scale): the first
- * cell that needs a context builds it exactly once, every later cell --
- * and every other grid in the same process -- reuses it by reference.
+ * cell that needs a context builds it exactly once, every later cell
+ * reuses it by reference.  Cells over traces the cache cannot key
+ * (custom profiles, manycore traces) use a private WorkloadContext.
  */
 
 #ifndef MDP_HARNESS_EXPERIMENT_HH
 #define MDP_HARNESS_EXPERIMENT_HH
 
 #include <cstddef>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/runner.hh"
-#include "multiscalar/config.hh"
 
 namespace mdp
 {
@@ -31,90 +35,78 @@ namespace mdp
  * Shared, immutable WorkloadContext for (workload_name, scale), built
  * on first use and cached for the life of the process.  Thread-safe:
  * concurrent lookups of the same key block until the single builder
- * finishes; lookups of different keys build concurrently.  The
- * returned reference stays valid until clearWorkloadCache().
+ * finishes; lookups of different keys build concurrently.
  */
 const WorkloadContext &cachedContext(const std::string &workload_name,
                                      double scale);
 
-/** Number of contexts currently cached (for tests and diagnostics). */
-size_t workloadCacheSize();
+/**
+ * The job count of a runner built with jobs = 0: MDP_JOBS if set and
+ * positive, else the hardware concurrency, else 1.
+ */
+unsigned experimentJobs();
 
 /**
- * Drop every cached context.  Only safe when no cached references are
- * live (tests; long-lived tools reclaiming memory between phases).
+ * The type-erased core of ExperimentRunner::runAll(): run(0..n-1) on
+ * @p jobs workers (inline, in order, when jobs <= 1), then deliver
+ * (when set) each index in order, as runAll() documents.  Rethrows
+ * the first exception a cell raised.
  */
-void clearWorkloadCache();
-
-/** One cell of an experiment grid. */
-struct ExperimentCell
-{
-    std::string workload; ///< registered workload name
-    double scale = 1.0;   ///< trace scale (MDP_SCALE hook)
-    MultiscalarConfig cfg;
-};
+void runCells(unsigned jobs, size_t n, const std::function<void(size_t)> &run,
+              const std::function<void(size_t)> &deliver);
 
 /**
- * Collects simulation cells and runs them all, concurrently, against
- * cached workload contexts.
- *
- * Determinism: each cell is a pure function of its (workload, scale,
- * cfg) triple -- the config carries its own fixed seed -- and results
- * land in submission order, so runAll() yields the same vector for any
- * job count.  Typical use:
- *
- *   ExperimentRunner runner;
- *   size_t a = runner.add(name, scale, cfgAlways);
- *   size_t b = runner.add(name, scale, cfgSync);
- *   runner.runAll();
- *   ... runner.result(a), runner.result(b) ...
+ * Collects cells and runs them all, concurrently.  Each cell must be a
+ * pure function of what it captures (configs carry their own fixed
+ * seeds); results land in submission order, so runAll() yields the
+ * same vector for any job count.  Result must be default-constructible
+ * and move-assignable.
  */
+template <typename Result>
 class ExperimentRunner
 {
   public:
-    /** @param jobs worker count; 0 means ThreadPool::defaultJobs(). */
-    explicit ExperimentRunner(unsigned jobs = 0);
+    using Cell = std::function<Result()>;
+    /** Completion callback: (cell index, its result). */
+    using Callback = std::function<void(size_t, const Result &)>;
 
-    /** Queue one cell; returns its index into the results. */
-    size_t add(const std::string &workload, double scale,
-               const MultiscalarConfig &cfg);
-    size_t add(ExperimentCell cell);
+    /** @param jobs worker count; 0 means experimentJobs(). */
+    explicit ExperimentRunner(unsigned jobs = 0)
+        : njobs(jobs ? jobs : experimentJobs())
+    {}
 
-    size_t numCells() const { return cells.size(); }
-    unsigned jobs() const { return njobs; }
+    /** Queue one cell; returns its index into runAll()'s results. */
+    size_t
+    add(Cell cell)
+    {
+        cells.push_back(std::move(cell));
+        return cells.size() - 1;
+    }
 
     /**
-     * Run every queued cell (no-op for cells already run) and return
-     * all results in submission order.
+     * Run every queued cell and return the results in submission
+     * order; the runner is empty afterwards.  @p on_done, if set, sees
+     * each result in submission order, never concurrently, as soon as
+     * that cell and every earlier one have finished (possibly on a
+     * worker thread).
      */
-    const std::vector<SimResult> &runAll();
-
-    /** Result of the cell @p add returned @p idx for (after runAll). */
-    const SimResult &result(size_t idx) const;
+    std::vector<Result>
+    runAll(const Callback &on_done = {})
+    {
+        std::vector<Result> results(cells.size());
+        auto run = [&](size_t i) { results[i] = cells[i](); };
+        std::function<void(size_t)> deliver;
+        if (on_done)
+            deliver = [&](size_t i) { on_done(i, results[i]); };
+        runCells(njobs, cells.size(), run, deliver);
+        cells.clear();
+        return results;
+    }
 
   private:
     unsigned njobs;
-    std::vector<ExperimentCell> cells;
-    std::vector<SimResult> results;
-    size_t completed = 0; ///< cells already run by a previous runAll()
+    std::vector<Cell> cells;
 };
-
-/**
- * Convenience single-shot form: run a whole grid and return the
- * results in grid order.
- */
-std::vector<SimResult> runGrid(const std::vector<ExperimentCell> &grid,
-                               unsigned jobs = 0);
-
-/**
- * Like makeMultiscalarConfig(ctx, ...) but without requiring the
- * context to exist yet: reads the control-prediction quality straight
- * from the registered workload profile, so grids can be described
- * before any trace has been generated.
- */
-MultiscalarConfig makeWorkloadConfig(const std::string &workload_name,
-                                     unsigned stages,
-                                     const std::string &policy);
 
 } // namespace mdp
 

@@ -1,12 +1,11 @@
 #include "serve/server.hh"
 
-#include <algorithm>
 #include <memory>
 #include <tuple>
 #include <utility>
 
-#include "base/thread_pool.hh"
 #include "harness/cycle_stats.hh"
+#include "harness/experiment.hh"
 #include "harness/phase_timer.hh"
 #include "harness/sim_stats.hh"
 
@@ -163,87 +162,37 @@ Server::runQueuedLocked(uint64_t run_client, bool emit_summary,
     std::vector<Pending> batch(queue.begin(), queue.end());
     queue.clear();
 
-    if (!batch.empty()) {
-        // Group by (workload, scale, seed): one shared context -- one
-        // logical trace pass -- per group.  Groups run in order of
-        // their first request and keep submission order inside, so
-        // the earliest requests tend to finish first.
-        using GroupKey = std::tuple<std::string, double, uint64_t>;
-        std::map<GroupKey, size_t> groupIndex;
-        std::vector<std::vector<size_t>> groups;
-        for (size_t i = 0; i < batch.size(); ++i) {
-            const Request &r = batch[i].req;
-            const auto [it, fresh] = groupIndex.emplace(
-                GroupKey{r.workload, r.scale, r.seed}, groups.size());
-            if (fresh)
-                groups.emplace_back();
-            groups[it->second].push_back(i);
-        }
+    // Group by (workload, scale, seed): one shared context -- one
+    // logical trace pass -- per group, built at its first request.
+    // Seed-override contexts live in `owned` until the run ends;
+    // default-seed contexts come from the process cache.
+    using GroupKey = std::tuple<std::string, double, uint64_t>;
+    std::map<GroupKey, const WorkloadContext *> groupContext;
+    std::vector<std::unique_ptr<WorkloadContext>> owned;
 
-        // Contexts built for seed overrides live here until the pool
-        // drains; default-seed contexts come from the process cache.
-        std::vector<std::unique_ptr<WorkloadContext>> owned;
-        const unsigned jobs =
-            cfg.jobs ? cfg.jobs : ThreadPool::defaultJobs();
-        ThreadPool pool(jobs);
-
-        struct Shard
-        {
-            const WorkloadContext *ctx;
-            std::vector<size_t> indices;
-        };
-        std::vector<Shard> shards;
-
-        for (const std::vector<size_t> &members : groups) {
+    // One cell per request; its done line streams to the sink as
+    // soon as it and every request before it have finished.
+    ExperimentRunner<std::string> runner(cfg.jobs);
+    for (const Pending &p : batch) {
+        const Request &req = p.req;
+        auto [it, fresh] = groupContext.emplace(
+            GroupKey{req.workload, req.scale, req.seed}, nullptr);
+        if (fresh) {
             owned.emplace_back();
-            const WorkloadContext &ctx =
-                specContext(batch[members.front()].req, owned.back());
+            it->second = &specContext(req, owned.back());
             ++counters.groups;
             ++counters.tracePasses;
-            counters.configsEvaluated += members.size();
-
-            // Shard the group's runs across the pool; every shard
-            // runs its subset back to back over the shared context.
-            const size_t nshards = std::min<size_t>(
-                std::max(1u, jobs), members.size());
-            for (size_t s = 0; s < nshards; ++s) {
-                Shard shard;
-                shard.ctx = &ctx;
-                for (size_t m = s; m < members.size(); m += nshards)
-                    shard.indices.push_back(members[m]);
-                shards.push_back(std::move(shard));
-            }
         }
-
-        // In-order delivery: a finished line waits in `lines` until
-        // every earlier request of the batch has been handed over.
-        // The sink runs under deliverMtx, which is what keeps its
-        // calls ordered and never concurrent.
-        std::mutex deliverMtx;
-        std::vector<std::string> lines(batch.size());
-        std::vector<char> finished(batch.size(), 0);
-        size_t delivered = 0;
-        auto complete = [&](size_t idx, const StatGroup &stats) {
-            std::string line =
-                doneLine(batch[idx].req, stats, cfg.resultsDir);
-            std::lock_guard<std::mutex> hold(deliverMtx);
-            lines[idx] = std::move(line);
-            finished[idx] = 1;
-            for (; delivered < batch.size() && finished[delivered];
-                 ++delivered)
-                sink({batch[delivered].client,
-                      std::move(lines[delivered])});
-        };
-
-        for (const Shard &shard : shards) {
-            pool.submit([&batch, &shard, &complete] {
-                for (size_t idx : shard.indices)
-                    complete(idx, runSpec(*shard.ctx, batch[idx].req));
-            });
-        }
-        pool.wait();
-        counters.lockstepRounds += batch.size();
+        ++counters.configsEvaluated;
+        const WorkloadContext &ctx = *it->second;
+        runner.add([this, &ctx, &req] {
+            return doneLine(req, runSpec(ctx, req), cfg.resultsDir);
+        });
     }
+    runner.runAll([&](size_t i, const std::string &line) {
+        sink({batch[i].client, line});
+    });
+    counters.lockstepRounds += batch.size();
 
     for (const Pending &p : batch) {
         idState[p.req.id] = true;
@@ -291,7 +240,7 @@ Server::batchReport(double wall_seconds) const
 
     BenchReport report("mdp_served_batch",
                        "mdp_served batch-server run");
-    report.setJobs(cfg.jobs ? cfg.jobs : ThreadPool::defaultJobs());
+    report.setJobs(cfg.jobs ? cfg.jobs : experimentJobs());
     for (const auto &[phase, seconds] : phaseSeconds())
         report.addTiming(phase, seconds);
     CycleStats cs = cycleStats();

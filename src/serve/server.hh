@@ -17,18 +17,19 @@
  *                             submission order, then a "ran" summary.
  *
  * Evaluation groups the queue by (workload, scale, seed); each group
- * shares one WorkloadContext -- one logical trace pass -- and its
- * requests are sharded across a bounded worker pool, each shard
- * running its requests back to back through runSpec()
- * (harness/sim_stats.hh), the same call mdp_sim makes.  The batch
- * counters therefore report trace_passes == number of groups, and the
- * amortization factor configs_evaluated / trace_passes is the
- * one-pass win the serve-integration CI job gates on.
+ * shares one WorkloadContext -- one logical trace pass.  Every
+ * request is one cell of the sweep engine (harness/experiment.hh),
+ * running runSpec() (harness/sim_stats.hh), the same call mdp_sim
+ * makes, on its group's context.  The batch counters therefore report
+ * trace_passes == number of groups, and the amortization factor
+ * configs_evaluated / trace_passes is the one-pass win the
+ * serve-integration CI job gates on.
  *
- * Results stream: a request's "done" line reaches the caller's sink
- * as soon as that request and every request submitted before it in
- * the batch have finished, so the line sequence is the same at any
- * worker count and no request waits for those submitted after it.
+ * Results stream through the engine's in-order completion callback:
+ * a request's "done" line reaches the caller's sink as soon as that
+ * request and every request submitted before it in the batch have
+ * finished, so the line sequence is the same at any worker count and
+ * no request waits for those submitted after it.
  *
  * Thread-safety: every public method is serialized by one mutex, so
  * racing clients can submit concurrently while another thread runs or
@@ -55,7 +56,7 @@ namespace mdp::serve
 struct ServeConfig
 {
     size_t queueCapacity = 256;
-    unsigned jobs = 0; ///< worker count; 0 = ThreadPool::defaultJobs()
+    unsigned jobs = 0; ///< worker count; 0 = experimentJobs()
     /** When set, write each run's mdp_sim-format JSON report to
      *  <resultsDir>/<id>.json (byte-identical to mdp_sim --json-out). */
     std::string resultsDir;

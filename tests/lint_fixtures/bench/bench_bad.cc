@@ -1,6 +1,7 @@
 // expect: bench-discipline bench-discipline
-// (line 1 carries both whole-file findings: no cachedContext/
-// ExperimentRunner acquisition and no finishBench epilogue)
+// (line 1 carries both whole-file findings: no ExperimentRunner -- a
+// serial loop over cachedContext() is not enough -- and no
+// finishBench epilogue)
 #include <cstdio>
 
 namespace mdp
@@ -10,7 +11,9 @@ struct Workload {
 };
 struct WorkloadContext {
     explicit WorkloadContext(int) {}
+    int run() const { return 0; }
 };
+const WorkloadContext &cachedContext(const char *name, double scale);
 } // namespace mdp
 
 int
@@ -18,6 +21,9 @@ main()
 {
     mdp::Workload w;
     mdp::WorkloadContext ctx(w.generate(1.0)); // expect: bench-discipline
+    for (const char *name : {"compress", "gcc"})
+        std::printf("%s %d\n", name,
+                    mdp::cachedContext(name, 1.0).run());
     std::puts("rows...");
     return 0;
 }

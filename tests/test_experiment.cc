@@ -2,13 +2,16 @@
  * @file
  * Tests for the parallel experiment layer: thread pool, the
  * process-wide WorkloadContext cache, the ExperimentRunner's
- * parallel-equals-serial guarantee, and the JSON report round trip.
+ * parallel-equals-serial guarantee and in-order completion callback,
+ * and the JSON report round trip.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <functional>
 #include <fstream>
 #include <set>
 #include <sstream>
@@ -19,6 +22,8 @@
 #include "base/thread_pool.hh"
 #include "harness/experiment.hh"
 #include "harness/report.hh"
+#include "window/window_model.hh"
+#include "workloads/suites.hh"
 
 namespace mdp
 {
@@ -133,59 +138,133 @@ expectSameResult(const SimResult &a, const SimResult &b)
     EXPECT_EQ(a.misspecLog, b.misspecLog);
 }
 
-std::vector<ExperimentCell>
-sampleGrid()
+void
+expectSameResult(const OooResult &a, const OooResult &b)
 {
-    std::vector<ExperimentCell> grid;
-    for (const auto &name : {"espresso", "compress"}) {
-        for (unsigned stages : {4u, 8u}) {
-            for (const char *p : {"always", "esync"}) {
-                ExperimentCell cell;
-                cell.workload = name;
-                cell.scale = kScale;
-                cell.cfg = makeWorkloadConfig(name, stages, p);
-                cell.cfg.logMisSpeculations = true;
-                grid.push_back(std::move(cell));
-            }
-        }
+    EXPECT_EQ(a.cycles, b.cycles);
+    EXPECT_EQ(a.committedOps, b.committedOps);
+    EXPECT_EQ(a.committedLoads, b.committedLoads);
+    EXPECT_EQ(a.misSpeculations, b.misSpeculations);
+    EXPECT_EQ(a.squashedOps, b.squashedOps);
+    EXPECT_EQ(a.loadsBlocked, b.loadsBlocked);
+    EXPECT_EQ(a.frontierReleases, b.frontierReleases);
+}
+
+void
+expectSameResult(const WindowStudyResult &a, const WindowStudyResult &b)
+{
+    EXPECT_EQ(a.windowSize, b.windowSize);
+    EXPECT_EQ(a.misSpeculations, b.misSpeculations);
+    EXPECT_EQ(a.staticDeps, b.staticDeps);
+    EXPECT_EQ(a.staticDepsFor999, b.staticDepsFor999);
+    EXPECT_EQ(a.ddcMissRates, b.ddcMissRates);
+}
+
+/** Run @p cells at 1 and at 4 jobs; expect equal results, in order. */
+template <typename Result>
+void
+expectParallelMatchesSerial(
+    const std::vector<std::function<Result()>> &cells)
+{
+    std::vector<Result> runs[2];
+    for (unsigned jobs : {1u, 4u}) {
+        ExperimentRunner<Result> runner(jobs);
+        for (const auto &cell : cells)
+            runner.add(cell);
+        runs[jobs == 4] = runner.runAll();
     }
-    return grid;
+    ASSERT_EQ(runs[0].size(), cells.size());
+    ASSERT_EQ(runs[1].size(), cells.size());
+    for (size_t i = 0; i < cells.size(); ++i)
+        expectSameResult(runs[0][i], runs[1][i]);
+}
+
+std::function<SimResult()>
+multiscalarCell(const std::string &name, unsigned stages,
+                const std::string &policy)
+{
+    return [=] {
+        const WorkloadContext &ctx = cachedContext(name, kScale);
+        MultiscalarConfig cfg = makeMultiscalarConfig(ctx, stages, policy);
+        cfg.logMisSpeculations = true;
+        return runMultiscalar(ctx, cfg);
+    };
 }
 
 TEST(ExperimentRunnerTest, ParallelMatchesSerial)
 {
-    std::vector<ExperimentCell> grid = sampleGrid();
-    std::vector<SimResult> serial = runGrid(grid, 1);
-    std::vector<SimResult> parallel = runGrid(grid, 4);
+    std::vector<std::function<SimResult()>> multiscalar;
+    for (const char *name : {"espresso", "compress"})
+        for (unsigned stages : {4u, 8u})
+            for (const char *p : {"always", "esync"})
+                multiscalar.push_back(multiscalarCell(name, stages, p));
+    expectParallelMatchesSerial(multiscalar);
 
-    ASSERT_EQ(serial.size(), grid.size());
-    ASSERT_EQ(parallel.size(), grid.size());
-    for (size_t i = 0; i < grid.size(); ++i)
-        expectSameResult(serial[i], parallel[i]);
+    std::vector<std::function<OooResult()>> ooo;
+    for (const char *name : {"espresso", "xlisp"})
+        for (unsigned window : {16u, 64u})
+            for (const char *p : {"always", "sync"})
+                ooo.push_back([=] {
+                    OooConfig cfg;
+                    cfg.windowSize = window;
+                    cfg.policyName = p;
+                    return runOoo(cachedContext(name, kScale), cfg);
+                });
+    expectParallelMatchesSerial(ooo);
+
+    std::vector<std::function<WindowStudyResult()>> window;
+    for (const char *name : {"gcc", "sc"})
+        for (uint32_t ws : {8u, 128u})
+            window.push_back([=] {
+                const WorkloadContext &ctx = cachedContext(name, kScale);
+                return WindowModel(ctx.trace(), ctx.oracle())
+                    .study(ws, {32, 512});
+            });
+    expectParallelMatchesSerial(window);
+
+    // Private contexts: one shared by reference across cells, and
+    // cells that each generate their own from a custom profile.
+    WorkloadContext shared(findWorkload("sc").generate(kScale), 0.05);
+    WorkloadProfile vp = findWorkload("espresso").profile();
+    vp.name = "espresso-test-vs0.9";
+    for (auto &rec : vp.recurrences)
+        rec.valueStability = 0.9;
+    const Workload variant(std::move(vp));
+    std::vector<std::function<SimResult()>> owned;
+    for (const char *p : {"always", "sync", "vsync"}) {
+        owned.push_back([&shared, p] {
+            return runMultiscalar(shared,
+                                  makeMultiscalarConfig(shared, 8, p));
+        });
+        owned.push_back([&variant, p] {
+            WorkloadContext ctx(variant.generate(kScale));
+            return runMultiscalar(ctx, makeMultiscalarConfig(ctx, 4, p));
+        });
+    }
+    expectParallelMatchesSerial(owned);
 }
 
 TEST(ExperimentRunnerTest, IncrementalAddAndIndexedResults)
 {
-    ExperimentRunner runner(2);
-    size_t a = runner.add("espresso", kScale,
-                          makeWorkloadConfig("espresso", 4, "always"));
-    size_t b = runner.add("espresso", kScale,
-                          makeWorkloadConfig("espresso", 4, "esync"));
+    ExperimentRunner<SimResult> runner(2);
+    size_t a = runner.add(multiscalarCell("espresso", 4, "always"));
+    size_t b = runner.add(multiscalarCell("espresso", 4, "esync"));
     EXPECT_EQ(a, 0u);
     EXPECT_EQ(b, 1u);
-    runner.runAll();
+    const std::vector<SimResult> first = runner.runAll();
+    ASSERT_EQ(first.size(), 2u);
 
     // ESync should not lose to blind speculation on espresso.
-    EXPECT_GT(runner.result(b).ipc(), 0.0);
-    EXPECT_GE(runner.result(b).ipc(),
-              runner.result(a).ipc() * 0.9);
+    EXPECT_GT(first[b].ipc(), 0.0);
+    EXPECT_GE(first[b].ipc(), first[a].ipc() * 0.9);
 
-    // Adding after a run re-runs only the new cells.
-    size_t c = runner.add("espresso", kScale,
-                          makeWorkloadConfig("espresso", 8, "always"));
-    runner.runAll();
-    EXPECT_EQ(runner.numCells(), 3u);
-    EXPECT_GT(runner.result(c).cycles, 0u);
+    // runAll() empties the runner: cells added after a run start a
+    // new grid, and only they run.
+    size_t c = runner.add(multiscalarCell("espresso", 8, "always"));
+    EXPECT_EQ(c, 0u);
+    const std::vector<SimResult> second = runner.runAll();
+    ASSERT_EQ(second.size(), 1u);
+    EXPECT_GT(second[c].cycles, 0u);
 }
 
 TEST(ExperimentRunnerTest, ConfigVariantsStayIndependent)
@@ -193,13 +272,78 @@ TEST(ExperimentRunnerTest, ConfigVariantsStayIndependent)
     // The same (workload, scale) cell under different configs must
     // see the identical cached trace: PSYNC can never lose to ALWAYS
     // on the same input.
-    ExperimentRunner runner(4);
-    size_t always = runner.add(
-        "sc", kScale, makeWorkloadConfig("sc", 8, "always"));
-    size_t psync = runner.add(
-        "sc", kScale, makeWorkloadConfig("sc", 8, "psync"));
-    runner.runAll();
-    EXPECT_GE(runner.result(psync).ipc(), runner.result(always).ipc());
+    ExperimentRunner<SimResult> runner(4);
+    size_t always = runner.add(multiscalarCell("sc", 8, "always"));
+    size_t psync = runner.add(multiscalarCell("sc", 8, "psync"));
+    const std::vector<SimResult> r = runner.runAll();
+    EXPECT_GE(r[psync].ipc(), r[always].ipc());
+}
+
+TEST(ExperimentRunnerTest, InOrderCallback)
+{
+    // Cell 0 is deliberately the slowest: it holds until every other
+    // cell has finished (bounded, so a broken pool fails instead of
+    // hanging).  The callback must still see 0..n-1 in order, each
+    // with its own result, and never two calls at once.
+    constexpr size_t kCells = 24;
+    std::atomic<size_t> othersDone{0};
+    ExperimentRunner<size_t> runner(4);
+    for (size_t i = 0; i < kCells; ++i) {
+        runner.add([i, &othersDone] {
+            if (i == 0) {
+                for (int spin = 0; spin < 5000; ++spin) {
+                    if (othersDone.load() == kCells - 1)
+                        break;
+                    std::this_thread::sleep_for(
+                        std::chrono::milliseconds(1));
+                }
+            } else {
+                ++othersDone;
+            }
+            return i * 10;
+        });
+    }
+
+    std::vector<size_t> order;
+    std::atomic<bool> inCallback{false};
+    size_t othersAtFirst = 0;
+    const std::vector<size_t> results =
+        runner.runAll([&](size_t idx, const size_t &result) {
+            EXPECT_FALSE(inCallback.exchange(true)) << "concurrent";
+            if (order.empty())
+                othersAtFirst = othersDone.load();
+            order.push_back(idx);
+            EXPECT_EQ(result, idx * 10);
+            std::this_thread::sleep_for(std::chrono::microseconds(200));
+            inCallback = false;
+        });
+
+    ASSERT_EQ(order.size(), kCells);
+    for (size_t i = 0; i < kCells; ++i) {
+        EXPECT_EQ(order[i], i);
+        EXPECT_EQ(results[i], i * 10);
+    }
+    // Cell 0 really did finish last, so the later cells' results
+    // waited for it.
+    EXPECT_EQ(othersAtFirst, kCells - 1);
+}
+
+TEST(ExperimentRunnerTest, RunAllRethrowsCellException)
+{
+    for (unsigned jobs : {1u, 4u}) {
+        ExperimentRunner<int> runner(jobs);
+        runner.add([] { return 1; });
+        runner.add([]() -> int { throw std::runtime_error("cell"); });
+        runner.add([] { return 3; });
+        std::vector<size_t> seen;
+        EXPECT_THROW(runner.runAll([&](size_t i, const int &) {
+                         seen.push_back(i);
+                     }),
+                     std::runtime_error)
+            << "jobs " << jobs;
+        // Delivery stops at the failed cell.
+        EXPECT_EQ(seen, std::vector<size_t>{0}) << "jobs " << jobs;
+    }
 }
 
 TEST(JsonTest, ValueDumpAndParseRoundTrip)

@@ -34,9 +34,9 @@ TEST(Harness, PhaseTimerAccumulationContract)
     ASSERT_EQ(snapshot.size(), 2u);
 
     // Runner construction and reuse leave the totals untouched.
-    ExperimentRunner first(1);
+    ExperimentRunner<SimResult> first(1);
     first.runAll();
-    ExperimentRunner second(1);
+    ExperimentRunner<SimResult> second(1);
     second.runAll();
     second.runAll();
     EXPECT_EQ(phaseSeconds(), snapshot);

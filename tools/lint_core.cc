@@ -511,18 +511,16 @@ checkBench(const std::string &path, const std::vector<Token> &code,
         if (e.path == "benchmark/benchmark.h")
             return; // google-benchmark microbench, not a shape bench
 
-    bool cached = false, runner = false, finish = false;
+    bool runner = false, finish = false;
     for (const Token &t : code) {
-        cached = cached || isIdent(t, "cachedContext");
         runner = runner || isIdent(t, "ExperimentRunner");
         finish = finish || isIdent(t, "finishBench");
     }
-    if (!cached && !runner)
+    if (!runner)
         out.push_back({path, 1, "bench-discipline",
-                       "bench acquires no workload via "
-                       "cachedContext()/ExperimentRunner; shape "
-                       "benches must share the process-wide context "
-                       "cache"});
+                       "bench never runs its cells on an "
+                       "ExperimentRunner; shape benches sweep through "
+                       "the one engine"});
     if (!finish)
         out.push_back({path, 1, "bench-discipline",
                        "bench never calls finishBench(); shape "
@@ -536,8 +534,8 @@ checkBench(const std::string &path, const std::vector<Token> &code,
             out.push_back(
                 {path, code[i].line, "bench-discipline",
                  "direct WorkloadContext construction bypasses the "
-                 "trace cache; use cachedContext()/ExperimentRunner "
-                 "or justify with an allow"});
+                 "trace cache; use cachedContext() in the runner's "
+                 "cells or justify with an allow"});
         }
     }
 }
@@ -665,7 +663,7 @@ ruleDocs()
 {
     return {
         {"bench-discipline",
-         "bench/bench_*.cc must use cachedContext()/ExperimentRunner "
+         "bench/bench_*.cc must run its cells on an ExperimentRunner "
          "and finish through finishBench()"},
         {"header-guard",
          "headers carry the canonical MDP_<PATH>_HH include guard "

@@ -22,7 +22,7 @@
 #include "base/args.hh"
 #include "base/env.hh"
 #include "base/logging.hh"
-#include "base/thread_pool.hh"
+#include "harness/experiment.hh"
 #include "trace/cache.hh"
 #include "workloads/suites.hh"
 
@@ -72,21 +72,19 @@ cmdBuild(const TraceCache &cache, const std::string &workloads_csv,
             mdp_fatal("unknown workload '%s'", n.c_str());
     }
 
-    std::vector<int> outcome(names.size(), 0); // 0 fresh, 1 hit, 2 fail
-    ThreadPool pool(jobs ? jobs : ThreadPool::defaultJobs());
-    for (size_t i = 0; i < names.size(); ++i) {
-        pool.submit([&, i] {
-            const Workload &w = findWorkload(names[i]);
+    // One engine cell per workload: 0 fresh, 1 hit, 2 fail.
+    ExperimentRunner<int> runner(jobs);
+    for (const auto &name : names) {
+        runner.add([&cache, &name, scale] {
+            const Workload &w = findWorkload(name);
             const TraceCacheKey key = workloadTraceKey(w, scale);
-            if (cache.load(key)) {
-                outcome[i] = 1;
-                return;
-            }
+            if (cache.load(key))
+                return 1;
             Trace trace = w.generate(scale);
-            outcome[i] = cache.store(key, trace) ? 0 : 2;
+            return cache.store(key, trace) ? 0 : 2;
         });
     }
-    pool.wait();
+    const std::vector<int> outcome = runner.runAll();
 
     size_t built = 0, reused = 0, failed = 0;
     for (size_t i = 0; i < names.size(); ++i) {
