@@ -1,15 +1,13 @@
 /**
  * @file
- * Lightweight statistics package: named scalar counters, distributions,
- * and formula-style derived values, with text dumping.  Modelled loosely
- * on the gem5 stats package but kept header-light.
+ * Lightweight statistics package: integer histograms and named scalar
+ * statistics, with text dumping.  Modelled loosely on the gem5 stats
+ * package but kept header-light.
  */
 
 #ifndef MDP_BASE_STATS_HH
 #define MDP_BASE_STATS_HH
 
-#include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <map>
 #include <ostream>
@@ -18,78 +16,6 @@
 
 namespace mdp
 {
-
-/** A named 64-bit event counter. */
-class Counter
-{
-  public:
-    Counter() = default;
-    explicit Counter(std::string stat_name) : name(std::move(stat_name)) {}
-
-    void inc(uint64_t by = 1) { count += by; }
-    void reset() { count = 0; }
-    uint64_t value() const { return count; }
-
-    const std::string &statName() const { return name; }
-
-  private:
-    std::string name;
-    uint64_t count = 0;
-};
-
-/**
- * A running distribution: tracks count, sum, min, max and supports mean
- * and sample variance without storing samples.
- */
-class Distribution
-{
-  public:
-    void
-    sample(double v, uint64_t times = 1)
-    {
-        if (times == 0)
-            return;
-        n += times;
-        sum += v * times;
-        sumSq += v * v * times;
-        minV = std::min(minV, v);
-        maxV = std::max(maxV, v);
-    }
-
-    void
-    reset()
-    {
-        n = 0;
-        sum = sumSq = 0.0;
-        minV = std::numeric_limits<double>::infinity();
-        maxV = -std::numeric_limits<double>::infinity();
-    }
-
-    uint64_t count() const { return n; }
-    double total() const { return sum; }
-    double mean() const { return n ? sum / n : 0.0; }
-    double minimum() const { return n ? minV : 0.0; }
-    double maximum() const { return n ? maxV : 0.0; }
-
-    double
-    variance() const
-    {
-        if (n < 2)
-            return 0.0;
-        double m = mean();
-        double v = (sumSq - n * m * m) / (n - 1);
-        return v > 0.0 ? v : 0.0;
-    }
-
-    double stddev() const { return std::sqrt(variance()); }
-
-  private:
-    uint64_t n = 0;
-    double sum = 0.0;
-    double sumSq = 0.0;
-    double minV = std::numeric_limits<double>::infinity();
-    double maxV = -std::numeric_limits<double>::infinity();
-};
 
 /**
  * A histogram over integer buckets [0, num_buckets); the last bucket

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "base/logging.hh"
-#include "base/random.hh"
 
 namespace mdp
 {
@@ -16,42 +15,6 @@ CombinedSyncUnit::CombinedSyncUnit(const SyncUnitConfig &config)
 {
     mdp_assert(config.slotsPerEntry > 0,
                "combined organization needs at least one slot per entry");
-}
-
-uint64_t
-CombinedSyncUnit::loadTag(const Mdpt::Entry &e, uint64_t instance,
-                          Addr addr) const
-{
-    (void)e;
-    if (cfg.tags == TagScheme::Address)
-        return mix64(addr);
-    return instance;
-}
-
-uint64_t
-CombinedSyncUnit::storeTag(const Mdpt::Entry &e, uint64_t instance,
-                           Addr addr) const
-{
-    if (cfg.tags == TagScheme::Address)
-        return mix64(addr);
-    return instance + e.dist;
-}
-
-bool
-CombinedSyncUnit::pathMatches(const Mdpt::Entry &e, uint64_t load_instance,
-                              const TaskPcSource *tps) const
-{
-    if (cfg.predictor != PredictorKind::PathCounter)
-        return true;
-    if (!tps)
-        return true;    // no context available; fall back to counter
-    if (!e.pathCheckUsable())
-        return true;    // path proved unstable: counter-only
-    if (load_instance < e.dist)
-        return false;
-    Addr pc = tps->taskPc(load_instance - e.dist);
-    // Unknown producer task: no basis for synchronization.
-    return pc != 0 && pc == e.storeTaskPc;
 }
 
 CombinedSyncUnit::Slot *
@@ -153,12 +116,12 @@ CombinedSyncUnit::loadReady(Addr ldpc, Addr addr, uint64_t instance,
         Mdpt::Entry &e = mdpt.entry(idx);
         if (!mdpt.predicts(idx))
             continue;
-        if (!pathMatches(e, instance, tps))
+        if (!mdpt.pathMatches(e, instance, tps))
             continue;
 
         res.predicted = true;
         mdpt.touch(idx);
-        uint64_t tag = loadTag(e, instance, addr);
+        uint64_t tag = mdpt.loadTag(instance, addr);
         Slot *s = findSlot(idx, tag);
         if (s && s->full) {
             // The store already executed and signalled: continue
@@ -220,7 +183,7 @@ CombinedSyncUnit::storeReady(Addr stpc, Addr addr, uint64_t instance,
         // to edges that currently predict "no dependence" simply leave
         // a full flag that is consumed or scavenged.
         mdpt.touch(idx);
-        uint64_t tag = storeTag(e, instance, addr);
+        uint64_t tag = mdpt.storeTag(e, instance, addr);
         Slot *s = findSlot(idx, tag);
         if (s && !s->full) {
             // A load is waiting (or a slot was left by a squashed

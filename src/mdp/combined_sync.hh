@@ -43,10 +43,6 @@ class CombinedSyncUnit : public DepSynchronizer
 
     void drainReleasedLoads(std::vector<LoadId> &out) override;
 
-    /** Slots have no timeout: every release is signal-, frontier- or
-     *  eviction-driven, so fast-forward never needs to wake for us. */
-    uint64_t nextWakeupCycle() const override { return kNoWakeupCycle; }
-
     const SyncStats &stats() const override { return st; }
 
     void reset() override;
@@ -69,19 +65,6 @@ class CombinedSyncUnit : public DepSynchronizer
         bool full = false;
         bool valid = false;
     };
-
-    /** Tag under which a load instance looks up its slot. */
-    uint64_t loadTag(const Mdpt::Entry &e, uint64_t instance,
-                     Addr addr) const;
-
-    /** Tag under which a store instance signals. */
-    uint64_t storeTag(const Mdpt::Entry &e, uint64_t instance,
-                      Addr addr) const;
-
-    /** ESYNC path check: does the task at the recorded distance match
-     *  the recorded producing-task PC? */
-    bool pathMatches(const Mdpt::Entry &e, uint64_t load_instance,
-                     const TaskPcSource *tps) const;
 
     /** Per waiting load: slot count plus the entries holding them.
      *  `entries` may carry stale or duplicate indices (detach does not

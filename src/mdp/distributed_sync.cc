@@ -1,7 +1,5 @@
 #include "mdp/distributed_sync.hh"
 
-#include <algorithm>
-
 #include "base/logging.hh"
 
 namespace mdp
@@ -77,15 +75,6 @@ DistributedSyncUnit::drainReleasedLoads(std::vector<LoadId> &out)
 {
     for (auto &c : copies)
         c->drainReleasedLoads(out);
-}
-
-uint64_t
-DistributedSyncUnit::nextWakeupCycle() const
-{
-    uint64_t next = kNoWakeupCycle;
-    for (const auto &c : copies)
-        next = std::min(next, c->nextWakeupCycle());
-    return next;
 }
 
 const SyncStats &

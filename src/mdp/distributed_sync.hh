@@ -77,10 +77,6 @@ class DistributedSyncUnit : public DepSynchronizer
 
     void drainReleasedLoads(std::vector<LoadId> &out) override;
 
-    /** Earliest timed wakeup across the per-stage copies (none today,
-     *  but a copy with a timeout would surface it through this min). */
-    uint64_t nextWakeupCycle() const override;
-
     const SyncStats &stats() const override;
 
     void reset() override;

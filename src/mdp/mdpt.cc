@@ -1,6 +1,7 @@
 #include "mdp/mdpt.hh"
 
 #include "base/logging.hh"
+#include "mdp/sync_unit.hh"
 
 namespace mdp
 {
@@ -139,6 +140,23 @@ Mdpt::recordMisSpeculation(Addr ldpc, Addr stpc, uint32_t dist,
     ++st.allocations;
     res.index = victim;
     return res;
+}
+
+bool
+Mdpt::pathMatches(const Entry &e, uint64_t load_instance,
+                  const TaskPcSource *tps) const
+{
+    if (cfg.predictor != PredictorKind::PathCounter)
+        return true;
+    if (!tps)
+        return true;    // no context available; fall back to counter
+    if (!e.pathCheckUsable())
+        return true;    // path proved unstable: counter-only
+    if (load_instance < e.dist)
+        return false;
+    Addr pc = tps->taskPc(load_instance - e.dist);
+    // Unknown producer task: no basis for synchronization.
+    return pc != 0 && pc == e.storeTaskPc;
 }
 
 void

@@ -19,12 +19,15 @@
 
 #include "base/flat_hash.hh"
 #include "base/lru.hh"
+#include "base/random.hh"
 #include "base/sat_counter.hh"
 #include "mdp/config.hh"
 #include "trace/microop.hh"
 
 namespace mdp
 {
+
+class TaskPcSource;
 
 /** Aggregate MDPT event counters. */
 struct MdptStats
@@ -102,6 +105,33 @@ class Mdpt
             return true;
         return entries[idx].counter.atLeast(cfg.threshold);
     }
+
+    /** Tag under which a load instance looks up its synchronization
+     *  slot: its instance number, or an address hash (section 3). */
+    uint64_t
+    loadTag(uint64_t instance, Addr addr) const
+    {
+        return cfg.tags == TagScheme::Address ? mix64(addr) : instance;
+    }
+
+    /** Tag under which a store instance signals through entry @p e:
+     *  the consuming load's instance (instance + DIST), or an address
+     *  hash. */
+    uint64_t
+    storeTag(const Entry &e, uint64_t instance, Addr addr) const
+    {
+        return cfg.tags == TagScheme::Address ? mix64(addr)
+                                              : instance + e.dist;
+    }
+
+    /**
+     * ESYNC path check: does the task at the recorded distance before
+     * @p load_instance match @p e's producing-task PC?  True whenever
+     * the check does not apply: another predictor, no task-PC context
+     * (@p tps null), or a path that proved unstable.
+     */
+    bool pathMatches(const Entry &e, uint64_t load_instance,
+                     const TaskPcSource *tps) const;
 
     /** Result of recording a mis-speculation. */
     struct AllocResult

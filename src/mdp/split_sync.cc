@@ -1,7 +1,6 @@
 #include "mdp/split_sync.hh"
 
 #include "base/logging.hh"
-#include "base/random.hh"
 
 namespace mdp
 {
@@ -9,41 +8,6 @@ namespace mdp
 SplitSyncUnit::SplitSyncUnit(const SyncUnitConfig &config)
     : cfg(config), mdpt(config), mdst(config.mdstEntries)
 {}
-
-uint64_t
-SplitSyncUnit::loadTag(const Mdpt::Entry &e, uint64_t instance,
-                       Addr addr) const
-{
-    (void)e;
-    if (cfg.tags == TagScheme::Address)
-        return mix64(addr);
-    return instance;
-}
-
-uint64_t
-SplitSyncUnit::storeTag(const Mdpt::Entry &e, uint64_t instance,
-                        Addr addr) const
-{
-    if (cfg.tags == TagScheme::Address)
-        return mix64(addr);
-    return instance + e.dist;
-}
-
-bool
-SplitSyncUnit::pathMatches(const Mdpt::Entry &e, uint64_t load_instance,
-                           const TaskPcSource *tps) const
-{
-    if (cfg.predictor != PredictorKind::PathCounter)
-        return true;
-    if (!tps)
-        return true;
-    if (!e.pathCheckUsable())
-        return true;    // path proved unstable: counter-only
-    if (load_instance < e.dist)
-        return false;
-    Addr pc = tps->taskPc(load_instance - e.dist);
-    return pc != 0 && pc == e.storeTaskPc;
-}
 
 void
 SplitSyncUnit::unpend(LoadId ldid)
@@ -70,12 +34,12 @@ SplitSyncUnit::loadReady(Addr ldpc, Addr addr, uint64_t instance,
         Mdpt::Entry &e = mdpt.entry(idx);
         if (!mdpt.predicts(idx))
             continue;
-        if (!pathMatches(e, instance, tps))
+        if (!mdpt.pathMatches(e, instance, tps))
             continue;
 
         res.predicted = true;
         mdpt.touch(idx);
-        uint64_t tag = loadTag(e, instance, addr);
+        uint64_t tag = mdpt.loadTag(instance, addr);
         int slot = mdst.find(e.ldpc, e.stpc, tag);
         if (slot >= 0 && mdst.entry(slot).full) {
             // Keep the flag set (see the combined organization): a
@@ -131,7 +95,7 @@ SplitSyncUnit::storeReady(Addr stpc, Addr addr, uint64_t instance,
         // to edges that currently predict "no dependence" simply leave
         // a full flag that is consumed or scavenged.
         mdpt.touch(idx);
-        uint64_t tag = storeTag(e, instance, addr);
+        uint64_t tag = mdpt.storeTag(e, instance, addr);
         int slot = mdst.find(e.ldpc, e.stpc, tag);
         if (slot >= 0 && !mdst.entry(slot).full) {
             // Deliver the signal but keep the entry full (see the

@@ -41,9 +41,6 @@ class SplitSyncUnit : public DepSynchronizer
 
     void drainReleasedLoads(std::vector<LoadId> &out) override;
 
-    /** MDST slots carry no timers; releases are all event-driven. */
-    uint64_t nextWakeupCycle() const override { return kNoWakeupCycle; }
-
     const SyncStats &stats() const override { return st; }
 
     void reset() override;
@@ -54,13 +51,6 @@ class SplitSyncUnit : public DepSynchronizer
     size_t numWaitingLoads() const { return pending.size(); }
 
   private:
-    uint64_t loadTag(const Mdpt::Entry &e, uint64_t instance,
-                     Addr addr) const;
-    uint64_t storeTag(const Mdpt::Entry &e, uint64_t instance,
-                      Addr addr) const;
-    bool pathMatches(const Mdpt::Entry &e, uint64_t load_instance,
-                     const TaskPcSource *tps) const;
-
     /** Remove a waiting load from the pending map (one slot's worth);
      *  no wakeup is generated. */
     void unpend(LoadId ldid);

@@ -65,7 +65,8 @@ struct SyncStats
  * Interface between an out-of-order timing model and the dependence
  * prediction/synchronization hardware.
  *
- * Protocol (section 4.3):
+ * Protocol (section 4.3), driven for both timing models by
+ * ParkedLoads (mdp/parked_loads.hh):
  *  - Every load ready to access memory calls loadReady().  If the
  *    result says wait, the core parks the load until it is woken via
  *    storeReady() wakeups, drainReleasedLoads() (entry evicted), or
@@ -128,22 +129,6 @@ class DepSynchronizer
      * treat them like frontier releases (they will get no signal).
      */
     virtual void drainReleasedLoads(std::vector<LoadId> &out) = 0;
-
-    /** Sentinel returned by nextWakeupCycle(): no timed wakeup. */
-    static constexpr uint64_t kNoWakeupCycle = UINT64_MAX;
-
-    /**
-     * Earliest future cycle at which the unit could release a blocked
-     * load *without* any new core event (issue, store signal, frontier
-     * move) happening first.  The event-driven fast-forward loops fold
-     * this into their skip-target computation, so an organization with
-     * timed behavior (e.g. a timeout on a waiting slot) must surface
-     * its deadline here; returning kNoWakeupCycle asserts that every
-     * release is triggered by a core-side event.  A conservative
-     * (earlier) answer only costs an extra simulated idle cycle; a late
-     * answer breaks tick-loop equivalence.
-     */
-    virtual uint64_t nextWakeupCycle() const { return kNoWakeupCycle; }
 
     virtual const SyncStats &stats() const = 0;
 

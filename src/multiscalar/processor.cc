@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "base/logging.hh"
-#include "base/ordered.hh"
 #include "base/random.hh"
 
 namespace mdp
@@ -31,11 +30,22 @@ MultiscalarProcessor::MultiscalarProcessor(const TraceView &trace,
     : trc(trace), oracle(dep_oracle), tasks(task_set),
       cfg(validatedConfig(config)), state(trace.size()),
       taskRun(task_set.numTasks()), stages(config.numStages),
-      readyAt(trace.size()), memsys(config), peFrontier(config.numStages),
+      readyAt(trace.size()), memsys(config),
+      policy(makeDependencePolicy(cfg.policyName)),
+      sync(policy->needsSynchronizer()
+               ? policy->makeSyncUnit(cfg.sync, cfg.organization,
+                                      ModelKind::Multiscalar,
+                                      cfg.numStages)
+               : nullptr),
+      peFrontier(config.numStages),
       dueBits((config.numStages + 63) / 64, 0),
       capCycle(config.maxCycles
                    ? config.maxCycles
-                   : 1000 + static_cast<uint64_t>(trace.size()) * 60)
+                   : 1000 + static_cast<uint64_t>(trace.size()) * 60),
+      // A blocked list can never exceed the in-flight window
+      // (numStages stage windows).
+      parked(state, sync.get(),
+             static_cast<size_t>(config.numStages) * config.stageWindow)
 {
     if (cfg.topology == Topology::Mesh) {
         auto [mx, my] = resolveMeshDims(cfg);
@@ -63,22 +73,10 @@ MultiscalarProcessor::MultiscalarProcessor(const TraceView &trace,
                 consList[cursor[src]++] = s;
         }
     }
-    // A wakeup or blocked list can never exceed the in-flight window
-    // (numStages stage windows); pre-sizing keeps the per-cycle loops
-    // allocation-free after warmup.
-    size_t window_cap =
-        static_cast<size_t>(cfg.numStages) * cfg.stageWindow;
-    wakeupBuf.reserve(window_cap);
-    frontierBlocked.reserve(window_cap);
-    syncBlocked.reserve(window_cap);
 
-    policy = makeDependencePolicy(cfg.policyName);
-    if (policy->needsSynchronizer()) {
-        sync = policy->makeSyncUnit(cfg.sync, cfg.organization,
-                                    ModelKind::Multiscalar,
-                                    cfg.numStages);
-        // Compiler-exposed dependences (section 6): seed the table as
-        // if each edge had already mis-speculated enough to arm.
+    // Compiler-exposed dependences (section 6): seed the table as if
+    // each edge had already mis-speculated enough to arm.
+    if (sync) {
         for (const StaticEdge &e : cfg.preloadEdges) {
             sync->misSpeculation(e.ldpc, e.stpc, e.dist, e.storeTaskPc);
             sync->misSpeculation(e.ldpc, e.stpc, e.dist, e.storeTaskPc);
@@ -109,7 +107,7 @@ struct MultiscalarProcessor::IssueCtx final : LoadIssueContext
     bool
     syncSatisfied() const override
     {
-        return p.state.test(seq, kSyncDone);
+        return p.state.test(seq, ParkedLoads::kSyncDone);
     }
 
     bool allStoresDone() override { return p.allStoresDoneBefore(seq); }
@@ -175,9 +173,13 @@ MultiscalarProcessor::run()
         sequencerStep();
         collectDue();
         walkDue();
-        frontierScan();
-        if (sync)
-            drainSyncReleases();
+        // The bound cannot move during the scan (a release never
+        // executes a store), so it is computed once.
+        auto released = [this](SeqNum l, LoadRelease why) {
+            loadReleased(l, why);
+        };
+        parked.scan(storeFrontierBound(), released);
+        parked.drainEvictions(released);
         commitStep();
 
         // An idle cycle changed nothing, so every following cycle is
@@ -254,9 +256,6 @@ MultiscalarProcessor::nextInterestingCycle(uint64_t cap)
                 consider(tr.lastDone);
         }
     }
-
-    if (sync)
-        consider(sync->nextWakeupCycle());
 
     // Per-stage terms come from the frontier.  Park times are
     // conservative-early (stored <= the exact per-stage event time),
@@ -511,51 +510,35 @@ MultiscalarProcessor::tryIssueMem(SeqNum seq, unsigned &mem_ports)
 
     IssueCtx ctx(*this, seq, t);
     LoadDecision d = policy->loadIssueCheck(ctx, sync.get());
-    switch (d.action) {
-      case LoadAction::BlockFrontier:
-        state.set(seq, kBlockedFrontier);
-        frontierBlocked.push_back(seq);
-        frontierBlockedMin = std::min(frontierBlockedMin, seq);
-        ++res.loadsBlockedFrontier;
+    if (parked.park(seq, d)) {
+        if (d.action == LoadAction::BlockFrontier) {
+            ++res.loadsBlockedFrontier;
+        } else {
+            ++res.loadsBlockedSync;
+        }
+        if (d.action == LoadAction::BlockSync) {
+            state.set(seq, kPredPendingY);
+            state.setDone(seq, cycle);   // stash the block time
+        }
         return true;
+    }
 
-      case LoadAction::BlockProducer:
-        state.set(seq, kBlockedPsync);
-        psyncWaiters[d.producer].push_back(seq);
-        ++res.loadsBlockedSync;
-        return true;
-
-      case LoadAction::BlockSync:
-        state.set(seq, kBlockedSync | kPredPendingY);
-        state.setDone(seq, cycle);   // stash the block time
-        syncBlocked.push_back(seq);
-        syncBlockedMin = std::min(syncBlockedMin, seq);
-        syncPushed = true;
-        ++res.loadsBlockedSync;
-        return true;
-
-      case LoadAction::IssueValuePredicted:
+    if (d.action == LoadAction::IssueValuePredicted) {
         // Hybrid: consume the predicted value instead of
         // synchronizing; validated when the producer executes.
         state.set(seq, kValuePred);
         ++res.valuePredUses;
-        break;
-
-      case LoadAction::Issue:
-        if (d.consultedSync) {
-            if (d.check.fullBypass) {
-                // Predicted dependence satisfied before the load
-                // arrived.  The paper counts this as a predicted-Y /
-                // actual-N outcome (section 5.5) -- unless the bypass
-                // merely consumes the signal this load already waited
-                // for.
-                if (!state.test(seq, kSignaled))
-                    classify(seq, true, false);
-            } else if (!d.check.predicted) {
-                state.set(seq, kPredPendingN);
-            }
+    } else if (d.consultedSync) {
+        if (d.check.fullBypass) {
+            // Predicted dependence satisfied before the load arrived.
+            // The paper counts this as a predicted-Y / actual-N
+            // outcome (section 5.5) -- unless the bypass merely
+            // consumes the signal this load already waited for.
+            if (!state.test(seq, kSignaled))
+                classify(seq, true, false);
+        } else if (!d.check.predicted) {
+            state.set(seq, kPredPendingN);
         }
-        break;
     }
 
     --mem_ports;
@@ -598,41 +581,16 @@ MultiscalarProcessor::executeStore(SeqNum seq)
     while (violator != kNoSeq && handleViolation(violator, seq))
         violator = arb.findViolator(addr, seq, t);
 
-    // Wake ideal-sync waiters.  The released load can re-attempt
-    // issue this same cycle if its stage is visited later in ring
-    // order -- wakeStage handles the position split.
-    auto wit = psyncWaiters.find(seq);
-    if (wit != psyncWaiters.end()) {
-        for (SeqNum l : wit->second) {
-            if (state.test(l, kBlockedPsync)) {
-                state.clear(l, kBlockedPsync);
-                wakeStage(trc.taskId(l) % cfg.numStages, cycle);
-            }
-        }
-        psyncWaiters.erase(wit);
-    }
-
-    // Signal the synchronization table.
-    if (sync) {
-        wakeupBuf.clear();
-        sync->storeReady(trc.pc(seq), addr, t, seq, wakeupBuf);
-        const bool repeats = trc.valueRepeats(seq);
-        for (LoadId l : wakeupBuf) {
-            if (state.test(l, kBlockedSync)) {
-                state.clear(l, kBlockedSync);
-                state.set(l, kSignaled);
-                policy->syncSignalObserved(trc.pc(l), repeats);
-                res.syncWaitCycles += cycle - state.done(l);
-                res.signalWaitCycles += cycle - state.done(l);
-                state.setDone(l, 0);
-                if (state.test(l, kPredPendingY)) {
-                    state.clear(l, kPredPendingY);
-                    classify(l, true, true);
-                }
-                wakeStage(trc.taskId(l) % cfg.numStages, cycle);
-            }
-        }
-    }
+    // Wake the loads waiting for this store: its ideal-sync waiters,
+    // then those the synchronization table signals.
+    const bool repeats = trc.valueRepeats(seq);
+    parked.storeExecuted(trc.pc(seq), addr, t, seq,
+                         [&](SeqNum l, LoadRelease why) {
+                             if (why == LoadRelease::Signal)
+                                 policy->syncSignalObserved(trc.pc(l),
+                                                            repeats);
+                             loadReleased(l, why);
+                         });
 }
 
 // ---------------------------------------------------------------------
@@ -803,92 +761,29 @@ MultiscalarProcessor::stageStep(unsigned stage_idx)
 // ---------------------------------------------------------------------
 
 void
-MultiscalarProcessor::frontierScan()
+MultiscalarProcessor::loadReleased(SeqNum l, LoadRelease why)
 {
-    // The bound cannot move during a scan (releases never set kIssued),
-    // so it is computed once; and when it has not moved since the last
-    // scan, the class-invariant comment on lastFrontierBound shows no
-    // blocked op can become releasable, so the linear rescans are
-    // skipped entirely.
-    uint64_t bound = storeFrontierBound();
-    bool moved = bound != lastFrontierBound || frontierDirty;
-    if (!moved && !syncPushed)
-        return;
-
-    if (moved && bound >= frontierBlockedMin) {
-        auto keep_frontier = [&](SeqNum seq) {
-            if (!state.test(seq, kBlockedFrontier))
-                return false;   // squashed or already released
-            if (bound >= seq) {
-                state.clear(seq, kBlockedFrontier);
-                act();
-                wakeStage(trc.taskId(seq) % cfg.numStages, cycle + 1);
-                return false;
-            }
-            return true;
-        };
-        std::erase_if(frontierBlocked,
-                      [&](SeqNum s) { return !keep_frontier(s); });
-        frontierBlockedMin = kNoSeq;
-        for (SeqNum s : frontierBlocked)
-            frontierBlockedMin = std::min(frontierBlockedMin, s);
-    }
-
-    if (sync && bound >= syncBlockedMin) {
-        auto keep_sync = [&](SeqNum seq) {
-            if (!state.test(seq, kBlockedSync))
-                return false;
-            if (bound >= seq) {
-                // Incomplete synchronization: the predicted store never
-                // signalled, but the load is provably safe now.
-                sync->frontierRelease(seq);
-                state.clear(seq, kBlockedSync);
-                state.set(seq, kSyncDone);
-                act();
-                res.syncWaitCycles += cycle - state.done(seq);
-                res.frontierWaitCycles += cycle - state.done(seq);
-                state.setDone(seq, 0);
-                if (state.test(seq, kPredPendingY)) {
-                    state.clear(seq, kPredPendingY);
-                    classify(seq, true, false);
-                }
-                ++res.frontierReleases;
-                wakeStage(trc.taskId(seq) % cfg.numStages, cycle + 1);
-                return false;
-            }
-            return true;
-        };
-        std::erase_if(syncBlocked,
-                      [&](SeqNum s) { return !keep_sync(s); });
-        syncBlockedMin = kNoSeq;
-        for (SeqNum s : syncBlocked)
-            syncBlockedMin = std::min(syncBlockedMin, s);
-    }
-
-    lastFrontierBound = bound;
-    frontierDirty = false;
-    syncPushed = false;
-}
-
-void
-MultiscalarProcessor::drainSyncReleases()
-{
-    wakeupBuf.clear();
-    sync->drainReleasedLoads(wakeupBuf);
-    for (LoadId l : wakeupBuf) {
-        if (state.test(l, kBlockedSync)) {
-            state.clear(l, kBlockedSync);
-            state.set(l, kSyncDone);
-            act();
-            res.syncWaitCycles += cycle - state.done(l);
-            state.setDone(l, 0);
-            if (state.test(l, kPredPendingY)) {
-                state.clear(l, kPredPendingY);
-                classify(l, true, false);
-            }
-            wakeStage(trc.taskId(l) % cfg.numStages, cycle + 1);
+    act();
+    if (why != LoadRelease::Producer && why != LoadRelease::Frontier) {
+        // It left the synchronizer.
+        const uint64_t waited = cycle - state.done(l);
+        res.syncWaitCycles += waited;
+        if (why == LoadRelease::Signal) {
+            state.set(l, kSignaled);
+            res.signalWaitCycles += waited;
+        } else if (why == LoadRelease::SyncFrontier) {
+            res.frontierWaitCycles += waited;
+            ++res.frontierReleases;
+        }
+        state.setDone(l, 0);
+        if (state.test(l, kPredPendingY)) {
+            state.clear(l, kPredPendingY);
+            classify(l, true, why == LoadRelease::Signal);
         }
     }
+    const bool by_store =
+        why == LoadRelease::Producer || why == LoadRelease::Signal;
+    wakeStage(trc.taskId(l) % cfg.numStages, by_store ? cycle : cycle + 1);
 }
 
 // ---------------------------------------------------------------------
@@ -993,35 +888,14 @@ MultiscalarProcessor::squashFrom(SeqNum squash_start)
         }
     }
 
-    // Purge bookkeeping that refers to squashed operations.
-    std::erase_if(frontierBlocked,
-                  [&](SeqNum s) { return s >= squash_start; });
-    std::erase_if(syncBlocked,
-                  [&](SeqNum s) { return s >= squash_start; });
-    frontierBlockedMin = kNoSeq;
-    for (SeqNum s : frontierBlocked)
-        frontierBlockedMin = std::min(frontierBlockedMin, s);
-    syncBlockedMin = kNoSeq;
-    for (SeqNum s : syncBlocked)
-        syncBlockedMin = std::min(syncBlockedMin, s);
-    for (SeqNum p : sortedKeys(psyncWaiters)) {
-        auto it = psyncWaiters.find(p);
-        std::erase_if(it->second,
-                      [&](SeqNum s) { return s >= squash_start; });
-        if (it->second.empty() || p >= squash_start)
-            psyncWaiters.erase(it);
-    }
-
-    // The storePtr rewinds above can move the frontier bound backwards,
-    // and tasks from task0 on may have unexecuted stores again.  (A
-    // violation squash finds the cursor at or before the violating
-    // store's task already; the pull-back keeps the cursor invariant
-    // independent of who squashes.)
-    frontierDirty = true;
+    // Forget the waits of squashed loads.  The storePtr rewinds above
+    // can move the frontier bound backwards, and tasks from task0 on
+    // may have unexecuted stores again.  (A violation squash finds the
+    // cursor at or before the violating store's task already; the
+    // pull-back keeps the cursor invariant independent of who
+    // squashes.)
+    parked.squash(squash_start);
     storeTask = std::min<uint64_t>(storeTask, task0);
-
-    if (sync)
-        sync->squash(squash_start, squash_start);
 }
 
 // ---------------------------------------------------------------------

@@ -10,19 +10,23 @@
  * speculated (a load waits until all earlier same-task stores have
  * executed); inter-task memory dependences are handled per the
  * configured speculation policy.  An ARB detects violations; recovery
- * squashes the offending load's task and all younger tasks.
+ * squashes the offending load's task and all younger tasks.  Blocked
+ * loads park on, and are released through, the shared ParkedLoads
+ * protocol (mdp/parked_loads.hh); this model supplies the
+ * store-frontier bound and turns each release into wait-cycle counts,
+ * its Table 8 classification and a stage wake.
  */
 
 #ifndef MDP_MULTISCALAR_PROCESSOR_HH
 #define MDP_MULTISCALAR_PROCESSOR_HH
 
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "base/event_frontier.hh"
 #include "base/soa_lanes.hh"
 #include "mdp/dep_policy.hh"
+#include "mdp/parked_loads.hh"
 #include "mdp/sync_unit.hh"
 #include "multiscalar/arb.hh"
 #include "multiscalar/config.hh"
@@ -59,30 +63,24 @@ class MultiscalarProcessor : public TaskPcSource
     Addr taskPc(uint64_t instance) const override;
 
   private:
-    // Op-state flags.
+    // Op-state flags, above the ParkedLoads bits.
+    static constexpr unsigned kBit0 = ParkedLoads::kFirstModelBit;
     /** Woken by a store signal; the pending full flag will be consumed
      *  at issue (no re-classification). */
-    static constexpr uint16_t kSignaled = 1 << 0;
-    static constexpr uint16_t kIssued = 1 << 1;
-    static constexpr uint16_t kBlockedSync = 1 << 2;
-    static constexpr uint16_t kBlockedFrontier = 1 << 3;
-    static constexpr uint16_t kBlockedPsync = 1 << 4;
-    static constexpr uint16_t kPredPendingN = 1 << 5;
-    static constexpr uint16_t kPredPendingY = 1 << 6;
-    /** The load already completed its synchronization (signal,
-     *  frontier or eviction release): it must not re-consult the
-     *  predictor when it finally issues. */
-    static constexpr uint16_t kSyncDone = 1 << 7;
+    static constexpr uint16_t kSignaled = 1 << kBit0;
+    static constexpr uint16_t kIssued = 1 << (kBit0 + 1);
+    static constexpr uint16_t kPredPendingN = 1 << (kBit0 + 2);
+    static constexpr uint16_t kPredPendingY = 1 << (kBit0 + 3);
     /** The load consumed a predicted value instead of synchronizing
      *  (VSync); a violation by a value-repeating store is benign. */
-    static constexpr uint16_t kValuePred = 1 << 8;
+    static constexpr uint16_t kValuePred = 1 << (kBit0 + 4);
     /** Fetched while a producer had not issued yet; the last
      *  producer's issue clears it and sets the op's readyAt. */
-    static constexpr uint16_t kAwaitingSrc = 1 << 9;
+    static constexpr uint16_t kAwaitingSrc = 1 << (kBit0 + 5);
 
     /** Flags that take an op out of the issue scan. */
-    static constexpr uint16_t kNotIssuable = kIssued | kBlockedSync |
-        kBlockedFrontier | kBlockedPsync | kAwaitingSrc;
+    static constexpr uint16_t kNotIssuable =
+        kIssued | ParkedLoads::kBlocked | kAwaitingSrc;
 
     /**
      * A ring slot.  The scheduling window is a *range view* over the
@@ -127,8 +125,6 @@ class MultiscalarProcessor : public TaskPcSource
                   unsigned &simple_fu, unsigned &complex_fu,
                   unsigned &fp_fu, unsigned &branch_fu,
                   unsigned &mem_ports, unsigned &issued);
-    void frontierScan();
-    void drainSyncReleases();
     void commitStep();
 
     // --- per-PE event frontier --------------------------------------
@@ -184,10 +180,10 @@ class MultiscalarProcessor : public TaskPcSource
     /**
      * Earliest cycle after the current one at which a time-gated
      * predicate can change behavior: sequencer recovery completes,
-     * the head task's last completion lands (commit), the
-     * synchronizer fires a timed wakeup, or a stage's park time
-     * arrives (squash resume, or an op's operands arriving over the
-     * interconnect).  Blocked loads are excluded on purpose -- only
+     * the head task's last completion lands (commit), or a stage's
+     * park time arrives (squash resume, or an op's operands arriving
+     * over the interconnect).  Blocked loads are excluded on purpose
+     * -- only
      * another op's activity releases them.  Park times are
      * conservative-early (wakes only ever lower them), so the top
      * frontier entry is re-validated against stageNextInteresting()
@@ -246,6 +242,14 @@ class MultiscalarProcessor : public TaskPcSource
      * that has one; storeTask caches that task.
      */
     uint64_t storeFrontierBound();
+
+    /**
+     * Parked load @p l was released: account its synchronization wait
+     * (stashed block time in the done lane), settle its Table 8
+     * outcome, and wake its stage -- this cycle for a store's release,
+     * which a later stage in ring order still sees, else the next.
+     */
+    void loadReleased(SeqNum l, LoadRelease why);
 
     // --- recovery -----------------------------------------------------
     /** @return true when the violation was absorbed benignly by a
@@ -315,43 +319,6 @@ class MultiscalarProcessor : public TaskPcSource
      *  storeFrontierBound() advances it, squashFrom() pulls it back. */
     uint64_t storeTask = 0;
 
-    // Blocked-op bookkeeping.
-    std::vector<SeqNum> frontierBlocked;  ///< WAIT/NEVER waits
-    std::vector<SeqNum> syncBlocked;      ///< MDST waits
-
-    /**
-     * Smallest seq in each blocked list (kNoSeq when empty).  A scan
-     * can only release ops with seq <= bound, so while the min sits
-     * above the bound the linear rescan is skipped outright -- the
-     * dominant case on wide machines, where the bound moves every
-     * commit but the blocked window trails far behind it.  Squash
-     * erases only seqs >= squash_start, and the survivors' min is
-     * recomputed there; a skipped scan therefore never misses a
-     * releasable op, it only defers dropping already-cleared entries
-     * (which release nothing either way).
-     */
-    SeqNum frontierBlockedMin = kNoSeq;
-    SeqNum syncBlockedMin = kNoSeq;
-
-    /**
-     * Frontier-scan gating (same argument as the OoO model's): every
-     * frontierBlocked entry has seq > lastFrontierBound, and the bound
-     * only moves backwards across a squash (frontierDirty) -- task
-     * assignment can drop it from "no unexecuted store" to a finite
-     * value, but only when every blocked list is already empty, and the
-     * bound comparison catches that case by itself.  syncBlocked ops
-     * never checked the frontier at push time, so a push since the last
-     * scan (syncPushed) forces a scan of that list.
-     */
-    uint64_t lastFrontierBound = 0;
-    bool frontierDirty = true;
-    bool syncPushed = false;
-
-    // Hash map plus sorted drain: squash recovery visits keys in
-    // SeqNum order via sortedKeys() so the walk never depends on the
-    // hash layout; all other accesses are point lookups.
-    std::unordered_map<SeqNum, std::vector<SeqNum>> psyncWaiters;
-
     // Sequencer state.
     uint64_t nextTask = 0;
     uint64_t committedTasks = 0;
@@ -370,7 +337,8 @@ class MultiscalarProcessor : public TaskPcSource
      *  identical to the next, which is what licenses the jump. */
     bool cycleActivity = false;
 
-    std::vector<LoadId> wakeupBuf;
+    /** The blocked loads; declared after sync, which it uses. */
+    ParkedLoads parked;
 };
 
 } // namespace mdp

@@ -5,7 +5,6 @@
 
 #include "base/flat_hash.hh"
 #include "base/logging.hh"
-#include "base/ordered.hh"
 #include "base/random.hh"
 
 namespace mdp
@@ -48,16 +47,16 @@ OooProcessor::OooProcessor(const TraceView &trace,
                            const OooConfig &config)
     : trc(trace), oracle(dep_oracle), cfg(validatedConfig(config)),
       state(trace.size()), instanceOf(trace.size(), 0),
+      policy(makeDependencePolicy(cfg.policyName)),
+      sync(policy->needsSynchronizer()
+               ? policy->makeSyncUnit(cfg.sync, cfg.organization,
+                                      ModelKind::Superscalar, 0)
+               : nullptr),
       capCycle(config.maxCycles
                    ? config.maxCycles
-                   : 1000 + static_cast<uint64_t>(trace.size()) * 60)
+                   : 1000 + static_cast<uint64_t>(trace.size()) * 60),
+      parked(state, sync.get(), cfg.windowSize)
 {
-    // Blocked/wakeup lists are bounded by the instruction window;
-    // pre-sizing keeps the cycle loop allocation-free after warmup.
-    wakeupBuf.reserve(cfg.windowSize);
-    frontierBlocked.reserve(cfg.windowSize);
-    syncBlocked.reserve(cfg.windowSize);
-
     // Number dynamic instances per static PC (paper footnote 2).  A
     // precomputed numbering behaves like checkpointed counters: squash
     // and re-execution see the same instance number.
@@ -66,12 +65,6 @@ OooProcessor::OooProcessor(const TraceView &trace,
     for (SeqNum s = 0; s < trc.size(); ++s) {
         if (trc.isMemOp(s))
             instanceOf[s] = counters[trc.pc(s)]++;
-    }
-
-    policy = makeDependencePolicy(cfg.policyName);
-    if (policy->needsSynchronizer()) {
-        sync = policy->makeSyncUnit(cfg.sync, cfg.organization,
-                                    ModelKind::Superscalar, 0);
     }
 }
 
@@ -97,7 +90,7 @@ struct OooProcessor::IssueCtx final : LoadIssueContext
     bool
     syncSatisfied() const override
     {
-        return p.state.test(seq, kSyncDone);
+        return p.state.test(seq, ParkedLoads::kSyncDone);
     }
 
     bool allStoresDone() override { return p.allStoresDoneBefore(seq); }
@@ -180,31 +173,12 @@ OooProcessor::tryIssueMem(SeqNum seq, unsigned &mem_ports)
     if (mem_ports == 0)
         return false;
 
+    // canValuePredict is false, so a load that is not parked issues
+    // plainly.
     IssueCtx ctx(*this, seq);
-    LoadDecision d = policy->loadIssueCheck(ctx, sync.get());
-    switch (d.action) {
-      case LoadAction::BlockFrontier:
-        state.set(seq, kBlockedFrontier);
-        frontierBlocked.push_back(seq);
+    if (parked.park(seq, policy->loadIssueCheck(ctx, sync.get()))) {
         ++res.loadsBlocked;
         return true;
-
-      case LoadAction::BlockProducer:
-        state.set(seq, kBlockedPsync);
-        psyncWaiters[d.producer].push_back(seq);
-        ++res.loadsBlocked;
-        return true;
-
-      case LoadAction::BlockSync:
-        state.set(seq, kBlockedSync);
-        syncBlocked.push_back(seq);
-        syncPushed = true;
-        ++res.loadsBlocked;
-        return true;
-
-      case LoadAction::IssueValuePredicted:   // canValuePredict is false
-      case LoadAction::Issue:
-        break;
     }
 
     --mem_ports;
@@ -232,23 +206,20 @@ OooProcessor::executeStore(SeqNum seq)
     if (violator != kNoSeq)
         handleViolation(violator);
 
-    auto wit = psyncWaiters.find(seq);
-    if (wit != psyncWaiters.end()) {
-        for (SeqNum l : wit->second)
-            state.clear(l, kBlockedPsync);
-        psyncWaiters.erase(wit);
-    }
+    // A signal-woken load re-checks at issue and consumes the kept
+    // full flag, so it needs no bypass flag.
+    parked.storeExecuted(trc.pc(seq), addr, instanceOf[seq], seq,
+                         [this](SeqNum, LoadRelease why) {
+                             loadReleased(why);
+                         });
+}
 
-    if (sync) {
-        wakeupBuf.clear();
-        sync->storeReady(trc.pc(seq), addr, instanceOf[seq], seq,
-                         wakeupBuf);
-        for (LoadId l : wakeupBuf) {
-            // Signal wake: the kept full flag is consumed when the
-            // load re-checks at issue, so no bypass flag is needed.
-            state.clear(l, kBlockedSync);
-        }
-    }
+void
+OooProcessor::loadReleased(LoadRelease why)
+{
+    cycleActivity = true;
+    if (why == LoadRelease::SyncFrontier)
+        ++res.frontierReleases;
 }
 
 void
@@ -283,75 +254,15 @@ OooProcessor::handleViolation(SeqNum load)
     fetchPtr = load;
     resumeCycle = cycle + cfg.squashPenalty;
 
-    std::erase_if(frontierBlocked, [&](SeqNum s) { return s >= load; });
-    std::erase_if(syncBlocked, [&](SeqNum s) { return s >= load; });
-    for (SeqNum p : sortedKeys(psyncWaiters)) {
-        auto it = psyncWaiters.find(p);
-        std::erase_if(it->second, [&](SeqNum s) { return s >= load; });
-        if (it->second.empty() || p >= load)
-            psyncWaiters.erase(it);
-    }
+    parked.squash(load);
 
     // Rewind the store frontier past the squash point.  This can move
-    // the frontier *backwards*, breaking the monotonicity the gated
-    // frontier scan relies on.
+    // the frontier *backwards*; parked.squash() has already marked its
+    // scan gating dirty.
     const std::vector<SeqNum> &stores = oracle.stores();
     size_t lb = std::lower_bound(stores.begin(), stores.end(), load) -
                 stores.begin();
     storeFrontier = std::min(storeFrontier, lb);
-    frontierDirty = true;
-
-    if (sync)
-        sync->squash(load, load);
-}
-
-void
-OooProcessor::frontierScan()
-{
-    // The bound cannot move during a scan (releases never set kIssued
-    // on a store), so it is computed once; and when it has not moved
-    // since the last scan, the class-invariant comment on
-    // lastFrontierBound shows no blocked op can become releasable, so
-    // the linear rescans are skipped entirely.
-    uint64_t bound = storeFrontierBound();
-    bool moved = bound != lastFrontierBound || frontierDirty;
-    if (!moved && !syncPushed)
-        return;
-
-    if (moved) {
-        auto release_frontier = [&](SeqNum seq) {
-            if (!state.test(seq, kBlockedFrontier))
-                return true;
-            if (bound >= seq) {
-                state.clear(seq, kBlockedFrontier);
-                cycleActivity = true;
-                return true;
-            }
-            return false;
-        };
-        std::erase_if(frontierBlocked, release_frontier);
-    }
-
-    if (sync) {
-        auto release_sync = [&](SeqNum seq) {
-            if (!state.test(seq, kBlockedSync))
-                return true;
-            if (bound >= seq) {
-                sync->frontierRelease(seq);
-                state.clear(seq, kBlockedSync);
-                state.set(seq, kSyncDone);
-                cycleActivity = true;
-                ++res.frontierReleases;
-                return true;
-            }
-            return false;
-        };
-        std::erase_if(syncBlocked, release_sync);
-    }
-
-    lastFrontierBound = bound;
-    frontierDirty = false;
-    syncPushed = false;
 }
 
 uint64_t
@@ -374,9 +285,6 @@ OooProcessor::nextInterestingCycle(uint64_t cap) const
     for (SeqNum s = head; s < fetchPtr; ++s)
         if (fv.test(s, kIssued))
             consider(state.done(s));
-
-    if (sync)
-        consider(sync->nextWakeupCycle());
     return next;
 }
 
@@ -471,18 +379,13 @@ OooProcessor::run()
             cycleActivity = true;
         }
 
-        frontierScan();
-        if (sync) {
-            wakeupBuf.clear();
-            sync->drainReleasedLoads(wakeupBuf);
-            for (LoadId l : wakeupBuf) {
-                if (state.test(l, kBlockedSync)) {
-                    state.clear(l, kBlockedSync);
-                    state.set(l, kSyncDone);
-                    cycleActivity = true;
-                }
-            }
-        }
+        // Release parked loads.  The bound cannot move during the scan
+        // (a release never executes a store), so it is computed once.
+        auto released = [this](SeqNum, LoadRelease why) {
+            loadReleased(why);
+        };
+        parked.scan(storeFrontierBound(), released);
+        parked.drainEvictions(released);
 
         // In-order commit.
         unsigned committed = 0;

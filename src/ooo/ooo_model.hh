@@ -9,7 +9,10 @@
  * speculate per the configured policy; violations squash from the
  * offending load (modern-OoO granularity, unlike Multiscalar's task
  * granularity).  Dynamic instances are numbered per static PC as the
- * paper's footnote 2 suggests for superscalar cores.
+ * paper's footnote 2 suggests for superscalar cores.  Blocked loads
+ * park on, and are released through, the shared ParkedLoads protocol
+ * (mdp/parked_loads.hh); this model supplies the store-frontier bound
+ * and counts the releases.
  */
 
 #ifndef MDP_OOO_OOO_MODEL_HH
@@ -17,11 +20,11 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "base/soa_lanes.hh"
 #include "mdp/dep_policy.hh"
+#include "mdp/parked_loads.hh"
 #include "mdp/sync_unit.hh"
 #include "multiscalar/arb.hh"
 #include "trace/dep_oracle.hh"
@@ -113,17 +116,12 @@ class OooProcessor
     OooResult run();
 
   private:
-    // Op-state flags, stored in the OpLanes status lane.
-    static constexpr uint16_t kIssued = 1 << 0;
-    static constexpr uint16_t kBlockedSync = 1 << 1;
-    static constexpr uint16_t kBlockedFrontier = 1 << 2;
-    static constexpr uint16_t kBlockedPsync = 1 << 3;
-    /** Synchronization already satisfied; do not re-consult. */
-    static constexpr uint16_t kSyncDone = 1 << 4;
+    // Op-state flags, stored in the OpLanes status lane above the
+    // ParkedLoads bits.
+    static constexpr uint16_t kIssued = 1 << ParkedLoads::kFirstModelBit;
 
     /** Flags that take an op out of the issue scan. */
-    static constexpr uint16_t kNotIssuable =
-        kIssued | kBlockedSync | kBlockedFrontier | kBlockedPsync;
+    static constexpr uint16_t kNotIssuable = kIssued | ParkedLoads::kBlocked;
 
     /** LoadIssueContext over one ready load (defined in the .cc). */
     struct IssueCtx;
@@ -139,16 +137,16 @@ class OooProcessor
      *  op @c seq is releasable iff the bound is >= seq. */
     uint64_t storeFrontierBound();
     void handleViolation(SeqNum load);
-    void frontierScan();
+    /** A parked load was released: the one model-side effect. */
+    void loadReleased(LoadRelease why);
 
     /**
      * Earliest cycle after the current one at which any time-gated
      * predicate can change the machine's behavior: an in-flight op
-     * completes (enabling commit or a consumer), squash re-fetch
-     * resumes, or the synchronizer fires a timed wakeup.  Blocked loads
-     * are excluded on purpose -- they are only ever released by another
-     * op's activity, never by time passing.  Clamped to @p cap + 1 so a
-     * deadlocked machine still hits the cap.
+     * completes (enabling commit or a consumer) or squash re-fetch
+     * resumes.  Blocked loads are excluded on purpose -- they are only
+     * ever released by another op's activity, never by time passing.
+     * Clamped to @p cap + 1 so a deadlocked machine still hits the cap.
      */
     uint64_t nextInterestingCycle(uint64_t cap) const;
 
@@ -186,30 +184,8 @@ class OooProcessor
     /** Index into oracle.stores() of the first unexecuted store. */
     size_t storeFrontier = 0;
 
-    std::vector<SeqNum> frontierBlocked;
-    std::vector<SeqNum> syncBlocked;
-
-    /**
-     * Frontier-scan gating.  Every entry in frontierBlocked has
-     * seq > lastFrontierBound (it failed the frontier check at push
-     * time, and survivors of a scan failed it against the scan's
-     * bound), and the bound is monotonically non-decreasing except
-     * across a violation rewind (which sets frontierDirty).  So when
-     * the bound has not moved since the last scan and no rewind
-     * happened, no blocked op can be releasable and the scan is
-     * skipped.  syncBlocked ops are pushed *without* a frontier check
-     * (the wait comes from the predictor), so a push since the last
-     * scan (syncPushed) forces a scan of that list as well.
-     */
-    uint64_t lastFrontierBound = 0;
-    bool frontierDirty = true;
-    bool syncPushed = false;
-
-    // Hash map plus sorted drain: squash recovery visits keys in
-    // SeqNum order via sortedKeys() so the walk never depends on the
-    // hash layout; all other accesses are point lookups.
-    std::unordered_map<SeqNum, std::vector<SeqNum>> psyncWaiters;
-    std::vector<LoadId> wakeupBuf;
+    /** The blocked loads; declared after sync, which it uses. */
+    ParkedLoads parked;
 
     OooResult res;
 };

@@ -321,47 +321,6 @@ TEST(LruState, ResizeClears)
 // Stats
 // --------------------------------------------------------------------
 
-TEST(Stats, CounterIncrements)
-{
-    Counter c("events");
-    c.inc();
-    c.inc(4);
-    EXPECT_EQ(c.value(), 5u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-    EXPECT_EQ(c.statName(), "events");
-}
-
-TEST(Stats, DistributionMoments)
-{
-    Distribution d;
-    d.sample(1.0);
-    d.sample(2.0);
-    d.sample(3.0);
-    EXPECT_EQ(d.count(), 3u);
-    EXPECT_DOUBLE_EQ(d.mean(), 2.0);
-    EXPECT_DOUBLE_EQ(d.minimum(), 1.0);
-    EXPECT_DOUBLE_EQ(d.maximum(), 3.0);
-    EXPECT_DOUBLE_EQ(d.variance(), 1.0);
-}
-
-TEST(Stats, DistributionWeightedSamples)
-{
-    Distribution d;
-    d.sample(2.0, 10);
-    EXPECT_EQ(d.count(), 10u);
-    EXPECT_DOUBLE_EQ(d.total(), 20.0);
-    EXPECT_DOUBLE_EQ(d.variance(), 0.0);
-}
-
-TEST(Stats, DistributionEmpty)
-{
-    Distribution d;
-    EXPECT_EQ(d.count(), 0u);
-    EXPECT_DOUBLE_EQ(d.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(d.stddev(), 0.0);
-}
-
 TEST(Stats, HistogramBucketsAndOverflow)
 {
     Histogram h(4);

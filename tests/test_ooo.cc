@@ -1,12 +1,10 @@
 /**
  * @file
- * Tests for the superscalar continuous-window model and the instance
- * numbering pool.
+ * Tests for the superscalar continuous-window model.
  */
 
 #include <gtest/gtest.h>
 
-#include "mdp/instance.hh"
 #include "ooo/ooo_model.hh"
 #include "trace/builder.hh"
 #include "workloads/suites.hh"
@@ -15,46 +13,6 @@ namespace mdp
 {
 namespace
 {
-
-// --------------------------------------------------------------------
-// InstanceNumberer
-// --------------------------------------------------------------------
-
-TEST(InstanceNumberer, CountsPerPc)
-{
-    InstanceNumberer n(8);
-    EXPECT_EQ(n.next(0x10), 0u);
-    EXPECT_EQ(n.next(0x10), 1u);
-    EXPECT_EQ(n.next(0x20), 0u);
-    EXPECT_EQ(n.next(0x10), 2u);
-    EXPECT_EQ(n.current(0x10), 3u);
-    EXPECT_EQ(n.current(0x99), 0u);
-}
-
-TEST(InstanceNumberer, EvictsLruAndRestartsAtZero)
-{
-    InstanceNumberer n(2);
-    n.next(0x10);
-    n.next(0x10);
-    n.next(0x20);
-    n.next(0x30);   // evicts 0x10 (LRU)
-    EXPECT_EQ(n.evictions(), 1u);
-    EXPECT_EQ(n.next(0x10), 0u);   // restarted
-}
-
-TEST(InstanceNumberer, CheckpointRestore)
-{
-    InstanceNumberer n(8);
-    n.next(0x10);
-    n.next(0x10);
-    n.next(0x20);
-    auto cp = n.checkpoint();
-    n.next(0x10);
-    n.next(0x20);
-    n.restore(cp);
-    EXPECT_EQ(n.current(0x10), 2u);
-    EXPECT_EQ(n.current(0x20), 1u);
-}
 
 // --------------------------------------------------------------------
 // OooProcessor
