@@ -11,6 +11,21 @@
 
 using namespace mdp;
 
+namespace
+{
+
+/** "+12.3%": the speedup of @p r over @p base, one decimal. */
+std::string
+gainCell(const SimResult &base, const SimResult &r)
+{
+    std::string s = "+";
+    s += formatDouble(speedupPct(base, r), 1);
+    s += '%';
+    return s;
+}
+
+} // namespace
+
 int
 main(int argc, char **argv)
 {
@@ -54,11 +69,9 @@ main(int argc, char **argv)
             t.integer(stages);
             t.cell(name);
             t.num(never.ipc(), 2);
-            t.cell("+" + formatDouble(speedupPct(never, always), 1) +
-                   "%");
-            t.cell("+" + formatDouble(speedupPct(never, wait), 1) + "%");
-            t.cell("+" + formatDouble(speedupPct(never, psync), 1) +
-                   "%");
+            t.cell(gainCell(never, always));
+            t.cell(gainCell(never, wait));
+            t.cell(gainCell(never, psync));
 
             sc.check(always.ipc() > never.ipc(),
                      name + " " + std::to_string(stages) +

@@ -72,7 +72,7 @@ ArgParser::parse(int argc, const char *const *argv)
                 errorMsg = "flag --" + name + " takes no value";
                 return false;
             }
-            values[name] = "1";
+            values[name] = std::string(1, '1');
             continue;
         }
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -31,9 +33,6 @@ namespace
 std::atomic<uint64_t> gHits{0};
 std::atomic<uint64_t> gMisses{0};
 std::atomic<uint64_t> gStores{0};
-
-/** Monotonic discriminator for concurrent staging files. */
-std::atomic<uint64_t> gStageSeq{0};
 
 /** Keep entry filenames portable: [A-Za-z0-9._-], rest become '_'. */
 std::string
@@ -215,17 +214,20 @@ TraceCache::store(const TraceCacheKey &key, const TraceView &trace) const
     fs::create_directories(cacheDir, ec);
 
     const std::string path = entryPath(key);
-#if MDP_HAVE_MMAP
-    // The pid only salts the temp-file name used for atomic
-    // publication; the entry bytes themselves stay deterministic.
-    // mdp-lint: allow(nondet-source): pid salts tmp-file name only.
-    const uint64_t pid_salt = static_cast<uint64_t>(::getpid());
-#else
-    const uint64_t pid_salt = 0;
-#endif
-    const std::string tmp =
-        path + ".tmp." + hashHex(traceKeyDigest(key) ^
-                                 gStageSeq.fetch_add(1) ^ pid_salt);
+    // Stage under the first free <entry>.tmp.<n>, created exclusively
+    // (the create fails if the name exists), so no writer -- another
+    // thread, another process, or a crashed one's leftover -- ever
+    // shares or truncates this store's staging file.
+    std::string tmp;
+    for (unsigned n = 0; tmp.empty(); ++n) {
+        std::string name = path + ".tmp." + std::to_string(n);
+        if (std::FILE *f = std::fopen(name.c_str(), "wbx")) {
+            std::fclose(f);
+            tmp = std::move(name);
+        } else if (errno != EEXIST) {
+            return false;
+        }
+    }
     // The close flushes the writer's last bytes, so a failed close is
     // a failed store; no failure may leave the staging file behind.
     std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
@@ -283,7 +285,7 @@ TraceCache::list(bool deep) const
         std::string error;
         auto mapped = MappedTrace::open(e.path, error);
         if (!mapped) {
-            e.workload = "?";
+            e.workload = std::string(1, '?');
             e.error = error;
         } else {
             e.workload = std::string(mapped->name());

@@ -109,12 +109,13 @@ class TraceCache
     std::unique_ptr<MappedTrace> load(const TraceCacheKey &key) const;
 
     /**
-     * Write @p trace under @p key: staged to a ".tmp" sibling, closed,
-     * then atomically renamed.  Creates the cache directory if
-     * missing.  @return false when the entry could not be written or
-     * closed (disk full, file-size limit, permissions), in which case
-     * the staging file is removed; the caller keeps its in-memory
-     * trace either way.
+     * Write @p trace under @p key: staged to the first free
+     * "<entry>.tmp.<n>" sibling (created exclusively, so a file
+     * already there is never touched), closed, then atomically
+     * renamed.  Creates the cache directory if missing.  @return
+     * false when the entry could not be written or closed (disk full,
+     * file-size limit, permissions), in which case the staging file
+     * is removed; the caller keeps its in-memory trace either way.
      */
     bool store(const TraceCacheKey &key, const TraceView &trace) const;
 

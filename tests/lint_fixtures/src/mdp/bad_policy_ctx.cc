@@ -1,7 +1,7 @@
-// Fixture: a DependencePolicy that retains the per-call
-// LoadIssueContext -- once as a member of context type, once by
-// taking the address of the context parameter.  The context is only
-// valid for the duration of onLoad(); both escapes are diagnostics.
+// Fixture: src/mdp/ code that retains the per-call LoadIssueContext
+// -- once as a member of context type, once by taking the address of
+// the context parameter.  The context is only valid for the duration
+// of onLoad(); both escapes are diagnostics.
 #include "mdp/dep_policy.hh"
 
 namespace mdp

@@ -1,7 +1,8 @@
-// Fixture: a DependencePolicy with hidden shared state.  One policy
-// object drives both timing models and every served run, so a
-// mutable static (class-scope or function-local) silently couples
-// runs.  `static const` is the blessed idiom and stays unflagged.
+// Fixture: hidden shared state in src/mdp/, where every
+// DependencePolicy lives.  The cells of one ExperimentRunner sweep or
+// mdp_served batch share the process, so a mutable static
+// (class-scope, function-local or free) silently couples their
+// results.  `static const` is the blessed idiom and stays unflagged.
 #include "mdp/dep_policy.hh"
 
 #include <string>
@@ -29,5 +30,13 @@ class StickyPolicy final : public DependencePolicy
   private:
     static int hits_; // expect: policy-static-state
 };
+
+// Not a policy class, but the same process-wide state.
+int
+nextEdgeId()
+{
+    static int next = 0; // expect: policy-static-state
+    return next++;
+}
 
 } // namespace mdp

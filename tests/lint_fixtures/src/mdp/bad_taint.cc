@@ -1,7 +1,8 @@
-// Fixture: nondeterminism laundered through locals.  The raw
-// reinterpret_cast is not itself banned (no nondet-source marker) --
-// the taint pass must track the value through `key` and `mixed` and
-// fire only where it reaches model state.
+// Fixture: pointer identity laundered through locals into model
+// state.  The cast is where the nondeterminism is written, so it is
+// banned there; no value derived from it can reach `stats_`.  Casts
+// to a pointer type (`reinterpret_cast<const char *>`) expose no
+// address and stay unflagged.
 #include <cstdint>
 
 namespace mdp
@@ -17,13 +18,15 @@ class TaintModel
     void
     tick(void *slot)
     {
-        auto key = reinterpret_cast<uintptr_t>(slot);
+        auto key = reinterpret_cast<uintptr_t>(slot); // expect: nondet-source
         uintptr_t mixed = key ^ (key >> 7);
-        stats_.cycles = static_cast<long>(mixed); // expect: nondet-taint
+        stats_.cycles = static_cast<long>(mixed);
+        bytes_ = reinterpret_cast<const char *>(slot);
     }
 
   private:
     TaintStats stats_;
+    const char *bytes_ = nullptr;
 };
 
 } // namespace mdp

@@ -4,8 +4,8 @@
  * tests/lint_fixtures triggers precisely the diagnostics its
  * `expect:` markers declare (no more, no less), the real tree lints
  * clean, every ordered-scope row still covers real code, and the
- * helper primitives (guard derivation, comment/string blanking,
- * suppression parsing) hold their contracts.
+ * helper primitives (guard derivation, suppression parsing) hold
+ * their contracts.
  */
 
 #include <gtest/gtest.h>
@@ -18,8 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "lint/dataflow.hh"
-#include "lint/lexer.hh"
 #include "lint_core.hh"
 
 namespace fs = std::filesystem;
@@ -202,23 +200,6 @@ TEST(LintCore, ExpectedGuardDerivation)
               "MDP_BENCH_BENCH_COMMON_HH");
     EXPECT_EQ(mdp::lint::expectedGuard("tools/lint_core.hh"),
               "MDP_TOOLS_LINT_CORE_HH");
-}
-
-TEST(LintCore, CodeViewBlanksCommentsAndStrings)
-{
-    std::string src = "int a; // std::rand\n"
-                      "const char *s = \"random_device\";\n"
-                      "/* mt19937 */ int b;\n"
-                      "char c = 'x';\n";
-    std::string view = mdp::lint::codeView(src);
-    EXPECT_EQ(view.find("std::rand"), std::string::npos);
-    EXPECT_EQ(view.find("random_device"), std::string::npos);
-    EXPECT_EQ(view.find("mt19937"), std::string::npos);
-    EXPECT_NE(view.find("int a;"), std::string::npos);
-    EXPECT_NE(view.find("int b;"), std::string::npos);
-    // Line structure is preserved for diagnostics.
-    EXPECT_EQ(std::count(view.begin(), view.end(), '\n'),
-              std::count(src.begin(), src.end(), '\n'));
 }
 
 TEST(LintCore, InMemorySourcesCrossFileDecls)

@@ -69,6 +69,15 @@ submitLine(const std::string &id, const std::string &extra = "")
            (extra.empty() ? "" : "," + extra) + "}";
 }
 
+/** The request id "<prefix><n>", built by appending. */
+std::string
+idOf(char prefix, size_t n)
+{
+    std::string id(1, prefix);
+    id += std::to_string(n);
+    return id;
+}
+
 // ---- protocol --------------------------------------------------------
 
 TEST(Protocol, MalformedJsonRejected)
@@ -405,8 +414,7 @@ runOneBatch(const std::vector<std::string> &extras)
 {
     Server server(smallConfig());
     for (size_t i = 0; i < extras.size(); ++i)
-        server.handleLine(1, submitLine("l" + std::to_string(i),
-                                        extras[i]));
+        server.handleLine(1, submitLine(idOf('l', i), extras[i]));
     auto out = server.handleLine(1, "{\"op\":\"run\"}");
     EXPECT_EQ(out.size(), extras.size() + 1);
     EXPECT_EQ(parseLine(out.back().line).get("trace_passes").asNumber(),
@@ -584,7 +592,7 @@ mixedBatch()
             extra += ",\"model\":\"ooo\"";
         if (i % 4 == 3)
             extra += ",\"stages\":4";
-        std::string line = submitLine("m" + std::to_string(i), extra);
+        std::string line = submitLine(idOf('m', i), extra);
         if (i == 5)
             line = "{\"id\":\"m5\",\"workload\":\"espresso\","
                    "\"scale\":0.01}";
@@ -673,7 +681,7 @@ TEST(ServerStream, DrainStreamsInSubmissionOrder)
         EXPECT_EQ(got[i].line, want[i].line);
         EXPECT_EQ(got[i].client, want[i].client);
         EXPECT_EQ(parseLine(got[i].line).get("id").asString(),
-                  "d" + std::to_string(i + 1));
+                  idOf('d', i + 1));
     }
     // Nothing is left to stream a second time.
     streamed.drain([](const Response &r) {

@@ -18,6 +18,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <thread>
 #include <vector>
 
@@ -315,6 +316,29 @@ TEST(TraceCacheTest, TwoThreadsRacingOneKeyBothSucceed)
     for (const auto &ent : fs::directory_iterator(cache.dir()))
         EXPECT_EQ(ent.path().extension(), ".mdpt")
             << ent.path().string();
+}
+
+TEST(TraceCacheTest, StoreLeavesAnExistingStagingFileUntouched)
+{
+    // A file at the first staging name -- another writer's, or a
+    // crashed one's -- is neither truncated nor renamed: the store
+    // stages under the next free name and still publishes.
+    TraceCache cache(freshDir("staged"));
+    const TraceCacheKey key = keyFor("espresso");
+    Trace t = findWorkload("espresso").generate(kScale);
+    const std::string squatter = cache.entryPath(key) + ".tmp.0";
+    const std::vector<char> bytes = {'m', 'i', 'n', 'e', '\0', '\n'};
+    spew(squatter, bytes);
+
+    ASSERT_TRUE(cache.store(key, t));
+    EXPECT_EQ(slurp(squatter), bytes);
+    EXPECT_EQ(std::distance(fs::directory_iterator(cache.dir()),
+                            fs::directory_iterator{}),
+              2)
+        << "only the entry and the squatter remain";
+    auto hit = cache.load(key);
+    ASSERT_NE(hit, nullptr);
+    EXPECT_EQ(hit->view().size(), t.size());
 }
 
 // --------------------------------------------------------------------

@@ -9,10 +9,7 @@
 #include <sstream>
 #include <tuple>
 
-#include "lint/dataflow.hh"
 #include "lint/include_graph.hh"
-#include "lint/lexer.hh"
-#include "lint/purity.hh"
 
 namespace mdp::lint
 {
@@ -69,13 +66,15 @@ isHeaderPath(const std::string &path)
     return endsWith(path, ".hh") || endsWith(path, ".h");
 }
 
-/** Directories whose containers feed simulation state or stats. */
+/** Directories whose containers feed simulation state, stats or
+ *  served results. */
 bool
-inModelDir(const std::string &scoped)
+inModelOrServeDir(const std::string &scoped)
 {
     static const char *const kDirs[] = {
         "src/mdp/",         "src/ooo/",   "src/window/",
         "src/multiscalar/", "src/trace/", "src/workloads/",
+        "src/serve/",
     };
     for (const char *d : kDirs)
         if (startsWith(scoped, d))
@@ -87,14 +86,6 @@ bool
 inDeterministicScope(const std::string &scoped)
 {
     return startsWith(scoped, "src/") || startsWith(scoped, "bench/");
-}
-
-/** Where the taint pass runs: the model directories plus serve/.
- *  harness/ and bench/ are report-only timing by design. */
-bool
-inTaintScope(const std::string &scoped)
-{
-    return inModelDir(scoped) || startsWith(scoped, "src/serve/");
 }
 
 std::vector<std::string>
@@ -173,23 +164,89 @@ collectAllows(const std::string &path, const std::string &text)
     return out;
 }
 
+template <size_t N>
+bool
+isOneOf(const std::string &s, const char *const (&names)[N])
+{
+    for (const char *name : names)
+        if (s == name)
+            return true;
+    return false;
+}
+
 // ---- rule: nondet-source -------------------------------------------
+
+/** Identifier sequences whose appearance is a nondeterminism source
+ *  ("std::rand" form, as findIdentSeq matches them). */
+const char *const kNondetSources[] = {
+    "std::rand",
+    "srand",
+    "random_device",
+    "mt19937",
+    "mt19937_64",
+    "minstd_rand",
+    "default_random_engine",
+    "ranlux24",
+    "ranlux48",
+    "system_clock",
+    "steady_clock",
+    "high_resolution_clock",
+    "gettimeofday",
+    "clock_gettime",
+    "timespec_get",
+    "getpid",
+    "this_thread::get_id",
+};
+
+/** Integer types whose reinterpret_cast target makes pointer
+ *  identity observable. */
+const char *const kIntTargets[] = {
+    "intptr_t", "uintptr_t", "size_t",   "ptrdiff_t",
+    "uint64_t", "int64_t",   "uint32_t", "int32_t",
+    "long",     "int",       "unsigned", "short",
+};
 
 void
 checkNondet(const std::string &path, const std::vector<Token> &code,
             std::vector<Diag> &out)
 {
-    for (const std::string &token : nondetSourceTokens()) {
+    for (const char *token : kNondetSources) {
         size_t pos = 0;
         while ((pos = findIdentSeq(code, token, pos)) != SIZE_MAX) {
             out.push_back({path, code[pos].line, "nondet-source",
-                           "nondeterminism source '" + token +
+                           std::string("nondeterminism source '") +
+                               token +
                                "'; all randomness must flow through "
                                "a seeded Pcg32 (base/random.hh) and "
                                "model code may not read wall "
                                "clocks"});
             ++pos;
         }
+    }
+    // A pointer cast to an integer: the address, and so anything
+    // hashed, keyed or ordered on it, varies run to run.
+    for (size_t i = 0; i + 1 < code.size(); ++i) {
+        if (!isIdent(code[i], "reinterpret_cast") ||
+            !isPunct(code[i + 1], "<"))
+            continue;
+        size_t close = matchAngleTokens(code, i + 1);
+        if (close == SIZE_MAX)
+            continue;
+        std::string target;
+        bool indirect = false;
+        for (size_t k = i + 2; k < close; ++k) {
+            indirect = indirect || isPunct(code[k], "*") ||
+                       isPunct(code[k], "&") || isPunct(code[k], "&&");
+            if (code[k].kind == Tok::Ident &&
+                isOneOf(code[k].spelling, kIntTargets))
+                target = code[k].spelling;
+        }
+        if (target.empty() || indirect)
+            continue;
+        out.push_back({path, code[i].line, "nondet-source",
+                       "reinterpret_cast of a pointer to '" + target +
+                           "' exposes its address, which varies run "
+                           "to run; key on a stable id"});
     }
 }
 
@@ -353,16 +410,6 @@ const char *const kBlockingTokens[] = {
     "sleep",       "sleep_for", "sleep_until", "system",
     "unique_lock", "usleep",    "wait",        "waitpid",   "write",
 };
-
-template <size_t N>
-bool
-isOneOf(const std::string &s, const char *const (&names)[N])
-{
-    for (const char *name : names)
-        if (s == name)
-            return true;
-    return false;
-}
 
 /** The event-frontier scheduler and the interconnect hop models. */
 bool
@@ -540,6 +587,151 @@ checkBench(const std::string &path, const std::vector<Token> &code,
     }
 }
 
+// ---- rules: policy-static-state, policy-ctx-escape -----------------
+
+bool
+runHas(const std::vector<Token> &code, size_t b, size_t e,
+       const char *ident)
+{
+    for (size_t i = b; i < e; ++i)
+        if (isIdent(code[i], ident))
+            return true;
+    return false;
+}
+
+/**
+ * One statement run [b, e) (split at ';', '{' and '}') that declares
+ * mutable static or thread_local data.  `static const`/`constexpr`
+ * and static member functions are fine.
+ */
+void
+checkStaticRun(const std::string &path, const std::vector<Token> &code,
+               size_t b, size_t e, std::vector<Diag> &out)
+{
+    size_t at = b;
+    while (at < e && !isIdent(code[at], "static") &&
+           !isIdent(code[at], "thread_local"))
+        ++at;
+    if (at == e)
+        return;
+    // Judge the declarator only: an initializer may call anything.
+    size_t cut = at;
+    while (cut < e && !isPunct(code[cut], "="))
+        ++cut;
+    for (size_t i = at; i + 1 < cut; ++i)
+        if (code[i].kind == Tok::Ident && isPunct(code[i + 1], "("))
+            return; // a function declaration or definition
+    if (runHas(code, b, cut, "const") || runHas(code, b, cut, "constexpr"))
+        return;
+    out.push_back({path, code[at].line, "policy-static-state",
+                   "mutable " + code[at].spelling +
+                       " data in predictor code: cells of one "
+                       "ExperimentRunner or mdp_served batch share "
+                       "the process, so it would couple their "
+                       "results"});
+}
+
+/** Parameter names whose declared type mentions LoadIssueContext,
+ *  scanned from a parameter list [open, close]. */
+std::vector<std::string>
+ctxParamNames(const std::vector<Token> &code, size_t open, size_t close)
+{
+    std::vector<std::string> names;
+    size_t start = open + 1;
+    int depth = 0;
+    for (size_t i = open + 1; i <= close; ++i) {
+        const Token &t = code[i];
+        if (isPunct(t, "(") || isPunct(t, "<") || isPunct(t, "["))
+            ++depth;
+        else if (isPunct(t, ")") || isPunct(t, ">") || isPunct(t, "]"))
+            --depth;
+        if (i != close && !(depth == 0 && isPunct(t, ",")))
+            continue;
+        // One parameter [start, i); its name is the last identifier
+        // before any default argument.
+        size_t end = start;
+        while (end < i && !isPunct(code[end], "="))
+            ++end;
+        if (runHas(code, start, end, "LoadIssueContext") && end > start &&
+            code[end - 1].kind == Tok::Ident &&
+            !isIdent(code[end - 1], "LoadIssueContext"))
+            names.push_back(code[end - 1].spelling);
+        start = i + 1;
+    }
+    return names;
+}
+
+/**
+ * src/mdp/ holds every DependencePolicy and the sync units they
+ * drive, so its code is held to the policy contract: no mutable
+ * static state, and the per-call LoadIssueContext never outlives the
+ * call -- no declaration outside a function body holds one, and no
+ * function takes the address of its context parameter.
+ */
+void
+checkPolicyCode(const std::string &path, const std::vector<Token> &code,
+                std::vector<Diag> &out)
+{
+    const std::vector<FunctionDef> fns = functionDefs(code);
+    auto inBody = [&](size_t idx) {
+        for (const FunctionDef &fd : fns)
+            if (idx > fd.body_open && idx < fd.body_close)
+                return true;
+        return false;
+    };
+    size_t start = 0;
+    for (size_t k = 0; k <= code.size(); ++k) {
+        if (k < code.size() && !isPunct(code[k], ";") &&
+            !isPunct(code[k], "{") && !isPunct(code[k], "}"))
+            continue;
+        size_t b = start;
+        start = k + 1;
+        if (b >= k)
+            continue;
+        checkStaticRun(path, code, b, k, out);
+        // A member or global holding the context.  Function
+        // declarations (a paren) and the class's own head
+        // (`class LoadIssueContext`) do not hold one.
+        auto paren = [](const Token &t) { return isPunct(t, "("); };
+        if (inBody(b) ||
+            std::any_of(code.begin() + b, code.begin() + k, paren))
+            continue;
+        for (size_t m = b; m < k; ++m) {
+            if (!isIdent(code[m], "LoadIssueContext") ||
+                (m > b && (isIdent(code[m - 1], "class") ||
+                           isIdent(code[m - 1], "struct"))))
+                continue;
+            out.push_back({path, code[m].line, "policy-ctx-escape",
+                           "declaration retains LoadIssueContext: the "
+                           "context is only valid for the duration of "
+                           "the call"});
+            break;
+        }
+    }
+    for (const FunctionDef &fd : fns) {
+        for (const std::string &ctx :
+             ctxParamNames(code, fd.params_open, fd.params_close)) {
+            for (size_t k = fd.body_open + 1; k + 1 < fd.body_close;
+                 ++k) {
+                if (!isPunct(code[k], "&") ||
+                    !isIdent(code[k + 1], ctx.c_str()))
+                    continue;
+                // `a & ctx` is a binary op; address-of has no value
+                // operand on its left.
+                const Token &prev = code[k - 1];
+                if (prev.kind == Tok::Ident || prev.kind == Tok::Number ||
+                    isPunct(prev, ")") || isPunct(prev, "]"))
+                    continue;
+                out.push_back({path, code[k].line, "policy-ctx-escape",
+                               "address of LoadIssueContext parameter '" +
+                                   ctx +
+                                   "' taken: the context must not "
+                                   "outlive the call"});
+            }
+        }
+    }
+}
+
 // ---- the pipeline --------------------------------------------------
 
 /** One lexed file and the facts the cross-file rules need from it. */
@@ -549,7 +741,6 @@ struct Unit {
     std::vector<Token> code;
     std::vector<IncludeEdge> includes;
     std::set<std::string> unordered_names;
-    std::vector<ClassFact> classes;
     AllowSet allows;
 };
 
@@ -557,7 +748,6 @@ struct Unit {
  *  declared anywhere in the file's directory. */
 void
 checkFile(const Unit &u, const std::set<std::string> &names,
-          const std::map<std::string, std::vector<std::string>> &bases_of,
           std::vector<Diag> &out)
 {
     const std::string &path = u.path, &scoped = u.scoped;
@@ -572,21 +762,8 @@ checkFile(const Unit &u, const std::set<std::string> &names,
         endsWith(base, ".cc"))
         checkBench(path, u.code, u.includes, out);
     checkOrderedScope(path, scoped, u.code, names, out);
-    if (inTaintScope(scoped)) {
-        for (const TaintDiag &td : checkNondetTaint(u.code, names))
-            out.push_back({path, td.line, "nondet-taint", td.msg});
-    }
-    if (startsWith(scoped, "src/")) {
-        for (const ClassFact &cf : u.classes) {
-            if (cf.findings.empty() ||
-                !resolvesToPolicy(cf.name, bases_of))
-                continue;
-            for (const ClassFinding &cfind : cf.findings)
-                out.push_back({path, cfind.line, cfind.rule,
-                               "in policy class '" + cf.name + "': " +
-                                   cfind.msg});
-        }
-    }
+    if (startsWith(scoped, "src/mdp/"))
+        checkPolicyCode(path, u.code, out);
 }
 
 } // namespace
@@ -600,7 +777,6 @@ lintSources(const std::vector<SourceFile> &sources)
     std::vector<Unit> units;
     units.reserve(sources.size());
     DeclMap decls;
-    std::map<std::string, std::vector<std::string>> bases_of;
     std::map<std::string, std::vector<IncludeEdge>> includes_of;
     std::map<std::string, std::string> original_of;
     for (const SourceFile &src : sources) {
@@ -610,16 +786,11 @@ lintSources(const std::vector<SourceFile> &sources)
         u.code = codeTokens(lex(src.text));
         u.includes = collectIncludes(u.code);
         u.unordered_names = collectUnorderedDecls(u.code);
-        u.classes = collectClassFacts(u.code);
         u.allows = collectAllows(src.path, src.text);
         decls[dirOf(u.scoped)].insert(u.unordered_names.begin(),
                                       u.unordered_names.end());
         includes_of[u.scoped] = u.includes;
         original_of[u.scoped] = u.path;
-        for (const ClassFact &cf : u.classes) {
-            auto &bases = bases_of[cf.name];
-            bases.insert(bases.end(), cf.bases.begin(), cf.bases.end());
-        }
         units.push_back(std::move(u));
     }
 
@@ -627,7 +798,7 @@ lintSources(const std::vector<SourceFile> &sources)
     // whole batch.
     std::map<std::string, std::vector<Diag>> found;
     for (const Unit &u : units)
-        checkFile(u, decls[dirOf(u.scoped)], bases_of, found[u.path]);
+        checkFile(u, decls[dirOf(u.scoped)], found[u.path]);
     for (const GraphDiag &gd :
          checkIncludeGraph(includes_of, defaultLayers())) {
         const std::string &orig = original_of[gd.file];
@@ -678,23 +849,20 @@ ruleDocs()
          "justification"},
         {"nondet-source",
          "banned nondeterminism sources (wall clocks, random "
-         "engines, pids, thread ids) in src/ and bench/"},
-        {"nondet-taint",
-         "a value derived from a nondet source (clock, "
-         "reinterpret_cast of a pointer, unordered iteration) must "
-         "not reach model or report state"},
+         "engines, pids, thread ids, reinterpret_cast of a pointer "
+         "to an integer) in src/ and bench/"},
         {"ordered-scope",
-         "no unordered iteration in the model directories, no hash "
-         "containers in event-frontier/interconnect files, and no "
-         "unordered iteration or blocking call in runSpec under "
-         "src/harness/"},
+         "no unordered iteration in the model and serve "
+         "directories, no hash containers in "
+         "event-frontier/interconnect files, and no unordered "
+         "iteration or blocking call in runSpec under src/harness/"},
         {"policy-ctx-escape",
-         "DependencePolicy code must not retain the per-call "
-         "LoadIssueContext (no members of that type, no address-of "
-         "a context parameter)"},
+         "src/mdp/ code must not retain the per-call "
+         "LoadIssueContext (no declaration of that type outside a "
+         "function body, no address-of a context parameter)"},
         {"policy-static-state",
-         "DependencePolicy classes must not hold mutable static or "
-         "thread_local state (one policy object serves every lane)"},
+         "src/mdp/ code must not hold mutable static or "
+         "thread_local data (cells sharing a process would couple)"},
         {"ptr-order",
          "ordered containers and comparators must not key on "
          "pointer values (std::map<T *, ...>, std::less<T *>)"},
@@ -716,7 +884,8 @@ const std::vector<OrderedScope> &
 orderedScopes()
 {
     static const std::vector<OrderedScope> kRows = {
-        {"model code", inModelDir, nullptr, kUnorderedIter,
+        {"model or serve code", inModelOrServeDir, nullptr,
+         kUnorderedIter,
          "iteration order is implementation-defined and leaks into "
          "state and reports; use an ordered container or a sorted "
          "drain (base/ordered.hh)"},
@@ -751,30 +920,90 @@ expectedGuard(const std::string &rel_path)
     return guard;
 }
 
-std::string
-codeView(const std::string &text)
+std::vector<FunctionDef>
+functionDefs(const std::vector<Token> &code)
 {
-    // Token-accurate masking: everything inside comments and
-    // string/char literals becomes spaces (newlines survive so line
-    // numbers hold), the rest passes through.
-    std::string out = text;
-    for (const Token &t : lex(text)) {
-        if (t.kind != Tok::Comment && t.kind != Tok::Str &&
-            t.kind != Tok::Char)
+    std::vector<FunctionDef> out;
+    for (size_t i = 0; i < code.size(); ++i) {
+        if (!isPunct(code[i], "("))
             continue;
-        size_t from = t.begin, to = t.end;
-        if (t.kind == Tok::Str || t.kind == Tok::Char) {
-            // Keep the delimiters, blank the contents.
-            ++from;
-            if (to > from && (text[to - 1] == '"' ||
-                              text[to - 1] == '\''))
-                --to;
+        if (i == 0 || code[i - 1].kind != Tok::Ident)
+            continue;
+        const std::string &name = code[i - 1].spelling;
+        if (name == "if" || name == "for" || name == "while" ||
+            name == "switch" || name == "catch" || name == "return" ||
+            name == "sizeof" || name == "alignof" ||
+            name == "decltype" || name == "assert" || name == "new")
+            continue;
+        size_t close = matchGroup(code, i);
+        if (close == SIZE_MAX)
+            continue;
+
+        // Skip trailing qualifiers / trailing return type / ctor
+        // init list up to the body's '{'.
+        size_t j = close + 1;
+        bool in_init_list = false;
+        while (j < code.size()) {
+            const Token &t = code[j];
+            if (t.kind == Tok::Ident) {
+                if (!in_init_list &&
+                    !(t.spelling == "const" ||
+                      t.spelling == "noexcept" ||
+                      t.spelling == "override" ||
+                      t.spelling == "final" ||
+                      t.spelling == "mutable" ||
+                      t.spelling == "try"))
+                    break;
+                ++j;
+            } else if (isPunct(t, "->") || isPunct(t, "::") ||
+                       isPunct(t, "<") || isPunct(t, ">") ||
+                       isPunct(t, "&") || isPunct(t, "*") ||
+                       isPunct(t, ",")) {
+                ++j;
+            } else if (isPunct(t, ":")) {
+                in_init_list = true;
+                ++j;
+            } else if (isPunct(t, "(")) {
+                size_t g = matchGroup(code, j);
+                if (g == SIZE_MAX || !in_init_list)
+                    break;
+                j = g + 1;
+            } else if (isPunct(t, "{")) {
+                // In an init list a brace directly after a name is a
+                // member brace-init, not the body.
+                if (in_init_list && j > 0 &&
+                    (code[j - 1].kind == Tok::Ident ||
+                     isPunct(code[j - 1], ">"))) {
+                    size_t g = matchGroup(code, j);
+                    if (g == SIZE_MAX)
+                        break;
+                    j = g + 1;
+                } else {
+                    break;
+                }
+            } else {
+                break;
+            }
         }
-        for (size_t i = from; i < to && i < out.size(); ++i)
-            if (out[i] != '\n')
-                out[i] = ' ';
+        if (j >= code.size() || !isPunct(code[j], "{"))
+            continue;
+        size_t body_close = matchGroup(code, j);
+        if (body_close == SIZE_MAX)
+            continue;
+        out.push_back({i, close, j, body_close});
+        i = j;  // resume inside, in case of nested classes; nested
+                // ranges are dropped below.
     }
-    return out;
+
+    // Drop definitions nested inside an earlier body so each
+    // statement is analyzed exactly once.
+    std::vector<FunctionDef> top;
+    for (const auto &r : out) {
+        if (!top.empty() && r.body_open < top.back().body_close)
+            continue;
+        top.push_back(r);
+    }
+    return top;
 }
 
 std::vector<std::string>

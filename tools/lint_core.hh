@@ -4,16 +4,16 @@
  *
  * The linter is an analysis pipeline, not a line scanner: every file
  * is lexed into a comment-, string-, raw-string- and
- * preprocessor-aware token stream (lint/lexer.hh), rules match
- * identifiers and punctuators, an include-graph pass enforces the
- * layering spec (lint/include_graph.hh, tools/lint/layers.txt), an
- * intra-procedural taint pass tracks nondeterminism from source to
- * sink (lint/dataflow.hh), and a purity pass checks the
- * DependencePolicy contract (lint/purity.hh).  Rule ids and their
- * one-line docs live in ruleDocs(); `mdp_lint --list-rules` prints
- * them.  The `ordered-scope` rule is driven by one table,
- * orderedScopes(): each row names a scope and what code in it may
- * not do.
+ * preprocessor-aware token stream (lint/lexer.hh), every rule matches
+ * identifiers and punctuators in that stream, and an include-graph
+ * pass enforces the layering spec (lint/include_graph.hh,
+ * tools/lint/layers.txt).  Nondeterminism is banned where it is
+ * written (`nondet-source`: clocks, random engines, pids, thread ids,
+ * a pointer cast to an integer), so no value derived from it can
+ * exist to be tracked.  Rule ids and their one-line docs live in
+ * ruleDocs(); `mdp_lint --list-rules` prints them.  The
+ * `ordered-scope` rule is driven by one table, orderedScopes(): each
+ * row names a scope and what code in it may not do.
  *
  * Suppression: a `// mdp-lint:` comment reading
  * `allow(<rule>): <justification>` silences <rule> on its own line
@@ -33,6 +33,8 @@
 
 #include <string>
 #include <vector>
+
+#include "lint/lexer.hh"
 
 namespace mdp::lint
 {
@@ -96,17 +98,27 @@ const std::vector<OrderedScope> &orderedScopes();
 std::string expectedGuard(const std::string &rel_path);
 
 /**
- * Blank out comments and string/character literals, preserving the
- * line structure.  Retained for callers that want a quick masked
- * view; the rules themselves operate on the token stream.
+ * One function definition located in a token stream: the parameter
+ * list parens and the body braces (all four are token indexes into
+ * the stream scanned).  A body qualifies when a matched `(...)`
+ * preceded by an identifier (not if/for/while/switch/catch) is
+ * followed -- across cv/noexcept/override, a trailing return type, or
+ * a constructor init list -- by a matched `{...}`.
  */
-std::string codeView(const std::string &text);
+struct FunctionDef {
+    size_t params_open = 0, params_close = 0;
+    size_t body_open = 0, body_close = 0;
+};
+
+/** Every function definition in @p code, outermost only (a lambda or
+ *  local class inside a body belongs to that body). */
+std::vector<FunctionDef> functionDefs(const std::vector<Token> &code);
 
 /**
  * Lint a set of sources as one unit.  Cross-file context --
- * unordered-container declarations per directory, the include graph,
- * the class hierarchy for policy resolution -- is built across the
- * whole set.  Diagnostics come back sorted by (file, line, rule).
+ * unordered-container declarations per directory and the include
+ * graph -- is built across the whole set.  Diagnostics come back
+ * sorted by (file, line, rule).
  */
 std::vector<Diag> lintSources(const std::vector<SourceFile> &sources);
 

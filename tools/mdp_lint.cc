@@ -8,16 +8,13 @@
  * Options:
  *   --root DIR            repo root (default: current directory)
  *   --list-rules          print every rule id with its one-line doc
- *   --sarif PATH          also write a SARIF 2.1.0 report ('-' =
- *                         stdout)
  *   --help                print usage and exit
  *
  * With no files, lints the default set (src/, bench/, tools/,
  * tests/, examples/ minus tests/lint_fixtures).  When files ARE
  * given, the whole default set is still analyzed -- cross-file rules
- * (layering, cycles, policy resolution, per-directory container
- * declarations) need it -- but only diagnostics in the named files
- * are reported.
+ * (layering, cycles, per-directory container declarations) need it
+ * -- but only diagnostics in the named files are reported.
  *
  * Exit codes: 0 clean, 1 findings, 2 usage or I/O error.  See
  * tools/lint_core.hh for the rule set and the suppression syntax.
@@ -26,12 +23,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <set>
 #include <string>
 #include <vector>
 
-#include "lint/sarif.hh"
 #include "lint_core.hh"
 
 namespace
@@ -55,34 +50,22 @@ main(int argc, char **argv)
 
     std::string root = ".";
     std::vector<std::string> files;
-    std::string sarif_path;
-
-    auto needValue = [&](int &i) -> const char * {
-        return i + 1 < argc ? argv[++i] : nullptr;
-    };
 
     for (int i = 1; i < argc; ++i) {
         const char *a = argv[i];
         if (std::strcmp(a, "--root") == 0) {
-            const char *v = needValue(i);
-            if (!v)
+            if (i + 1 >= argc)
                 return usageError("--root needs a directory", nullptr);
-            root = v;
+            root = argv[++i];
         } else if (std::strcmp(a, "--list-rules") == 0) {
             for (const mdp::lint::RuleDoc &r : mdp::lint::ruleDocs())
                 std::printf("%-24s %s\n", r.id.c_str(),
                             r.doc.c_str());
             return 0;
-        } else if (std::strcmp(a, "--sarif") == 0) {
-            const char *v = needValue(i);
-            if (!v)
-                return usageError("--sarif needs a path", nullptr);
-            sarif_path = v;
         } else if (std::strcmp(a, "--help") == 0) {
             std::printf(
                 "usage: mdp_lint [--root DIR] [--list-rules] "
-                "[--sarif PATH] [--help]\n"
-                "                [file...]\n"
+                "[--help] [file...]\n"
                 "exit codes: 0 clean, 1 findings, 2 usage/IO "
                 "error\n");
             return 0;
@@ -125,28 +108,6 @@ main(int argc, char **argv)
     for (Diag &d : run.diags)
         if (report_filter.empty() || report_filter.count(d.file))
             diags.push_back(std::move(d));
-
-    if (!sarif_path.empty()) {
-        std::vector<mdp::lint::SarifRule> rules;
-        for (const mdp::lint::RuleDoc &r : mdp::lint::ruleDocs())
-            rules.push_back({r.id, r.doc});
-        std::vector<mdp::lint::SarifResult> results;
-        for (const Diag &d : diags)
-            results.push_back({d.rule, d.file, d.line, d.msg});
-        std::string doc = mdp::lint::sarifDocument(rules, results);
-        if (sarif_path == "-") {
-            std::fwrite(doc.data(), 1, doc.size(), stdout);
-        } else {
-            std::ofstream out(sarif_path, std::ios::trunc);
-            if (!out) {
-                std::fprintf(stderr,
-                             "mdp_lint: cannot write SARIF %s\n",
-                             sarif_path.c_str());
-                return 2;
-            }
-            out << doc;
-        }
-    }
 
     for (const Diag &d : diags)
         std::printf("%s:%d: [%s] %s\n", d.file.c_str(), d.line,
