@@ -228,9 +228,12 @@ TraceCache::store(const TraceCacheKey &key, const TraceView &trace) const
             return false;
         }
     }
-    // The close flushes the writer's last bytes, so a failed close is
-    // a failed store; no failure may leave the staging file behind.
-    std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
+    // Append to the empty file rather than truncate it: ext4 starts
+    // writeback on closing a file truncated by open (auto_da_alloc),
+    // which made every store ~1 ms slower.  The close flushes the
+    // writer's last bytes, so a failed close is a failed store; no
+    // failure may leave the staging file behind.
+    std::ofstream os(tmp, std::ios::binary | std::ios::app);
     bool ok = os && writeTrace(trace, os);
     os.close();
     ok = ok && !os.fail();
