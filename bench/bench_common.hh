@@ -125,8 +125,9 @@ class ShapeChecks
 /**
  * Standard bench epilogue: print the verdict line, honor MDP_JSON_OUT,
  * and return the process exit code -- nonzero when any shape check
- * failed (or the JSON artifact could not be written) so CI gates on
- * the result instead of just archiving the text.
+ * failed, any run hit its cycle cap (its table cells are partial), or
+ * the JSON artifact could not be written, so CI gates on the result
+ * instead of just archiving the text.
  */
 inline int
 finishBench(const std::string &bench_name, const std::string &paper_ref,
@@ -145,6 +146,14 @@ finishBench(const std::string &bench_name, const std::string &paper_ref,
     if (cs.total())
         report.setCycleCounts(cs.cyclesSimulated, cs.cyclesSkipped,
                               cs.stageVisits, cs.stageSlots);
+    if (cs.truncatedRuns) {
+        const std::string what =
+            std::to_string(cs.truncatedRuns) +
+            " run(s) hit the cycle cap; their results are partial";
+        std::printf("TRUNCATED: %s.\n", what.c_str());
+        report.addCheck(false, what);
+        ok = false;
+    }
     if (!report.writeEnv())
         return 1;
     return ok ? 0 : 1;

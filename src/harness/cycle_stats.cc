@@ -25,14 +25,15 @@ statsTotals()
 } // namespace
 
 void
-addCycleStats(uint64_t simulated, uint64_t skipped,
-              uint64_t stage_visits, uint64_t stage_slots)
+addCycleStats(const CycleStats &run)
 {
     std::lock_guard<std::mutex> lock(statsMutex());
-    statsTotals().cyclesSimulated += simulated;
-    statsTotals().cyclesSkipped += skipped;
-    statsTotals().stageVisits += stage_visits;
-    statsTotals().stageSlots += stage_slots;
+    CycleStats &t = statsTotals();
+    t.cyclesSimulated += run.cyclesSimulated;
+    t.cyclesSkipped += run.cyclesSkipped;
+    t.stageVisits += run.stageVisits;
+    t.stageSlots += run.stageSlots;
+    t.truncatedRuns += run.truncatedRuns;
 }
 
 CycleStats

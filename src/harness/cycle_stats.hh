@@ -6,10 +6,10 @@
  *
  * The harness run helpers (runMultiscalar, runOoo) fold every run's
  * counters in here; finishBench() emits the totals as "cycle_stats"
- * in the JSON artifact so CI can watch the skip rate stay high.  The
- * counters are deterministic (they count simulator cycles, not wall
- * time), so cold and warm runs of the same bench report identical
- * values.
+ * in the JSON artifact so CI can watch the skip rate stay high, and
+ * fails the bench when any run hit its cycle cap.  The counters are
+ * deterministic (they count simulator cycles, not wall time), so cold
+ * and warm runs of the same bench report identical values.
  */
 
 #ifndef MDP_HARNESS_CYCLE_STATS_HH
@@ -36,6 +36,9 @@ struct CycleStats
     uint64_t stageVisits = 0;
     uint64_t stageSlots = 0;
 
+    /** Runs that hit the cycle cap, whose results are partial. */
+    uint64_t truncatedRuns = 0;
+
     uint64_t total() const { return cyclesSimulated + cyclesSkipped; }
 
     /** Fraction of total cycles that were skipped (0 when idle). */
@@ -57,8 +60,7 @@ struct CycleStats
 };
 
 /** Add one run's counters to the process totals.  Thread-safe. */
-void addCycleStats(uint64_t simulated, uint64_t skipped,
-                   uint64_t stage_visits = 0, uint64_t stage_slots = 0);
+void addCycleStats(const CycleStats &run);
 
 /** Snapshot of the process totals.  Thread-safe. */
 CycleStats cycleStats();

@@ -73,8 +73,8 @@ runMultiscalar(const WorkloadContext &ctx, const MultiscalarConfig &cfg)
     MultiscalarProcessor proc(ctx.trace(), ctx.oracle(), ctx.tasks(),
                               cfg);
     SimResult r = proc.run();
-    addCycleStats(r.cyclesSimulated, r.cyclesSkipped, r.stageVisits,
-                  r.stageSlots);
+    addCycleStats({r.cyclesSimulated, r.cyclesSkipped, r.stageVisits,
+                   r.stageSlots, r.truncated ? 1u : 0u});
     return r;
 }
 
@@ -84,7 +84,8 @@ runOoo(const WorkloadContext &ctx, const OooConfig &cfg)
     ScopedPhase phase("simulate");
     OooProcessor proc(ctx.trace(), ctx.oracle(), cfg);
     OooResult r = proc.run();
-    addCycleStats(r.cyclesSimulated, r.cyclesSkipped);
+    addCycleStats({r.cyclesSimulated, r.cyclesSkipped, 0, 0,
+                   r.truncated ? 1u : 0u});
     return r;
 }
 

@@ -80,8 +80,9 @@ MultiscalarConfig makeMultiscalarConfig(const WorkloadContext &ctx,
 
 /**
  * Run the Multiscalar model once.  Accounts the run's wall time under
- * the "simulate" phase and its fast-forward counters in the process
- * cycle-stats totals (harness/cycle_stats.hh).
+ * the "simulate" phase and its fast-forward counters, and whether it
+ * hit the cycle cap, in the process cycle-stats totals
+ * (harness/cycle_stats.hh).
  */
 SimResult runMultiscalar(const WorkloadContext &ctx,
                          const MultiscalarConfig &cfg);

@@ -162,6 +162,9 @@ struct SimResult
     uint64_t committedStores = 0;
     uint64_t committedTasks = 0;
 
+    /** The run hit the cycle cap: every count above is partial. */
+    bool truncated = false;
+
     uint64_t misSpeculations = 0;  ///< dependence violations detected
     uint64_t squashedOps = 0;      ///< issued work thrown away
     uint64_t controlStalls = 0;    ///< sequencer mispredict events

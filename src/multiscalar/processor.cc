@@ -165,6 +165,7 @@ MultiscalarProcessor::run()
                  static_cast<unsigned long long>(capCycle),
                  static_cast<unsigned long long>(committedTasks),
                  num_tasks);
+            res.truncated = true;
             break;
         }
         cycleActivity = false;

@@ -301,6 +301,7 @@ OooProcessor::run()
         ++res.cyclesSimulated;
         if (cycle > capCycle) {
             warn("ooo: cycle cap hit with %u/%u ops committed", head, n);
+            res.truncated = true;
             break;
         }
         cycleActivity = false;

@@ -82,6 +82,9 @@ struct OooResult
     uint64_t loadsBlocked = 0;
     uint64_t frontierReleases = 0;
 
+    /** The run hit the cycle cap: every count above is partial. */
+    bool truncated = false;
+
     /**
      * Skip accounting: cycles the loop actually executed vs. cycles it
      * jumped over.  Invariant: cyclesSimulated + cyclesSkipped ==

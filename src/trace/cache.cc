@@ -148,6 +148,17 @@ MappedTrace::open(const std::string &path, std::string &error)
         error = "payload checksum mismatch";
         return nullptr;
     }
+#if defined(__linux__)
+    // The checksum pass faulted in every page of every column.  Unmap
+    // them again so each consumer brings back only the columns it
+    // reads: the mapping is private and read-only, so it holds only
+    // clean file pages, and a page faulted back reads the same
+    // checksummed bytes (entries are published by rename, never
+    // written in place).  Advice that fails just leaves pages mapped.
+    if (m->mapBase)
+        ::madvise(const_cast<std::byte *>(m->mapBase), m->mapLen,
+                  MADV_DONTNEED);
+#endif
 
     const trace_format::Layout l =
         trace_format::layoutFor(header.count, header.nameLen);

@@ -22,6 +22,16 @@
  * a run.  Writers stage to a temp file and atomically rename, so
  * concurrent populators of one key are safe (last rename wins; both
  * produce identical bytes).
+ *
+ * Residency: the checksum reads every payload byte through the
+ * mapping, and on Linux the verified mapping is then dropped again
+ * (MADV_DONTNEED), so a load leaves no column resident and each
+ * consumer faults back only the columns it reads.  The OoO model and
+ * its oracle read kind, src1, src2, addr and pc (25 of 38 bytes per
+ * op); taskPc, taskId and valueRepeats stay on disk for them.  The
+ * mapping is private and read-only, so it holds only clean file
+ * pages, and an entry is never written in place once published: a
+ * page faulted back holds the checksummed bytes.
  */
 
 #ifndef MDP_TRACE_CACHE_HH
@@ -55,15 +65,19 @@ uint64_t traceKeyDigest(const TraceCacheKey &key);
  * mapping; view() aliases it, so the MappedTrace must outlive every
  * consumer of the view.  Falls back to a heap read on platforms
  * without mmap -- the contract (validated, immutable trace bytes) is
- * identical, only the sharing is lost.
+ * identical, only the sharing is lost.  On Linux a freshly opened
+ * mapping has no page resident: reading a column faults in that
+ * column alone (see the file comment).
  */
 class MappedTrace
 {
   public:
     /**
      * Map and validate @p path (header sanity, size check, payload
-     * checksum).  @return null and an @p error description on any
-     * failure; a non-null result is fully validated.
+     * checksum), then drop the pages the checksum touched.  @return
+     * null and an @p error description on any failure; a non-null
+     * result is fully checksummed.  The stream invariants of
+     * TraceView::validate() are not checked here.
      */
     static std::unique_ptr<MappedTrace> open(const std::string &path,
                                              std::string &error);

@@ -126,30 +126,56 @@ TraceView::stats() const
 std::string
 TraceView::validate() const
 {
-    uint32_t last_task = 0;
-    for (SeqNum s = 0; s < count; ++s) {
-        const MicroOp op = (*this)[s];
-        if (s == 0) {
-            if (op.taskId != 0)
-                return "first op must be in task 0";
-            last_task = 0;
-        } else if (op.taskId != last_task) {
-            if (op.taskId != last_task + 1)
-                return "task ids must be contiguous at seq " +
-                       std::to_string(s);
-            last_task = op.taskId;
+    if (count == 0)
+        return "";
+    if (cTaskId[0] != 0)
+        return "first op must be in task 0";
+
+    // One pass per rule, each over the columns it checks and stopping
+    // short of the earliest violation found so far.  The result is the
+    // lowest failing seq, a tie going to the rule checked first -- the
+    // report of a per-op scan applying the rules in this order.  Each
+    // pass tests a whole block of ops with no early exit, and rescans
+    // op by op only a block that fails.
+    constexpr size_t kBlock = 512;
+    size_t end = count;
+    std::string why;
+    auto firstBad = [&](const char *what, auto bad) {
+        for (size_t b = 0; b < end; b += kBlock) {
+            const size_t e = std::min(end, b + kBlock);
+            bool any = false;
+            for (size_t s = b; s < e; ++s)
+                any |= bad(static_cast<SeqNum>(s));
+            if (!any)
+                continue;
+            for (size_t s = b; s < e; ++s) {
+                if (bad(static_cast<SeqNum>(s))) {
+                    end = s;
+                    why = what;
+                    why += std::to_string(s);
+                    return;
+                }
+            }
         }
-        if (op.src1 != kNoSeq && op.src1 >= s)
-            return "src1 does not precede consumer at seq " +
-                   std::to_string(s);
-        if (op.src2 != kNoSeq && op.src2 >= s)
-            return "src2 does not precede consumer at seq " +
-                   std::to_string(s);
-        if (op.isMemOp() && op.addr == 0)
-            return "memory op with null address at seq " +
-                   std::to_string(s);
-    }
-    return "";
+    };
+    // Seq 0 is in task 0 (checked above); each later op stays in its
+    // predecessor's task or opens the next one.
+    firstBad("task ids must be contiguous at seq ", [this](SeqNum s) {
+        return s != 0 && cTaskId[s] - cTaskId[s - 1] > 1u;
+    });
+    auto forward = [](SeqNum src, SeqNum s) {
+        return (src != kNoSeq) & (src >= s);
+    };
+    firstBad("src1 does not precede consumer at seq ",
+             [&](SeqNum s) { return forward(cSrc1[s], s); });
+    firstBad("src2 does not precede consumer at seq ",
+             [&](SeqNum s) { return forward(cSrc2[s], s); });
+    firstBad("memory op with null address at seq ", [this](SeqNum s) {
+        const auto k = static_cast<OpKind>(cKind[s]);
+        return ((k == OpKind::Load) | (k == OpKind::Store)) &
+               (cAddr[s] == 0);
+    });
+    return why;
 }
 
 } // namespace mdp

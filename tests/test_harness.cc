@@ -7,6 +7,7 @@
 
 #include <string>
 
+#include "harness/cycle_stats.hh"
 #include "harness/experiment.hh"
 #include "harness/phase_timer.hh"
 #include "harness/runner.hh"
@@ -93,6 +94,33 @@ TEST(Harness, ConfigCarriesStagesAndPolicy)
     EXPECT_EQ(cfg.sync.slotsPerEntry, 8u);
     EXPECT_DOUBLE_EQ(cfg.taskMispredictRate,
                      ctx.taskMispredictRate());
+}
+
+TEST(Harness, CycleCapIsATruncatedResultAndCounted)
+{
+    WorkloadContext ctx("espresso", 0.005);
+    MultiscalarConfig ms = makeMultiscalarConfig(ctx, 4, "esync");
+    OooConfig ooo;
+    resetCycleStats();
+
+    const SimResult ms_full = runMultiscalar(ctx, ms);
+    const OooResult ooo_full = runOoo(ctx, ooo);
+    EXPECT_FALSE(ms_full.truncated);
+    EXPECT_FALSE(ooo_full.truncated);
+    EXPECT_EQ(ms_full.committedTasks, ctx.tasks().numTasks());
+    EXPECT_EQ(ooo_full.committedOps, ctx.trace().size());
+    EXPECT_EQ(cycleStats().truncatedRuns, 0u);
+
+    ms.maxCycles = 50;
+    ooo.maxCycles = 50;
+    const SimResult ms_capped = runMultiscalar(ctx, ms);
+    const OooResult ooo_capped = runOoo(ctx, ooo);
+    EXPECT_TRUE(ms_capped.truncated);
+    EXPECT_TRUE(ooo_capped.truncated);
+    EXPECT_LT(ms_capped.committedTasks, ctx.tasks().numTasks());
+    EXPECT_LT(ooo_capped.committedOps, ctx.trace().size());
+    EXPECT_EQ(cycleStats().truncatedRuns, 2u);
+    resetCycleStats();
 }
 
 TEST(Harness, CheckRunSpecRejectsWhatTheModelsCannotRun)

@@ -166,6 +166,53 @@ TEST(Trace, ValidateCatchesFirstTaskNonZero)
     EXPECT_NE(t.validate(), "");
 }
 
+TEST(Trace, ValidateReportsTheLowestFailingSeq)
+{
+    // Ten ALU ops in task 0 with violations in two columns: a null
+    // load address at seq 7 and a forward source at @p src_seq.  Each
+    // rule is checked in its own pass; the report must still name the
+    // lowest failing seq, not the rule checked first.
+    auto twoBadOps = [](SeqNum src_seq, bool src1) {
+        Trace t;
+        for (SeqNum s = 0; s < 10; ++s) {
+            MicroOp op;
+            if (s == 7) {
+                op.kind = OpKind::Load;
+                op.addr = 0;
+            }
+            if (s == src_seq)
+                (src1 ? op.src1 : op.src2) = s;
+            t.append(op);
+        }
+        return t.validate();
+    };
+    EXPECT_EQ(twoBadOps(4, true), "src1 does not precede consumer at seq 4");
+    EXPECT_EQ(twoBadOps(9, false), "memory op with null address at seq 7");
+}
+
+TEST(Trace, ValidateBreaksTiesInRuleOrder)
+{
+    // One op violating every rule after task 0: a skipped task, a
+    // forward src1 and src2, and a null store address.  The task rule
+    // is reported; with the task fixed, src1; and so on down.
+    auto oneBadOp = [](uint32_t task, SeqNum src1, SeqNum src2) {
+        Trace t;
+        t.append(MicroOp{});
+        MicroOp op;
+        op.kind = OpKind::Store;
+        op.taskId = task;
+        op.src1 = src1;
+        op.src2 = src2;
+        t.append(op);
+        return t.validate();
+    };
+    EXPECT_EQ(oneBadOp(2, 1, 1), "task ids must be contiguous at seq 1");
+    EXPECT_EQ(oneBadOp(1, 1, 1), "src1 does not precede consumer at seq 1");
+    EXPECT_EQ(oneBadOp(1, 0, 1), "src2 does not precede consumer at seq 1");
+    EXPECT_EQ(oneBadOp(1, 0, kNoSeq),
+              "memory op with null address at seq 1");
+}
+
 // --------------------------------------------------------------------
 // DepOracle
 // --------------------------------------------------------------------

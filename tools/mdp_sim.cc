@@ -17,6 +17,7 @@
 #include "base/args.hh"
 #include "base/stats.hh"
 #include "base/table.hh"
+#include "harness/cycle_stats.hh"
 #include "harness/sim_stats.hh"
 #include "mdp/dep_policy.hh"
 #include "trace/serialize.hh"
@@ -202,5 +203,11 @@ main(int argc, char **argv)
                          policyDisplayName(spec.policy) + ")",
                g, csv);
     maybeWriteJson(json_out, spec.model, spec.scale, g);
+    // A run that hit its cycle cap printed partial counts: fail.
+    if (cycleStats().truncatedRuns) {
+        std::fprintf(stderr, "mdp_sim: the run hit its cycle cap; the "
+                             "results above are partial\n");
+        return 1;
+    }
     return 0;
 }
