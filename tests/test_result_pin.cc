@@ -17,7 +17,9 @@
  * violation squashes keep the producer and re-fetch the consumers.
  * One variant uses a zero squash penalty, which re-arms squashed
  * stages in the same cycle.  A small 1024-PE manycore case rides
- * along.  The OoO corpus runs the same traces under every registry
+ * along.  The split and distributed MDPT/MDST organizations run the
+ * MDPT-backed policies on the same traces with deliberately small
+ * tables.  The OoO corpus runs the same traces under every registry
  * policy at windows of 32 and 128.
  *
  * The constants change only when a model's behaviour does; a pure
@@ -282,6 +284,69 @@ TEST(ResultPin, Manycore1024)
         }
     }
     EXPECT_EQ(hex(pinned), hex(f.h));
+}
+
+TEST(ResultPin, SyncOrganizations)
+{
+    // The split (MDPT + MDST pool) and distributed (per-stage copies)
+    // organizations, under both instance-tag schemes, for every
+    // policy that builds an MDPT.  Eight MDPT entries and a four-entry
+    // MDST keep both tables under pressure, and an initial count at the
+    // threshold arms an edge on its first mis-speculation, so loads
+    // wait often enough that full-entry scavenging and forced eviction
+    // of waiting entries both run.
+    const std::map<std::string, uint64_t> pinned = {
+        {"esync", 0xe1a8faa4a9e69f39ULL},
+        {"sync", 0x65b5379ce1120b78ULL},
+        {"vassist", 0x930d62313bab30beULL},
+        {"vsync", 0xa88ba5720c861c89ULL},
+    };
+
+    std::vector<Trace> traces;
+    for (uint64_t seed : {1, 2, 3, 4, 5, 6, 7, 8})
+        traces.push_back(hubTrace(seed));
+
+    std::map<std::string, uint64_t> got;
+    uint64_t eviction_releases = 0;
+    for (const auto &entry : pinned) {
+        const std::string &policy = entry.first;
+        Fnv f;
+        for (const Trace &trc : traces) {
+            TraceView view(trc);
+            DepOracle oracle(view);
+            TaskSet tasks(view);
+            for (SyncOrganization org : {SyncOrganization::Split,
+                                         SyncOrganization::Distributed}) {
+                for (TagScheme tags :
+                     {TagScheme::Distance, TagScheme::Address}) {
+                    for (unsigned stages : {4u, 8u}) {
+                        MultiscalarConfig cfg;
+                        cfg.numStages = stages;
+                        cfg.policyName = policy;
+                        cfg.organization = org;
+                        cfg.sync.tags = tags;
+                        cfg.sync.slotsPerEntry = stages;
+                        cfg.sync.numEntries = 8;
+                        cfg.sync.mdstEntries = 4;
+                        cfg.sync.initialCount = 3;
+                        cfg.logMisSpeculations = true;
+                        MultiscalarProcessor proc(view, oracle, tasks,
+                                                  cfg);
+                        SimResult r = proc.run();
+                        eviction_releases +=
+                            r.syncStats.evictionReleases;
+                        fold(f, r);
+                    }
+                }
+            }
+        }
+        got[policy] = f.h;
+    }
+
+    for (const auto &[policy, h] : got)
+        EXPECT_EQ(hex(pinned.at(policy)), hex(h)) << "policy " << policy;
+    // The small pools must force waiting entries out.
+    EXPECT_GT(eviction_releases, 0u);
 }
 
 TEST(ResultPin, OooEveryPolicyAndWindow)
