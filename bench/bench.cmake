@@ -58,7 +58,6 @@ function(mdp_add_micro name)
 endfunction()
 
 mdp_add_micro(micro_mdpt)
-mdp_add_micro(micro_mdst)
 mdp_add_micro(micro_oracle)
 mdp_add_micro(micro_model_cycle)
 mdp_add_micro(micro_frontier)

@@ -1,22 +1,20 @@
 /**
  * @file
- * LRU ordering for fully-associative or set-associative table
- * replacement.  Tracks a recency stamp per entry plus an intrusive
+ * LRU ordering for fully-associative table replacement: an intrusive
  * doubly-linked recency list, so whole-pool victim selection is O(1)
- * (the MDPT/MDST allocate on every recorded mis-speculation, which
- * makes the old O(n) scan a measured hot spot at large table sizes).
+ * (the MDPT allocates on every recorded mis-speculation, which made
+ * an O(n) stamp scan a measured hot spot at large table sizes).
  *
  * The list reproduces the stamp scan's choice exactly: entries start
  * in index order (so never-touched entries win lowest-index-first,
  * like the first-minimal-stamp scan), and each touch moves an entry
- * to the most-recent end.  Stamps are retained because some owners
- * (the MDST full-entry scavenge) order subsets of the pool by recency.
+ * to the most-recent end.
  */
 
 #ifndef MDP_BASE_LRU_HH
 #define MDP_BASE_LRU_HH
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 #include "base/logging.hh"
@@ -30,68 +28,31 @@ namespace mdp
 class LruState
 {
   public:
-    explicit LruState(size_t num_entries = 0)
+    explicit LruState(size_t num_entries)
+        : prev(num_entries, kNil), next(num_entries, kNil)
     {
-        resize(num_entries);
-    }
-
-    void
-    resize(size_t num_entries)
-    {
-        stamps.assign(num_entries, 0);
-        tick = 0;
-        prev.assign(num_entries, kNil);
-        next.assign(num_entries, kNil);
-        head = tail = kNil;
         for (size_t i = 0; i < num_entries; ++i)
             linkBack(i);
     }
-
-    size_t size() const { return stamps.size(); }
 
     /** Mark an entry as most recently used. */
     void
     touch(size_t index)
     {
-        mdp_assert(index < stamps.size(), "LruState::touch out of range");
-        stamps[index] = ++tick;
+        mdp_assert(index < prev.size(), "LruState::touch out of range");
         if (index != tail) {
             unlink(index);
             linkBack(index);
         }
     }
 
-    /**
-     * Pick the least recently used index among [begin, end).  Entries
-     * never touched (stamp 0) win immediately.
-     */
-    size_t
-    victim(size_t begin, size_t end) const
-    {
-        mdp_assert(begin < end && end <= stamps.size(),
-                   "LruState::victim bad range [%zu, %zu)", begin, end);
-        if (begin == 0 && end == stamps.size())
-            return head;
-        size_t best = begin;
-        uint64_t best_stamp = stamps[begin];
-        for (size_t i = begin + 1; i < end; ++i) {
-            if (stamps[i] < best_stamp) {
-                best = i;
-                best_stamp = stamps[i];
-            }
-        }
-        return best;
-    }
-
-    /** Victim over the whole pool: the recency-list head, O(1). */
+    /** The least recently used entry: the recency-list head, O(1). */
     size_t
     victim() const
     {
         mdp_assert(head != kNil, "LruState::victim on empty pool");
         return head;
     }
-
-    uint64_t stamp(size_t index) const { return stamps[index]; }
 
   private:
     static constexpr size_t kNil = static_cast<size_t>(-1);
@@ -123,12 +84,10 @@ class LruState
             tail = p;
     }
 
-    std::vector<uint64_t> stamps;
     std::vector<size_t> prev;
     std::vector<size_t> next;
     size_t head = kNil;
     size_t tail = kNil;
-    uint64_t tick = 0;
 };
 
 } // namespace mdp

@@ -291,17 +291,4 @@ CombinedSyncUnit::drainReleasedLoads(std::vector<LoadId> &out)
     releasedQueue.clear();
 }
 
-void
-CombinedSyncUnit::reset()
-{
-    mdpt.reset();
-    for (auto &row : slots)
-        for (Slot &s : row)
-            s = Slot{};
-    std::fill(rowValid.begin(), rowValid.end(), 0);
-    pending.clear();
-    releasedQueue.clear();
-    st = SyncStats{};
-}
-
 } // namespace mdp

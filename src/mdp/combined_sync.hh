@@ -45,8 +45,6 @@ class CombinedSyncUnit : public DepSynchronizer
 
     const SyncStats &stats() const override { return st; }
 
-    void reset() override;
-
     /** Expose the prediction table for tests and introspection. */
     const Mdpt &predictionTable() const { return mdpt; }
 

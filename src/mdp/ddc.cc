@@ -35,14 +35,4 @@ DepDependenceCache::access(Addr load_pc, Addr store_pc)
     return false;
 }
 
-void
-DepDependenceCache::reset()
-{
-    for (auto &e : entries)
-        e.valid = false;
-    index.clear();
-    lru.resize(entries.size());
-    numHits = numMisses = 0;
-}
-
 } // namespace mdp

@@ -56,8 +56,6 @@ class DepDependenceCache
     /** Number of currently valid entries. */
     size_t occupancy() const { return index.size(); }
 
-    void reset();
-
   private:
     struct Entry
     {

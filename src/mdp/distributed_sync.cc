@@ -18,7 +18,6 @@ LoadCheck
 DistributedSyncUnit::loadReady(Addr ldpc, Addr addr, uint64_t instance,
                                LoadId ldid, const TaskPcSource *tps)
 {
-    ++traffic.localLoadLookups;
     return copies[homeOf(instance)]->loadReady(ldpc, addr, instance,
                                                ldid, tps);
 }
@@ -37,7 +36,6 @@ DistributedSyncUnit::storeReady(Addr stpc, Addr addr, uint64_t instance,
         local.storeReady(stpc, addr, instance, store_id, wakeups);
         return;
     }
-    ++traffic.storeBroadcasts;
     for (auto &c : copies)
         c->storeReady(stpc, addr, instance, store_id, wakeups);
 }
@@ -48,7 +46,6 @@ DistributedSyncUnit::misSpeculation(Addr ldpc, Addr stpc, uint32_t dist,
 {
     // "As soon as a mis-speculation is detected, this fact is
     // broadcast to all copies of the MDPT."
-    ++traffic.misspecBroadcasts;
     for (auto &c : copies)
         c->misSpeculation(ldpc, stpc, dist, store_task_pc);
 }
@@ -65,7 +62,6 @@ DistributedSyncUnit::frontierRelease(LoadId ldid)
 void
 DistributedSyncUnit::squash(LoadId min_ldid, uint64_t min_store_id)
 {
-    ++traffic.squashBroadcasts;
     for (auto &c : copies)
         c->squash(min_ldid, min_store_id);
 }
@@ -96,14 +92,6 @@ DistributedSyncUnit::stats() const
         aggregated.evictionReleases += s.evictionReleases;
     }
     return aggregated;
-}
-
-void
-DistributedSyncUnit::reset()
-{
-    for (auto &c : copies)
-        c->reset();
-    traffic = DistributedStats{};
 }
 
 } // namespace mdp

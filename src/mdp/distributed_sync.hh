@@ -30,21 +30,6 @@
 namespace mdp
 {
 
-/** Interconnect traffic generated by the distributed organization. */
-struct DistributedStats
-{
-    uint64_t localLoadLookups = 0;   ///< load checks served locally
-    uint64_t storeBroadcasts = 0;    ///< store match -> all-copy search
-    uint64_t misspecBroadcasts = 0;  ///< violation -> all-copy allocate
-    uint64_t squashBroadcasts = 0;
-    /** Messages = broadcasts * (copies - 1). */
-    uint64_t messages(unsigned copies) const
-    {
-        return (storeBroadcasts + misspecBroadcasts + squashBroadcasts) *
-               (copies > 0 ? copies - 1 : 0);
-    }
-};
-
 /**
  * DepSynchronizer implemented as per-stage copies of the combined
  * unit.  A dynamic instance (task) with number i is handled by copy
@@ -79,14 +64,10 @@ class DistributedSyncUnit : public DepSynchronizer
 
     const SyncStats &stats() const override;
 
-    void reset() override;
-
     unsigned numCopies() const
     {
         return static_cast<unsigned>(copies.size());
     }
-
-    const DistributedStats &trafficStats() const { return traffic; }
 
     /** Access one copy (tests / introspection). */
     const CombinedSyncUnit &copy(unsigned idx) const
@@ -101,7 +82,6 @@ class DistributedSyncUnit : public DepSynchronizer
     }
 
     std::vector<std::unique_ptr<CombinedSyncUnit>> copies;
-    DistributedStats traffic;
     mutable SyncStats aggregated;
 };
 

@@ -104,14 +104,4 @@ LoadWaitUnit::drainReleasedLoads(std::vector<LoadId> &out)
     (void)out;   // nothing evicts a parked load
 }
 
-void
-LoadWaitUnit::reset()
-{
-    for (SatCounter &c : table)
-        c = SatCounter(cfg.loadWaitBits);
-    waiters.clear();
-    checksSinceClear = 0;
-    st = SyncStats{};
-}
-
 } // namespace mdp

@@ -49,8 +49,6 @@ class LoadWaitUnit : public DepSynchronizer
 
     const SyncStats &stats() const override { return st; }
 
-    void reset() override;
-
     /** Loads currently parked on the table (diagnostics). */
     size_t waiting() const { return waiters.size(); }
 

@@ -34,25 +34,19 @@ Mdpt::Mdpt(const SyncUnitConfig &config)
 }
 
 void
-Mdpt::lookupLoad(Addr ldpc, std::vector<uint32_t> &out)
+Mdpt::lookupLoad(Addr ldpc, std::vector<uint32_t> &out) const
 {
-    ++st.loadLookups;
     auto [lo, hi] = byLoad.equal_range(ldpc);
-    for (auto it = lo; it != hi; ++it) {
+    for (auto it = lo; it != hi; ++it)
         out.push_back(it->second);
-        ++st.loadMatches;
-    }
 }
 
 void
-Mdpt::lookupStore(Addr stpc, std::vector<uint32_t> &out)
+Mdpt::lookupStore(Addr stpc, std::vector<uint32_t> &out) const
 {
-    ++st.storeLookups;
     auto [lo, hi] = byStore.equal_range(stpc);
-    for (auto it = lo; it != hi; ++it) {
+    for (auto it = lo; it != hi; ++it)
         out.push_back(it->second);
-        ++st.storeMatches;
-    }
 }
 
 void
@@ -114,7 +108,6 @@ Mdpt::recordMisSpeculation(Addr ldpc, Addr stpc, uint32_t dist,
             e.counter.saturate();
         else
             e.counter.increment();
-        ++st.strengthens;
         lru.touch(idx);
         res.index = idx;
         return res;
@@ -124,7 +117,6 @@ Mdpt::recordMisSpeculation(Addr ldpc, Addr stpc, uint32_t dist,
     Entry &e = entries[victim];
     if (e.valid) {
         unindex(victim);
-        ++st.evictions;
         res.evictedValid = true;
     }
     e.valid = true;
@@ -137,7 +129,6 @@ Mdpt::recordMisSpeculation(Addr ldpc, Addr stpc, uint32_t dist,
     e.distStable = SatCounter(2, 2);
     index(victim);
     lru.touch(victim);
-    ++st.allocations;
     res.index = victim;
     return res;
 }
@@ -163,30 +154,12 @@ void
 Mdpt::weaken(uint32_t idx)
 {
     entries[idx].counter.decrement();
-    ++st.weakens;
 }
 
 void
 Mdpt::strengthen(uint32_t idx)
 {
     entries[idx].counter.increment();
-    ++st.strengthens;
-}
-
-void
-Mdpt::reset()
-{
-    for (auto &e : entries) {
-        e.valid = false;
-        e.counter = SatCounter(cfg.counterBits);
-        e.pathStable = SatCounter(2);
-        e.distStable = SatCounter(2);
-    }
-    byLoad.clear();
-    byStore.clear();
-    byPair.clear();
-    lru.resize(entries.size());
-    st = MdptStats{};
 }
 
 size_t

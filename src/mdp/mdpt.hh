@@ -29,19 +29,6 @@ namespace mdp
 
 class TaskPcSource;
 
-/** Aggregate MDPT event counters. */
-struct MdptStats
-{
-    uint64_t allocations = 0;
-    uint64_t evictions = 0;
-    uint64_t strengthens = 0;
-    uint64_t weakens = 0;
-    uint64_t loadLookups = 0;
-    uint64_t loadMatches = 0;
-    uint64_t storeLookups = 0;
-    uint64_t storeMatches = 0;
-};
-
 /**
  * Fully-associative prediction table with LRU replacement.
  *
@@ -81,12 +68,12 @@ class Mdpt
     explicit Mdpt(const SyncUnitConfig &config);
 
     /** Append indices of valid entries whose LDPC matches. */
-    void lookupLoad(Addr ldpc, std::vector<uint32_t> &out);
+    void lookupLoad(Addr ldpc, std::vector<uint32_t> &out) const;
 
     /** Append indices of valid entries whose STPC matches. */
-    void lookupStore(Addr stpc, std::vector<uint32_t> &out);
+    void lookupStore(Addr stpc, std::vector<uint32_t> &out) const;
 
-    /** @return true if any valid entry's STPC matches (no stats). */
+    /** @return true if any valid entry's STPC matches. */
     bool
     matchesStore(Addr stpc) const
     {
@@ -157,13 +144,9 @@ class Mdpt
     /** Refresh LRU recency for an entry. */
     void touch(uint32_t idx) { lru.touch(idx); }
 
-    /** Invalidate everything (reset between runs). */
-    void reset();
-
     size_t capacity() const { return entries.size(); }
     size_t occupancy() const;
 
-    const MdptStats &stats() const { return st; }
     const SyncUnitConfig &config() const { return cfg; }
 
   private:
@@ -178,7 +161,6 @@ class Mdpt
     /** (ldpc, stpc) -> entry; never iterated, so flat open addressing
      *  is safe and saves a node allocation per tracked edge. */
     FlatHashMap<uint64_t, uint32_t> byPair;
-    MdptStats st;
 };
 
 } // namespace mdp

@@ -1,62 +1,26 @@
 #include "mdp/mdst.hh"
 
-#include <algorithm>
-
 #include "base/logging.hh"
-#include "base/random.hh"
 
 namespace mdp
 {
 
 Mdst::Mdst(size_t num_entries)
-    : entries(num_entries), nextWaiting(num_entries, kNoIndex),
-      lru(num_entries)
+    : entries(num_entries), stamps(num_entries, 0)
 {
     mdp_assert(num_entries > 0, "MDST must have at least one entry");
-    freeSet.assign(num_entries);
-}
-
-uint64_t
-Mdst::key(Addr ldpc, Addr stpc, uint64_t instance)
-{
-    return mix64((ldpc << 20) ^ stpc) ^ (instance * 0x9e3779b97f4a7c15ULL);
 }
 
 int
 Mdst::find(Addr ldpc, Addr stpc, uint64_t instance) const
 {
-    const uint32_t *idx = index.find(key(ldpc, stpc, instance));
-    if (!idx)
-        return -1;
-    const Entry &e = entries[*idx];
-    // Guard against (unlikely) key collisions.
-    if (e.ldpc == ldpc && e.stpc == stpc && e.instance == instance)
-        return static_cast<int>(*idx);
-    return -1;
-}
-
-void
-Mdst::untrack(uint32_t idx)
-{
-    const Entry &e = entries[idx];
-    if (e.full) {
-        fullSet.erase({lru.stamp(idx), idx});
-    } else if (e.ldid != kNoLoad) {
-        uint32_t *head = waitHead.find(e.ldid);
-        mdp_assert(head, "waiting entry missing from its load chain");
-        if (*head == idx) {
-            if (nextWaiting[idx] == kNoIndex)
-                waitHead.erase(e.ldid);
-            else
-                *head = nextWaiting[idx];
-        } else {
-            uint32_t prev = *head;
-            while (nextWaiting[prev] != idx)
-                prev = nextWaiting[prev];
-            nextWaiting[prev] = nextWaiting[idx];
-        }
-        nextWaiting[idx] = kNoIndex;
+    for (uint32_t i = 0; i < entries.size(); ++i) {
+        const Entry &e = entries[i];
+        if (e.valid && e.ldpc == ldpc && e.stpc == stpc &&
+            e.instance == instance)
+            return static_cast<int>(i);
     }
+    return -1;
 }
 
 uint32_t
@@ -65,28 +29,35 @@ Mdst::allocate(Addr ldpc, Addr stpc, uint64_t instance, LoadId ldid,
 {
     displaced_load = kNoLoad;
 
-    // Prefer an invalid entry (lowest index first, as the scan did).
-    uint32_t victim;
-    if (!freeSet.empty()) {
-        victim = freeSet.popLowest();
-    } else if (!fullSet.empty()) {
-        // Else scavenge the LRU full entry (its sync already completed
-        // from the store side and may never be consumed).
-        victim = fullSet.begin()->second;
-        ++st.fullScavenges;
-    } else {
-        // Last resort: steal the LRU waiting entry; the owner must
-        // release its load (incomplete synchronization, section 4.4.2).
-        victim = static_cast<uint32_t>(lru.victim());
-        displaced_load = entries[victim].ldid;
-        ++st.forcedEvictions;
+    // Prefer the lowest invalid entry.
+    const uint32_t n = static_cast<uint32_t>(entries.size());
+    uint32_t victim = 0;
+    while (victim < n && entries[victim].valid)
+        ++victim;
+    if (victim == n) {
+        // Every entry is valid.  Scavenge the least recently allocated
+        // full entry (its sync already completed from the store side
+        // and may never be consumed); else every entry is waiting, so
+        // steal the least recently allocated one and have the owner
+        // release its load (incomplete synchronization, 4.4.2).
+        uint32_t oldest = 0;
+        uint32_t oldest_full = n;
+        for (uint32_t i = 0; i < n; ++i) {
+            if (stamps[i] < stamps[oldest])
+                oldest = i;
+            if (entries[i].full &&
+                (oldest_full == n || stamps[i] < stamps[oldest_full]))
+                oldest_full = i;
+        }
+        if (oldest_full < n) {
+            victim = oldest_full;
+        } else {
+            victim = oldest;
+            displaced_load = entries[victim].ldid;
+        }
     }
 
     Entry &e = entries[victim];
-    if (e.valid) {
-        untrack(victim);
-        index.erase(key(e.ldpc, e.stpc, e.instance));
-    }
     e.ldpc = ldpc;
     e.stpc = stpc;
     e.instance = instance;
@@ -94,93 +65,36 @@ Mdst::allocate(Addr ldpc, Addr stpc, uint64_t instance, LoadId ldid,
     e.stid = stid;
     e.full = full;
     e.valid = true;
-    index[key(ldpc, stpc, instance)] = victim;
-    lru.touch(victim);
-    if (full)
-        fullSet.insert({lru.stamp(victim), victim});
-    else if (ldid != kNoLoad)
-        trackWaiting(victim, ldid);
-    ++st.allocations;
+    stamps[victim] = ++tick;
     return victim;
-}
-
-void
-Mdst::trackWaiting(uint32_t idx, LoadId ldid)
-{
-    const uint32_t *head = waitHead.find(ldid);
-    nextWaiting[idx] = head ? *head : kNoIndex;
-    waitHead[ldid] = idx;
-}
-
-void
-Mdst::setLdid(uint32_t idx, LoadId ldid)
-{
-    Entry &e = entries[idx];
-    if (e.ldid == ldid)
-        return;
-    bool tracked = e.valid && !e.full;
-    if (tracked)
-        untrack(idx);
-    e.ldid = ldid;
-    if (tracked && ldid != kNoLoad)
-        trackWaiting(idx, ldid);
-}
-
-void
-Mdst::signal(uint32_t idx)
-{
-    Entry &e = entries[idx];
-    if (e.full)
-        return;
-    if (e.valid) {
-        untrack(idx);
-        e.full = true;
-        fullSet.insert({lru.stamp(idx), idx});
-    } else {
-        e.full = true;
-    }
 }
 
 void
 Mdst::free(uint32_t idx)
 {
     Entry &e = entries[idx];
-    if (!e.valid)
-        return;
-    untrack(idx);
-    index.erase(key(e.ldpc, e.stpc, e.instance));
     e.valid = false;
     e.full = false;
     e.ldid = kNoLoad;
-    freeSet.insert(idx);
-    ++st.frees;
 }
 
 void
 Mdst::waitingFor(LoadId ldid, std::vector<uint32_t> &out) const
 {
-    size_t first = out.size();
-    const uint32_t *head = waitHead.find(ldid);
-    for (uint32_t i = head ? *head : kNoIndex; i != kNoIndex;
-         i = nextWaiting[i])
-        out.push_back(i);
-    // The chain replaces an ascending scan of the pool; preserve its
-    // output order (owners free/weaken in this order).
-    std::sort(out.begin() + first, out.end());
+    for (uint32_t i = 0; i < entries.size(); ++i) {
+        const Entry &e = entries[i];
+        if (e.valid && !e.full && e.ldid == ldid)
+            out.push_back(i);
+    }
 }
 
-void
-Mdst::reset()
+size_t
+Mdst::occupancy() const
 {
-    for (auto &e : entries)
-        e = Entry{};
-    index.clear();
-    freeSet.assign(entries.size());
-    fullSet.clear();
-    waitHead.clear();
-    nextWaiting.assign(entries.size(), kNoIndex);
-    lru.resize(entries.size());
-    st = MdstStats{};
+    size_t n = 0;
+    for (const Entry &e : entries)
+        n += e.valid ? 1 : 0;
+    return n;
 }
 
 } // namespace mdp

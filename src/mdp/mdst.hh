@@ -12,15 +12,10 @@
 #ifndef MDP_MDP_MDST_HH
 #define MDP_MDP_MDST_HH
 
+#include <cstddef>
 #include <cstdint>
-#include <set>
-#include <utility>
 #include <vector>
 
-#include "base/flat_hash.hh"
-#include "base/free_list.hh"
-#include "base/lru.hh"
-#include "mdp/config.hh"
 #include "trace/microop.hh"
 
 namespace mdp
@@ -31,27 +26,15 @@ namespace mdp
 using LoadId = uint32_t;
 constexpr LoadId kNoLoad = UINT32_MAX;
 
-/** Aggregate MDST event counters. */
-struct MdstStats
-{
-    uint64_t allocations = 0;
-    uint64_t frees = 0;
-    uint64_t fullScavenges = 0;   ///< full entries reclaimed under pressure
-    uint64_t forcedEvictions = 0; ///< waiting entries stolen under pressure
-};
-
 /**
- * Fully-associative pool of synchronization entries.
+ * Fully-associative pool of synchronization entries, searched by
+ * scanning it in index order, as section 4.2's associative lookup.
  *
- * Replacement under pressure follows section 4.4.2: prefer an invalid
- * entry, then scavenge an entry whose full/empty flag is already full
- * (its synchronization will never be consumed), and only then steal the
- * LRU waiting entry (whose load the owner must release).
- *
- * Each of those choices used to be a linear scan of the pool per
- * allocation; they are now indexed (an ordered free list, a
- * recency-ordered set of full entries, and the O(1) LRU list), chosen
- * to reproduce the scans' picks exactly -- see tests/test_struct_equiv.
+ * Replacement under pressure follows section 4.4.2: take the lowest
+ * invalid entry, else scavenge the least recently allocated full entry
+ * (its synchronization may never be consumed), and only then steal the
+ * least recently allocated waiting entry, whose load the owner must
+ * release.  One allocation stamp per entry orders the last two.
  */
 class Mdst
 {
@@ -83,69 +66,29 @@ class Mdst
 
     const Entry &entry(uint32_t idx) const { return entries[idx]; }
 
-    /** Attach/detach the waiting load of an entry (kNoLoad detaches).
-     *  Mutation goes through the table so the waiting-load index stays
-     *  coherent; entries are otherwise read-only to owners. */
-    void setLdid(uint32_t idx, LoadId ldid);
+    /** Attach/detach the waiting load of an entry (kNoLoad detaches). */
+    void setLdid(uint32_t idx, LoadId ldid) { entries[idx].ldid = ldid; }
 
     /** Record the signalling store of an entry. */
     void setStid(uint32_t idx, uint64_t stid) { entries[idx].stid = stid; }
 
     /** Set the full/empty flag of an entry to full. */
-    void signal(uint32_t idx);
+    void signal(uint32_t idx) { entries[idx].full = true; }
 
     void free(uint32_t idx);
 
-    /** Append indices of valid, empty entries waiting on @p ldid. */
+    /** Append indices of valid, empty entries waiting on @p ldid, in
+     *  ascending order. */
     void waitingFor(LoadId ldid, std::vector<uint32_t> &out) const;
 
-    /** Visit every valid entry index. */
-    template <typename Fn>
-    void
-    forEachValid(Fn &&fn) const
-    {
-        for (uint32_t i = 0; i < entries.size(); ++i)
-            if (entries[i].valid)
-                fn(i);
-    }
-
     size_t capacity() const { return entries.size(); }
-    size_t occupancy() const { return index.size(); }
-
-    const MdstStats &stats() const { return st; }
-
-    void reset();
+    size_t occupancy() const;
 
   private:
-    /** Chain terminator / not-linked marker for nextWaiting. */
-    static constexpr uint32_t kNoIndex = UINT32_MAX;
-
-    static uint64_t key(Addr ldpc, Addr stpc, uint64_t instance);
-
-    /** Drop entry @p idx from whichever side index tracks it. */
-    void untrack(uint32_t idx);
-
-    /** Link entry @p idx into the waiting chain of @p ldid. */
-    void trackWaiting(uint32_t idx, LoadId ldid);
-
     std::vector<Entry> entries;
-    FlatHashMap<uint64_t, uint32_t> index;
-    /** Invalid entries; allocation prefers the lowest index, matching
-     *  the ascending invalid-entry scan it replaces.  A bitmap rather
-     *  than an ordered set: the common allocate/free cycle flips one
-     *  bit instead of rebalancing a tree. */
-    FreeIndexSet freeSet;
-    /** Valid full entries keyed (recency stamp, index): begin() is the
-     *  LRU full entry the scavenge pass used to scan for. */
-    std::set<std::pair<uint64_t, uint32_t>> fullSet;
-    /** Waiting (valid, empty, ldid != kNoLoad) entries by load: an
-     *  intrusive singly-linked chain per load threaded through
-     *  nextWaiting, so tracking an entry never allocates.  Chain order
-     *  is immaterial -- waitingFor() sorts its output. */
-    FlatHashMap<LoadId, uint32_t> waitHead;
-    std::vector<uint32_t> nextWaiting;
-    LruState lru;
-    MdstStats st;
+    /** Allocation order per entry: larger is more recent. */
+    std::vector<uint64_t> stamps;
+    uint64_t tick = 0;
 };
 
 } // namespace mdp

@@ -136,14 +136,12 @@ SplitSyncUnit::misSpeculation(Addr ldpc, Addr stpc, uint32_t dist,
                               Addr store_task_pc)
 {
     ++st.misSpecsRecorded;
-    // Eviction of a prediction entry leaves its MDST entries orphaned;
-    // they are reclaimed by the MDST's own replacement (full entries
-    // first), and orphaned waiting loads are recovered via the
-    // incomplete-synchronization path.  To keep loads from hanging,
-    // proactively release waiting entries of the displaced edge.
-    Mdpt::AllocResult res =
-        mdpt.recordMisSpeculation(ldpc, stpc, dist, store_task_pc);
-    (void)res;
+    // Evicting a prediction entry leaves its MDST entries in place:
+    // no store can signal them any more.  The MDST's own replacement
+    // reclaims them (full entries first).  A load still waiting on one
+    // is released by the frontier path (frontierRelease) once every
+    // prior store has executed, or earlier if its entry is stolen.
+    mdpt.recordMisSpeculation(ldpc, stpc, dist, store_task_pc);
 }
 
 void
@@ -178,17 +176,15 @@ SplitSyncUnit::frontierRelease(LoadId ldid)
 void
 SplitSyncUnit::squash(LoadId min_ldid, uint64_t min_store_id)
 {
-    std::vector<uint32_t> doomed;
-    mdst.forEachValid([&](uint32_t i) {
+    for (uint32_t i = 0; i < mdst.capacity(); ++i) {
         const Mdst::Entry &e = mdst.entry(i);
-        if (!e.full && e.ldid != kNoLoad && e.ldid >= min_ldid)
-            doomed.push_back(i);
-        else if (e.full && e.stid >= min_store_id)
-            doomed.push_back(i);
-    });
-    for (uint32_t i : doomed) {
-        if (!mdst.entry(i).full)
-            unpend(mdst.entry(i).ldid);
+        const bool doomed =
+            e.full ? e.stid >= min_store_id
+                   : e.ldid != kNoLoad && e.ldid >= min_ldid;
+        if (!e.valid || !doomed)
+            continue;
+        if (!e.full)
+            unpend(e.ldid);
         mdst.free(i);
         ++st.squashFrees;
     }
@@ -199,16 +195,6 @@ SplitSyncUnit::drainReleasedLoads(std::vector<LoadId> &out)
 {
     out.insert(out.end(), releasedQueue.begin(), releasedQueue.end());
     releasedQueue.clear();
-}
-
-void
-SplitSyncUnit::reset()
-{
-    mdpt.reset();
-    mdst.reset();
-    pending.clear();
-    releasedQueue.clear();
-    st = SyncStats{};
 }
 
 } // namespace mdp

@@ -43,10 +43,7 @@ class SplitSyncUnit : public DepSynchronizer
 
     const SyncStats &stats() const override { return st; }
 
-    void reset() override;
-
     const Mdpt &predictionTable() const { return mdpt; }
-    const Mdst &syncTable() const { return mdst; }
 
     size_t numWaitingLoads() const { return pending.size(); }
 

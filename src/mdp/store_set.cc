@@ -169,16 +169,4 @@ StoreSetUnit::drainReleasedLoads(std::vector<LoadId> &out)
     released.clear();
 }
 
-void
-StoreSetUnit::reset()
-{
-    std::fill(ssit.begin(), ssit.end(), kNoSsid);
-    for (LfstEntry &e : lfst)
-        e = LfstEntry{};
-    nextSsid = 0;
-    eventsSinceClear = 0;
-    released.clear();
-    st = SyncStats{};
-}
-
 } // namespace mdp

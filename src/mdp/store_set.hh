@@ -55,8 +55,6 @@ class StoreSetUnit : public DepSynchronizer
 
     const SyncStats &stats() const override { return st; }
 
-    void reset() override;
-
     /** Assigned (live) SSIDs since the last clear (diagnostics). */
     uint32_t liveSets() const { return nextSsid; }
 

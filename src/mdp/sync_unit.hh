@@ -131,8 +131,6 @@ class DepSynchronizer
     virtual void drainReleasedLoads(std::vector<LoadId> &out) = 0;
 
     virtual const SyncStats &stats() const = 0;
-
-    virtual void reset() = 0;
 };
 
 /** Table organization selector. */

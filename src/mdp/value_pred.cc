@@ -38,38 +38,21 @@ ValuePredictor::lookupOrAllocate(Addr pc)
 bool
 ValuePredictor::confident(Addr load_pc)
 {
-    ++st.queries;
     auto it = index.find(load_pc);
     if (it == index.end())
         return false;
     lru.touch(it->second);
-    bool ok = entries[it->second].conf.atLeast(thresh);
-    if (ok)
-        ++st.confidentQueries;
-    return ok;
+    return entries[it->second].conf.atLeast(thresh);
 }
 
 void
 ValuePredictor::train(Addr load_pc, bool value_repeated)
 {
-    ++st.trainings;
     Entry &e = lookupOrAllocate(load_pc);
     if (value_repeated)
         e.conf.increment();
     else
         e.conf.reset();   // a wrong value is expensive: lose confidence
-}
-
-void
-ValuePredictor::reset()
-{
-    for (auto &e : entries) {
-        e.valid = false;
-        e.conf = SatCounter(bits);
-    }
-    index.clear();
-    lru.resize(entries.size());
-    st = ValuePredStats{};
 }
 
 } // namespace mdp

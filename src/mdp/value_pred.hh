@@ -24,14 +24,6 @@
 namespace mdp
 {
 
-/** Event counters of the value predictor. */
-struct ValuePredStats
-{
-    uint64_t trainings = 0;
-    uint64_t confidentQueries = 0;
-    uint64_t queries = 0;
-};
-
 /**
  * A small associative pool of per-PC confidence counters.
  */
@@ -57,11 +49,7 @@ class ValuePredictor
      */
     void train(Addr load_pc, bool value_repeated);
 
-    const ValuePredStats &stats() const { return st; }
-
     size_t occupancy() const { return index.size(); }
-
-    void reset();
 
   private:
     struct Entry
@@ -78,7 +66,6 @@ class ValuePredictor
     std::vector<Entry> entries;
     std::unordered_map<Addr, size_t> index;
     LruState lru;
-    ValuePredStats st;
 };
 
 } // namespace mdp

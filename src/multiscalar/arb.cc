@@ -127,13 +127,4 @@ Arb::removeStore(Addr addr, SeqNum store)
         inflightStores.erase(addr);
 }
 
-void
-Arb::reset()
-{
-    loads.clear();
-    inflightStores.clear();
-    committedVersion.clear();
-    numTrackedLoads = 0;
-}
-
 } // namespace mdp

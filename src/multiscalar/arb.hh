@@ -70,8 +70,6 @@ class Arb
     /** Remove a squashed, previously executed store. */
     void removeStore(Addr addr, SeqNum store);
 
-    void reset();
-
     /** In-flight tracked loads (for tests / invariant checks). */
     size_t trackedLoads() const { return numTrackedLoads; }
 

@@ -17,17 +17,6 @@
 namespace mdp
 {
 
-namespace
-{
-
-bool
-isPowerOfTwo(unsigned v)
-{
-    return v != 0 && (v & (v - 1)) == 0;
-}
-
-} // namespace
-
 std::pair<unsigned, unsigned>
 resolveMeshDims(const MultiscalarConfig &cfg)
 {
@@ -68,20 +57,6 @@ validateMultiscalarConfig(const MultiscalarConfig &cfg)
     if (cfg.numStages < 1 || cfg.numStages > kMaxStages) {
         mdp_fatal("numStages=%u out of range [1, %u]", cfg.numStages,
                   kMaxStages);
-    }
-    if (cfg.issueWidth < 1)
-        mdp_fatal("issueWidth must be >= 1 (got %u)", cfg.issueWidth);
-    if (cfg.stageWindow < 1)
-        mdp_fatal("stageWindow must be >= 1 (got %u)", cfg.stageWindow);
-    if (cfg.memPorts < 1)
-        mdp_fatal("memPorts must be >= 1 (got %u)", cfg.memPorts);
-    if (cfg.banksPerStage < 1) {
-        mdp_fatal("banksPerStage must be >= 1 (got %u)",
-                  cfg.banksPerStage);
-    }
-    if (!isPowerOfTwo(cfg.blockBytes)) {
-        mdp_fatal("blockBytes must be a power of two (got %u)",
-                  cfg.blockBytes);
     }
     if (cfg.topology == Topology::Mesh)
         resolveMeshDims(cfg);   // fatals on a non-factoring grid

@@ -46,12 +46,36 @@ struct StaticEdge
  */
 enum class Topology { Ring, Mesh };
 
-/** Parameters of one simulated Multiscalar processor. */
+/**
+ * Parameters of one simulated Multiscalar processor.  The per-stage
+ * pipeline and the memory system are fixed at the section 5.2 machine
+ * (the static constants); the rest is settable.
+ */
 struct MultiscalarConfig
 {
+    /** Per-stage issue (and fetch) width. */
+    static constexpr unsigned issueWidth = 2;
+    /** Per-stage scheduling window (ops). */
+    static constexpr unsigned stageWindow = 16;
+
+    // Functional units per stage (Table 2 mix).
+    static constexpr unsigned simpleIntFUs = 2;
+    static constexpr unsigned complexIntFUs = 1;
+    static constexpr unsigned fpFUs = 1;
+    static constexpr unsigned branchFUs = 1;
+    static constexpr unsigned memPorts = 1;
+
+    // Memory system: banksPerStage * numStages data banks of bankBytes
+    // each; a miss holds the bus busBusyPerMiss cycles and completes
+    // missPenalty (10 + 3) cycles after it gets the bus.
+    static constexpr unsigned banksPerStage = 2;
+    static constexpr unsigned bankBytes = 8 * 1024;
+    static constexpr unsigned blockBytes = 64;
+    static constexpr unsigned bankHitLatency = 2;
+    static constexpr unsigned missPenalty = 13;
+    static constexpr unsigned busBusyPerMiss = 4;
+
     unsigned numStages = 4;        ///< processing units
-    unsigned issueWidth = 2;       ///< per-stage issue (and fetch) width
-    unsigned stageWindow = 16;     ///< per-stage scheduling window (ops)
 
     unsigned ringHopLatency = 1;   ///< cycles per hop, adjacent stages
 
@@ -67,21 +91,6 @@ struct MultiscalarConfig
 
     unsigned squashPenalty = 5;    ///< restart delay after a squash
     unsigned mispredictPenalty = 6; ///< sequencer recovery delay
-
-    // Functional units per stage (Table 2 mix).
-    unsigned simpleIntFUs = 2;
-    unsigned complexIntFUs = 1;
-    unsigned fpFUs = 1;
-    unsigned branchFUs = 1;
-    unsigned memPorts = 1;
-
-    // Memory system.
-    unsigned banksPerStage = 2;    ///< data banks = banksPerStage*stages
-    unsigned bankBytes = 8 * 1024;
-    unsigned blockBytes = 64;
-    unsigned bankHitLatency = 2;
-    unsigned missPenalty = 13;     ///< 10 + 3
-    unsigned busBusyPerMiss = 4;   ///< bus occupancy per line transfer
 
     // Speculation.
     /** Registry key of the dependence policy (mdp/dep_policy.hh),

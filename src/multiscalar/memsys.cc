@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "base/logging.hh"
 #include "base/random.hh"
 
 namespace mdp
@@ -11,8 +10,10 @@ namespace mdp
 MemorySystem::MemorySystem(const MultiscalarConfig &config)
     : cfg(config)
 {
-    mdp_assert(cfg.blockBytes > 0 && cfg.bankBytes >= cfg.blockBytes,
-               "bad cache geometry");
+    static_assert(MultiscalarConfig::blockBytes > 0 &&
+                      MultiscalarConfig::bankBytes >=
+                          MultiscalarConfig::blockBytes,
+                  "bad cache geometry");
     linesPerBank = cfg.bankBytes / cfg.blockBytes;
     tags.assign(static_cast<size_t>(cfg.numBanks()) * linesPerBank, 0);
     bankFree.assign(cfg.numBanks(), 0);
@@ -58,15 +59,6 @@ MemorySystem::access(Addr addr, uint64_t now, bool is_store)
             done = bus_start + 2;  // write-allocate behind a buffer
     }
     return done;
-}
-
-void
-MemorySystem::reset()
-{
-    std::fill(tags.begin(), tags.end(), 0);
-    std::fill(bankFree.begin(), bankFree.end(), 0);
-    busFree = 0;
-    numHits = numMisses = 0;
 }
 
 } // namespace mdp

@@ -41,8 +41,6 @@ class MemorySystem
     uint64_t hits() const { return numHits; }
     uint64_t misses() const { return numMisses; }
 
-    void reset();
-
   private:
     unsigned bankOf(Addr addr) const;
 

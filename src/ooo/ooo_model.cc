@@ -1,7 +1,6 @@
 #include "ooo/ooo_model.hh"
 
 #include <algorithm>
-#include <utility>
 
 #include "base/flat_hash.hh"
 #include "base/logging.hh"
@@ -10,25 +9,6 @@
 namespace mdp
 {
 
-void
-validateOooConfig(const OooConfig &cfg)
-{
-    const std::pair<const char *, unsigned> counts[] = {
-        {"windowSize", cfg.windowSize},
-        {"fetchWidth", cfg.fetchWidth},
-        {"issueWidth", cfg.issueWidth},
-        {"commitWidth", cfg.commitWidth},
-        {"simpleIntFUs", cfg.simpleIntFUs},
-        {"complexIntFUs", cfg.complexIntFUs},
-        {"fpFUs", cfg.fpFUs},
-        {"branchFUs", cfg.branchFUs},
-        {"memPorts", cfg.memPorts},
-    };
-    for (const auto &[name, value] : counts)
-        if (value < 1)
-            mdp_fatal("%s must be >= 1 (got %u)", name, value);
-}
-
 namespace
 {
 
@@ -36,7 +16,8 @@ namespace
 const OooConfig &
 validatedConfig(const OooConfig &config)
 {
-    validateOooConfig(config);
+    if (config.windowSize < 1)
+        mdp_fatal("windowSize must be >= 1 (got %u)", config.windowSize);
     return config;
 }
 

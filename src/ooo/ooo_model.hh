@@ -33,24 +33,32 @@
 namespace mdp
 {
 
-/** Parameters of the superscalar model. */
+/**
+ * Parameters of the superscalar model.  The pipeline widths, units
+ * and memory timing are fixed (the static constants); the window, the
+ * policy and its tables are settable.
+ */
 struct OooConfig
 {
+    static constexpr unsigned fetchWidth = 4;
+    static constexpr unsigned issueWidth = 4;
+    static constexpr unsigned commitWidth = 4;
+
+    static constexpr unsigned simpleIntFUs = 4;
+    static constexpr unsigned complexIntFUs = 1;
+    static constexpr unsigned fpFUs = 2;
+    static constexpr unsigned branchFUs = 2;
+    static constexpr unsigned memPorts = 2;
+
+    /** Simple probabilistic dcache: a load hits in loadLatency cycles
+     *  or, with probability missRate, misses for missPenalty. */
+    static constexpr unsigned loadLatency = 2;
+    static constexpr unsigned missPenalty = 13;
+    static constexpr double missRate = 0.05;
+    /** Refetch delay after a violation. */
+    static constexpr unsigned squashPenalty = 4;
+
     unsigned windowSize = 64;   ///< instruction window / ROB entries
-    unsigned fetchWidth = 4;
-    unsigned issueWidth = 4;
-    unsigned commitWidth = 4;
-
-    unsigned simpleIntFUs = 4;
-    unsigned complexIntFUs = 1;
-    unsigned fpFUs = 2;
-    unsigned branchFUs = 2;
-    unsigned memPorts = 2;
-
-    unsigned loadLatency = 2;       ///< cache hit
-    unsigned missPenalty = 13;
-    double missRate = 0.05;         ///< simple probabilistic dcache
-    unsigned squashPenalty = 4;     ///< refetch delay after violation
 
     /** Registry key of the dependence policy (mdp/dep_policy.hh),
      *  case-insensitive. */
@@ -61,15 +69,6 @@ struct OooConfig
     uint64_t seed = 0xacce55;
     uint64_t maxCycles = 0;
 };
-
-/**
- * Validate the window, widths, FU counts and memory ports (each must
- * be >= 1), mdp_fatal (exit 1) with a precise message on the first
- * violation.  The OooProcessor constructor runs this, so a config
- * that could never commit an op fails instead of running to the
- * cycle cap.
- */
-void validateOooConfig(const OooConfig &cfg);
 
 /** Results of one superscalar run. */
 struct OooResult
@@ -106,7 +105,8 @@ struct OooResult
 class OooProcessor
 {
   public:
-    /** Fatal on a config validateOooConfig() rejects. */
+    /** Fatal (exit 1) on a zero windowSize, which could never commit
+     *  an op, instead of running to the cycle cap. */
     OooProcessor(const TraceView &trace, const DepOracle &oracle,
                  const OooConfig &config);
     ~OooProcessor();

@@ -114,17 +114,6 @@ TEST(Arb, RemoveLoadAndStoreForSquash)
     EXPECT_EQ(version, kNoSeq);   // the store is gone
 }
 
-TEST(Arb, ResetClears)
-{
-    Arb arb;
-    arb.loadExecuted(0x100, 20, 2);
-    arb.storeExecuted(0x100, 5, 0);
-    arb.reset();
-    EXPECT_EQ(arb.trackedLoads(), 0u);
-    SeqNum version = arb.loadExecuted(0x100, 30, 3);
-    EXPECT_EQ(version, kNoSeq);
-}
-
 // --------------------------------------------------------------------
 // MemorySystem
 // --------------------------------------------------------------------
@@ -134,10 +123,6 @@ memConfig()
 {
     MultiscalarConfig cfg;
     cfg.numStages = 4;
-    cfg.banksPerStage = 2;
-    cfg.bankHitLatency = 2;
-    cfg.missPenalty = 13;
-    cfg.busBusyPerMiss = 4;
     return cfg;
 }
 
@@ -196,16 +181,6 @@ TEST(MemSys, BusContentionDelaysMisses)
     for (int i = 0; i < 8; ++i)
         last = std::max(last, m.access(0x40000 + i * 64, 0, false));
     EXPECT_GE(last, 13 + 7 * 4u);
-}
-
-TEST(MemSys, ResetRestoresColdCache)
-{
-    MemorySystem m(memConfig());
-    m.access(0x1000, 0, false);
-    m.reset();
-    m.access(0x1000, 100, false);
-    EXPECT_EQ(m.misses(), 1u);
-    EXPECT_EQ(m.hits(), 0u);
 }
 
 } // namespace

@@ -6,12 +6,10 @@
 
 #include <gtest/gtest.h>
 
-#include <random>
 #include <set>
 #include <sstream>
 
 #include "base/env.hh"
-#include "base/free_list.hh"
 #include "base/lru.hh"
 #include "base/random.hh"
 #include "base/sat_counter.hh"
@@ -22,55 +20,6 @@ namespace mdp
 {
 namespace
 {
-
-// --------------------------------------------------------------------
-// FreeIndexSet
-// --------------------------------------------------------------------
-
-TEST(FreeIndexSet, PopsLowestFirst)
-{
-    FreeIndexSet s(5);
-    EXPECT_EQ(s.size(), 5u);
-    for (uint32_t i = 0; i < 5; ++i)
-        EXPECT_EQ(s.popLowest(), i);
-    EXPECT_TRUE(s.empty());
-}
-
-TEST(FreeIndexSet, InsertIsIdempotentAndReordersNothing)
-{
-    FreeIndexSet s(70);   // spans two words
-    while (!s.empty())
-        s.popLowest();
-    s.insert(69);
-    s.insert(3);
-    s.insert(3);
-    EXPECT_EQ(s.size(), 2u);
-    EXPECT_TRUE(s.contains(3));
-    EXPECT_FALSE(s.contains(4));
-    EXPECT_EQ(s.popLowest(), 3u);
-    EXPECT_EQ(s.popLowest(), 69u);
-    EXPECT_TRUE(s.empty());
-}
-
-TEST(FreeIndexSet, MatchesOrderedSetUnderRandomOps)
-{
-    std::mt19937_64 rng(17);
-    FreeIndexSet s(100);
-    std::set<uint32_t> ref;
-    for (uint32_t i = 0; i < 100; ++i)
-        ref.insert(i);
-    for (int op = 0; op < 20000; ++op) {
-        if (!ref.empty() && rng() % 2 == 0) {
-            ASSERT_EQ(s.popLowest(), *ref.begin());
-            ref.erase(ref.begin());
-        } else {
-            const uint32_t i = rng() % 100;
-            s.insert(i);
-            ref.insert(i);
-        }
-        ASSERT_EQ(s.size(), ref.size());
-    }
-}
 
 // --------------------------------------------------------------------
 // Pcg32
@@ -298,23 +247,6 @@ TEST(LruState, OldestTouchedIsVictim)
     EXPECT_EQ(lru.victim(), 0u);
     lru.touch(0);
     EXPECT_EQ(lru.victim(), 1u);
-}
-
-TEST(LruState, RangeVictim)
-{
-    LruState lru(6);
-    for (size_t i = 0; i < 6; ++i)
-        lru.touch(i);
-    lru.touch(3);
-    EXPECT_EQ(lru.victim(2, 5), 2u);
-}
-
-TEST(LruState, ResizeClears)
-{
-    LruState lru(2);
-    lru.touch(1);
-    lru.resize(2);
-    EXPECT_EQ(lru.stamp(1), 0u);
 }
 
 // --------------------------------------------------------------------

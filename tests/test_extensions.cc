@@ -45,7 +45,8 @@ TEST(Distributed, MisSpeculationBroadcastsToAllCopies)
     u.misSpeculation(kLd, kSt, 1, 0);
     for (unsigned c = 0; c < 4; ++c)
         EXPECT_EQ(u.copy(c).predictionTable().occupancy(), 1u);
-    EXPECT_EQ(u.trafficStats().misspecBroadcasts, 1u);
+    for (unsigned c = 0; c < 4; ++c)
+        EXPECT_EQ(u.copy(c).stats().misSpecsRecorded, 1u);
 }
 
 TEST(Distributed, LoadUsesItsHomeCopyOnly)
@@ -57,7 +58,8 @@ TEST(Distributed, LoadUsesItsHomeCopyOnly)
     // Instance 5 is homed on copy 1; only that copy holds the wait.
     EXPECT_EQ(u.copy(1).numWaitingLoads(), 1u);
     EXPECT_EQ(u.copy(0).numWaitingLoads(), 0u);
-    EXPECT_EQ(u.trafficStats().localLoadLookups, 1u);
+    for (unsigned c = 0; c < 4; ++c)
+        EXPECT_EQ(u.copy(c).stats().loadChecks, c == 1 ? 1u : 0u);
 }
 
 TEST(Distributed, StoreBroadcastReachesTheWaitingCopy)
@@ -71,7 +73,8 @@ TEST(Distributed, StoreBroadcastReachesTheWaitingCopy)
     u.storeReady(kSt, kA, 4, 44, wake);
     ASSERT_EQ(wake.size(), 1u);
     EXPECT_EQ(wake[0], 50u);
-    EXPECT_EQ(u.trafficStats().storeBroadcasts, 1u);
+    for (unsigned c = 0; c < 4; ++c)
+        EXPECT_EQ(u.copy(c).stats().storeChecks, 1u);
 }
 
 TEST(Distributed, EndToEndMatchesCentralizedBehaviour)
@@ -96,15 +99,6 @@ TEST(Distributed, StatsAggregateAcrossCopies)
     u.loadReady(kLd, kA, 3, 30, nullptr);
     EXPECT_EQ(u.stats().loadChecks, 2u);
     EXPECT_EQ(u.stats().misSpecsRecorded, 2u);   // one per copy
-}
-
-TEST(Distributed, ResetClearsAllCopies)
-{
-    DistributedSyncUnit u(armedConfig(), 2);
-    u.misSpeculation(kLd, kSt, 1, 0);
-    u.reset();
-    EXPECT_EQ(u.copy(0).predictionTable().occupancy(), 0u);
-    EXPECT_EQ(u.trafficStats().misspecBroadcasts, 0u);
 }
 
 // --------------------------------------------------------------------
@@ -138,16 +132,6 @@ TEST(ValuePred, PoolEvictsLru)
     vp.train(0x20, true);
     vp.train(0x30, true);   // evicts 0x10 or 0x20
     EXPECT_LE(vp.occupancy(), 2u);
-}
-
-TEST(ValuePred, Reset)
-{
-    ValuePredictor vp(8, 2, 3);
-    for (int i = 0; i < 3; ++i)
-        vp.train(kLd, true);
-    vp.reset();
-    EXPECT_FALSE(vp.confident(kLd));
-    EXPECT_EQ(vp.occupancy(), 0u);
 }
 
 // --------------------------------------------------------------------

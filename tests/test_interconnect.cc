@@ -188,14 +188,5 @@ TEST(InterconnectDeath, NonFactoringMeshGrid)
                 "meshY=5 does not divide numStages=16");
 }
 
-TEST(InterconnectDeath, DegenerateStageParameters)
-{
-    MultiscalarConfig cfg;
-    cfg.stageWindow = 0;
-    EXPECT_EXIT(validateMultiscalarConfig(cfg),
-                testing::ExitedWithCode(1),
-                "stageWindow must be >= 1");
-}
-
 } // namespace
 } // namespace mdp

@@ -35,7 +35,6 @@ TEST(Mdpt, AllocatesOnMisSpeculation)
     EXPECT_EQ(e.dist, 1u);
     EXPECT_EQ(e.storeTaskPc, 0x1000u);
     EXPECT_EQ(t.occupancy(), 1u);
-    EXPECT_EQ(t.stats().allocations, 1u);
 }
 
 TEST(Mdpt, NewEntryPredictsAtInitialCount)
@@ -167,30 +166,19 @@ TEST(Mdpt, PathStabilityTracksTaskPc)
     EXPECT_FALSE(t.entry(res.index).pathCheckUsable());
 }
 
-TEST(Mdpt, ResetClearsEverything)
+TEST(Mdpt, LookupsAppendMatches)
 {
     Mdpt t(smallConfig());
-    t.recordMisSpeculation(0x10, 0x20, 1, 0);
-    t.reset();
-    EXPECT_EQ(t.occupancy(), 0u);
-    std::vector<uint32_t> out;
-    t.lookupLoad(0x10, out);
-    EXPECT_TRUE(out.empty());
-    EXPECT_EQ(t.stats().allocations, 0u);
-}
-
-TEST(Mdpt, StatsCountLookups)
-{
-    Mdpt t(smallConfig());
-    t.recordMisSpeculation(0x10, 0x20, 1, 0);
+    const uint32_t idx = t.recordMisSpeculation(0x10, 0x20, 1, 0).index;
     std::vector<uint32_t> out;
     t.lookupLoad(0x10, out);
     t.lookupLoad(0x10, out);
     t.lookupStore(0x99, out);
-    EXPECT_EQ(t.stats().loadLookups, 2u);
-    EXPECT_EQ(t.stats().loadMatches, 2u);
-    EXPECT_EQ(t.stats().storeLookups, 1u);
-    EXPECT_EQ(t.stats().storeMatches, 0u);
+    EXPECT_EQ(out, (std::vector<uint32_t>{idx, idx}));
+    t.lookupStore(0x20, out);
+    EXPECT_EQ(out.size(), 3u);
+    EXPECT_TRUE(t.matchesStore(0x20));
+    EXPECT_FALSE(t.matchesStore(0x99));
 }
 
 class MdptCapacity : public ::testing::TestWithParam<size_t>

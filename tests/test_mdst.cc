@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "mdp/ddc.hh"
 #include "mdp/mdst.hh"
 
@@ -58,13 +60,13 @@ TEST(Mdst, ScavengesFullEntriesBeforeWaiting)
     Mdst m(2);
     LoadId d;
     m.allocate(0x10, 0x20, 1, 42, 0, false, d);    // waiting
-    m.allocate(0x11, 0x21, 2, kNoLoad, 9, true, d); // full
+    uint32_t full = m.allocate(0x11, 0x21, 2, kNoLoad, 9, true, d);
     // Pool is full; the full entry should be scavenged, not the wait.
-    m.allocate(0x12, 0x22, 3, 43, 0, false, d);
+    EXPECT_EQ(m.allocate(0x12, 0x22, 3, 43, 0, false, d), full);
     EXPECT_EQ(d, kNoLoad);
     EXPECT_NE(m.find(0x10, 0x20, 1), -1);
     EXPECT_EQ(m.find(0x11, 0x21, 2), -1);
-    EXPECT_EQ(m.stats().fullScavenges, 1u);
+    EXPECT_EQ(m.occupancy(), 2u);
 }
 
 TEST(Mdst, ForcedEvictionReportsDisplacedLoad)
@@ -74,7 +76,8 @@ TEST(Mdst, ForcedEvictionReportsDisplacedLoad)
     m.allocate(0x10, 0x20, 1, 42, 0, false, d);
     m.allocate(0x11, 0x21, 2, 43, 0, false, d);
     EXPECT_EQ(d, 42u);
-    EXPECT_EQ(m.stats().forcedEvictions, 1u);
+    EXPECT_EQ(m.find(0x10, 0x20, 1), -1);
+    EXPECT_EQ(m.entry(0).ldid, 43u);
 }
 
 TEST(Mdst, WaitingFor)
@@ -90,14 +93,47 @@ TEST(Mdst, WaitingFor)
     EXPECT_EQ(out.size(), 2u);
 }
 
-TEST(Mdst, ResetClears)
+TEST(Mdst, ReplacementFollowsAllocationOrder)
+{
+    // Section 4.4.2's order: the lowest invalid entry, then the least
+    // recently allocated full entry, then the least recently allocated
+    // waiting entry.  A signal does not refresh an entry's recency.
+    Mdst m(3);
+    LoadId d;
+    EXPECT_EQ(m.allocate(0x10, 0x20, 0, 40, 0, false, d), 0u);
+    EXPECT_EQ(m.allocate(0x11, 0x21, 1, kNoLoad, 1, true, d), 1u);
+    EXPECT_EQ(m.allocate(0x12, 0x22, 2, 42, 0, false, d), 2u);
+    m.signal(2);
+    m.free(0);
+    EXPECT_EQ(m.allocate(0x13, 0x23, 3, 43, 0, false, d), 0u);
+    EXPECT_EQ(d, kNoLoad);
+    // Entries 1 and 2 are full; 1 was allocated first.
+    EXPECT_EQ(m.allocate(0x14, 0x24, 4, 44, 0, false, d), 1u);
+    EXPECT_EQ(d, kNoLoad);
+    EXPECT_EQ(m.allocate(0x15, 0x25, 5, 45, 0, false, d), 2u);
+    EXPECT_EQ(d, kNoLoad);
+    // Every entry now waits; entry 0 (load 43) is the oldest.
+    EXPECT_EQ(m.allocate(0x16, 0x26, 6, 46, 0, false, d), 0u);
+    EXPECT_EQ(d, 43u);
+    EXPECT_EQ(m.allocate(0x17, 0x27, 7, 47, 0, false, d), 1u);
+    EXPECT_EQ(d, 44u);
+    std::vector<uint32_t> out;
+    m.waitingFor(45, out);
+    EXPECT_EQ(out, std::vector<uint32_t>{2u});
+}
+
+TEST(Mdst, WaitingForListsAscendingIndices)
 {
     Mdst m(4);
     LoadId d;
-    m.allocate(0x10, 0x20, 1, 42, 0, false, d);
-    m.reset();
-    EXPECT_EQ(m.occupancy(), 0u);
-    EXPECT_EQ(m.find(0x10, 0x20, 1), -1);
+    for (uint64_t inst = 0; inst < 4; ++inst)
+        m.allocate(0x10, 0x20, inst, inst % 2 ? 7 : 8, 0, false, d);
+    m.setLdid(3, 8);
+    std::vector<uint32_t> out;
+    m.waitingFor(8, out);
+    EXPECT_EQ(out, (std::vector<uint32_t>{0u, 2u, 3u}));
+    m.waitingFor(7, out);   // appends
+    EXPECT_EQ(out, (std::vector<uint32_t>{0u, 2u, 3u, 1u}));
 }
 
 TEST(Mdst, DistinctInstancesCoexist)
@@ -151,16 +187,6 @@ TEST(Ddc, MissRateZeroWhenUnused)
 {
     DepDependenceCache ddc(4);
     EXPECT_DOUBLE_EQ(ddc.missRate(), 0.0);
-}
-
-TEST(Ddc, ResetClears)
-{
-    DepDependenceCache ddc(4);
-    ddc.access(1, 1);
-    ddc.reset();
-    EXPECT_EQ(ddc.occupancy(), 0u);
-    EXPECT_EQ(ddc.accesses(), 0u);
-    EXPECT_FALSE(ddc.access(1, 1));
 }
 
 /** Property: a larger DDC never has a higher miss rate on the same

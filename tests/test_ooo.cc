@@ -56,14 +56,6 @@ TEST(OooDeath, DegenerateConfigFailsFast)
     cfg.windowSize = 0;
     EXPECT_EXIT(OooProcessor(t, o, cfg), testing::ExitedWithCode(1),
                 "windowSize must be >= 1");
-    cfg = OooConfig();
-    cfg.memPorts = 0;
-    EXPECT_EXIT(validateOooConfig(cfg), testing::ExitedWithCode(1),
-                "memPorts must be >= 1");
-    cfg = OooConfig();
-    cfg.fpFUs = 0;
-    EXPECT_EXIT(validateOooConfig(cfg), testing::ExitedWithCode(1),
-                "fpFUs must be >= 1");
 }
 
 TEST(Ooo, CompletesAllPolicies)

@@ -77,7 +77,6 @@ class ScriptedUnit : public DepSynchronizer
     }
 
     const SyncStats &stats() const override { return st; }
-    void reset() override {}
 
   private:
     SyncStats st;

@@ -1,6 +1,6 @@
 /**
  * @file
- * The indexed MDPT/MDST/LRU replacement paths must make bit-identical
+ * The indexed MDPT and LRU replacement paths must make bit-identical
  * choices to the linear scans they replaced.  Each reference model
  * here IS the old scan, kept verbatim; seeded randomized workloads
  * drive the real structure and the reference in lockstep and compare
@@ -17,7 +17,6 @@
 #include "base/lru.hh"
 #include "mdp/config.hh"
 #include "mdp/mdpt.hh"
-#include "mdp/mdst.hh"
 
 namespace mdp
 {
@@ -45,8 +44,6 @@ class RefLru
                 best = i;
         return best;
     }
-
-    uint64_t stamp(size_t i) const { return stamps[i]; }
 
   private:
     std::vector<uint64_t> stamps;
@@ -138,114 +135,6 @@ class RefMdpt
     RefLru lru;
 };
 
-/** MDST allocation via the three victim scans of section 4.4.2. */
-class RefMdst
-{
-  public:
-    struct Entry
-    {
-        Addr ldpc = 0;
-        Addr stpc = 0;
-        uint64_t instance = 0;
-        LoadId ldid = kNoLoad;
-        bool full = false;
-        bool valid = false;
-    };
-
-    explicit RefMdst(size_t n) : entries(n), lru(n) {}
-
-    uint32_t
-    allocate(Addr ldpc, Addr stpc, uint64_t instance, LoadId ldid,
-             bool full, LoadId &displaced_load)
-    {
-        displaced_load = kNoLoad;
-        uint32_t victim = UINT32_MAX;
-        // 1. Lowest-index invalid entry.
-        for (uint32_t i = 0; i < entries.size(); ++i) {
-            if (!entries[i].valid) {
-                victim = i;
-                break;
-            }
-        }
-        // 2. Least-recently-used full entry.
-        if (victim == UINT32_MAX) {
-            uint64_t best_stamp = UINT64_MAX;
-            for (uint32_t i = 0; i < entries.size(); ++i) {
-                if (entries[i].full && lru.stamp(i) < best_stamp) {
-                    victim = i;
-                    best_stamp = lru.stamp(i);
-                }
-            }
-        }
-        // 3. Least-recently-used waiting entry (owner releases load).
-        if (victim == UINT32_MAX) {
-            victim = static_cast<uint32_t>(lru.victim());
-            displaced_load = entries[victim].ldid;
-        }
-        Entry &e = entries[victim];
-        e.ldpc = ldpc;
-        e.stpc = stpc;
-        e.instance = instance;
-        e.ldid = ldid;
-        e.full = full;
-        e.valid = true;
-        lru.touch(victim);
-        return victim;
-    }
-
-    int
-    find(Addr ldpc, Addr stpc, uint64_t instance) const
-    {
-        for (uint32_t i = 0; i < entries.size(); ++i) {
-            const Entry &e = entries[i];
-            if (e.valid && e.ldpc == ldpc && e.stpc == stpc &&
-                e.instance == instance)
-                return static_cast<int>(i);
-        }
-        return -1;
-    }
-
-    void
-    signal(uint32_t idx)
-    {
-        entries[idx].full = true;
-    }
-
-    void
-    free(uint32_t idx)
-    {
-        entries[idx].valid = false;
-        entries[idx].full = false;
-        entries[idx].ldid = kNoLoad;
-    }
-
-    void
-    setLdid(uint32_t idx, LoadId ldid)
-    {
-        entries[idx].ldid = ldid;
-    }
-
-    /** Ascending scan for valid, empty entries waiting on @p ldid. */
-    std::vector<uint32_t>
-    waitingFor(LoadId ldid) const
-    {
-        std::vector<uint32_t> out;
-        for (uint32_t i = 0; i < entries.size(); ++i) {
-            const Entry &e = entries[i];
-            if (e.valid && !e.full && e.ldid == ldid)
-                out.push_back(i);
-        }
-        return out;
-    }
-
-    const Entry &entry(uint32_t idx) const { return entries[idx]; }
-    size_t size() const { return entries.size(); }
-
-  private:
-    std::vector<Entry> entries;
-    RefLru lru;
-};
-
 // --------------------------------------------------------------------
 // Lockstep drivers
 // --------------------------------------------------------------------
@@ -265,7 +154,6 @@ TEST(StructEquiv, LruVictimMatchesStampScan)
                 const size_t i = rng() % kPool;
                 real.touch(i);
                 ref.touch(i);
-                ASSERT_EQ(real.stamp(i), ref.stamp(i));
             }
         }
     }
@@ -313,89 +201,6 @@ TEST(StructEquiv, MdptAllocationMatchesLinearScans)
                 ASSERT_EQ(a.dist, b.dist) << "entry " << i;
                 ASSERT_EQ(a.storeTaskPc, b.storeTaskPc);
                 ASSERT_EQ(a.counter.value(), b.counter.value());
-            }
-        }
-    }
-}
-
-TEST(StructEquiv, MdstAllocationMatchesVictimScans)
-{
-    constexpr size_t kPool = 8;
-    for (uint64_t seed : {9u, 31u, 101u}) {
-        std::mt19937_64 rng(seed);
-        Mdst real(kPool);
-        RefMdst ref(kPool);
-        uint64_t stid = 0;
-        for (int op = 0; op < 20000; ++op) {
-            const Addr ldpc = 0x1000 + (rng() % 6) * 4;
-            const Addr stpc = 0x2000 + (rng() % 6) * 4;
-            const uint64_t instance = rng() % 5;
-            switch (rng() % 6) {
-              case 0:
-              case 1: {   // allocate (waiting or full)
-                  // Owners always probe before allocating; a second
-                  // live entry for the same (ldpc, stpc, instance)
-                  // never exists (it would shadow the first in the
-                  // key index), so the driver respects the protocol.
-                  if (ref.find(ldpc, stpc, instance) >= 0)
-                      break;
-                  const bool full = rng() % 2 == 0;
-                  const LoadId ldid =
-                      full ? kNoLoad
-                           : static_cast<LoadId>(rng() % 16);
-                  LoadId got_disp, want_disp;
-                  const uint32_t got = real.allocate(
-                      ldpc, stpc, instance, ldid, stid++, full,
-                      got_disp);
-                  const uint32_t want = ref.allocate(
-                      ldpc, stpc, instance, ldid, full, want_disp);
-                  ASSERT_EQ(got, want)
-                      << "seed " << seed << " op " << op;
-                  ASSERT_EQ(got_disp, want_disp);
-                  break;
-              }
-              case 2: {   // find
-                  ASSERT_EQ(real.find(ldpc, stpc, instance),
-                            ref.find(ldpc, stpc, instance))
-                      << "seed " << seed << " op " << op;
-                  break;
-              }
-              case 3: {   // signal a valid entry, if any matches
-                  const int idx = ref.find(ldpc, stpc, instance);
-                  if (idx >= 0) {
-                      real.signal(static_cast<uint32_t>(idx));
-                      ref.signal(static_cast<uint32_t>(idx));
-                  }
-                  break;
-              }
-              case 4: {   // free a valid entry, if any matches
-                  const int idx = ref.find(ldpc, stpc, instance);
-                  if (idx >= 0) {
-                      real.free(static_cast<uint32_t>(idx));
-                      ref.free(static_cast<uint32_t>(idx));
-                  }
-                  break;
-              }
-              default: {  // waitingFor probe
-                  const LoadId ldid = static_cast<LoadId>(rng() % 16);
-                  std::vector<uint32_t> got;
-                  real.waitingFor(ldid, got);
-                  ASSERT_EQ(got, ref.waitingFor(ldid))
-                      << "seed " << seed << " op " << op;
-                  break;
-              }
-            }
-            for (uint32_t i = 0; i < kPool; ++i) {
-                const Mdst::Entry &a = real.entry(i);
-                const RefMdst::Entry &b = ref.entry(i);
-                ASSERT_EQ(a.valid, b.valid) << "entry " << i;
-                if (!a.valid)
-                    continue;
-                ASSERT_EQ(a.ldpc, b.ldpc) << "entry " << i;
-                ASSERT_EQ(a.stpc, b.stpc) << "entry " << i;
-                ASSERT_EQ(a.instance, b.instance) << "entry " << i;
-                ASSERT_EQ(a.full, b.full) << "entry " << i;
-                ASSERT_EQ(a.ldid, b.ldid) << "entry " << i;
             }
         }
     }

@@ -292,17 +292,6 @@ TEST_P(SyncUnitTest, SignalBeforeArmedEntryStillRecorded)
     EXPECT_TRUE(r1.fullBypass);
 }
 
-TEST_P(SyncUnitTest, ResetRestoresColdState)
-{
-    auto u = make();
-    u->misSpeculation(kLd, kSt, 1, 0);
-    u->loadReady(kLd, kA, 3, 30, nullptr);
-    u->reset();
-    EXPECT_EQ(u->stats().loadChecks, 0u);
-    LoadCheck r = u->loadReady(kLd, kA, 3, 30, nullptr);
-    EXPECT_FALSE(r.predicted);
-}
-
 TEST_P(SyncUnitTest, StatsAreConsistent)
 {
     auto u = make();

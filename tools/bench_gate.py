@@ -15,7 +15,8 @@ from pathlib import Path
 MICRO_FLOOR_SECONDS = 1e-3
 
 # Kernels deleted with what they measured (tick loop, frontier on/off,
-# sharded ARB, AoS/SoA and sweep pairs): the only ones HEAD_DIR may lack.
+# sharded ARB, AoS/SoA and sweep pairs, indexed MDST): the only ones
+# HEAD_DIR may lack.
 RETIRED_MICRO_KERNELS = frozenset({
     "micro_ooo_skip_ff", "micro_ooo_skip_reference", "micro_ms_skip_ff",
     "micro_ms_skip_reference", "micro_chain_wake_frontier_1024",
@@ -24,6 +25,8 @@ RETIRED_MICRO_KERNELS = frozenset({
     "micro_scan_aos", "micro_scan_soa", "micro_wakeup_aos",
     "micro_wakeup_soa", "micro_probe_aos", "micro_probe_soa",
     "micro_sweep_sequential", "micro_sweep_lockstep",
+    "micro_mdst_alloc_free", "micro_mdst_forced_evict_1024",
+    "micro_mdst_full_scavenge", "micro_mdst_waiting_for",
 })
 
 
