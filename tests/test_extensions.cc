@@ -43,10 +43,10 @@ TEST(Distributed, MisSpeculationBroadcastsToAllCopies)
 {
     DistributedSyncUnit u(armedConfig(), 4);
     u.misSpeculation(kLd, kSt, 1, 0);
-    for (unsigned c = 0; c < 4; ++c)
+    for (unsigned c = 0; c < 4; ++c) {
         EXPECT_EQ(u.copy(c).predictionTable().occupancy(), 1u);
-    for (unsigned c = 0; c < 4; ++c)
         EXPECT_EQ(u.copy(c).stats().misSpecsRecorded, 1u);
+    }
 }
 
 TEST(Distributed, LoadUsesItsHomeCopyOnly)

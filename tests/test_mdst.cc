@@ -90,6 +90,8 @@ TEST(Mdst, WaitingFor)
     m.signal(full);   // no longer waiting
     std::vector<uint32_t> out;
     m.waitingFor(42, out);
+    EXPECT_EQ(out, (std::vector<uint32_t>{0u, 1u}));
+    m.waitingFor(43, out);   // appends nothing
     EXPECT_EQ(out.size(), 2u);
 }
 
@@ -103,37 +105,23 @@ TEST(Mdst, ReplacementFollowsAllocationOrder)
     EXPECT_EQ(m.allocate(0x10, 0x20, 0, 40, 0, false, d), 0u);
     EXPECT_EQ(m.allocate(0x11, 0x21, 1, kNoLoad, 1, true, d), 1u);
     EXPECT_EQ(m.allocate(0x12, 0x22, 2, 42, 0, false, d), 2u);
-    m.signal(2);
-    m.free(0);
-    EXPECT_EQ(m.allocate(0x13, 0x23, 3, 43, 0, false, d), 0u);
+    m.signal(0);
+    m.free(2);
+    EXPECT_EQ(m.allocate(0x13, 0x23, 3, 43, 0, false, d), 2u);
     EXPECT_EQ(d, kNoLoad);
-    // Entries 1 and 2 are full; 1 was allocated first.
-    EXPECT_EQ(m.allocate(0x14, 0x24, 4, 44, 0, false, d), 1u);
+    // Entries 0 and 1 are full; 0 was allocated first.
+    EXPECT_EQ(m.allocate(0x14, 0x24, 4, 44, 0, false, d), 0u);
     EXPECT_EQ(d, kNoLoad);
-    EXPECT_EQ(m.allocate(0x15, 0x25, 5, 45, 0, false, d), 2u);
+    EXPECT_EQ(m.allocate(0x15, 0x25, 5, 45, 0, false, d), 1u);
     EXPECT_EQ(d, kNoLoad);
-    // Every entry now waits; entry 0 (load 43) is the oldest.
-    EXPECT_EQ(m.allocate(0x16, 0x26, 6, 46, 0, false, d), 0u);
+    // Every entry now waits; entry 2 (load 43) is the oldest.
+    EXPECT_EQ(m.allocate(0x16, 0x26, 6, 46, 0, false, d), 2u);
     EXPECT_EQ(d, 43u);
-    EXPECT_EQ(m.allocate(0x17, 0x27, 7, 47, 0, false, d), 1u);
+    EXPECT_EQ(m.allocate(0x17, 0x27, 7, 47, 0, false, d), 0u);
     EXPECT_EQ(d, 44u);
     std::vector<uint32_t> out;
     m.waitingFor(45, out);
-    EXPECT_EQ(out, std::vector<uint32_t>{2u});
-}
-
-TEST(Mdst, WaitingForListsAscendingIndices)
-{
-    Mdst m(4);
-    LoadId d;
-    for (uint64_t inst = 0; inst < 4; ++inst)
-        m.allocate(0x10, 0x20, inst, inst % 2 ? 7 : 8, 0, false, d);
-    m.setLdid(3, 8);
-    std::vector<uint32_t> out;
-    m.waitingFor(8, out);
-    EXPECT_EQ(out, (std::vector<uint32_t>{0u, 2u, 3u}));
-    m.waitingFor(7, out);   // appends
-    EXPECT_EQ(out, (std::vector<uint32_t>{0u, 2u, 3u, 1u}));
+    EXPECT_EQ(out, std::vector<uint32_t>{1u});
 }
 
 TEST(Mdst, DistinctInstancesCoexist)
