@@ -1,14 +1,14 @@
 /**
  * @file
- * Deterministic drains for unordered associative containers.
+ * A deterministic drain for unordered associative containers.
  *
  * Hash-map iteration order is implementation-defined, so model and
  * stats code must never let it leak into simulation state, report
  * rows, or accumulation order (mdp_lint rule `ordered-scope`).
  * When a hash map is the right structure for the hot path, drain it
- * through these helpers at the (cold) read-out point: they copy the
- * elements and sort by key, giving every consumer a reproducible
- * order.  This header is the one audited place allowed to iterate
+ * through sortedByKey at the (cold) read-out point: it copies the
+ * elements and sorts them by key, giving every consumer a
+ * reproducible order.  This header is the one audited place allowed to iterate
  * unordered containers on the model side.
  */
 
@@ -39,23 +39,6 @@ sortedByKey(const Map &m)
                   return a.first < b.first;
               });
     return items;
-}
-
-/** Copy a set's (or map's) keys, sorted ascending. */
-template <class Set>
-std::vector<typename Set::key_type>
-sortedKeys(const Set &s)
-{
-    std::vector<typename Set::key_type> keys;
-    keys.reserve(s.size());
-    for (const auto &item : s) {
-        if constexpr (requires { item.first; })
-            keys.push_back(item.first);
-        else
-            keys.push_back(item);
-    }
-    std::sort(keys.begin(), keys.end());
-    return keys;
 }
 
 } // namespace mdp

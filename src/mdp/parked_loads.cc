@@ -1,7 +1,5 @@
 #include "mdp/parked_loads.hh"
 
-#include "base/ordered.hh"
-
 namespace mdp
 {
 
@@ -11,6 +9,7 @@ ParkedLoads::ParkedLoads(OpLanes &op_lanes, DepSynchronizer *sync_unit,
 {
     frontierList.reserve(window_cap);
     syncList.reserve(window_cap);
+    producerWaits.reserve(window_cap);
     wakeups.reserve(window_cap);
 }
 
@@ -35,7 +34,7 @@ ParkedLoads::park(SeqNum seq, const LoadDecision &d)
 
       case LoadAction::BlockProducer:
         lanes.set(seq, kBlockedProducer);
-        producerWaiters[d.producer].push_back(seq);
+        producerWaits.emplace_back(d.producer, seq);
         return true;
 
       case LoadAction::BlockSync:
@@ -60,14 +59,11 @@ ParkedLoads::squash(SeqNum from)
     std::erase_if(syncList, squashed);
     frontierMin = minOf(frontierList);
     syncMin = minOf(syncList);
-    // A producer is older than its loads, so a squashed producer's
-    // list empties here too.
-    for (SeqNum p : sortedKeys(producerWaiters)) {
-        auto it = producerWaiters.find(p);
-        std::erase_if(it->second, squashed);
-        if (it->second.empty())
-            producerWaiters.erase(it);
-    }
+    // A producer is older than its loads, so this drops every wait on
+    // a squashed producer too.
+    std::erase_if(producerWaits, [from](const auto &w) {
+        return w.second >= from;
+    });
     dirty = true;
 
     if (unit)

@@ -27,7 +27,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "base/soa_lanes.hh"
@@ -142,10 +142,9 @@ class ParkedLoads
     SeqNum frontierMin = kNoSeq;
     SeqNum syncMin = kNoSeq;
 
-    // Hash map plus sorted drain: squash visits keys in SeqNum order
-    // via sortedKeys() so the walk never depends on the hash layout;
-    // all other accesses are point lookups.
-    std::unordered_map<SeqNum, std::vector<SeqNum>> producerWaiters;
+    /** BlockProducer waits as (producer, load) pairs in park order;
+     *  a store releases its loads in that order. */
+    std::vector<std::pair<SeqNum, SeqNum>> producerWaits;
 
     /** Scratch for the synchronizer's storeReady / drain output. */
     std::vector<LoadId> wakeups;
@@ -156,16 +155,15 @@ void
 ParkedLoads::storeExecuted(Addr stpc, Addr addr, uint64_t instance,
                            SeqNum seq, Released &&released)
 {
-    auto it = producerWaiters.find(seq);
-    if (it != producerWaiters.end()) {
-        for (SeqNum l : it->second) {
-            if (lanes.test(l, kBlockedProducer)) {
-                lanes.clear(l, kBlockedProducer);
-                released(l, LoadRelease::Producer);
-            }
+    std::erase_if(producerWaits, [&](const auto &w) {
+        if (w.first != seq)
+            return false;
+        if (lanes.test(w.second, kBlockedProducer)) {
+            lanes.clear(w.second, kBlockedProducer);
+            released(w.second, LoadRelease::Producer);
         }
-        producerWaiters.erase(it);
-    }
+        return true;
+    });
 
     if (!unit)
         return;

@@ -1,9 +1,41 @@
 #include "multiscalar/arb.hh"
 
-#include <algorithm>
-
 namespace mdp
 {
+
+void
+Arb::push(uint32_t &head, SeqNum seq, SeqNum version, uint32_t task)
+{
+    uint32_t i = freeNodes;
+    if (i != kNil) {
+        freeNodes = pool[i].next;
+        pool[i] = Node{seq, version, task, head};
+    } else {
+        i = static_cast<uint32_t>(pool.size());
+        pool.push_back(Node{seq, version, task, head});
+    }
+    head = i;
+}
+
+size_t
+Arb::unlink(uint32_t &head, SeqNum seq)
+{
+    size_t removed = 0;
+    uint32_t *link = &head;
+    while (*link != kNil) {
+        const uint32_t i = *link;
+        Node &n = pool[i];
+        if (n.seq != seq) {
+            link = &n.next;
+            continue;
+        }
+        *link = n.next;
+        n.next = freeNodes;
+        freeNodes = i;
+        ++removed;
+    }
+    return removed;
+}
 
 SeqNum
 Arb::loadExecuted(Addr addr, SeqNum load, uint32_t load_task)
@@ -12,102 +44,85 @@ Arb::loadExecuted(Addr addr, SeqNum load, uint32_t load_task)
     if (const SeqNum *cv = committedVersion.find(addr))
         version = *cv;
 
-    if (const auto *stores = inflightStores.find(addr)) {
-        // Newest in-flight store older than the load; it supersedes
-        // the committed version when younger.
-        for (SeqNum s : *stores)
-            if (s < load && (version == kNoSeq || s > version))
-                version = s;
+    // Newest in-flight store older than the load; it supersedes the
+    // committed version when younger.
+    Line &line = lines[addr];
+    for (uint32_t i = line.stores; i != kNil; i = pool[i].next) {
+        const SeqNum s = pool[i].seq;
+        if (s < load && (version == kNoSeq || s > version))
+            version = s;
     }
 
-    LoadLanes &lanes = loads[addr];
-    if (lanes.seq.capacity() == 0 && !laneFreelist.empty()) {
-        lanes = std::move(laneFreelist.back());
-        laneFreelist.pop_back();
-    }
-    lanes.push(load, version, load_task);
+    push(line.loads, load, version, load_task);
     ++numTrackedLoads;
     return version;
 }
 
 SeqNum
-Arb::findViolator(Addr addr, SeqNum store, uint32_t store_task) const
+Arb::violatorOn(const Line &line, SeqNum store, uint32_t store_task) const
 {
-    const auto *les = loads.find(addr);
-    if (!les)
-        return kNoSeq;
     // The earliest later-task load that read a version older than this
     // store (or memory before any store).
     SeqNum violator = kNoSeq;
-    for (size_t i = 0; i < les->size(); ++i) {
-        if (les->seq[i] > store && les->task[i] > store_task &&
-            (les->version[i] == kNoSeq || les->version[i] < store) &&
-            les->seq[i] < violator)
-            violator = les->seq[i];
+    for (uint32_t i = line.loads; i != kNil; i = pool[i].next) {
+        const Node &n = pool[i];
+        if (n.seq > store && n.task > store_task &&
+            (n.version == kNoSeq || n.version < store) && n.seq < violator)
+            violator = n.seq;
     }
     return violator;
 }
 
 SeqNum
+Arb::findViolator(Addr addr, SeqNum store, uint32_t store_task) const
+{
+    const Line *line = lines.find(addr);
+    return line ? violatorOn(*line, store, store_task) : kNoSeq;
+}
+
+SeqNum
 Arb::storeExecuted(Addr addr, SeqNum store, uint32_t store_task)
 {
-    SeqNum violator = findViolator(addr, store, store_task);
-    inflightStores[addr].push_back(store);
+    Line &line = lines[addr];
+    SeqNum violator = violatorOn(line, store, store_task);
+    push(line.stores, store, kNoSeq, 0);
     return violator;
 }
 
 void
 Arb::refreshLoadVersion(Addr addr, SeqNum load, SeqNum version)
 {
-    auto *les = loads.find(addr);
-    if (!les)
+    Line *line = lines.find(addr);
+    if (!line)
         return;
-    for (size_t i = 0; i < les->size(); ++i) {
-        if (les->seq[i] == load &&
-            (les->version[i] == kNoSeq || les->version[i] < version)) {
-            les->version[i] = version;
-        }
+    for (uint32_t i = line->loads; i != kNil; i = pool[i].next) {
+        Node &n = pool[i];
+        if (n.seq == load && (n.version == kNoSeq || n.version < version))
+            n.version = version;
     }
 }
-
-namespace
-{
-
-template <typename T, typename Pred>
-void
-eraseIf(std::vector<T> &v, Pred pred)
-{
-    v.erase(std::remove_if(v.begin(), v.end(), pred), v.end());
-}
-
-} // namespace
 
 void
 Arb::commitLoad(Addr addr, SeqNum load)
 {
-    auto *les = loads.find(addr);
-    if (!les)
+    Line *line = lines.find(addr);
+    if (!line)
         return;
-    size_t removed = 0;
-    les->eraseSeq(load, removed);
-    numTrackedLoads -= removed;
-    if (les->empty()) {
-        laneFreelist.push_back(std::move(*les));
-        loads.erase(addr);
-    }
+    numTrackedLoads -= unlink(line->loads, load);
+    if (line->empty())
+        lines.erase(addr);
 }
 
 void
 Arb::commitStore(Addr addr, SeqNum store)
 {
-    if (auto *stores = inflightStores.find(addr)) {
-        eraseIf(*stores, [store](SeqNum s) { return s == store; });
-        if (stores->empty())
-            inflightStores.erase(addr);
-    }
-    const SeqNum *cv = committedVersion.find(addr);
-    if (!cv || *cv == kNoSeq || *cv < store)
+    removeStore(addr, store);
+    if (SeqNum *cv = committedVersion.find(addr)) {
+        if (*cv == kNoSeq || *cv < store)
+            *cv = store;
+    } else {
         committedVersion[addr] = store;
+    }
 }
 
 void
@@ -119,12 +134,12 @@ Arb::removeLoad(Addr addr, SeqNum load)
 void
 Arb::removeStore(Addr addr, SeqNum store)
 {
-    auto *stores = inflightStores.find(addr);
-    if (!stores)
+    Line *line = lines.find(addr);
+    if (!line)
         return;
-    eraseIf(*stores, [store](SeqNum s) { return s == store; });
-    if (stores->empty())
-        inflightStores.erase(addr);
+    unlink(line->stores, store);
+    if (line->empty())
+        lines.erase(addr);
 }
 
 } // namespace mdp

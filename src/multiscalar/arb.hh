@@ -24,6 +24,8 @@ namespace mdp
  *
  * The owner calls loadExecuted()/storeExecuted() at execution,
  * commit*() at task commit, and remove*() for squashed operations.
+ * Once the node pool and the line table have grown to the window, the
+ * only allocations left are the committed-version table's doublings.
  */
 class Arb
 {
@@ -74,66 +76,51 @@ class Arb
     size_t trackedLoads() const { return numTrackedLoads; }
 
   private:
-    /**
-     * Per-address executed-load records in SoA form: three parallel
-     * lanes (sequence number, observed version, owning task), so the
-     * violation probe scans packed 32-bit lanes instead of striding
-     * over 12-byte records.
-     */
-    struct LoadLanes
+    static constexpr uint32_t kNil = UINT32_MAX;
+
+    /** One record on an address's list: an executed load (its seq,
+     *  the version it observed and its task) or an in-flight store
+     *  (seq only).  Nodes live in one pool and chain by index. */
+    struct Node
     {
-        std::vector<SeqNum> seq;
-        std::vector<SeqNum> version;
-        std::vector<uint32_t> task;
-
-        size_t size() const { return seq.size(); }
-        bool empty() const { return seq.empty(); }
-
-        void
-        push(SeqNum s, SeqNum v, uint32_t t)
-        {
-            seq.push_back(s);
-            version.push_back(v);
-            task.push_back(t);
-        }
-
-        /** Drop every record whose seq matches, keeping lane order. */
-        void
-        eraseSeq(SeqNum s, size_t &removed)
-        {
-            size_t w = 0;
-            for (size_t r = 0; r < seq.size(); ++r) {
-                if (seq[r] == s)
-                    continue;
-                seq[w] = seq[r];
-                version[w] = version[r];
-                task[w] = task[r];
-                ++w;
-            }
-            removed = seq.size() - w;
-            seq.resize(w);
-            version.resize(w);
-            task.resize(w);
-        }
+        SeqNum seq;
+        SeqNum version;
+        uint32_t task;
+        uint32_t next;
     };
 
-    // The committedVersion lookup alone is ~10% of a fig5 sweep's
-    // profile; none of these maps is ever iterated, so the flat
-    // open-addressed table is safe (and FlatHashMap could not leak
-    // an order anyway -- it has no iteration API).
-    FlatHashMap<Addr, LoadLanes> loads;
-    FlatHashMap<Addr, std::vector<SeqNum>> inflightStores;
-    FlatHashMap<Addr, SeqNum> committedVersion;
-    size_t numTrackedLoads = 0;
+    /** Heads of one address's executed-load and in-flight-store
+     *  lists.  List order carries no meaning: every query is a
+     *  minimum, a maximum or a match over the whole list. */
+    struct Line
+    {
+        uint32_t loads = kNil;
+        uint32_t stores = kNil;
 
-    /** Emptied per-address lane triples, retained for their vector
-     *  capacity.  Per-address load sets empty and refill constantly
-     *  (loads commit fast), and without recycling every refill costs
-     *  three fresh allocations; the freelist keeps the `loads` table
-     *  small (entries still erase on empty) without the malloc
-     *  round-trip.  Never affects results -- recycled lanes are
-     *  empty, only their capacity differs. */
-    std::vector<LoadLanes> laneFreelist;
+        bool empty() const { return loads == kNil && stores == kNil; }
+    };
+
+    /** Push a node onto the list at @p head, reusing a freed one. */
+    void push(uint32_t &head, SeqNum seq, SeqNum version, uint32_t task);
+    /** Free every node of the list at @p head whose seq is @p seq.
+     *  @return how many were freed. */
+    size_t unlink(uint32_t &head, SeqNum seq);
+    /** findViolator() over one line's loads. */
+    SeqNum violatorOn(const Line &line, SeqNum store,
+                      uint32_t store_task) const;
+
+    // None of these tables is ever iterated, so the flat
+    // open-addressed table is safe (FlatHashMap could not leak an
+    // order anyway -- it has no iteration API).  A line lives only
+    // while the address has an executed load or an in-flight store,
+    // so `lines` stays window-sized.  committedVersion grows with the
+    // footprint; kept apart, it leaves the table that every execute,
+    // commit and squash probes small.
+    FlatHashMap<Addr, Line> lines;
+    FlatHashMap<Addr, SeqNum> committedVersion;
+    std::vector<Node> pool;
+    uint32_t freeNodes = kNil;   ///< free list through Node::next
+    size_t numTrackedLoads = 0;
 };
 
 } // namespace mdp

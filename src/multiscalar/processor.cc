@@ -55,12 +55,18 @@ MultiscalarProcessor::MultiscalarProcessor(const TraceView &trace,
     dueBuf.reserve(cfg.numStages);
 
     // Consumer CSR: reverse src1/src2 edges, so a producer's issue
-    // reaches exactly the ops whose readiness it advances.
+    // reaches exactly the ops whose readiness it advances.  A source
+    // that does not precede its consumer (a hostile trace file) would
+    // index past the table.
     consStart.assign(trc.size() + 1, 0);
     for (SeqNum s = 0; s < trc.size(); ++s) {
         for (SeqNum src : {trc.src1(s), trc.src2(s)}) {
-            if (src != kNoSeq)
-                ++consStart[src + 1];
+            if (src == kNoSeq)
+                continue;
+            if (src >= s)
+                mdp_fatal("source %u does not precede consumer at seq %u",
+                          src, s);
+            ++consStart[src + 1];
         }
     }
     for (size_t i = 1; i < consStart.size(); ++i)

@@ -27,8 +27,7 @@ OooProcessor::OooProcessor(const TraceView &trace,
                            const DepOracle &dep_oracle,
                            const OooConfig &config)
     : trc(trace), oracle(dep_oracle), cfg(validatedConfig(config)),
-      state(trace.size()), instanceOf(trace.size(), 0),
-      policy(makeDependencePolicy(cfg.policyName)),
+      state(trace.size()), policy(makeDependencePolicy(cfg.policyName)),
       sync(policy->needsSynchronizer()
                ? policy->makeSyncUnit(cfg.sync, cfg.organization,
                                       ModelKind::Superscalar, 0)
@@ -40,7 +39,11 @@ OooProcessor::OooProcessor(const TraceView &trace,
 {
     // Number dynamic instances per static PC (paper footnote 2).  A
     // precomputed numbering behaves like checkpointed counters: squash
-    // and re-execution see the same instance number.
+    // and re-execution see the same instance number.  Only the
+    // synchronizer reads it.
+    if (!sync)
+        return;
+    instanceOf.assign(trc.size(), 0);
     FlatHashMap<Addr, uint32_t> counters;
     counters.reserve(1 + (oracle.loads().size() + oracle.stores().size()) / 8);
     for (SeqNum s = 0; s < trc.size(); ++s) {
@@ -189,7 +192,8 @@ OooProcessor::executeStore(SeqNum seq)
 
     // A signal-woken load re-checks at issue and consumes the kept
     // full flag, so it needs no bypass flag.
-    parked.storeExecuted(trc.pc(seq), addr, instanceOf[seq], seq,
+    parked.storeExecuted(trc.pc(seq), addr, sync ? instanceOf[seq] : 0,
+                         seq,
                          [this](SeqNum, LoadRelease why) {
                              loadReleased(why);
                          });
@@ -221,7 +225,10 @@ OooProcessor::handleViolation(SeqNum load)
         }
     }
 
-    // Squash from the offending load onward.
+    // Squash from the offending load onward.  (The violating store
+    // issued in this cycle's scan, so issueBase is already at or
+    // before it; the pull-back keeps the invariant on its own.)
+    issueBase = std::min(issueBase, load);
     for (SeqNum s = load; s < fetchPtr; ++s) {
         if (state.test(s, kIssued)) {
             ++res.squashedOps;
@@ -308,12 +315,15 @@ OooProcessor::run()
         unsigned mem_ports = cfg.memPorts;
         unsigned issued = 0;
 
-        // Visit the window in program order, hopping over issued and
-        // blocked ops.  Flag updates land in place, so the pinned-base
-        // view stays valid across the loop body.
+        // Visit the window in program order from its first unissued
+        // op, hopping over issued and blocked ops.  Flag updates land
+        // in place, so the pinned-base view stays valid across the
+        // loop body.
         const OpLanes::FlagsView fv = state.flagsView();
+        issueBase = static_cast<SeqNum>(
+            fv.nextClear(std::max(issueBase, head), fetchPtr, kIssued));
         for (SeqNum s = static_cast<SeqNum>(
-                 fv.nextClear(head, fetchPtr, kNotIssuable));
+                 fv.nextClear(issueBase, fetchPtr, kNotIssuable));
              s < fetchPtr && issued < cfg.issueWidth;
              s = static_cast<SeqNum>(
                  fv.nextClear(s + 1, fetchPtr, kNotIssuable))) {

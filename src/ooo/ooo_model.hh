@@ -163,7 +163,8 @@ class OooProcessor
 
     /** Per-op completion-time and status lanes (SoA). */
     OpLanes state;
-    /** Per-PC instance number of each memory op (precomputed). */
+    /** Per-PC instance number of each memory op (precomputed; empty
+     *  without a synchronizer, the only reader). */
     std::vector<uint32_t> instanceOf;
 
     Arb arb;
@@ -172,6 +173,10 @@ class OooProcessor
 
     SeqNum head = 0;      ///< oldest uncommitted op
     SeqNum fetchPtr = 0;  ///< next op to enter the window
+    /** Where the issue scan starts: no op in [head, issueBase) is
+     *  unissued.  Advanced lazily by the scan; a squash pulls it
+     *  back. */
+    SeqNum issueBase = 0;
     uint64_t resumeCycle = 0;
     uint64_t cycle = 0;
 

@@ -6,6 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <map>
+#include <vector>
+
+#include "base/random.hh"
 #include "multiscalar/arb.hh"
 #include "multiscalar/memsys.hh"
 
@@ -112,6 +118,156 @@ TEST(Arb, RemoveLoadAndStoreForSquash)
     arb.removeStore(0x100, 10);
     SeqNum version = arb.loadExecuted(0x100, 30, 3);
     EXPECT_EQ(version, kNoSeq);   // the store is gone
+}
+
+/** The ARB as flat vector scans: one record per executed load or
+ *  in-flight store, every query a full pass. */
+class NaiveArb
+{
+  public:
+    struct Rec
+    {
+        Addr addr;
+        SeqNum seq;
+        SeqNum version;
+        uint32_t task;
+    };
+
+    std::vector<Rec> loads;
+    std::vector<Rec> stores;
+    std::map<Addr, SeqNum> committed;
+
+    SeqNum
+    loadExecuted(Addr addr, SeqNum load, uint32_t task)
+    {
+        auto cv = committed.find(addr);
+        SeqNum version = cv == committed.end() ? kNoSeq : cv->second;
+        for (const Rec &r : stores)
+            if (r.addr == addr && r.seq < load &&
+                (version == kNoSeq || r.seq > version))
+                version = r.seq;
+        loads.push_back({addr, load, version, task});
+        return version;
+    }
+
+    SeqNum
+    findViolator(Addr addr, SeqNum store, uint32_t task) const
+    {
+        SeqNum violator = kNoSeq;
+        for (const Rec &r : loads)
+            if (r.addr == addr && r.seq > store && r.task > task &&
+                (r.version == kNoSeq || r.version < store))
+                violator = std::min(violator, r.seq);
+        return violator;
+    }
+
+    SeqNum
+    storeExecuted(Addr addr, SeqNum store, uint32_t task)
+    {
+        SeqNum violator = findViolator(addr, store, task);
+        stores.push_back({addr, store, kNoSeq, task});
+        return violator;
+    }
+
+    void
+    refreshLoadVersion(Addr addr, SeqNum load, SeqNum version)
+    {
+        for (Rec &r : loads)
+            if (r.addr == addr && r.seq == load &&
+                (r.version == kNoSeq || r.version < version))
+                r.version = version;
+    }
+
+    void
+    removeLoad(Addr addr, SeqNum load)
+    {
+        std::erase_if(loads, [&](const Rec &r) {
+            return r.addr == addr && r.seq == load;
+        });
+    }
+
+    void
+    removeStore(Addr addr, SeqNum store)
+    {
+        std::erase_if(stores, [&](const Rec &r) {
+            return r.addr == addr && r.seq == store;
+        });
+    }
+
+    void
+    commitStore(Addr addr, SeqNum store)
+    {
+        removeStore(addr, store);
+        auto cv = committed.find(addr);
+        if (cv == committed.end() || cv->second < store)
+            committed[addr] = store;
+    }
+};
+
+TEST(Arb, RandomizedAgainstNaiveReference)
+{
+    for (uint64_t seed = 1; seed <= 100; ++seed) {
+        Pcg32 rng(seed);
+        Arb arb;
+        NaiveArb ref;
+        for (int step = 0; step < 600; ++step) {
+            SCOPED_TRACE(::testing::Message() << "seed " << seed
+                                              << " step " << step);
+            const Addr addr = 0x100 + 8 * rng.below(4);
+            const SeqNum seq = rng.below(64);
+            const uint32_t task = seq / 8;
+            // Most commits, removals and refreshes name a tracked
+            // record, as the models' do; the rest probe misses.
+            NaiveArb::Rec l{addr, seq, 0, task};
+            if (rng.below(4) != 0 && !ref.loads.empty())
+                l = ref.loads[rng.below(ref.loads.size())];
+            NaiveArb::Rec st{addr, seq, 0, task};
+            if (rng.below(4) != 0 && !ref.stores.empty())
+                st = ref.stores[rng.below(ref.stores.size())];
+            switch (rng.below(9)) {
+              case 0:
+                ASSERT_EQ(arb.loadExecuted(addr, seq, task),
+                          ref.loadExecuted(addr, seq, task));
+                break;
+              case 1:
+                // The same load executed again before it is removed.
+                ASSERT_EQ(arb.loadExecuted(l.addr, l.seq, l.task),
+                          ref.loadExecuted(l.addr, l.seq, l.task));
+                break;
+              case 2:
+                ASSERT_EQ(arb.storeExecuted(addr, seq, task),
+                          ref.storeExecuted(addr, seq, task));
+                break;
+              case 3:
+                ASSERT_EQ(arb.findViolator(addr, seq, task),
+                          ref.findViolator(addr, seq, task));
+                break;
+              case 4: {
+                const SeqNum version = rng.below(64);
+                arb.refreshLoadVersion(l.addr, l.seq, version);
+                ref.refreshLoadVersion(l.addr, l.seq, version);
+                break;
+              }
+              case 5:
+                arb.commitLoad(l.addr, l.seq);
+                ref.removeLoad(l.addr, l.seq);
+                break;
+              case 6:
+                arb.removeLoad(l.addr, l.seq);
+                ref.removeLoad(l.addr, l.seq);
+                break;
+              case 7:
+                arb.commitStore(st.addr, st.seq);
+                ref.commitStore(st.addr, st.seq);
+                break;
+              default:
+                arb.removeStore(st.addr, st.seq);
+                ref.removeStore(st.addr, st.seq);
+                break;
+            }
+            ASSERT_EQ(arb.trackedLoads(), ref.loads.size());
+        }
+    }
 }
 
 // --------------------------------------------------------------------

@@ -45,6 +45,28 @@ runPolicy(const Trace &t, const std::string &policy, unsigned stages = 4)
     return runMultiscalar(ctx, cfg);
 }
 
+TEST(MultiscalarDeath, SourcePastTheTraceFailsFast)
+{
+    // A trace that skipped validation (a cache entry is only
+    // checksummed) names a source past its end; the consumer table
+    // must refuse it instead of writing out of bounds.
+    MicroOp first;
+    first.kind = OpKind::IntAlu;
+    first.pc = 0x10;
+    MicroOp second = first;
+    second.pc = 0x14;
+    second.src1 = 100;
+    Trace t("forged");
+    t.append(first);
+    t.append(second);
+    DepOracle oracle(t);
+    TaskSet tasks(t);
+    MultiscalarConfig cfg;
+    EXPECT_EXIT(MultiscalarProcessor(t, oracle, tasks, cfg),
+                testing::ExitedWithCode(1),
+                "source 100 does not precede consumer at seq 1");
+}
+
 TEST(Multiscalar, CompletesAndCommitsEverything)
 {
     Trace t = racyTrace();

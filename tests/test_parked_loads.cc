@@ -197,9 +197,15 @@ class NaiveParkedLoads
     std::vector<std::pair<SeqNum, SeqNum>> producer;  ///< (store, load)
 };
 
-/** One seeded run: @p steps random events over @p n ops. */
+/**
+ * One seeded run: @p steps random events over @p n ops.  With
+ * @p producers non-zero, every BlockProducer wait names one of the
+ * stores 0 .. producers-1, so several loads share a store and
+ * squashes land between parks on it.
+ */
 void
-runRandomSequence(uint64_t seed, SeqNum n, int steps)
+runRandomSequence(uint64_t seed, SeqNum n, int steps,
+                  SeqNum producers = 0)
 {
     Pcg32 rng(seed);
     OpLanes lanes(n);
@@ -236,9 +242,10 @@ runRandomSequence(uint64_t seed, SeqNum n, int steps)
                     continue;
                 d = decide(LoadAction::BlockFrontier);
             } else if (how == 1) {
-                if (seq == 0)
+                const SeqNum pool = producers ? producers : seq;
+                if (seq < pool || pool == 0)
                     continue;
-                d = decide(LoadAction::BlockProducer, rng.below(seq));
+                d = decide(LoadAction::BlockProducer, rng.below(pool));
             } else {
                 d = decide(LoadAction::BlockSync);
             }
@@ -246,7 +253,8 @@ runRandomSequence(uint64_t seed, SeqNum n, int steps)
             ref.park(seq, d);
             waited[seq] = true;
         } else if (kind < 6) {
-            SeqNum store = static_cast<SeqNum>(rng.below(n));
+            SeqNum store = static_cast<SeqNum>(
+                rng.below(producers ? producers : n));
             std::vector<LoadId> wake;
             for (uint32_t k = rng.below(4); k > 0; --k)
                 wake.push_back(rng.below(n));
@@ -295,6 +303,56 @@ TEST(ParkedLoads, RandomSequencesMatchUngatedReference)
 {
     for (uint64_t seed = 1; seed <= 200; ++seed)
         runRandomSequence(seed, 48, 400);
+}
+
+TEST(ParkedLoads, SharedProducerSequencesMatchReference)
+{
+    for (uint64_t seed = 1; seed <= 200; ++seed)
+        runRandomSequence(seed, 24, 300, 2);
+}
+
+TEST(ParkedLoads, StoreReleasesItsLoadsInParkOrder)
+{
+    OpLanes lanes(16);
+    ParkedLoads parked(lanes, nullptr, 16);
+    std::vector<Release> got;
+    auto record = [&](SeqNum s, LoadRelease why) {
+        got.push_back({s, why});
+    };
+
+    // Several loads on store 2, out of seq order, and one on store 3.
+    ASSERT_TRUE(parked.park(11, decide(LoadAction::BlockProducer, 2)));
+    ASSERT_TRUE(parked.park(8, decide(LoadAction::BlockProducer, 2)));
+    ASSERT_TRUE(parked.park(9, decide(LoadAction::BlockProducer, 3)));
+    ASSERT_TRUE(parked.park(7, decide(LoadAction::BlockProducer, 2)));
+
+    // Squash from 9 between parks: 9 and 11 lose their waits.  11
+    // re-parks on the same store, 9 on the other one.
+    for (SeqNum s = 9; s < 16; ++s)
+        lanes.resetOp(s);
+    parked.squash(9);
+    ASSERT_TRUE(parked.park(9, decide(LoadAction::BlockProducer, 2)));
+    ASSERT_TRUE(parked.park(11, decide(LoadAction::BlockProducer, 2)));
+
+    // Store 3's only wait was squashed: nothing releases.
+    parked.storeExecuted(0x40, 0x1000, 0, 3, record);
+    EXPECT_TRUE(got.empty());
+    EXPECT_TRUE(lanes.test(9, ParkedLoads::kBlockedProducer));
+
+    // Store 2 releases in park order; the squashed first park of 11
+    // left no place in it.
+    parked.storeExecuted(0x40, 0x1000, 0, 2, record);
+    EXPECT_EQ(got, (std::vector<Release>{{8, LoadRelease::Producer},
+                                         {7, LoadRelease::Producer},
+                                         {9, LoadRelease::Producer},
+                                         {11, LoadRelease::Producer}}));
+    for (SeqNum s : {7u, 8u, 9u, 11u})
+        EXPECT_FALSE(lanes.test(s, ParkedLoads::kBlocked)) << s;
+
+    // Every wait on store 2 is gone: it releases nothing again.
+    ASSERT_TRUE(parked.park(12, decide(LoadAction::BlockProducer, 3)));
+    parked.storeExecuted(0x40, 0x1000, 0, 2, record);
+    EXPECT_EQ(got.size(), 4u);
 }
 
 TEST(ParkedLoads, IssueDecisionsDoNotPark)
