@@ -110,13 +110,14 @@ analyzeStaticEdges(const WorkloadContext &ctx, uint64_t min_count)
 
     const TraceView &t = ctx.trace();
     const DepOracle &o = ctx.oracle();
-    for (SeqNum l : o.loads()) {
-        if (!o.interTask(l))
+    for (size_t i = 0; i < o.loads().size(); ++i) {
+        const SeqNum l = o.loads()[i];
+        const SeqNum p = o.producers()[i];
+        if (p == kNoSeq || t.taskId(p) == t.taskId(l))
             continue;
-        SeqNum p = o.producer(l);
         Info &info = edges[{t.pc(l), t.pc(p)}];
         ++info.count;
-        ++info.dists[o.taskDistance(l)];
+        ++info.dists[t.taskId(l) - t.taskId(p)];
         ++info.taskPcs[t.taskPc(p)];
     }
 

@@ -62,7 +62,19 @@ void
 CombinedSyncUnit::attach(uint32_t entry_idx, Slot &slot, LoadId ldid)
 {
     slot.ldid = ldid;
-    Pending &p = pending[ldid];
+    const uint32_t *rec = pending.find(ldid);
+    if (!rec) {
+        uint32_t fresh;
+        if (freeRecords.empty()) {
+            fresh = static_cast<uint32_t>(pendingPool.size());
+            pendingPool.emplace_back();
+        } else {
+            fresh = freeRecords.back();
+            freeRecords.pop_back();
+        }
+        rec = &(pending[ldid] = fresh);
+    }
+    Pending &p = pendingPool[*rec];
     ++p.count;
     p.entries.push_back(entry_idx);
 }
@@ -72,14 +84,24 @@ CombinedSyncUnit::detach(Slot &slot)
 {
     if (slot.ldid == kNoLoad)
         return;
-    auto it = pending.find(slot.ldid);
-    if (it != pending.end()) {
-        if (it->second.count <= 1)
-            pending.erase(it);
+    if (const uint32_t *rec = pending.find(slot.ldid)) {
+        Pending &p = pendingPool[*rec];
+        if (p.count <= 1)
+            freePending(slot.ldid, *rec);
         else
-            --it->second.count;
+            --p.count;
     }
     slot.ldid = kNoLoad;
+}
+
+void
+CombinedSyncUnit::freePending(LoadId ldid, uint32_t rec)
+{
+    Pending &p = pendingPool[rec];
+    p.count = 0;
+    p.entries.clear();
+    freeRecords.push_back(rec);
+    pending.erase(ldid);
 }
 
 void
@@ -197,7 +219,7 @@ CombinedSyncUnit::storeReady(Addr stpc, Addr addr, uint64_t instance,
             ++st.signalsDelivered;
             // The sync avoided a likely mis-speculation.
             mdpt.strengthen(idx);
-            if (waiting != kNoLoad && !pending.count(waiting))
+            if (waiting != kNoLoad && !pending.contains(waiting))
                 wakeups.push_back(waiting);
         } else if (s) {
             // Duplicate signal for the same instance; refresh.
@@ -233,12 +255,13 @@ CombinedSyncUnit::misSpeculation(Addr ldpc, Addr stpc, uint32_t dist,
 void
 CombinedSyncUnit::frontierRelease(LoadId ldid)
 {
-    auto it = pending.find(ldid);
-    if (it == pending.end())
+    const uint32_t *rec = pending.find(ldid);
+    if (!rec)
         return;
     // Visit only the entries this load ever attached to, ascending and
     // deduplicated -- the same order the full-table scan released in.
-    entryBuf = std::move(it->second.entries);
+    // The swap hands the record entryBuf's spare capacity.
+    entryBuf.swap(pendingPool[*rec].entries);
     std::sort(entryBuf.begin(), entryBuf.end());
     entryBuf.erase(std::unique(entryBuf.begin(), entryBuf.end()),
                    entryBuf.end());
@@ -256,7 +279,8 @@ CombinedSyncUnit::frontierRelease(LoadId ldid)
         }
     }
     entryBuf.clear();
-    pending.erase(ldid);
+    if (const uint32_t *left = pending.find(ldid))
+        freePending(ldid, *left);
 }
 
 void

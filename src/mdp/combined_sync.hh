@@ -10,9 +10,9 @@
 #ifndef MDP_MDP_COMBINED_SYNC_HH
 #define MDP_MDP_COMBINED_SYNC_HH
 
-#include <unordered_map>
 #include <vector>
 
+#include "base/flat_hash.hh"
 #include "mdp/mdpt.hh"
 #include "mdp/sync_unit.hh"
 
@@ -66,7 +66,10 @@ class CombinedSyncUnit : public DepSynchronizer
 
     /** Per waiting load: slot count plus the entries holding them.
      *  `entries` may carry stale or duplicate indices (detach does not
-     *  prune it); frontierRelease sorts, dedupes and re-checks. */
+     *  prune it); frontierRelease sorts, dedupes and re-checks.  The
+     *  records are pooled, and a freed one keeps its vector's
+     *  capacity, so a wait allocates nothing once the pool has grown
+     *  to the peak number of waiting loads. */
     struct Pending
     {
         uint32_t count = 0;
@@ -84,6 +87,9 @@ class CombinedSyncUnit : public DepSynchronizer
     /** Detach a waiting load from a slot (no wakeup bookkeeping). */
     void detach(Slot &slot);
 
+    /** Stop tracking waiting load @p ldid held in record @p rec. */
+    void freePending(LoadId ldid, uint32_t rec);
+
     /** Invalidate a slot, keeping the row's valid count coherent. */
     void invalidateSlot(uint32_t entry_idx, Slot &slot);
 
@@ -94,7 +100,10 @@ class CombinedSyncUnit : public DepSynchronizer
     Mdpt mdpt;
     std::vector<std::vector<Slot>> slots;   ///< parallel to MDPT entries
     std::vector<uint32_t> rowValid;         ///< valid slots per entry
-    std::unordered_map<LoadId, Pending> pending;
+    /** Waiting load -> its record in pendingPool. */
+    FlatHashMap<LoadId, uint32_t> pending;
+    std::vector<Pending> pendingPool;
+    std::vector<uint32_t> freeRecords;
     std::vector<LoadId> releasedQueue;
     std::vector<uint32_t> matchBuf;
     std::vector<uint32_t> entryBuf;

@@ -54,6 +54,17 @@ MultiscalarProcessor::MultiscalarProcessor(const TraceView &trace,
     }
     dueBuf.reserve(cfg.numStages);
 
+    // Each task's memory ops are a run of the oracle's lists; a task
+    // set built over another trace would index past them.
+    const uint32_t nt = tasks.numTasks();
+    if (tasks.loadOffset(nt) != oracle.loads().size() ||
+        tasks.storeOffset(nt) != oracle.stores().size()) {
+        mdp_fatal("task set counts %u loads and %u stores, the oracle "
+                  "%zu and %zu",
+                  tasks.loadOffset(nt), tasks.storeOffset(nt),
+                  oracle.loads().size(), oracle.stores().size());
+    }
+
     // Consumer CSR: reverse src1/src2 edges, so a producer's issue
     // reaches exactly the ops whose readiness it advances.  A source
     // that does not precede its consumer (a hostile trace file) would
@@ -607,7 +618,7 @@ MultiscalarProcessor::executeStore(SeqNum seq)
 bool
 MultiscalarProcessor::taskStoresDoneBefore(uint32_t t, SeqNum seq)
 {
-    std::span<const SeqNum> stores = tasks.stores(t);
+    std::span<const SeqNum> stores = taskStores(t);
     TaskRun &tr = taskRun[t];
     while (tr.storePtr < stores.size() &&
            state.test(stores[tr.storePtr], kIssued)) {
@@ -635,7 +646,7 @@ MultiscalarProcessor::storeFrontierBound()
     storeTask = std::max(storeTask, committedTasks);
     for (; storeTask < nextTask; ++storeTask) {
         uint32_t tt = static_cast<uint32_t>(storeTask);
-        std::span<const SeqNum> stores = tasks.stores(tt);
+        std::span<const SeqNum> stores = taskStores(tt);
         TaskRun &tr = taskRun[tt];
         while (tr.storePtr < stores.size() &&
                state.test(stores[tr.storePtr], kIssued)) {
@@ -925,19 +936,19 @@ MultiscalarProcessor::commitStep()
         return;
 
     // Retire memory state and finish prediction accounting.
-    for (SeqNum l : tasks.loads(t)) {
+    for (SeqNum l : taskLoads(t)) {
         arb.commitLoad(trc.addr(l), l);
         if (state.test(l, kPredPendingN)) {
             state.clear(l, kPredPendingN);
             classify(l, false, false);
         }
     }
-    for (SeqNum s : tasks.stores(t))
+    for (SeqNum s : taskStores(t))
         arb.commitStore(trc.addr(s), s);
 
     res.committedOps += size;
-    res.committedLoads += tasks.loads(t).size();
-    res.committedStores += tasks.stores(t).size();
+    res.committedLoads += taskLoads(t).size();
+    res.committedStores += taskStores(t).size();
 
     st.task = -1;
     st.windowCount = 0;

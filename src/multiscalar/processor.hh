@@ -21,6 +21,7 @@
 #define MDP_MULTISCALAR_PROCESSOR_HH
 
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "base/event_frontier.hh"
@@ -46,6 +47,9 @@ namespace mdp
 class MultiscalarProcessor : public TaskPcSource
 {
   public:
+    /** Fatal (exit 1) on a bad config, on a source that does not
+     *  precede its consumer, or when @p tasks counts other memory ops
+     *  than @p oracle lists. */
     MultiscalarProcessor(const TraceView &trace, const DepOracle &oracle,
                          const TaskSet &tasks,
                          const MultiscalarConfig &config);
@@ -225,6 +229,23 @@ class MultiscalarProcessor : public TaskPcSource
     void executeStore(SeqNum seq);
 
     // --- memory-ordering helpers ------------------------------------
+    /** Task @p t's loads, in program order: its run of the oracle's
+     *  list. */
+    std::span<const SeqNum>
+    taskLoads(uint32_t t) const
+    {
+        return {oracle.loads().data() + tasks.loadOffset(t),
+                oracle.loads().data() + tasks.loadOffset(t + 1)};
+    }
+
+    /** Task @p t's stores, in program order. */
+    std::span<const SeqNum>
+    taskStores(uint32_t t) const
+    {
+        return {oracle.stores().data() + tasks.storeOffset(t),
+                oracle.stores().data() + tasks.storeOffset(t + 1)};
+    }
+
     /** All stores of task @p t older than @p seq have executed. */
     bool taskStoresDoneBefore(uint32_t t, SeqNum seq);
 

@@ -1,30 +1,45 @@
 #include "multiscalar/task_info.hh"
 
+#include <algorithm>
+
+#include "base/logging.hh"
+
 namespace mdp
 {
 
 TaskSet::TaskSet(const TraceView &trace)
 {
-    bounds = trace.taskBoundaries();
-    taskCount = trace.numTasks();
-    taskPcs.resize(taskCount);
-    storeStart.resize(taskCount + 1);
-    loadStart.resize(taskCount + 1);
-    // Tasks are contiguous and in order, so one pass appends every
-    // task's lists behind the previous task's.
-    for (uint32_t t = 0; t < taskCount; ++t) {
-        taskPcs[t] = trace.taskPc(bounds[t]);
-        storeStart[t] = static_cast<uint32_t>(storeSeqs.size());
-        loadStart[t] = static_cast<uint32_t>(loadSeqs.size());
-        for (SeqNum s = bounds[t]; s < bounds[t + 1]; ++s) {
-            if (trace.isStore(s))
-                storeSeqs.push_back(s);
-            else if (trace.isLoad(s))
-                loadSeqs.push_back(s);
+    // Contiguous ids from 0 give at most one task per op; a larger
+    // claimed count is caught by the pass below.
+    const size_t n = trace.size();
+    const size_t cap = std::min<size_t>(trace.numTasks(), n) + 1;
+    bounds.reserve(cap);
+    taskPcs.reserve(cap - 1);
+    loadStart.reserve(cap);
+    storeStart.reserve(cap);
+
+    uint32_t loads = 0;
+    uint32_t stores = 0;
+    uint32_t cur = UINT32_MAX; // so the first op must open task 0
+    for (SeqNum s = 0; s < n; ++s) {
+        const uint32_t id = trace.taskId(s);
+        if (id != cur) {
+            if (id != cur + 1)
+                mdp_fatal("task ids must be contiguous from 0 at seq %u",
+                          s);
+            cur = id;
+            bounds.push_back(s);
+            taskPcs.push_back(trace.taskPc(s));
+            loadStart.push_back(loads);
+            storeStart.push_back(stores);
         }
+        const OpKind k = trace.kind(s);
+        loads += k == OpKind::Load;
+        stores += k == OpKind::Store;
     }
-    storeStart[taskCount] = static_cast<uint32_t>(storeSeqs.size());
-    loadStart[taskCount] = static_cast<uint32_t>(loadSeqs.size());
+    bounds.push_back(static_cast<SeqNum>(n));
+    loadStart.push_back(loads);
+    storeStart.push_back(stores);
 }
 
 } // namespace mdp

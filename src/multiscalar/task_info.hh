@@ -8,7 +8,6 @@
 #define MDP_MULTISCALAR_TASK_INFO_HH
 
 #include <cstdint>
-#include <span>
 #include <vector>
 
 #include "trace/trace.hh"
@@ -17,16 +16,24 @@ namespace mdp
 {
 
 /**
- * Task boundaries and per-task memory-op lists.  The lists are stored
- * flat (CSR): the stores of task t are storeSeqs[storeStart[t] ..
- * storeStart[t+1]), and likewise for loads.
+ * Task boundaries, task PCs, and where each task's memory ops sit in
+ * the dependence oracle's lists: the loads of task t are
+ * DepOracle::loads()[loadOffset(t) .. loadOffset(t+1)), and likewise
+ * for stores.  The lists themselves are the oracle's; both are in
+ * program order, so a task's ops are one contiguous run of each.
  */
 class TaskSet
 {
   public:
+    /** Fatal (exit 1) unless task ids start at 0 and each op stays in
+     *  its predecessor's task or opens the next one. */
     explicit TaskSet(const TraceView &trace);
 
-    uint32_t numTasks() const { return taskCount; }
+    uint32_t
+    numTasks() const
+    {
+        return static_cast<uint32_t>(taskPcs.size());
+    }
 
     SeqNum taskStart(uint32_t task) const { return bounds[task]; }
     SeqNum taskEnd(uint32_t task) const { return bounds[task + 1]; }
@@ -40,30 +47,17 @@ class TaskSet
     /** PC of the first instruction of the task. */
     Addr taskPc(uint32_t task) const { return taskPcs[task]; }
 
-    /** Store sequence numbers of the task, in program order. */
-    std::span<const SeqNum>
-    stores(uint32_t task) const
-    {
-        return {storeSeqs.data() + storeStart[task],
-                storeSeqs.data() + storeStart[task + 1]};
-    }
+    /** Loads before task @p task (valid up to numTasks()). */
+    uint32_t loadOffset(uint32_t task) const { return loadStart[task]; }
 
-    /** Load sequence numbers of the task, in program order. */
-    std::span<const SeqNum>
-    loads(uint32_t task) const
-    {
-        return {loadSeqs.data() + loadStart[task],
-                loadSeqs.data() + loadStart[task + 1]};
-    }
+    /** Stores before task @p task (valid up to numTasks()). */
+    uint32_t storeOffset(uint32_t task) const { return storeStart[task]; }
 
   private:
-    uint32_t taskCount = 0;
     std::vector<SeqNum> bounds;
     std::vector<Addr> taskPcs;
-    std::vector<uint32_t> storeStart;
-    std::vector<SeqNum> storeSeqs;
     std::vector<uint32_t> loadStart;
-    std::vector<SeqNum> loadSeqs;
+    std::vector<uint32_t> storeStart;
 };
 
 } // namespace mdp

@@ -111,6 +111,19 @@ OooProcessor::memLatency(SeqNum seq) const
     return u < cfg.missRate ? cfg.missPenalty : cfg.loadLatency;
 }
 
+void
+OooProcessor::checkSources(SeqNum end)
+{
+    for (SeqNum s = srcChecked; s < end; ++s) {
+        for (SeqNum src : {trc.src1(s), trc.src2(s)}) {
+            if (src != kNoSeq && src >= s)
+                mdp_fatal("source %u does not precede consumer at seq %u",
+                          src, s);
+        }
+    }
+    srcChecked = end;
+}
+
 bool
 OooProcessor::srcReady(SeqNum src) const
 {
@@ -305,6 +318,8 @@ OooProcessor::run()
             }
             if (fetched)
                 cycleActivity = true;
+            if (fetchPtr > srcChecked)
+                checkSources(fetchPtr);
         }
 
         // Issue.

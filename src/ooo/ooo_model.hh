@@ -129,6 +129,10 @@ class OooProcessor
     /** LoadIssueContext over one ready load (defined in the .cc). */
     struct IssueCtx;
 
+    /** Fatal on a source of an op in [srcChecked, @p end) that does
+     *  not precede its op (a hostile trace file), before the issue
+     *  scan indexes the op lanes with it; then advance srcChecked. */
+    void checkSources(SeqNum end);
     bool srcReady(SeqNum src) const;
     bool srcsReady(SeqNum seq) const;
     bool tryIssueMem(SeqNum seq, unsigned &mem_ports);
@@ -173,6 +177,9 @@ class OooProcessor
 
     SeqNum head = 0;      ///< oldest uncommitted op
     SeqNum fetchPtr = 0;  ///< next op to enter the window
+    /** Ops below this had their sources checked at their first fetch;
+     *  a squash re-fetches them unchecked. */
+    SeqNum srcChecked = 0;
     /** Where the issue scan starts: no op in [head, issueBase) is
      *  unissued.  Advanced lazily by the scan; a squash pulls it
      *  back. */

@@ -28,11 +28,14 @@ WindowModel::study(uint32_t window_size,
     // Count per-static-edge mis-speculations.
     std::unordered_map<uint64_t, uint64_t> edge_counts;
 
-    for (SeqNum load : oracle.loads()) {
-        if (!oracle.producerWithin(load, window_size))
+    const std::vector<SeqNum> &loads = oracle.loads();
+    const std::vector<SeqNum> &producers = oracle.producers();
+    for (size_t i = 0; i < loads.size(); ++i) {
+        const SeqNum load = loads[i];
+        const SeqNum st = producers[i];
+        if (st == kNoSeq || load - st >= window_size)
             continue;
         ++res.misSpeculations;
-        SeqNum st = oracle.producer(load);
         Addr ldpc = trc.pc(load);
         Addr stpc = trc.pc(st);
         ++edge_counts[(ldpc << 20) ^ stpc];
@@ -76,10 +79,11 @@ Histogram
 WindowModel::distanceHistogram(size_t num_buckets) const
 {
     Histogram h(num_buckets);
-    for (SeqNum load : oracle.loads()) {
-        SeqNum p = oracle.producer(load);
-        if (p != kNoSeq)
-            h.sample(load - p);
+    const std::vector<SeqNum> &loads = oracle.loads();
+    const std::vector<SeqNum> &producers = oracle.producers();
+    for (size_t i = 0; i < loads.size(); ++i) {
+        if (producers[i] != kNoSeq)
+            h.sample(loads[i] - producers[i]);
     }
     return h;
 }

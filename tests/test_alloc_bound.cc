@@ -1,37 +1,60 @@
 /**
  * @file
  * The timing models' speculation bookkeeping (the ARB, the parked-load
- * wait lists, the issue scan) must not allocate per event.  A counting
- * global operator new sees every heap allocation made inside run();
- * the count for one workload at 4x the scale may exceed the count at
- * 1x only by a few table and pool doublings, never by a per-op term.
+ * wait lists, the synchronizer's pending loads, the issue scan) must
+ * not allocate per event.  A counting global operator new sees every
+ * heap allocation made inside run(); the count for one workload at 4x
+ * the scale may exceed the count at 1x only by a few table and pool
+ * doublings, never by a per-op term.
+ *
+ * The same operators track live heap bytes, which bounds what the
+ * per-trace analyses (DepOracle, TaskSet) keep: state per memory op
+ * and per task, plus a few bits per op.
  *
  * This is its own binary: the replaced operator new is process-wide.
  */
 
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <string>
 
 #include "harness/runner.hh"
 #include "multiscalar/processor.hh"
 #include "ooo/ooo_model.hh"
+#include "workloads/suites.hh"
 
 namespace
 {
 
 std::atomic<bool> counting{false};
 std::atomic<size_t> allocations{0};
+std::atomic<long long> liveBytes{0};
 
 void *
 countedAlloc(std::size_t n) noexcept
 {
     if (counting.load(std::memory_order_relaxed))
         allocations.fetch_add(1, std::memory_order_relaxed);
-    return std::malloc(n ? n : 1);
+    void *p = std::malloc(n ? n : 1);
+    if (p)
+        liveBytes.fetch_add(static_cast<long long>(malloc_usable_size(p)),
+                            std::memory_order_relaxed);
+    return p;
+}
+
+void
+countedFree(void *p) noexcept
+{
+    if (p)
+        liveBytes.fetch_sub(static_cast<long long>(malloc_usable_size(p)),
+                            std::memory_order_relaxed);
+    std::free(p);
 }
 
 void *
@@ -59,19 +82,19 @@ operator new[](std::size_t n, const std::nothrow_t &) noexcept
 {
     return countedAlloc(n);
 }
-void operator delete(void *p) noexcept { std::free(p); }
-void operator delete[](void *p) noexcept { std::free(p); }
-void operator delete(void *p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void *p, std::size_t) noexcept { std::free(p); }
+void operator delete(void *p) noexcept { countedFree(p); }
+void operator delete[](void *p) noexcept { countedFree(p); }
+void operator delete(void *p, std::size_t) noexcept { countedFree(p); }
+void operator delete[](void *p, std::size_t) noexcept { countedFree(p); }
 void
 operator delete(void *p, const std::nothrow_t &) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 void
 operator delete[](void *p, const std::nothrow_t &) noexcept
 {
-    std::free(p);
+    countedFree(p);
 }
 
 namespace mdp
@@ -132,7 +155,8 @@ multiscalarAllocations(const std::string &policy, double scale)
 
 TEST(AllocBound, OooRunDoesNotAllocatePerOp)
 {
-    for (const char *policy : {"always", "psync", "storeset"}) {
+    for (const char *policy :
+         {"always", "psync", "storeset", "esync", "sync"}) {
         const size_t small = oooAllocations(policy, kScale);
         const size_t large = oooAllocations(policy, 4 * kScale);
         EXPECT_LE(large, small + kSlack)
@@ -142,11 +166,37 @@ TEST(AllocBound, OooRunDoesNotAllocatePerOp)
 
 TEST(AllocBound, MultiscalarRunDoesNotAllocatePerOp)
 {
-    for (const char *policy : {"always", "psync"}) {
+    for (const char *policy : {"always", "psync", "esync", "sync"}) {
         const size_t small = multiscalarAllocations(policy, kScale);
         const size_t large = multiscalarAllocations(policy, 4 * kScale);
         EXPECT_LE(large, small + kSlack)
             << policy << ": " << small << " -> " << large;
+    }
+}
+
+TEST(AllocBound, TraceAnalysesKeepStatePerMemoryOp)
+{
+    // The oracle keeps a list entry per memory op and a producer per
+    // load (at most 8 B per memory op), plus a load bitmap and a
+    // 32-bit rank per 64 ops (1.5 bits per op); the task set keeps its
+    // bounds, task PCs and two list offsets (20 B per task).  A
+    // producer slot per op, or a second copy of the lists, breaks the
+    // bound.
+    for (double scale : {kScale, 4 * kScale}) {
+        const Trace trace = findWorkload("compress").generate(scale);
+        const TraceStats ts = trace.stats();
+        const long long before = liveBytes;
+        auto oracle = std::make_unique<DepOracle>(trace);
+        auto tasks = std::make_unique<TaskSet>(trace);
+        const long long kept = liveBytes - before;
+
+        const uint64_t mem_ops = ts.numLoads + ts.numStores;
+        const uint64_t bound = 8 * mem_ops + ts.numOps * 3 / 16 +
+                               20 * ts.numTasks + 4096;
+        EXPECT_LE(static_cast<uint64_t>(kept), bound)
+            << "kept " << kept << " B at scale " << scale << ": "
+            << ts.numOps << " ops, " << mem_ops << " memory ops, "
+            << ts.numTasks << " tasks";
     }
 }
 

@@ -67,6 +67,23 @@ TEST(MultiscalarDeath, SourcePastTheTraceFailsFast)
                 "source 100 does not precede consumer at seq 1");
 }
 
+TEST(MultiscalarDeath, TaskSetOfAnotherTraceFailsFast)
+{
+    // Task spans are runs of the oracle's lists; a task set counting
+    // other memory ops would index past them.
+    Trace t = racyTrace();
+    TraceBuilder b("other");
+    b.beginTask(0x1000);
+    b.load(0x10, 0x100);
+    Trace other = b.take();
+    DepOracle oracle(t);
+    TaskSet tasks(other);
+    MultiscalarConfig cfg;
+    EXPECT_EXIT(MultiscalarProcessor(t, oracle, tasks, cfg),
+                testing::ExitedWithCode(1),
+                "task set counts 1 loads and 0 stores, the oracle");
+}
+
 TEST(Multiscalar, CompletesAndCommitsEverything)
 {
     Trace t = racyTrace();

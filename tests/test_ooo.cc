@@ -58,6 +58,26 @@ TEST(OooDeath, DegenerateConfigFailsFast)
                 "windowSize must be >= 1");
 }
 
+TEST(OooDeath, SourcePastTheTraceFailsAtFetch)
+{
+    // A trace that skipped validation (a cache entry is only
+    // checksummed) names a source past its end; fetch must refuse it
+    // before the issue scan reads that source's lanes.
+    MicroOp first;
+    first.kind = OpKind::IntAlu;
+    first.pc = 0x10;
+    MicroOp second = first;
+    second.pc = 0x14;
+    second.src1 = 100;
+    Trace t("forged");
+    t.append(first);
+    t.append(second);
+    DepOracle o(t);
+    OooConfig cfg;
+    EXPECT_EXIT(OooProcessor(t, o, cfg).run(), testing::ExitedWithCode(1),
+                "source 100 does not precede consumer at seq 1");
+}
+
 TEST(Ooo, CompletesAllPolicies)
 {
     Trace t = racyTrace();

@@ -1,14 +1,17 @@
 /**
  * @file
  * Unit tests for the trace substrate: MicroOp, Trace, TraceBuilder and
- * the dependence oracle.
+ * the per-trace analyses over it, the dependence oracle and TaskSet.
  */
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <span>
 #include <unordered_map>
 
 #include "base/random.hh"
+#include "multiscalar/task_info.hh"
 #include "trace/builder.hh"
 #include "trace/dep_oracle.hh"
 #include "trace/trace.hh"
@@ -306,33 +309,176 @@ TEST(DepOracle, LoadAndStoreLists)
     EXPECT_EQ(o.stores()[0], 1u);
 }
 
-/** Property: the oracle agrees with a brute-force scan on random
- *  traces. */
+/**
+ * A valid random trace of @p n ops over a few addresses: every kind,
+ * tasks of random length, sources that precede their consumers.
+ */
+Trace
+randomTrace(Pcg32 &rng, size_t n)
+{
+    Trace t("random");
+    uint32_t task = 0;
+    for (size_t s = 0; s < n; ++s) {
+        if (s != 0 && rng.chance(0.08))
+            ++task;
+        MicroOp op;
+        const uint32_t pick = rng.below(10);
+        op.kind = pick < 3   ? OpKind::Load
+                  : pick < 5 ? OpKind::Store
+                  : pick < 6 ? OpKind::Branch
+                             : OpKind::IntAlu;
+        op.pc = 0x1000 + rng.below(32) * 4;
+        op.taskId = task;
+        op.taskPc = 0x8000 + rng.below(8) * 0x40;
+        if (isMem(op.kind))
+            op.addr = 0x100 + rng.below(12) * 8;
+        if (s != 0 && rng.chance(0.5))
+            op.src1 = rng.below(static_cast<uint32_t>(s));
+        t.append(op);
+    }
+    EXPECT_EQ(t.validate(), "");
+    return t;
+}
+
+/** The sizes around the oracle's 64-op rank words, then random ones. */
+std::vector<size_t>
+oracleTraceSizes(Pcg32 &rng)
+{
+    std::vector<size_t> sizes = {0, 1, 63, 64, 65, 127, 128, 129};
+    for (int i = 0; i < 24; ++i)
+        sizes.push_back(1 + rng.below(1500));
+    return sizes;
+}
+
+/** Property: every query, at every seq including non-loads, agrees
+ *  with a naive map-based last-writer walk on random traces. */
 TEST(DepOracle, MatchesBruteForceOnRandomTraces)
 {
-    Pcg32 rng(777);
-    for (int trial = 0; trial < 20; ++trial) {
-        TraceBuilder b("r");
-        b.beginTask(1);
-        for (int i = 0; i < 300; ++i) {
-            if (i % 40 == 39)
-                b.beginTask(1 + i);
-            Addr a = 0x100 + rng.below(16) * 8;
-            if (rng.chance(0.5))
-                b.load(1, a);
-            else
-                b.store(2, a);
-        }
-        Trace t = b.take();
-        DepOracle o(t);
-        for (SeqNum l : o.loads()) {
+    Pcg32 rng(2024);
+    for (size_t n : oracleTraceSizes(rng)) {
+        SCOPED_TRACE(n);
+        const Trace t = randomTrace(rng, n);
+        const DepOracle o(t);
+
+        std::map<Addr, SeqNum> last_writer;
+        std::vector<SeqNum> loads, stores, producers;
+        for (SeqNum s = 0; s < n; ++s) {
+            const MicroOp op = t[s];
             SeqNum expect = kNoSeq;
-            for (SeqNum s = 0; s < l; ++s)
-                if (t[s].isStore() && t[s].addr == t[l].addr)
-                    expect = s;
-            EXPECT_EQ(o.producer(l), expect);
+            if (op.isLoad()) {
+                auto it = last_writer.find(op.addr);
+                if (it != last_writer.end())
+                    expect = it->second;
+                loads.push_back(s);
+                producers.push_back(expect);
+            } else if (op.isStore()) {
+                last_writer[op.addr] = s;
+                stores.push_back(s);
+            }
+            ASSERT_EQ(o.producer(s), expect) << "seq " << s;
+            EXPECT_EQ(o.hasProducer(s), expect != kNoSeq);
+            for (uint32_t w : {1u, 2u, 7u, 64u, 100000u})
+                EXPECT_EQ(o.producerWithin(s, w),
+                          expect != kNoSeq && s - expect < w);
+            const bool inter =
+                expect != kNoSeq && t[expect].taskId != op.taskId;
+            EXPECT_EQ(o.interTask(s), inter);
+            EXPECT_EQ(o.taskDistance(s),
+                      expect == kNoSeq ? 0u : op.taskId - t[expect].taskId);
         }
+        EXPECT_EQ(o.loads(), loads);
+        EXPECT_EQ(o.stores(), stores);
+        EXPECT_EQ(o.producers(), producers);
     }
+}
+
+// --------------------------------------------------------------------
+// TaskSet
+// --------------------------------------------------------------------
+
+/** Property: each task's runs of the oracle's lists are exactly the
+ *  task's loads and stores, filtered from the trace. */
+TEST(TaskSet, SpansEqualPerTaskFilter)
+{
+    Pcg32 rng(99);
+    for (size_t n : oracleTraceSizes(rng)) {
+        SCOPED_TRACE(n);
+        const Trace t = randomTrace(rng, n);
+        const DepOracle o(t);
+        const TaskSet ts(t);
+        ASSERT_EQ(ts.numTasks(), t.numTasks());
+        EXPECT_EQ(ts.loadOffset(ts.numTasks()), o.loads().size());
+        EXPECT_EQ(ts.storeOffset(ts.numTasks()), o.stores().size());
+        SeqNum next = 0;
+        for (uint32_t task = 0; task < ts.numTasks(); ++task) {
+            ASSERT_EQ(ts.taskStart(task), next);
+            std::vector<SeqNum> loads, stores;
+            for (SeqNum s = next; s < n && t[s].taskId == task; ++s) {
+                if (t[s].isLoad())
+                    loads.push_back(s);
+                else if (t[s].isStore())
+                    stores.push_back(s);
+                next = s + 1;
+            }
+            EXPECT_EQ(ts.taskEnd(task), next);
+            EXPECT_EQ(ts.taskSize(task), next - ts.taskStart(task));
+            EXPECT_EQ(ts.taskPc(task), t[ts.taskStart(task)].taskPc);
+            const std::span<const SeqNum> all_loads(o.loads());
+            const std::span<const SeqNum> all_stores(o.stores());
+            const auto task_loads = all_loads.subspan(
+                ts.loadOffset(task),
+                ts.loadOffset(task + 1) - ts.loadOffset(task));
+            const auto task_stores = all_stores.subspan(
+                ts.storeOffset(task),
+                ts.storeOffset(task + 1) - ts.storeOffset(task));
+            EXPECT_EQ(std::vector<SeqNum>(task_loads.begin(),
+                                          task_loads.end()),
+                      loads);
+            EXPECT_EQ(std::vector<SeqNum>(task_stores.begin(),
+                                          task_stores.end()),
+                      stores);
+        }
+        EXPECT_EQ(next, n);
+    }
+}
+
+/** A trace of one ALU op per listed task id, unvalidated. */
+Trace
+taskIdTrace(std::initializer_list<uint32_t> ids)
+{
+    Trace t("forged");
+    for (uint32_t id : ids) {
+        MicroOp op;
+        op.kind = OpKind::IntAlu;
+        op.taskId = id;
+        t.append(op);
+    }
+    return t;
+}
+
+TEST(TaskSetDeath, TaskIdGapFailsFast)
+{
+    // numTasks() reads the last id (4 tasks) while the runs of equal
+    // ids give two bounds; the gap must not reach the task-PC loop.
+    const Trace t = taskIdTrace({0, 3});
+    EXPECT_EXIT(TaskSet{t}, testing::ExitedWithCode(1),
+                "task ids must be contiguous from 0 at seq 1");
+}
+
+TEST(TaskSetDeath, TaskIdGoingBackFailsFast)
+{
+    // Three runs but numTasks() == 1: without the check one task of
+    // one op would commit and the rest of the trace vanish.
+    const Trace t = taskIdTrace({0, 1, 0});
+    EXPECT_EXIT(TaskSet{t}, testing::ExitedWithCode(1),
+                "task ids must be contiguous from 0 at seq 2");
+}
+
+TEST(TaskSetDeath, FirstTaskNotZeroFailsFast)
+{
+    const Trace t = taskIdTrace({1, 1});
+    EXPECT_EXIT(TaskSet{t}, testing::ExitedWithCode(1),
+                "task ids must be contiguous from 0 at seq 0");
 }
 
 } // namespace
