@@ -2,17 +2,18 @@
  * @file
  * Open-addressing hash map for hot-path address/key lookups.
  *
- * The standard library's node-based unordered_map costs one allocation
- * per element and a pointer chase per probe; the simulators' inner
- * loops (ARB address tracking, MDST/MDPT pair indexes, dependence
- * oracle construction) do millions of lookups on small keys, where an
- * open-addressed table with linear probing is several times faster.
+ * The one hash map in src/: the mdp-lint `ordered-scope` rule bans the
+ * std hash containers there.  A node-based std map costs one
+ * allocation per element and a pointer chase per probe; the
+ * simulators' inner loops (ARB address tracking, the MDPT's per-PC
+ * chain heads, dependence oracle construction) do millions of lookups
+ * on small keys, where an open-addressed table with linear probing is
+ * several times faster.
  *
  * Determinism by construction: this container exposes NO iteration
  * API (no begin/end, no visitation), so probe order and rehash layout
- * can never leak into simulation state or report rows -- the property
- * the mdp-lint `ordered-scope` rule protects.  Callers that need an
- * ordered read-out must maintain their own key list.
+ * can never leak into simulation state or report rows.  Callers that
+ * need an ordered read-out must maintain their own key list.
  *
  * Deletion uses backward-shift (no tombstones), so lookup cost stays
  * bounded by the current load factor regardless of churn.
@@ -84,7 +85,7 @@ class FlatHashMap
 
     bool contains(Key k) const { return find(k) != nullptr; }
 
-    /** Find-or-default-construct, as std::unordered_map::operator[]. */
+    /** Find-or-default-construct, as std::map::operator[]. */
     T &
     operator[](Key k)
     {

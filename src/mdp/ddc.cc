@@ -15,10 +15,9 @@ bool
 DepDependenceCache::access(Addr load_pc, Addr store_pc)
 {
     uint64_t k = key(load_pc, store_pc);
-    auto it = index.find(k);
-    if (it != index.end()) {
+    if (const size_t *hit = index.find(k)) {
         ++numHits;
-        lru.touch(it->second);
+        lru.touch(*hit);
         return true;
     }
 
@@ -30,7 +29,7 @@ DepDependenceCache::access(Addr load_pc, Addr store_pc)
     e.loadPc = load_pc;
     e.storePc = store_pc;
     e.valid = true;
-    index.emplace(k, victim);
+    index[k] = victim;
     lru.touch(victim);
     return false;
 }

@@ -12,9 +12,9 @@
 #define MDP_MDP_DDC_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "base/flat_hash.hh"
 #include "base/lru.hh"
 #include "trace/microop.hh"
 
@@ -71,7 +71,7 @@ class DepDependenceCache
     }
 
     std::vector<Entry> entries;
-    std::unordered_map<uint64_t, size_t> index;
+    FlatHashMap<uint64_t, size_t> index;
     LruState lru;
     uint64_t numHits = 0;
     uint64_t numMisses = 0;

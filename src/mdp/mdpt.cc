@@ -6,75 +6,16 @@
 namespace mdp
 {
 
-namespace
-{
-
-uint64_t
-pairKey(Addr ldpc, Addr stpc)
-{
-    return (ldpc << 20) ^ stpc;
-}
-
-} // namespace
-
 Mdpt::Mdpt(const SyncUnitConfig &config)
-    : cfg(config), entries(config.numEntries), lru(config.numEntries)
+    : cfg(config), entries(config.numEntries), lru(config.numEntries),
+      byLoad(config.numEntries), byStore(config.numEntries)
 {
     mdp_assert(config.numEntries > 0, "MDPT must have at least one entry");
-    // byLoad/byStore are deliberately NOT pre-sized: their bucket
-    // history feeds equal_range order, which feeds the match order the
-    // sync units touch/weaken entries in.  byPair's layout is never
-    // observed, so its capacity hint is free.
-    byPair.reserve(config.numEntries);
     for (auto &e : entries) {
         e.counter = SatCounter(cfg.counterBits);
         e.pathStable = SatCounter(2);
         e.distStable = SatCounter(2);
     }
-}
-
-void
-Mdpt::lookupLoad(Addr ldpc, std::vector<uint32_t> &out) const
-{
-    auto [lo, hi] = byLoad.equal_range(ldpc);
-    for (auto it = lo; it != hi; ++it)
-        out.push_back(it->second);
-}
-
-void
-Mdpt::lookupStore(Addr stpc, std::vector<uint32_t> &out) const
-{
-    auto [lo, hi] = byStore.equal_range(stpc);
-    for (auto it = lo; it != hi; ++it)
-        out.push_back(it->second);
-}
-
-void
-Mdpt::unindex(uint32_t idx)
-{
-    const Entry &e = entries[idx];
-    auto erase_one = [idx](std::unordered_multimap<Addr, uint32_t> &map,
-                           Addr key) {
-        auto [lo, hi] = map.equal_range(key);
-        for (auto it = lo; it != hi; ++it) {
-            if (it->second == idx) {
-                map.erase(it);
-                return;
-            }
-        }
-    };
-    erase_one(byLoad, e.ldpc);
-    erase_one(byStore, e.stpc);
-    byPair.erase(pairKey(e.ldpc, e.stpc));
-}
-
-void
-Mdpt::index(uint32_t idx)
-{
-    const Entry &e = entries[idx];
-    byLoad.emplace(e.ldpc, idx);
-    byStore.emplace(e.stpc, idx);
-    byPair[pairKey(e.ldpc, e.stpc)] = idx;
 }
 
 Mdpt::AllocResult
@@ -83,10 +24,9 @@ Mdpt::recordMisSpeculation(Addr ldpc, Addr stpc, uint32_t dist,
 {
     AllocResult res;
 
-    const uint32_t *hit = byPair.find(pairKey(ldpc, stpc));
-    if (hit && entries[*hit].valid && entries[*hit].ldpc == ldpc &&
-        entries[*hit].stpc == stpc) {
-        uint32_t idx = *hit;
+    const uint32_t idx = byLoad.find(
+        ldpc, [&](uint32_t i) { return entries[i].stpc == stpc; });
+    if (idx != PcChains::kEnd) {
         Entry &e = entries[idx];
         // The dynamic behavior of the edge may have changed; adopt a
         // new distance only once the old one has lost confidence.
@@ -116,7 +56,8 @@ Mdpt::recordMisSpeculation(Addr ldpc, Addr stpc, uint32_t dist,
     uint32_t victim = static_cast<uint32_t>(lru.victim());
     Entry &e = entries[victim];
     if (e.valid) {
-        unindex(victim);
+        byLoad.unlink(e.ldpc, victim);
+        byStore.unlink(e.stpc, victim);
         res.evictedValid = true;
     }
     e.valid = true;
@@ -127,7 +68,8 @@ Mdpt::recordMisSpeculation(Addr ldpc, Addr stpc, uint32_t dist,
     e.counter = SatCounter(cfg.counterBits, cfg.initialCount);
     e.pathStable = SatCounter(2, 3);
     e.distStable = SatCounter(2, 2);
-    index(victim);
+    byLoad.push(ldpc, victim);
+    byStore.push(stpc, victim);
     lru.touch(victim);
     res.index = victim;
     return res;

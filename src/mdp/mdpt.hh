@@ -14,7 +14,6 @@
 #define MDP_MDP_MDPT_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "base/flat_hash.hh"
@@ -31,6 +30,11 @@ class TaskPcSource;
 
 /**
  * Fully-associative prediction table with LRU replacement.
+ *
+ * Match order is a stated rule: lookupLoad() and lookupStore() return
+ * the matching entries most recently allocated first.  The sync units
+ * touch, attach and release entries in that order, so it reaches
+ * results.
  *
  * Eviction of an entry with live synchronization state is handled by
  * the owner: recordMisSpeculation() reports the victim index so the
@@ -67,18 +71,24 @@ class Mdpt
 
     explicit Mdpt(const SyncUnitConfig &config);
 
-    /** Append indices of valid entries whose LDPC matches. */
-    void lookupLoad(Addr ldpc, std::vector<uint32_t> &out) const;
+    /** Append indices of valid entries whose LDPC matches, most
+     *  recently allocated first. */
+    void
+    lookupLoad(Addr ldpc, std::vector<uint32_t> &out) const
+    {
+        byLoad.append(ldpc, out);
+    }
 
-    /** Append indices of valid entries whose STPC matches. */
-    void lookupStore(Addr stpc, std::vector<uint32_t> &out) const;
+    /** Append indices of valid entries whose STPC matches, most
+     *  recently allocated first. */
+    void
+    lookupStore(Addr stpc, std::vector<uint32_t> &out) const
+    {
+        byStore.append(stpc, out);
+    }
 
     /** @return true if any valid entry's STPC matches. */
-    bool
-    matchesStore(Addr stpc) const
-    {
-        return byStore.count(stpc) > 0;
-    }
+    bool matchesStore(Addr stpc) const { return byStore.contains(stpc); }
 
     const Entry &entry(uint32_t idx) const { return entries[idx]; }
     Entry &entry(uint32_t idx) { return entries[idx]; }
@@ -150,17 +160,83 @@ class Mdpt
     const SyncUnitConfig &config() const { return cfg; }
 
   private:
-    void unindex(uint32_t idx);
-    void index(uint32_t idx);
+    /**
+     * The entries that share one PC, as a chain through per-entry
+     * links whose head a FlatHashMap finds.  push() links an entry at
+     * the front, so a walk yields the most recently pushed first.
+     */
+    class PcChains
+    {
+      public:
+        explicit PcChains(size_t n) : links(n) { heads.reserve(n); }
+
+        bool contains(Addr pc) const { return heads.contains(pc); }
+
+        void
+        append(Addr pc, std::vector<uint32_t> &out) const
+        {
+            const uint32_t *h = heads.find(pc);
+            for (uint32_t i = h ? *h : kEnd; i != kEnd; i = links[i].next)
+                out.push_back(i);
+        }
+
+        /** First entry on @p pc's chain satisfying @p pred, or kEnd. */
+        template <class Pred>
+        uint32_t
+        find(Addr pc, Pred pred) const
+        {
+            const uint32_t *h = heads.find(pc);
+            for (uint32_t i = h ? *h : kEnd; i != kEnd; i = links[i].next)
+                if (pred(i))
+                    return i;
+            return kEnd;
+        }
+
+        void
+        push(Addr pc, uint32_t idx)
+        {
+            uint32_t *h = heads.find(pc);
+            links[idx] = {kEnd, h ? *h : kEnd};
+            if (h) {
+                links[*h].prev = idx;
+                *h = idx;
+            } else {
+                heads[pc] = idx;
+            }
+        }
+
+        void
+        unlink(Addr pc, uint32_t idx)
+        {
+            const Link l = links[idx];
+            if (l.next != kEnd)
+                links[l.next].prev = l.prev;
+            if (l.prev != kEnd)
+                links[l.prev].next = l.next;
+            else if (l.next != kEnd)
+                *heads.find(pc) = l.next;
+            else
+                heads.erase(pc);
+        }
+
+        static constexpr uint32_t kEnd = UINT32_MAX;
+
+      private:
+        struct Link
+        {
+            uint32_t prev = kEnd;
+            uint32_t next = kEnd;
+        };
+
+        FlatHashMap<Addr, uint32_t> heads;
+        std::vector<Link> links;
+    };
 
     SyncUnitConfig cfg;
     std::vector<Entry> entries;
     LruState lru;
-    std::unordered_multimap<Addr, uint32_t> byLoad;
-    std::unordered_multimap<Addr, uint32_t> byStore;
-    /** (ldpc, stpc) -> entry; never iterated, so flat open addressing
-     *  is safe and saves a node allocation per tracked edge. */
-    FlatHashMap<uint64_t, uint32_t> byPair;
+    PcChains byLoad;
+    PcChains byStore;
 };
 
 } // namespace mdp

@@ -12,13 +12,13 @@ SplitSyncUnit::SplitSyncUnit(const SyncUnitConfig &config)
 void
 SplitSyncUnit::unpend(LoadId ldid)
 {
-    auto it = pending.find(ldid);
-    if (it == pending.end())
+    uint32_t *slots = pending.find(ldid);
+    if (!slots)
         return;
-    if (it->second <= 1)
-        pending.erase(it);
+    if (*slots <= 1)
+        pending.erase(ldid);
     else
-        --it->second;
+        --*slots;
 }
 
 LoadCheck
@@ -63,7 +63,7 @@ SplitSyncUnit::loadReady(Addr ldpc, Addr addr, uint64_t instance,
                           /*full=*/false, displaced);
             if (displaced != kNoLoad && displaced != ldid) {
                 unpend(displaced);
-                if (!pending.count(displaced)) {
+                if (!pending.contains(displaced)) {
                     releasedQueue.push_back(displaced);
                     ++st.evictionReleases;
                 }
@@ -110,7 +110,7 @@ SplitSyncUnit::storeReady(Addr stpc, Addr addr, uint64_t instance,
             mdpt.strengthen(idx);
             if (waiting != kNoLoad) {
                 unpend(waiting);
-                if (!pending.count(waiting))
+                if (!pending.contains(waiting))
                     wakeups.push_back(waiting);
             }
         } else if (slot >= 0) {
@@ -121,7 +121,7 @@ SplitSyncUnit::storeReady(Addr stpc, Addr addr, uint64_t instance,
                           /*full=*/true, displaced);
             if (displaced != kNoLoad) {
                 unpend(displaced);
-                if (!pending.count(displaced)) {
+                if (!pending.contains(displaced)) {
                     releasedQueue.push_back(displaced);
                     ++st.evictionReleases;
                 }
@@ -147,12 +147,11 @@ SplitSyncUnit::misSpeculation(Addr ldpc, Addr stpc, uint32_t dist,
 void
 SplitSyncUnit::frontierRelease(LoadId ldid)
 {
-    auto it = pending.find(ldid);
-    if (it == pending.end())
+    if (!pending.contains(ldid))
         return;
-    std::vector<uint32_t> waiting;
-    mdst.waitingFor(ldid, waiting);
-    for (uint32_t slot : waiting) {
+    waitBuf.clear();
+    mdst.waitingFor(ldid, waitBuf);
+    for (uint32_t slot : waitBuf) {
         // The predicted store never came: weaken the predictor
         // entry behind the false dependence prediction.
         const Mdst::Entry &se = mdst.entry(slot);

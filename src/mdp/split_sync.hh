@@ -8,9 +8,9 @@
 #ifndef MDP_MDP_SPLIT_SYNC_HH
 #define MDP_MDP_SPLIT_SYNC_HH
 
-#include <unordered_map>
 #include <vector>
 
+#include "base/flat_hash.hh"
 #include "mdp/mdpt.hh"
 #include "mdp/mdst.hh"
 #include "mdp/sync_unit.hh"
@@ -55,9 +55,11 @@ class SplitSyncUnit : public DepSynchronizer
     SyncUnitConfig cfg;
     Mdpt mdpt;
     Mdst mdst;
-    std::unordered_map<LoadId, uint32_t> pending;
+    /** Waiting load -> how many MDST slots it waits on. */
+    FlatHashMap<LoadId, uint32_t> pending;
     std::vector<LoadId> releasedQueue;
     std::vector<uint32_t> matchBuf;
+    std::vector<uint32_t> waitBuf;
     SyncStats st;
 };
 

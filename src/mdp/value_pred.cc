@@ -18,10 +18,9 @@ ValuePredictor::ValuePredictor(size_t pool_size, unsigned counter_bits,
 ValuePredictor::Entry &
 ValuePredictor::lookupOrAllocate(Addr pc)
 {
-    auto it = index.find(pc);
-    if (it != index.end()) {
-        lru.touch(it->second);
-        return entries[it->second];
+    if (const size_t *hit = index.find(pc)) {
+        lru.touch(*hit);
+        return entries[*hit];
     }
     size_t victim = lru.victim();
     Entry &e = entries[victim];
@@ -38,11 +37,11 @@ ValuePredictor::lookupOrAllocate(Addr pc)
 bool
 ValuePredictor::confident(Addr load_pc)
 {
-    auto it = index.find(load_pc);
-    if (it == index.end())
+    const size_t *hit = index.find(load_pc);
+    if (!hit)
         return false;
-    lru.touch(it->second);
-    return entries[it->second].conf.atLeast(thresh);
+    lru.touch(*hit);
+    return entries[*hit].conf.atLeast(thresh);
 }
 
 void

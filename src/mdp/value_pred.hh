@@ -14,9 +14,9 @@
 #define MDP_MDP_VALUE_PRED_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "base/flat_hash.hh"
 #include "base/lru.hh"
 #include "base/sat_counter.hh"
 #include "trace/microop.hh"
@@ -64,7 +64,7 @@ class ValuePredictor
     unsigned bits;
     unsigned thresh;
     std::vector<Entry> entries;
-    std::unordered_map<Addr, size_t> index;
+    FlatHashMap<Addr, size_t> index;
     LruState lru;
 };
 

@@ -127,7 +127,7 @@ struct MultiscalarProcessor::IssueCtx final : LoadIssueContext
         return p.state.test(seq, ParkedLoads::kSyncDone);
     }
 
-    bool allStoresDone() override { return p.allStoresDoneBefore(seq); }
+    bool allStoresDone() override { return p.storeFrontierBound() >= seq; }
 
     SeqNum
     windowProducer() const override
@@ -521,7 +521,7 @@ MultiscalarProcessor::tryIssueMem(SeqNum seq, unsigned &mem_ports)
 
     // Loads.  Intra-task memory dependences are never speculated: all
     // older stores of this task must have executed.
-    if (!taskStoresDoneBefore(t, seq))
+    if (firstPendingStore(t) < seq)
         return false;
     if (mem_ports == 0)
         return false;
@@ -615,8 +615,8 @@ MultiscalarProcessor::executeStore(SeqNum seq)
 // Memory-ordering helpers
 // ---------------------------------------------------------------------
 
-bool
-MultiscalarProcessor::taskStoresDoneBefore(uint32_t t, SeqNum seq)
+uint64_t
+MultiscalarProcessor::firstPendingStore(uint32_t t)
 {
     std::span<const SeqNum> stores = taskStores(t);
     TaskRun &tr = taskRun[t];
@@ -624,18 +624,7 @@ MultiscalarProcessor::taskStoresDoneBefore(uint32_t t, SeqNum seq)
            state.test(stores[tr.storePtr], kIssued)) {
         ++tr.storePtr;
     }
-    return tr.storePtr >= stores.size() || stores[tr.storePtr] >= seq;
-}
-
-bool
-MultiscalarProcessor::allStoresDoneBefore(SeqNum seq)
-{
-    uint32_t lt = trc.taskId(seq);
-    for (uint64_t t = committedTasks; t <= lt; ++t) {
-        if (!taskStoresDoneBefore(static_cast<uint32_t>(t), seq))
-            return false;
-    }
-    return true;
+    return tr.storePtr < stores.size() ? stores[tr.storePtr] : UINT64_MAX;
 }
 
 uint64_t
@@ -645,15 +634,9 @@ MultiscalarProcessor::storeFrontierBound()
     // can un-execute one, and squashFrom pulls the cursor back.
     storeTask = std::max(storeTask, committedTasks);
     for (; storeTask < nextTask; ++storeTask) {
-        uint32_t tt = static_cast<uint32_t>(storeTask);
-        std::span<const SeqNum> stores = taskStores(tt);
-        TaskRun &tr = taskRun[tt];
-        while (tr.storePtr < stores.size() &&
-               state.test(stores[tr.storePtr], kIssued)) {
-            ++tr.storePtr;
-        }
-        if (tr.storePtr < stores.size())
-            return stores[tr.storePtr];
+        uint64_t s = firstPendingStore(static_cast<uint32_t>(storeTask));
+        if (s != UINT64_MAX)
+            return s;
     }
     return UINT64_MAX;
 }

@@ -246,21 +246,19 @@ class MultiscalarProcessor : public TaskPcSource
                 oracle.stores().data() + tasks.storeOffset(t + 1)};
     }
 
-    /** All stores of task @p t older than @p seq have executed. */
-    bool taskStoresDoneBefore(uint32_t t, SeqNum seq);
-
-    /** All stores older than @p seq in every active task executed. */
-    bool allStoresDoneBefore(SeqNum seq);
+    /** Sequence number of task @p t's oldest unexecuted store
+     *  (UINT64_MAX when none); advances the task's storePtr. */
+    uint64_t firstPendingStore(uint32_t t);
 
     /**
      * Sequence number of the oldest unexecuted store across all
-     * in-flight tasks (UINT64_MAX when none).  A blocked op @c seq is
-     * frontier-releasable iff the bound is >= seq: tasks younger than
-     * the op's own contribute only stores past its task's end, so the
-     * global minimum decides exactly like the per-task walk in
-     * allStoresDoneBefore().  Tasks occupy ascending sequence ranges,
-     * so the minimum is the first pending store of the oldest task
-     * that has one; storeTask caches that task.
+     * in-flight tasks (UINT64_MAX when none).  Every store older than
+     * op @c seq has executed iff the bound is >= seq: tasks younger
+     * than the op's own contribute only stores past its task's end, so
+     * the global minimum decides exactly like a walk over the op's
+     * task and the older ones.  Tasks occupy ascending sequence
+     * ranges, so the minimum is the first pending store of the oldest
+     * task that has one; storeTask caches that task.
      */
     uint64_t storeFrontierBound();
 

@@ -1,9 +1,8 @@
 #include "window/window_model.hh"
 
 #include <algorithm>
-#include <unordered_map>
 
-#include "base/ordered.hh"
+#include "base/flat_hash.hh"
 
 namespace mdp
 {
@@ -25,8 +24,10 @@ WindowModel::study(uint32_t window_size,
     for (size_t sz : ddc_sizes)
         ddcs.emplace_back(sz);
 
-    // Count per-static-edge mis-speculations.
-    std::unordered_map<uint64_t, uint64_t> edge_counts;
+    // Count per-static-edge mis-speculations: each edge gets the next
+    // counts slot when first seen (edge_slot holds slot + 1).
+    FlatHashMap<uint64_t, uint32_t> edge_slot;
+    std::vector<uint64_t> counts;
 
     const std::vector<SeqNum> &loads = oracle.loads();
     const std::vector<SeqNum> &producers = oracle.producers();
@@ -38,20 +39,19 @@ WindowModel::study(uint32_t window_size,
         ++res.misSpeculations;
         Addr ldpc = trc.pc(load);
         Addr stpc = trc.pc(st);
-        ++edge_counts[(ldpc << 20) ^ stpc];
+        uint32_t &slot = edge_slot[(ldpc << 20) ^ stpc];
+        if (slot == 0) {
+            counts.push_back(0);
+            slot = static_cast<uint32_t>(counts.size());
+        }
+        ++counts[slot - 1];
         for (auto &ddc : ddcs)
             ddc.access(ldpc, stpc);
     }
 
-    res.staticDeps = edge_counts.size();
+    res.staticDeps = counts.size();
 
     // Static edges covering 99.9% of dynamic mis-speculations.
-    // Drain the hash map in key order (base/ordered.hh) so no
-    // implementation-defined iteration order reaches the stats.
-    std::vector<uint64_t> counts;
-    counts.reserve(edge_counts.size());
-    for (const auto &[k, v] : sortedByKey(edge_counts))
-        counts.push_back(v);
     std::sort(counts.begin(), counts.end(), std::greater<>());
     // ceil(0.999 * n): covering "99.9% of mis-speculations" must cover
     // at least one when any occurred.

@@ -1,6 +1,6 @@
 // Fixture: hash containers and wall-clock reads inside the manycore
-// scheduler layer (basename matches ordered-scope's frontier row; the
-// clock read is nondet-source's, as anywhere in src/).
+// scheduler layer (the hash container is ordered-scope's and the clock
+// read nondet-source's, as anywhere in src/).
 #include <chrono>
 #include <cstdint>
 #include <unordered_map>

@@ -1,7 +1,8 @@
-// Deliberate ordered-scope violations: blocking calls and
-// unordered-container iteration inside a runSpec definition.  The
-// same calls outside runSpec are fine (the callers deliver results
-// and the transport blocks all the time) and must stay undiagnosed.
+// Deliberate ordered-scope violations: blocking calls inside a runSpec
+// definition, and a std hash container, which is banned anywhere in
+// src/.  The same calls outside runSpec are fine (the callers deliver
+// results and the transport blocks all the time) and must stay
+// undiagnosed.
 
 #include <poll.h>
 #include <unistd.h>
@@ -10,7 +11,7 @@
 #include <unordered_map>
 
 struct BadRunner {
-    std::unordered_map<int, int> specState;
+    std::unordered_map<int, int> specState; // expect: ordered-scope
     std::mutex mtx;
     int fd = 0;
 
@@ -26,10 +27,7 @@ BadRunner::runSpec(int spec)
     if (read(fd, buf, sizeof buf) < 0) // expect: ordered-scope
         return -1;
     poll(nullptr, 0, 1); // expect: ordered-scope
-    int n = spec;
-    for (auto &kv : specState) // expect: ordered-scope
-        n += kv.second;
-    return n;
+    return spec;
 }
 
 void

@@ -1,18 +1,16 @@
 // Fixture: idiomatic model code that must lint clean -- seeded
-// randomness through base/random.hh, ordered iteration, hash-map
-// point lookups, and a sorted drain.
+// randomness through base/random.hh, ordered iteration, and point
+// lookups in a FlatHashMap, which has no iteration API.
 #include <cstdint>
 #include <map>
-#include <unordered_map>
-#include <vector>
 
-#include "base/ordered.hh"
+#include "base/flat_hash.hh"
 #include "base/random.hh"
 
 namespace mdp
 {
 
-std::unordered_map<uint64_t, uint64_t> edgeHits;
+FlatHashMap<uint64_t, uint64_t> edgeHits;
 std::map<uint64_t, uint64_t> orderedHits;
 
 uint64_t
@@ -20,13 +18,10 @@ simulateStep(uint64_t seed)
 {
     Pcg32 rng(seed);
     uint64_t roll = rng.below(100);
-    auto it = edgeHits.find(roll);
-    if (it != edgeHits.end())
-        ++it->second;
+    if (uint64_t *hits = edgeHits.find(roll))
+        ++*hits;
     uint64_t sum = 0;
     for (const auto &[k, v] : orderedHits) // ordered: fine
-        sum += k ^ v;
-    for (const auto &[k, v] : sortedByKey(edgeHits)) // sorted drain
         sum += k ^ v;
     return sum;
 }

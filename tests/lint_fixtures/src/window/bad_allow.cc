@@ -3,23 +3,14 @@
 // suppresses nothing.
 #include <cstdint>
 #include <unordered_map>
+#include <unordered_set>
 
 namespace mdp
 {
 
-std::unordered_map<uint64_t, uint64_t> hits;
-
-uint64_t
-totalHits()
-{
-    uint64_t n = 0;
-    // mdp-lint: allow(ordered-scope) -- expect: lint-allow
-    for (const auto &[k, v] : hits)   // expect: ordered-scope
-        n += v;
-    // mdp-lint: allow(unordered-iter): retired. expect: lint-allow
-    for (const auto &[k, v] : hits)   // expect: ordered-scope
-        n -= v;
-    return n;
-}
+// mdp-lint: allow(ordered-scope) -- expect: lint-allow
+std::unordered_map<uint64_t, uint64_t> hits; // expect: ordered-scope
+// mdp-lint: allow(unordered-iter): retired. expect: lint-allow
+std::unordered_set<uint64_t> seen;           // expect: ordered-scope
 
 } // namespace mdp

@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the parallel experiment layer: thread pool, the
- * process-wide WorkloadContext cache, the ExperimentRunner's
- * parallel-equals-serial guarantee and in-order completion callback,
- * and the JSON report round trip.
+ * Tests for the parallel experiment layer: the process-wide
+ * WorkloadContext cache, the ExperimentRunner's parallel-equals-serial
+ * guarantee, in-order completion callback and exception rethrow, and
+ * the JSON report round trip.
  */
 
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "base/table.hh"
-#include "base/thread_pool.hh"
 #include "harness/experiment.hh"
 #include "harness/report.hh"
 #include "window/window_model.hh"
@@ -32,50 +31,6 @@ namespace
 
 // Tiny scale so each cell simulates in milliseconds.
 constexpr double kScale = 0.01;
-
-TEST(ThreadPoolTest, RunsEveryTask)
-{
-    ThreadPool pool(4);
-    std::atomic<int> count{0};
-    for (int i = 0; i < 100; ++i)
-        pool.submit([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPoolTest, InlineWhenSerial)
-{
-    ThreadPool pool(1);
-    EXPECT_EQ(pool.numThreads(), 0u);
-    int ran = 0;
-    pool.submit([&ran] { ++ran; });
-    EXPECT_EQ(ran, 1); // ran inside submit, before wait
-    pool.wait();
-}
-
-TEST(ThreadPoolTest, WaitRethrowsTaskException)
-{
-    ThreadPool pool(2);
-    pool.submit([] { throw std::runtime_error("boom"); });
-    EXPECT_THROW(pool.wait(), std::runtime_error);
-    // The error is consumed; the pool remains usable.
-    std::atomic<int> count{0};
-    pool.submit([&count] { ++count; });
-    pool.wait();
-    EXPECT_EQ(count.load(), 1);
-}
-
-TEST(ThreadPoolTest, WaitIsABarrier)
-{
-    ThreadPool pool(3);
-    std::atomic<int> done{0};
-    for (int round = 0; round < 5; ++round) {
-        for (int i = 0; i < 20; ++i)
-            pool.submit([&done] { ++done; });
-        pool.wait();
-        EXPECT_EQ(done.load(), (round + 1) * 20);
-    }
-}
 
 TEST(WorkloadCacheTest, SameInstanceForRepeatedLookups)
 {
@@ -332,7 +287,11 @@ TEST(ExperimentRunnerTest, RunAllRethrowsCellException)
 {
     for (unsigned jobs : {1u, 4u}) {
         ExperimentRunner<int> runner(jobs);
-        runner.add([] { return 1; });
+        std::thread::id cellThread;
+        runner.add([&cellThread] {
+            cellThread = std::this_thread::get_id();
+            return 1;
+        });
         runner.add([]() -> int { throw std::runtime_error("cell"); });
         runner.add([] { return 3; });
         std::vector<size_t> seen;
@@ -343,6 +302,10 @@ TEST(ExperimentRunnerTest, RunAllRethrowsCellException)
             << "jobs " << jobs;
         // Delivery stops at the failed cell.
         EXPECT_EQ(seen, std::vector<size_t>{0}) << "jobs " << jobs;
+        // One job runs the cells on the calling thread; more start
+        // workers.
+        EXPECT_EQ(cellThread == std::this_thread::get_id(), jobs == 1)
+            << "jobs " << jobs;
     }
 }
 

@@ -181,6 +181,42 @@ TEST(Mdpt, LookupsAppendMatches)
     EXPECT_FALSE(t.matchesStore(0x99));
 }
 
+TEST(Mdpt, MatchesComeMostRecentlyAllocatedFirst)
+{
+    // The sync units touch, attach and release entries in match
+    // order, so the order is a stated rule: newest allocation first.
+    Mdpt t(smallConfig(4));
+    const uint32_t a = t.recordMisSpeculation(0x10, 0x20, 1, 0).index;
+    const uint32_t b = t.recordMisSpeculation(0x10, 0x24, 1, 0).index;
+    const uint32_t c = t.recordMisSpeculation(0x10, 0x28, 1, 0).index;
+    const uint32_t d = t.recordMisSpeculation(0x14, 0x20, 1, 0).index;
+    auto loads = [&](Addr pc) {
+        std::vector<uint32_t> out;
+        t.lookupLoad(pc, out);
+        return out;
+    };
+    auto stores = [&](Addr pc) {
+        std::vector<uint32_t> out;
+        t.lookupStore(pc, out);
+        return out;
+    };
+    EXPECT_EQ(loads(0x10), (std::vector<uint32_t>{c, b, a}));
+    EXPECT_EQ(stores(0x20), (std::vector<uint32_t>{d, a}));
+
+    // Strengthening an edge refreshes recency, not match order.
+    t.recordMisSpeculation(0x10, 0x20, 1, 0);
+    EXPECT_EQ(loads(0x10), (std::vector<uint32_t>{c, b, a}));
+
+    // b is now least recent: evicting it unlinks the middle of the
+    // chain, and its slot rejoins another chain at the front.
+    auto res = t.recordMisSpeculation(0x14, 0x2c, 1, 0);
+    EXPECT_TRUE(res.evictedValid);
+    EXPECT_EQ(res.index, b);
+    EXPECT_EQ(loads(0x10), (std::vector<uint32_t>{c, a}));
+    EXPECT_EQ(loads(0x14), (std::vector<uint32_t>{b, d}));
+    EXPECT_TRUE(stores(0x24).empty());
+}
+
 class MdptCapacity : public ::testing::TestWithParam<size_t>
 {
 };

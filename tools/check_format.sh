@@ -19,7 +19,6 @@ cd "$(dirname "$0")/.." || exit 2
 
 # Files whose formatting is byte-exact under .clang-format.
 CLANG_FORMAT_CLEAN=(
-    src/base/thread_pool.hh
     src/harness/experiment.hh
     src/harness/report.hh
 )

@@ -53,33 +53,10 @@ scopedPath(const std::string &path)
     return path;
 }
 
-std::string
-dirOf(const std::string &path)
-{
-    size_t pos = path.find_last_of('/');
-    return pos == std::string::npos ? "" : path.substr(0, pos);
-}
-
 bool
 isHeaderPath(const std::string &path)
 {
     return endsWith(path, ".hh") || endsWith(path, ".h");
-}
-
-/** Directories whose containers feed simulation state, stats or
- *  served results. */
-bool
-inModelOrServeDir(const std::string &scoped)
-{
-    static const char *const kDirs[] = {
-        "src/mdp/",         "src/ooo/",   "src/window/",
-        "src/multiscalar/", "src/trace/", "src/workloads/",
-        "src/serve/",
-    };
-    for (const char *d : kDirs)
-        if (startsWith(scoped, d))
-            return true;
-    return false;
 }
 
 bool
@@ -300,96 +277,6 @@ checkPtrOrder(const std::string &path, const std::vector<Token> &code,
 
 // ---- rule: ordered-scope -------------------------------------------
 
-/** Names declared as unordered containers, per scoped directory. */
-using DeclMap = std::map<std::string, std::set<std::string>>;
-
-std::set<std::string>
-collectUnorderedDecls(const std::vector<Token> &code)
-{
-    std::set<std::string> names;
-    for (size_t i = 0; i + 1 < code.size(); ++i) {
-        if ((!isIdent(code[i], "unordered_map") &&
-             !isIdent(code[i], "unordered_set")) ||
-            !isPunct(code[i + 1], "<"))
-            continue;
-        size_t close = matchAngleTokens(code, i + 1);
-        if (close == SIZE_MAX || close + 1 >= code.size())
-            continue;
-        size_t j = close + 1;
-        while (j < code.size() &&
-               (isPunct(code[j], "&") || isPunct(code[j], "*")))
-            ++j;
-        if (j >= code.size() || code[j].kind != Tok::Ident)
-            continue;
-        // Skip type-only uses: `...>::iterator`, casts, etc.
-        if (j + 1 < code.size() && isPunct(code[j + 1], "::"))
-            continue;
-        names.insert(code[j].spelling);
-    }
-    return names;
-}
-
-/**
- * Invoke @p cb(token_idx, name, is_range_for) for every iteration
- * over a container in @p names: range-for sequences (idx is the ':')
- * and explicit .begin()/.cbegin() walks (idx is the container name).
- * Point lookups never match.
- */
-template <typename Fn>
-void
-forEachContainerIteration(const std::vector<Token> &code,
-                          const std::set<std::string> &names, Fn cb)
-{
-    for (size_t i = 0; i + 1 < code.size(); ++i) {
-        // Range-for whose sequence is one of the named containers.
-        if (isIdent(code[i], "for") && isPunct(code[i + 1], "(")) {
-            size_t close = matchGroup(code, i + 1);
-            if (close == SIZE_MAX)
-                continue;
-            int depth = 0;
-            size_t colon = SIZE_MAX;
-            bool classic = false;
-            for (size_t k = i + 1; k <= close; ++k) {
-                if (isPunct(code[k], "("))
-                    ++depth;
-                else if (isPunct(code[k], ")"))
-                    --depth;
-                else if (depth == 1 && isPunct(code[k], ";"))
-                    classic = true;
-                else if (depth == 1 && colon == SIZE_MAX &&
-                         isPunct(code[k], ":"))
-                    colon = k;
-            }
-            if (classic || colon == SIZE_MAX)
-                continue;
-            // The sequence must be a plain member chain whose final
-            // identifier is a declared container.
-            bool plain = colon + 1 < close;
-            std::string name;
-            for (size_t k = colon + 1; k < close; ++k) {
-                const Token &t = code[k];
-                if (t.kind == Tok::Ident)
-                    name = t.spelling;
-                else if (!isPunct(t, ".") && !isPunct(t, "->"))
-                    plain = false;
-            }
-            if (plain && !name.empty() && names.count(name))
-                cb(colon, name, true);
-            continue;
-        }
-
-        // Explicit iterator loops: NAME.begin() / NAME.cbegin().
-        if (code[i].kind == Tok::Ident &&
-            names.count(code[i].spelling) &&
-            isPunct(code[i + 1], ".") && i + 3 < code.size() &&
-            (isIdent(code[i + 2], "begin") ||
-             isIdent(code[i + 2], "cbegin")) &&
-            isPunct(code[i + 3], "(")) {
-            cb(i, code[i].spelling, false);
-        }
-    }
-}
-
 const char *const kHashContainers[] = {
     "unordered_map", "unordered_set", "unordered_multimap",
     "unordered_multiset",
@@ -411,15 +298,10 @@ const char *const kBlockingTokens[] = {
     "unique_lock", "usleep",    "wait",        "waitpid",   "write",
 };
 
-/** The event-frontier scheduler and the interconnect hop models. */
 bool
-inFrontierFile(const std::string &scoped)
+inSrc(const std::string &scoped)
 {
-    if (!startsWith(scoped, "src/"))
-        return false;
-    std::string base = scoped.substr(scoped.find_last_of('/') + 1);
-    return base.find("event_frontier") != std::string::npos ||
-           base.find("interconnect") != std::string::npos;
+    return startsWith(scoped, "src/");
 }
 
 bool
@@ -430,9 +312,7 @@ inHarnessDir(const std::string &scoped)
 
 void
 checkOrderedScope(const std::string &path, const std::string &scoped,
-                  const std::vector<Token> &code,
-                  const std::set<std::string> &names,
-                  std::vector<Diag> &out)
+                  const std::vector<Token> &code, std::vector<Diag> &out)
 {
     for (const OrderedScope &row : orderedScopes()) {
         if (!row.contains(scoped))
@@ -456,18 +336,6 @@ checkOrderedScope(const std::string &path, const std::string &scoped,
                                row.why});
         };
 
-        if (row.forbid & kUnorderedIter)
-            forEachContainerIteration(
-                code, names,
-                [&](size_t idx, const std::string &name,
-                    bool range_for) {
-                    if (!covered(idx))
-                        return;
-                    std::string how =
-                        range_for ? "range-for" : "iterator walk";
-                    report(idx, how + " over unordered container '" +
-                                    name + "'");
-                });
         for (size_t i = 0; i < code.size(); ++i) {
             const Token &t = code[i];
             // An #include line is not a use.
@@ -734,21 +602,18 @@ checkPolicyCode(const std::string &path, const std::vector<Token> &code,
 
 // ---- the pipeline --------------------------------------------------
 
-/** One lexed file and the facts the cross-file rules need from it. */
+/** One lexed file, its includes and its suppressions. */
 struct Unit {
     std::string path;
     std::string scoped;
     std::vector<Token> code;
     std::vector<IncludeEdge> includes;
-    std::set<std::string> unordered_names;
     AllowSet allows;
 };
 
-/** Every per-file rule.  @p names holds the unordered containers
- *  declared anywhere in the file's directory. */
+/** Every per-file rule. */
 void
-checkFile(const Unit &u, const std::set<std::string> &names,
-          std::vector<Diag> &out)
+checkFile(const Unit &u, std::vector<Diag> &out)
 {
     const std::string &path = u.path, &scoped = u.scoped;
     if (inDeterministicScope(scoped)) {
@@ -761,7 +626,7 @@ checkFile(const Unit &u, const std::set<std::string> &names,
     if (startsWith(scoped, "bench/") && startsWith(base, "bench_") &&
         endsWith(base, ".cc"))
         checkBench(path, u.code, u.includes, out);
-    checkOrderedScope(path, scoped, u.code, names, out);
+    checkOrderedScope(path, scoped, u.code, out);
     if (startsWith(scoped, "src/mdp/"))
         checkPolicyCode(path, u.code, out);
 }
@@ -773,10 +638,9 @@ checkFile(const Unit &u, const std::set<std::string> &names,
 std::vector<Diag>
 lintSources(const std::vector<SourceFile> &sources)
 {
-    // Pass 1: lex every file and gather the cross-file context.
+    // Pass 1: lex every file and gather the include graph.
     std::vector<Unit> units;
     units.reserve(sources.size());
-    DeclMap decls;
     std::map<std::string, std::vector<IncludeEdge>> includes_of;
     std::map<std::string, std::string> original_of;
     for (const SourceFile &src : sources) {
@@ -785,10 +649,7 @@ lintSources(const std::vector<SourceFile> &sources)
         u.scoped = scopedPath(src.path);
         u.code = codeTokens(lex(src.text));
         u.includes = collectIncludes(u.code);
-        u.unordered_names = collectUnorderedDecls(u.code);
         u.allows = collectAllows(src.path, src.text);
-        decls[dirOf(u.scoped)].insert(u.unordered_names.begin(),
-                                      u.unordered_names.end());
         includes_of[u.scoped] = u.includes;
         original_of[u.scoped] = u.path;
         units.push_back(std::move(u));
@@ -798,7 +659,7 @@ lintSources(const std::vector<SourceFile> &sources)
     // whole batch.
     std::map<std::string, std::vector<Diag>> found;
     for (const Unit &u : units)
-        checkFile(u, decls[dirOf(u.scoped)], found[u.path]);
+        checkFile(u, found[u.path]);
     for (const GraphDiag &gd :
          checkIncludeGraph(includes_of, defaultLayers())) {
         const std::string &orig = original_of[gd.file];
@@ -852,10 +713,9 @@ ruleDocs()
          "engines, pids, thread ids, reinterpret_cast of a pointer "
          "to an integer) in src/ and bench/"},
         {"ordered-scope",
-         "no unordered iteration in the model and serve "
-         "directories, no hash containers in "
-         "event-frontier/interconnect files, and no unordered "
-         "iteration or blocking call in runSpec under src/harness/"},
+         "no std hash container (unordered_map/set/multimap/multiset) "
+         "anywhere in src/ -- FlatHashMap has no iteration order to "
+         "leak -- and no blocking call in runSpec under src/harness/"},
         {"policy-ctx-escape",
          "src/mdp/ code must not retain the per-call "
          "LoadIssueContext (no declaration of that type outside a "
@@ -884,21 +744,14 @@ const std::vector<OrderedScope> &
 orderedScopes()
 {
     static const std::vector<OrderedScope> kRows = {
-        {"model or serve code", inModelOrServeDir, nullptr,
-         kUnorderedIter,
-         "iteration order is implementation-defined and leaks into "
-         "state and reports; use an ordered container or a sorted "
-         "drain (base/ordered.hh)"},
-        {"frontier/interconnect code", inFrontierFile, nullptr,
-         kHashContainer,
-         "which PE steps when, and how far a value travels, must be "
-         "platform-stable; use the bucket wheel, min-heap or vectors "
-         "with explicit (t, id) ordering"},
-        {"runSpec", inHarnessDir, "runSpec",
-         kUnorderedIter | kBlockingCall,
-         "the one simulation path of mdp_sim and mdp_served must "
-         "neither block every request queued behind it nor leak hash "
-         "order into results; do I/O and locking in the caller"},
+        {"src/", inSrc, nullptr, kHashContainer,
+         "its iteration order is unspecified and can leak into "
+         "state, results and reports; use base/flat_hash.hh, which "
+         "has no iteration API, or an ordered container"},
+        {"runSpec", inHarnessDir, "runSpec", kBlockingCall,
+         "the one simulation path of mdp_sim and mdp_served must not "
+         "block every request queued behind it; do I/O and locking "
+         "in the caller"},
     };
     return kRows;
 }

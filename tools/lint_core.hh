@@ -67,12 +67,10 @@ std::vector<std::string> ruleNames();
 
 /** What an ordered-scope row forbids (bit flags). */
 enum OrderedForbid : unsigned {
-    /** Range-for or .begin() walk over an unordered container. */
-    kUnorderedIter = 1u,
-    /** Naming a hash container type at all. */
-    kHashContainer = 2u,
+    /** Naming a std hash container type at all. */
+    kHashContainer = 1u,
     /** A call that can block the calling thread. */
-    kBlockingCall = 4u,
+    kBlockingCall = 2u,
 };
 
 /**
@@ -115,10 +113,9 @@ struct FunctionDef {
 std::vector<FunctionDef> functionDefs(const std::vector<Token> &code);
 
 /**
- * Lint a set of sources as one unit.  Cross-file context --
- * unordered-container declarations per directory and the include
- * graph -- is built across the whole set.  Diagnostics come back
- * sorted by (file, line, rule).
+ * Lint a set of sources as one unit.  The include graph is built
+ * across the whole set.  Diagnostics come back sorted by (file, line,
+ * rule).
  */
 std::vector<Diag> lintSources(const std::vector<SourceFile> &sources);
 

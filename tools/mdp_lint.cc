@@ -12,9 +12,9 @@
  *
  * With no files, lints the default set (src/, bench/, tools/,
  * tests/, examples/ minus tests/lint_fixtures).  When files ARE
- * given, the whole default set is still analyzed -- cross-file rules
- * (layering, cycles, per-directory container declarations) need it
- * -- but only diagnostics in the named files are reported.
+ * given, the whole default set is still analyzed -- the cross-file
+ * rules (layering, cycles) need it -- but only diagnostics in the
+ * named files are reported.
  *
  * Exit codes: 0 clean, 1 findings, 2 usage or I/O error.  See
  * tools/lint_core.hh for the rule set and the suppression syntax.
