@@ -118,7 +118,7 @@ analyzeStaticEdges(const WorkloadContext &ctx, uint64_t min_count)
         Info &info = edges[{t.pc(l), t.pc(p)}];
         ++info.count;
         ++info.dists[t.taskId(l) - t.taskId(p)];
-        ++info.taskPcs[t.taskPc(p)];
+        ++info.taskPcs[ctx.tasks().taskPc(t.taskId(p))];
     }
 
     std::vector<StaticEdge> out;

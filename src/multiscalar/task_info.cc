@@ -1,6 +1,7 @@
 #include "multiscalar/task_info.hh"
 
 #include <algorithm>
+#include <span>
 
 #include "base/logging.hh"
 
@@ -14,7 +15,6 @@ TaskSet::TaskSet(const TraceView &trace)
     const size_t n = trace.size();
     const size_t cap = std::min<size_t>(trace.numTasks(), n) + 1;
     bounds.reserve(cap);
-    taskPcs.reserve(cap - 1);
     loadStart.reserve(cap);
     storeStart.reserve(cap);
 
@@ -29,7 +29,6 @@ TaskSet::TaskSet(const TraceView &trace)
                           s);
             cur = id;
             bounds.push_back(s);
-            taskPcs.push_back(trace.taskPc(s));
             loadStart.push_back(loads);
             storeStart.push_back(stores);
         }
@@ -40,6 +39,13 @@ TaskSet::TaskSet(const TraceView &trace)
     bounds.push_back(static_cast<SeqNum>(n));
     loadStart.push_back(loads);
     storeStart.push_back(stores);
+
+    // Contiguous ids make the view's runs of equal ids its tasks.
+    const std::span<const Addr> pcs = trace.taskPcs();
+    mdp_assert(pcs.size() == bounds.size() - 1,
+               "%zu task PCs for %zu tasks", pcs.size(),
+               bounds.size() - 1);
+    taskPcs.assign(pcs.begin(), pcs.end());
 }
 
 } // namespace mdp

@@ -148,6 +148,14 @@ MappedTrace::open(const std::string &path, std::string &error)
         error = "payload checksum mismatch";
         return nullptr;
     }
+    // Fold the per-op taskPc column into one PC per task while the
+    // checksum has its pages resident; no consumer reads it again.
+    const trace_format::Layout l =
+        trace_format::layoutFor(header.count, header.nameLen);
+    error = trace_format::foldTaskPcs(header.count, payload + l.taskId,
+                                      payload + l.taskPc, m->taskPcs);
+    if (!error.empty())
+        return nullptr;
 #if defined(__linux__)
     // The checksum pass faulted in every page of every column.  Unmap
     // them again so each consumer brings back only the columns it
@@ -160,16 +168,13 @@ MappedTrace::open(const std::string &path, std::string &error)
                   MADV_DONTNEED);
 #endif
 
-    const trace_format::Layout l =
-        trace_format::layoutFor(header.count, header.nameLen);
     const std::string_view name(
         reinterpret_cast<const char *>(payload + l.name),
         header.nameLen);
     m->traceView = TraceView::columnar(
-        header.count, name, payload + l.pc, payload + l.addr,
-        payload + l.taskPc, payload + l.src1, payload + l.src2,
-        payload + l.taskId, payload + l.kind,
-        payload + l.valueRepeats);
+        header.count, name, m->taskPcs, payload + l.pc, payload + l.addr,
+        payload + l.src1, payload + l.src2, payload + l.taskId,
+        payload + l.kind, payload + l.valueRepeats);
     return m;
 }
 

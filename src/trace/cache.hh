@@ -17,21 +17,26 @@
  *
  * Trust model: entries are an optimization, never an authority.
  * Corrupted, truncated or version-stale files fail their header or
- * checksum validation, are unlinked, and the trace is regenerated --
- * a damaged cache can cost time but can never poison results or crash
- * a run.  Writers stage to a temp file and atomically rename, so
- * concurrent populators of one key are safe (last rename wins; both
- * produce identical bytes).
+ * checksum validation, and a checksum-valid file whose task ids are
+ * not contiguous from 0 or whose taskPc changes inside a task fails
+ * the task-PC fold (trace_format::foldTaskPcs); each is unlinked, and
+ * the trace is regenerated -- a damaged cache can cost time but can
+ * never poison results or crash a run.  Writers stage to a temp file
+ * and atomically rename, so concurrent populators of one key are safe
+ * (last rename wins; both produce identical bytes).
  *
  * Residency: the checksum reads every payload byte through the
- * mapping, and on Linux the verified mapping is then dropped again
- * (MADV_DONTNEED), so a load leaves no column resident and each
- * consumer faults back only the columns it reads.  The OoO model and
- * its oracle read kind, src1, src2, addr and pc (25 of 38 bytes per
- * op); taskPc, taskId and valueRepeats stay on disk for them.  The
- * mapping is private and read-only, so it holds only clean file
- * pages, and an entry is never written in place once published: a
- * page faulted back holds the checksummed bytes.
+ * mapping, and the loader folds the per-op taskPc column into an owned
+ * table of one PC per task while those pages are resident.  On Linux
+ * the verified mapping is then dropped again (MADV_DONTNEED), so a
+ * load leaves no column resident and each consumer faults back only
+ * the columns it reads.  No consumer reads the mapped taskPc column,
+ * so its 8 of 38 bytes per op stay on disk.  The OoO model and its
+ * oracle read kind, src1, src2, addr and pc (25 of 38 bytes per op);
+ * taskId and valueRepeats stay on disk for them too.  The mapping is
+ * private and read-only, so it holds only clean file pages, and an
+ * entry is never written in place once published: a page faulted
+ * back holds the checksummed bytes.
  */
 
 #ifndef MDP_TRACE_CACHE_HH
@@ -74,10 +79,12 @@ class MappedTrace
   public:
     /**
      * Map and validate @p path (header sanity, size check, payload
-     * checksum), then drop the pages the checksum touched.  @return
-     * null and an @p error description on any failure; a non-null
-     * result is fully checksummed.  The stream invariants of
-     * TraceView::validate() are not checked here.
+     * checksum), fold its taskPc column into the task-PC table
+     * (rejecting task ids not contiguous from 0 and a taskPc that
+     * changes inside a task), then drop the pages these passes
+     * touched.  @return null and an @p error description on any
+     * failure; a non-null result is fully checksummed.  The other
+     * stream invariants of TraceView::validate() are not checked here.
      */
     static std::unique_ptr<MappedTrace> open(const std::string &path,
                                              std::string &error);
@@ -96,6 +103,7 @@ class MappedTrace
     const std::byte *mapBase = nullptr; ///< mmap base (null: heap)
     size_t mapLen = 0;
     std::vector<std::byte> heap; ///< non-mmap fallback storage
+    std::vector<Addr> taskPcs;   ///< folded from the taskPc column
     TraceView traceView;
 };
 

@@ -78,8 +78,9 @@ opLatency(OpKind k)
 
 /**
  * One dynamic instruction, as appended to a trace or gathered from
- * one.  Traces store each field as its own column (trace/trace.hh);
- * this struct is the by-value record that crosses that API.
+ * one.  Traces store each per-op field as its own column and the task
+ * PC once per task (trace/trace.hh); this struct is the by-value
+ * record that crosses that API.
  */
 struct MicroOp
 {

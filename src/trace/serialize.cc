@@ -34,6 +34,59 @@ regionStarts(uint64_t count, uint32_t name_len)
             l.src2,   l.taskId, l.kind, l.valueRepeats, l.end};
 }
 
+/**
+ * Feed the payload of @p trace to @p sink(std::span<const std::byte>)
+ * piece by piece, in file order: each region, then the zero pad that
+ * brings it to the next region's offset.  The taskPc column is
+ * expanded from the task table through one bounded chunk buffer, each
+ * op taking the PC of its run of equal task ids (so even a malformed
+ * in-memory trace writes back the PCs it was built with).
+ */
+template <typename Sink>
+void
+forEachPayloadPiece(const TraceView &trace, Sink &&sink)
+{
+    const auto starts = regionStarts(
+        trace.size(), static_cast<uint32_t>(trace.name().size()));
+    size_t region = 0;
+    auto whole = [&](std::span<const std::byte> bytes) {
+        sink(bytes);
+        sink(std::span(kZeroPad,
+                       starts[region + 1] - starts[region] - bytes.size()));
+        ++region;
+    };
+    auto expandTaskPcs = [&] {
+        constexpr size_t kChunk = 8192;
+        const std::span<const Addr> table = trace.taskPcs();
+        std::vector<Addr> chunk(std::min(trace.size(), kChunk));
+        size_t run = 0;
+        Addr pc = table.empty() ? 0 : table[0];
+        uint32_t prev = trace.empty() ? 0 : trace.taskId(0);
+        for (size_t b = 0; b < trace.size(); b += kChunk) {
+            const size_t e = std::min(trace.size(), b + kChunk);
+            for (size_t s = b; s < e; ++s) {
+                const uint32_t id = trace.taskId(static_cast<SeqNum>(s));
+                if (id != prev) [[unlikely]] {
+                    prev = id;
+                    ++run;
+                    pc = run < table.size() ? table[run] : 0;
+                }
+                chunk[s - b] = pc;
+            }
+            sink(std::as_bytes(std::span(chunk.data(), e - b)));
+        }
+        ++region; // 8-byte entries: no pad
+    };
+
+    const auto columns = trace.columns();
+    whole(std::as_bytes(std::span(trace.name())));
+    whole(columns[0]); // pc
+    whole(columns[1]); // addr
+    expandTaskPcs();
+    for (size_t i = 2; i < columns.size(); ++i)
+        whole(columns[i]);
+}
+
 } // namespace
 
 namespace trace_format
@@ -60,28 +113,50 @@ checkHeader(const FileHeader &header, uint64_t file_bytes)
     return "";
 }
 
+std::string
+foldTaskPcs(uint64_t count, const std::byte *task_id,
+            const std::byte *task_pc, std::vector<Addr> &table)
+{
+    const TraceView::Column<uint32_t> ids{task_id};
+    const TraceView::Column<Addr> pcs{task_pc};
+    table.clear();
+    if (count == 0)
+        return "";
+    if (ids[0] != 0)
+        return "task ids must be contiguous from 0 at seq 0";
+    table.reserve(std::min<uint64_t>(uint64_t{ids[count - 1]} + 1, count));
+    uint32_t cur = 0;
+    Addr cur_pc = pcs[0];
+    table.push_back(cur_pc);
+    for (uint64_t s = 1; s < count; ++s) {
+        const uint32_t id = ids[s];
+        const Addr pc = pcs[s];
+        if (id != cur) [[unlikely]] {
+            if (id != cur + 1)
+                return "task ids must be contiguous from 0 at seq " +
+                       std::to_string(s);
+            cur = id;
+            cur_pc = pc;
+            table.push_back(pc);
+        } else if (pc != cur_pc) [[unlikely]] {
+            return "taskPc changes inside task " + std::to_string(id) +
+                   " at seq " + std::to_string(s);
+        }
+    }
+    return "";
+}
+
 } // namespace trace_format
 
 bool
 writeTrace(const TraceView &trace, std::ostream &os)
 {
-    // The regions are written where they lie; each is followed by the
-    // zero pad that brings it to the next region's offset.
-    std::array<std::span<const std::byte>, 9> regions;
-    regions[0] = std::as_bytes(std::span(trace.name()));
-    const auto columns = trace.columns();
-    std::copy(columns.begin(), columns.end(), regions.begin() + 1);
-    const auto starts = regionStarts(
-        trace.size(), static_cast<uint32_t>(trace.name().size()));
-    auto padAfter = [&](size_t i) {
-        return starts[i + 1] - starts[i] - regions[i].size();
-    };
-
+    // Two passes over the payload: the header's checksum, then the
+    // bytes.  The per-op columns are written where they lie.
     Fnv1aBulk checksum;
-    for (size_t i = 0; i < regions.size(); ++i) {
-        checksum.update(regions[i].data(), regions[i].size());
-        checksum.update(kZeroPad, padAfter(i));
-    }
+    forEachPayloadPiece(trace, [&](std::span<const std::byte> piece) {
+        checksum.update(piece.data(), piece.size());
+    });
 
     FileHeader header{};
     std::memcpy(header.magic, trace_format::kMagic,
@@ -89,16 +164,15 @@ writeTrace(const TraceView &trace, std::ostream &os)
     header.version = trace_format::kVersion;
     header.nameLen = static_cast<uint32_t>(trace.name().size());
     header.count = trace.size();
-    header.payloadBytes = starts.back();
+    header.payloadBytes =
+        trace_format::layoutFor(header.count, header.nameLen).end;
     header.payloadChecksum = checksum.digest();
 
     os.write(reinterpret_cast<const char *>(&header), sizeof(header));
-    for (size_t i = 0; i < regions.size(); ++i) {
-        os.write(reinterpret_cast<const char *>(regions[i].data()),
-                 static_cast<std::streamsize>(regions[i].size()));
-        os.write(reinterpret_cast<const char *>(kZeroPad),
-                 static_cast<std::streamsize>(padAfter(i)));
-    }
+    forEachPayloadPiece(trace, [&](std::span<const std::byte> piece) {
+        os.write(reinterpret_cast<const char *>(piece.data()),
+                 static_cast<std::streamsize>(piece.size()));
+    });
     return os.good();
 }
 
@@ -158,9 +232,10 @@ readTrace(std::istream &is, std::string &error)
     };
 
     Trace trace;
+    std::vector<Addr> op_task_pcs; // the per-op column, folded below
     const uint64_t n = header.count;
     if (!(next(trace.name, header.nameLen) && next(trace.pcs, n) &&
-          next(trace.addrs, n) && next(trace.taskPcs, n) &&
+          next(trace.addrs, n) && next(op_task_pcs, n) &&
           next(trace.src1s, n) && next(trace.src2s, n) &&
           next(trace.taskIds, n) && next(trace.kinds, n) &&
           next(trace.repeats, n))) {
@@ -172,7 +247,12 @@ readTrace(std::istream &is, std::string &error)
         return Trace();
     }
 
-    std::string invalid = trace.validate();
+    std::string invalid = trace_format::foldTaskPcs(
+        n, reinterpret_cast<const std::byte *>(trace.taskIds.data()),
+        reinterpret_cast<const std::byte *>(op_task_pcs.data()),
+        trace.taskPcs);
+    if (invalid.empty())
+        invalid = trace.validate();
     if (!invalid.empty()) {
         error = "loaded trace is invalid: " + invalid;
         return Trace();

@@ -13,6 +13,12 @@
  * The name and the two 1-byte columns are zero-padded to 8 bytes.  A
  * bulk FNV-1a checksum over the payload (Fnv1aBulk, base/hash.hh)
  * detects corruption and truncation; readers never trust a file.
+ *
+ * The one exception is the task PC: it is a per-op column on disk but
+ * one PC per task in memory (Trace, TraceView::taskPcs()).  The writer
+ * expands the table into the column chunk by chunk, and both loaders
+ * fold the column back (foldTaskPcs), rejecting a file whose task PC
+ * changes inside a task, so the mapped column is read once, at load.
  */
 
 #ifndef MDP_TRACE_SERIALIZE_HH
@@ -21,6 +27,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <vector>
 
 #include "trace/trace.hh"
 
@@ -93,6 +100,18 @@ layoutFor(uint64_t count, uint32_t name_len)
  */
 std::string checkHeader(const FileHeader &header, uint64_t file_bytes);
 
+/**
+ * Fold the per-op taskPc column into @p table, one PC per task.
+ * @p task_id and @p task_pc are packed columns of @p count entries
+ * (any alignment).  @return empty when the task ids are contiguous
+ * from 0 (TaskSet's rule: each op stays in its predecessor's task or
+ * opens the next one) and every op of a task carries the task's first
+ * PC; else the first violation.
+ */
+std::string foldTaskPcs(uint64_t count, const std::byte *task_id,
+                        const std::byte *task_pc,
+                        std::vector<Addr> &table);
+
 } // namespace trace_format
 
 /** Write a trace to a stream.  @return false on I/O failure. */
@@ -107,7 +126,9 @@ bool saveTrace(const TraceView &trace, const std::string &path);
  * the zero-copy path see MappedTrace in trace/cache.hh).  Each
  * column's allocation follows the bytes the stream has delivered
  * (within twice that plus one 1 MiB read), never the op count the
- * header claims.
+ * header claims.  The taskPc column is read into a temporary and
+ * folded once the task ids are in; the trace must pass foldTaskPcs
+ * and TraceView::validate().
  * @param error Receives a description when reading fails.
  * @return the trace, empty on failure (check @p error).
  */

@@ -28,16 +28,16 @@ bytesOf(TraceView::Column<T> c, size_t count)
 
 TraceView::TraceView(const Trace &trace)
     : count(trace.size()), viewName(trace.traceName()),
-      cPc(columnOf(trace.pcs)), cAddr(columnOf(trace.addrs)),
-      cTaskPc(columnOf(trace.taskPcs)), cSrc1(columnOf(trace.src1s)),
+      taskPcTable(trace.taskPcs), cPc(columnOf(trace.pcs)),
+      cAddr(columnOf(trace.addrs)), cSrc1(columnOf(trace.src1s)),
       cSrc2(columnOf(trace.src2s)), cTaskId(columnOf(trace.taskIds)),
       cKind(columnOf(trace.kinds)), cValueRepeats(columnOf(trace.repeats))
 {}
 
 TraceView
 TraceView::columnar(size_t count, std::string_view trace_name,
-                    const std::byte *pc, const std::byte *addr,
-                    const std::byte *task_pc, const std::byte *src1,
+                    std::span<const Addr> task_pcs, const std::byte *pc,
+                    const std::byte *addr, const std::byte *src1,
                     const std::byte *src2, const std::byte *task_id,
                     const std::byte *kind,
                     const std::byte *value_repeats)
@@ -45,9 +45,9 @@ TraceView::columnar(size_t count, std::string_view trace_name,
     TraceView v;
     v.count = count;
     v.viewName = trace_name;
+    v.taskPcTable = task_pcs;
     v.cPc = {pc};
     v.cAddr = {addr};
-    v.cTaskPc = {task_pc};
     v.cSrc1 = {src1};
     v.cSrc2 = {src2};
     v.cTaskId = {task_id};
@@ -56,13 +56,13 @@ TraceView::columnar(size_t count, std::string_view trace_name,
     return v;
 }
 
-std::array<std::span<const std::byte>, 8>
+std::array<std::span<const std::byte>, 7>
 TraceView::columns() const
 {
-    return {bytesOf(cPc, count),     bytesOf(cAddr, count),
-            bytesOf(cTaskPc, count), bytesOf(cSrc1, count),
-            bytesOf(cSrc2, count),   bytesOf(cTaskId, count),
-            bytesOf(cKind, count),   bytesOf(cValueRepeats, count)};
+    return {bytesOf(cPc, count),   bytesOf(cAddr, count),
+            bytesOf(cSrc1, count), bytesOf(cSrc2, count),
+            bytesOf(cTaskId, count), bytesOf(cKind, count),
+            bytesOf(cValueRepeats, count)};
 }
 
 uint32_t

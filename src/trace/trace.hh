@@ -17,6 +17,7 @@
 #include <string_view>
 #include <vector>
 
+#include "base/logging.hh"
 #include "trace/microop.hh"
 
 namespace mdp
@@ -40,12 +41,15 @@ class Trace;
 
 /**
  * A non-owning, columnar view of a dynamic instruction stream.  This
- * is the type every timing model consumes.  Each MicroOp field is one
- * packed, fixed-width column (the serialize.hh v2 order and widths),
- * whether it lies in an in-memory Trace or in an mmap'd trace file, so
- * cached on-disk traces replay with zero deserialization.  Reads go
- * through std::memcpy, which makes them independent of the column's
- * alignment in the file.  The view borrows its storage: the Trace or
+ * is the type every timing model consumes.  Each per-op MicroOp field
+ * is one packed, fixed-width column (the serialize.hh v2 order and
+ * widths), whether it lies in an in-memory Trace or in an mmap'd trace
+ * file, so cached on-disk traces replay with zero deserialization.
+ * Reads go through std::memcpy, which makes them independent of the
+ * column's alignment in the file.  The task PC belongs to a task, not
+ * to an op: the view holds it as a table of one PC per task
+ * (taskPcs()), which a mapped file's loader folds from the file's
+ * per-op column.  The view borrows its storage: the Trace or
  * MappedTrace behind it must outlive it.
  */
 class TraceView
@@ -72,14 +76,14 @@ class TraceView
     TraceView(const Trace &trace); // NOLINT(google-explicit-constructor)
 
     /**
-     * View columnar storage (the serialize.cc v2 layout).  Each
-     * pointer is a packed column of `count` entries in field order;
-     * @p trace_name must outlive the view (it aliases the mapped
-     * file's name bytes).
+     * View columnar storage (the serialize.cc v2 layout, less its
+     * taskPc column).  Each pointer is a packed column of `count`
+     * entries in field order; @p task_pcs holds one PC per task.
+     * @p trace_name and @p task_pcs must outlive the view.
      */
     static TraceView columnar(size_t count, std::string_view trace_name,
+                              std::span<const Addr> task_pcs,
                               const std::byte *pc, const std::byte *addr,
-                              const std::byte *task_pc,
                               const std::byte *src1,
                               const std::byte *src2,
                               const std::byte *task_id,
@@ -90,19 +94,24 @@ class TraceView
     bool empty() const { return count == 0; }
     std::string_view name() const { return viewName; }
 
-    /** Materialize one op (a gather of all fields at @p s). */
+    /**
+     * Materialize one op (a gather of all fields at @p s).  The task
+     * PC is looked up by task id; an id past the table (a malformed
+     * trace, see validate()) reads 0.
+     */
     MicroOp
     operator[](SeqNum s) const
     {
         MicroOp op;
         op.pc = cPc[s];
         op.addr = cAddr[s];
-        op.taskPc = cTaskPc[s];
         op.src1 = cSrc1[s];
         op.src2 = cSrc2[s];
         op.taskId = cTaskId[s];
         op.kind = static_cast<OpKind>(cKind[s]);
         op.valueRepeats = cValueRepeats[s] != 0;
+        op.taskPc =
+            op.taskId < taskPcTable.size() ? taskPcTable[op.taskId] : 0;
         return op;
     }
 
@@ -115,7 +124,6 @@ class TraceView
      */
     Addr pc(SeqNum s) const { return cPc[s]; }
     Addr addr(SeqNum s) const { return cAddr[s]; }
-    Addr taskPc(SeqNum s) const { return cTaskPc[s]; }
     SeqNum src1(SeqNum s) const { return cSrc1[s]; }
     SeqNum src2(SeqNum s) const { return cSrc2[s]; }
     uint32_t taskId(SeqNum s) const { return cTaskId[s]; }
@@ -126,10 +134,18 @@ class TraceView
     bool isMemOp(SeqNum s) const { return isMem(kind(s)); }
 
     /**
-     * The eight columns as raw bytes, in file order (pc, addr, taskPc,
-     * src1, src2, taskId, kind, valueRepeats); what writeTrace emits.
+     * PC of the first instruction of each task: one entry per run of
+     * equal task ids, which on a valid trace is indexed by task id.
      */
-    std::array<std::span<const std::byte>, 8> columns() const;
+    std::span<const Addr> taskPcs() const { return taskPcTable; }
+
+    /**
+     * The seven per-op columns as raw bytes, in file order (pc, addr,
+     * src1, src2, taskId, kind, valueRepeats); writeTrace emits them
+     * and expands taskPcs() into the taskPc column between addr and
+     * src1.
+     */
+    std::array<std::span<const std::byte>, 7> columns() const;
 
     /** Number of tasks (max taskId + 1, or 0 for empty traces). */
     uint32_t numTasks() const;
@@ -151,7 +167,8 @@ class TraceView
   private:
     size_t count = 0;
     std::string_view viewName;
-    Column<Addr> cPc, cAddr, cTaskPc;
+    std::span<const Addr> taskPcTable;
+    Column<Addr> cPc, cAddr;
     Column<SeqNum> cSrc1, cSrc2;
     Column<uint32_t> cTaskId;
     Column<uint8_t> cKind, cValueRepeats;
@@ -159,13 +176,15 @@ class TraceView
 
 /**
  * A dynamic instruction stream in program order (owning container):
- * one packed column per MicroOp field, the layout TraceView reads and
- * writeTrace emits without a staging copy.
+ * one packed column per per-op MicroOp field, the layout TraceView
+ * reads and writeTrace emits without a staging copy, plus the task PCs,
+ * one per run of equal task ids.
  *
  * Invariants (checked by validate()):
  *  - taskId values are non-decreasing and contiguous from 0;
  *  - every producer sequence number precedes its consumer;
  *  - memory ops have nonzero addresses.
+ * All ops of a task carry one taskPc; append() asserts it.
  */
 class Trace
 {
@@ -178,7 +197,6 @@ class Trace
     {
         pcs.reserve(n);
         addrs.reserve(n);
-        taskPcs.reserve(n);
         src1s.reserve(n);
         src2s.reserve(n);
         taskIds.reserve(n);
@@ -186,13 +204,22 @@ class Trace
         repeats.reserve(n);
     }
 
-    /** Append an op; returns its sequence number. */
+    /**
+     * Append an op; returns its sequence number.  An op whose task id
+     * differs from its predecessor's opens a task-PC entry; one that
+     * continues a task must carry that task's PC (panics otherwise).
+     */
     SeqNum
     append(const MicroOp &op)
     {
+        if (taskIds.empty() || op.taskId != taskIds.back())
+            taskPcs.push_back(op.taskPc);
+        else
+            mdp_assert(op.taskPc == taskPcs.back(),
+                       "taskPc changes inside task %u at seq %zu",
+                       op.taskId, pcs.size());
         pcs.push_back(op.pc);
         addrs.push_back(op.addr);
-        taskPcs.push_back(op.taskPc);
         src1s.push_back(op.src1);
         src2s.push_back(op.src2);
         taskIds.push_back(op.taskId);
@@ -235,7 +262,8 @@ class Trace
     friend Trace readTrace(std::istream &is, std::string &error);
 
     std::string name;
-    std::vector<Addr> pcs, addrs, taskPcs;
+    std::vector<Addr> pcs, addrs;
+    std::vector<Addr> taskPcs; ///< one per run of equal task ids
     std::vector<SeqNum> src1s, src2s;
     std::vector<uint32_t> taskIds;
     std::vector<uint8_t> kinds, repeats;

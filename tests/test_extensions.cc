@@ -7,7 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <sstream>
+#include <vector>
 
 #include "harness/runner.hh"
 #include "mdp/distributed_sync.hh"
@@ -235,6 +237,10 @@ TEST(Serialize, RoundTripPreservesEverything)
         EXPECT_EQ(back[s].kind, orig[s].kind);
         EXPECT_EQ(back[s].valueRepeats, orig[s].valueRepeats);
     }
+    const std::span<const Addr> want = TraceView(orig).taskPcs();
+    const std::span<const Addr> got = TraceView(back).taskPcs();
+    EXPECT_EQ(std::vector<Addr>(got.begin(), got.end()),
+              std::vector<Addr>(want.begin(), want.end()));
 }
 
 TEST(Serialize, RejectsGarbage)

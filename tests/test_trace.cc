@@ -58,6 +58,30 @@ TEST(Trace, AppendAndIndex)
     EXPECT_EQ(t.traceName(), "t");
 }
 
+TEST(Trace, TaskPcsHoldOnePcPerTask)
+{
+    TraceBuilder b("x");
+    b.beginTask(0x1000);
+    b.alu(0x10);
+    b.alu(0x14);
+    b.beginTask(0x2000);
+    b.alu(0x18);
+    const Trace t = b.take();
+    const TraceView v(t);
+    EXPECT_EQ(std::vector<Addr>(v.taskPcs().begin(), v.taskPcs().end()),
+              (std::vector<Addr>{0x1000, 0x2000}));
+}
+
+TEST(TraceDeath, AppendRejectsTaskPcChangeInsideTask)
+{
+    Trace t("forged");
+    MicroOp op;
+    op.taskPc = 0x1000;
+    t.append(op);
+    op.taskPc = 0x2000;
+    EXPECT_DEATH(t.append(op), "taskPc changes inside task 0 at seq 1");
+}
+
 TEST(Trace, EmptyTrace)
 {
     Trace t;
@@ -311,16 +335,20 @@ TEST(DepOracle, LoadAndStoreLists)
 
 /**
  * A valid random trace of @p n ops over a few addresses: every kind,
- * tasks of random length, sources that precede their consumers.
+ * tasks of random length, each with one random task PC, and sources
+ * that precede their consumers.
  */
 Trace
 randomTrace(Pcg32 &rng, size_t n)
 {
     Trace t("random");
     uint32_t task = 0;
+    Addr task_pc = 0x8000 + rng.below(8) * 0x40;
     for (size_t s = 0; s < n; ++s) {
-        if (s != 0 && rng.chance(0.08))
+        if (s != 0 && rng.chance(0.08)) {
             ++task;
+            task_pc = 0x8000 + rng.below(8) * 0x40;
+        }
         MicroOp op;
         const uint32_t pick = rng.below(10);
         op.kind = pick < 3   ? OpKind::Load
@@ -329,7 +357,7 @@ randomTrace(Pcg32 &rng, size_t n)
                              : OpKind::IntAlu;
         op.pc = 0x1000 + rng.below(32) * 4;
         op.taskId = task;
-        op.taskPc = 0x8000 + rng.below(8) * 0x40;
+        op.taskPc = task_pc;
         if (isMem(op.kind))
             op.addr = 0x100 + rng.below(12) * 8;
         if (s != 0 && rng.chance(0.5))
@@ -442,7 +470,8 @@ TEST(TaskSet, SpansEqualPerTaskFilter)
     }
 }
 
-/** A trace of one ALU op per listed task id, unvalidated. */
+/** A trace of one ALU op per listed task id, unvalidated; each op's
+ *  task PC is 0x100 plus its id. */
 Trace
 taskIdTrace(std::initializer_list<uint32_t> ids)
 {
@@ -451,9 +480,25 @@ taskIdTrace(std::initializer_list<uint32_t> ids)
         MicroOp op;
         op.kind = OpKind::IntAlu;
         op.taskId = id;
+        op.taskPc = 0x100 + id;
         t.append(op);
     }
     return t;
+}
+
+TEST(Trace, GatherStaysInTheTaskTableOnForgedIds)
+{
+    // {0, 3} has two runs, so two task PCs, but names task 3; {1, 1}
+    // has one PC and names task 1.  The gather reads 0 past the table,
+    // where an in-range id would read 0x100 plus the id.
+    const Trace gap = taskIdTrace({0, 3});
+    ASSERT_EQ(TraceView(gap).taskPcs().size(), 2u);
+    EXPECT_EQ(gap[0].taskPc, 0x100u);
+    EXPECT_EQ(gap[1].taskId, 3u);
+    EXPECT_EQ(gap[1].taskPc, 0u);
+    const Trace late = taskIdTrace({1, 1});
+    ASSERT_EQ(TraceView(late).taskPcs().size(), 1u);
+    EXPECT_EQ(late[0].taskPc, 0u);
 }
 
 TEST(TaskSetDeath, TaskIdGapFailsFast)

@@ -13,15 +13,18 @@
 
 #include <array>
 #include <atomic>
+#include <cstring>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
+#include <span>
 #include <thread>
 #include <vector>
 
+#include "base/hash.hh"
 #include "harness/experiment.hh"
 #include "harness/runner.hh"
 #include "trace/cache.hh"
@@ -138,6 +141,11 @@ TEST(TraceCacheTest, MissThenHitRoundTripsEveryField)
         ASSERT_EQ(a.kind, b.kind) << "op " << s;
         ASSERT_EQ(a.valueRepeats, b.valueRepeats) << "op " << s;
     }
+    const std::span<const Addr> want = TraceView(orig).taskPcs();
+    const std::span<const Addr> got = view.taskPcs();
+    EXPECT_EQ(std::vector<Addr>(got.begin(), got.end()),
+              std::vector<Addr>(want.begin(), want.end()));
+    EXPECT_EQ(got.size(), orig.numTasks());
 }
 
 TEST(TraceCacheTest, DistinctKeysDoNotCollide)
@@ -195,6 +203,28 @@ class TraceCacheDamageTest : public testing::Test
         ASSERT_GT(bytes.size(), sizeof(trace_format::FileHeader));
     }
 
+    /** Re-checksum the payload, so only the task-PC fold can reject
+     *  the entry. */
+    void
+    reseal()
+    {
+        trace_format::FileHeader header{};
+        std::memcpy(&header, bytes.data(), sizeof(header));
+        header.payloadChecksum =
+            fnv1aBulk(bytes.data() + sizeof(header),
+                      bytes.size() - sizeof(header));
+        std::memcpy(bytes.data(), &header, sizeof(header));
+    }
+
+    /** The open's error for the entry as it is on disk. */
+    std::string
+    openError() const
+    {
+        std::string error;
+        EXPECT_EQ(MappedTrace::open(path, error), nullptr);
+        return error;
+    }
+
     /** The damaged entry must miss and be deleted, not trusted. */
     void
     expectRejectedAndUnlinked()
@@ -243,6 +273,46 @@ TEST_F(TraceCacheDamageTest, StaleFormatVersionIsRejected)
     header.version = trace_format::kVersion + 1;
     std::memcpy(bytes.data(), &header, sizeof(header));
     spew(path, bytes);
+    expectRejectedAndUnlinked();
+}
+
+TEST_F(TraceCacheDamageTest, TaskIdGapIsRejected)
+{
+    // A checksum-valid entry with task ids {0, 3}: TaskSet would fatal
+    // on it, so the load must turn it into a miss first.
+    cache = std::make_unique<TraceCache>(freshDir("taskgap"));
+    key = keyFor("espresso");
+    Trace t("forged");
+    for (uint32_t id : {0u, 3u}) {
+        MicroOp op;
+        op.taskId = id;
+        op.taskPc = 0x100 + id;
+        t.append(op);
+    }
+    ASSERT_TRUE(cache->store(key, t));
+    path = cache->entryPath(key);
+    EXPECT_EQ(openError(), "task ids must be contiguous from 0 at seq 1");
+    expectRejectedAndUnlinked();
+}
+
+TEST_F(TraceCacheDamageTest, TaskPcChangeInsideATaskIsRejected)
+{
+    populate("taskpc");
+    trace_format::FileHeader header{};
+    std::memcpy(&header, bytes.data(), sizeof(header));
+    const trace_format::Layout l =
+        trace_format::layoutFor(header.count, header.nameLen);
+    char *payload = bytes.data() + sizeof(header);
+    uint32_t id1 = 0;
+    std::memcpy(&id1, payload + l.taskId + 4, sizeof(id1));
+    ASSERT_EQ(id1, 0u) << "op 1 must share task 0 with op 0";
+    Addr pc = 0;
+    std::memcpy(&pc, payload + l.taskPc + 8, sizeof(pc));
+    pc ^= 0x40;
+    std::memcpy(payload + l.taskPc + 8, &pc, sizeof(pc));
+    reseal();
+    spew(path, bytes);
+    EXPECT_EQ(openError(), "taskPc changes inside task 0 at seq 1");
     expectRejectedAndUnlinked();
 }
 

@@ -3,7 +3,8 @@
  * Tests that pin the trace-file bytes and its hostile-input handling:
  * the FNV-1a of writeTrace's output for every registered workload and
  * one manycore trace, the incremental Fnv1aBulk against the one-shot
- * checksum, and a forged header whose op count the file cannot hold.
+ * checksum, a forged header whose op count the file cannot hold, and
+ * a checksum-valid file whose task PC changes inside a task.
  *
  * The trace-cache key (traceKeyDigest) covers the format version,
  * workload, scale, seed and profile, but not the generator code.  A
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "base/hash.hh"
+#include "trace/builder.hh"
 #include "trace/serialize.hh"
 #include "workloads/manycore.hh"
 #include "workloads/suites.hh"
@@ -177,6 +179,47 @@ TEST(ForgedTrace, StreamReadFailsWithoutSizingFromTheHeader)
     Trace t = readTrace(is, error);
     EXPECT_TRUE(t.empty());
     EXPECT_EQ(error, "truncated payload");
+}
+
+/**
+ * A two-op, one-task trace file whose second op names another task PC,
+ * re-checksummed so that only the task-PC fold can reject it.
+ */
+std::string
+taskPcChangeTrace()
+{
+    TraceBuilder b("pcs");
+    b.beginTask(0x1000);
+    b.alu(0x10);
+    b.alu(0x14);
+    std::ostringstream os;
+    EXPECT_TRUE(writeTrace(b.take(), os));
+    std::string bytes = os.str();
+
+    trace_format::FileHeader header{};
+    std::memcpy(&header, bytes.data(), sizeof(header));
+    char *payload = bytes.data() + sizeof(header);
+    const uint64_t op1 =
+        trace_format::layoutFor(header.count, header.nameLen).taskPc + 8;
+    const Addr other = 0x2000;
+    std::memcpy(payload + op1, &other, sizeof(other));
+    header.payloadChecksum =
+        fnv1aBulk(payload, bytes.size() - sizeof(header));
+    std::memcpy(bytes.data(), &header, sizeof(header));
+    return bytes;
+}
+
+TEST(ForgedTrace, LoadRejectsATaskPcChangeInsideATask)
+{
+    const std::string path = testing::TempDir() + "/forged_taskpc.mdpt";
+    std::ofstream(path, std::ios::binary) << taskPcChangeTrace();
+    std::string error;
+    Trace t = loadTrace(path, error);
+    EXPECT_TRUE(t.empty());
+    EXPECT_EQ(error,
+              "loaded trace is invalid: taskPc changes inside task 0 at "
+              "seq 1");
+    std::remove(path.c_str());
 }
 
 TEST(ForgedTrace, MdpSimExitsOneWithAMessage)

@@ -22,6 +22,8 @@
 #include <memory>
 #include <string>
 
+#include "multiscalar/processor.hh"
+#include "multiscalar/task_info.hh"
 #include "ooo/ooo_model.hh"
 #include "trace/builder.hh"
 #include "trace/cache.hh"
@@ -99,6 +101,17 @@ runOooOver(const TraceView &v)
     return OooProcessor(v, oracle, cfg).run();
 }
 
+SimResult
+runMultiscalarOver(const TraceView &v)
+{
+    const DepOracle oracle(v);
+    const TaskSet tasks(v);
+    MultiscalarConfig cfg;
+    cfg.numStages = 8;
+    cfg.policyName = "esync";
+    return MultiscalarProcessor(v, oracle, tasks, cfg).run();
+}
+
 class TraceResidencyTest : public testing::Test
 {
   protected:
@@ -121,6 +134,7 @@ class TraceResidencyTest : public testing::Test
         ASSERT_TRUE(warm);
         sumKinds(warm->view());
         runOooOver(warm->view());
+        runMultiscalarOver(warm->view());
 
         ASSERT_TRUE(cache->store(kBig, syntheticTrace(kOps)));
         granule = faultGranule();
@@ -139,7 +153,7 @@ class TraceResidencyTest : public testing::Test
     {
         auto probe = cache->load(kBig);
         const int64_t before = rssFileBytes();
-        volatile Addr sink = probe->view().taskPc(kOps / 2);
+        volatile Addr sink = probe->view().addr(kOps / 2);
         (void)sink;
         return std::max<int64_t>(rssFileBytes() - before, 4 * kKiB);
     }
@@ -189,6 +203,22 @@ TEST_F(TraceResidencyTest, OooRunLeavesTaskColumnsCold)
     // kind, src1, src2, addr and pc are 25 of the 38 bytes per op;
     // taskPc, taskId and valueRepeats stay cold.
     EXPECT_LT(rssFileBytes() - before, payloadBytes(*mapped) * 7 / 10);
+}
+
+TEST_F(TraceResidencyTest, MultiscalarRunLeavesTaskPcCold)
+{
+    const int64_t before = rssFileBytes();
+    auto mapped = cache->load(kBig);
+    ASSERT_TRUE(mapped);
+    const SimResult r = runMultiscalarOver(mapped->view());
+    EXPECT_EQ(r.committedOps, kOps);
+    // The oracle, the task set and the model may read every column but
+    // taskPc (8 bytes per op), whose PCs the load folded into its
+    // table; a fault at either end of the column may map a granule.
+    const int64_t column = 8 * static_cast<int64_t>(kOps);
+    const int64_t edge = std::max(128 * kKiB, granule);
+    EXPECT_LT(rssFileBytes() - before,
+              payloadBytes(*mapped) - column + 2 * edge);
 }
 
 } // namespace
