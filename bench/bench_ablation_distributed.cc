@@ -11,16 +11,11 @@
 
 using namespace mdp;
 
-int
-main()
+TextTable
+ablationDistributed(ShapeChecks &sc)
 {
-    banner("Ablation A5: centralized vs distributed organization "
-           "(8 stages, ESYNC)",
-           "Moshovos et al., ISCA'97, section 4.4.5");
-
     TextTable t({"benchmark", "central IPC", "central misspec",
                  "distributed IPC", "distributed misspec"});
-    ShapeChecks sc;
 
     ExperimentRunner<SimResult> runner;
     for (const auto &name : specInt92Names()) {
@@ -60,7 +55,5 @@ main()
         "updates are NOT broadcast here (a deliberate relaxation of\n"
         "section 4.4.5), so copies may diverge slightly -- visible as\n"
         "extra residual mis-speculations above.\n\n");
-    return finishBench("ablation_distributed",
-                       "Moshovos et al., ISCA'97, section 4.4.5", sc,
-                       t);
+    return t;
 }

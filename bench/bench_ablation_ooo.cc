@@ -13,12 +13,9 @@
 
 using namespace mdp;
 
-int
-main()
+TextTable
+ablationOoo(ShapeChecks &sc)
 {
-    banner("Ablation A4: superscalar continuous-window model",
-           "Moshovos et al., ISCA'97, section 6 (other models)");
-
     const std::vector<std::string> names = {"compress", "espresso",
                                             "xlisp"};
     const std::vector<unsigned> windows = {16, 32, 64, 128};
@@ -37,7 +34,6 @@ main()
 
     TextTable t({"benchmark", "window", "NEVER", "ALWAYS", "SYNC",
                  "PSYNC", "always misspec/kop"});
-    ShapeChecks sc;
 
     size_t idx = 0;
     for (const auto &name : names) {
@@ -81,8 +77,5 @@ main()
     }
     t.print(std::cout);
     std::printf("\n");
-    return finishBench("ablation_ooo",
-                       "Moshovos et al., ISCA'97, section 6 "
-                       "(other models)",
-                       sc, t);
+    return t;
 }

@@ -11,12 +11,9 @@
 
 using namespace mdp;
 
-int
-main()
+TextTable
+ablationPredictor(ShapeChecks &sc)
 {
-    banner("Ablation A2: predictor update-policy sweep (8 stages)",
-           "Moshovos et al., ISCA'97, section 4.4.1");
-
     const std::vector<std::string> names = {"compress", "espresso",
                                             "sc"};
 
@@ -63,7 +60,6 @@ main()
         head.push_back(n + " (ESYNC)");
     t.header(head);
 
-    ShapeChecks sc;
     double default_compress = 0;
     size_t idx = names.size();
     for (const auto &v : variants) {
@@ -81,7 +77,5 @@ main()
 
     sc.check(default_compress > -5.0,
              "default predictor does not lose on compress");
-    return finishBench("ablation_predictor",
-                       "Moshovos et al., ISCA'97, section 4.4.1", sc,
-                       t);
+    return t;
 }

@@ -11,12 +11,9 @@
 
 using namespace mdp;
 
-int
-main()
+TextTable
+ablationTableSize(ShapeChecks &sc)
 {
-    banner("Ablation A1: prediction-table capacity sweep (8 stages)",
-           "Moshovos et al., ISCA'97, sections 5.5/6 (capacity remedy)");
-
     const std::vector<size_t> sizes = {16, 32, 64, 128, 256, 1024};
     const std::vector<std::string> names = {"espresso", "gcc",
                                             "145.fpppp"};
@@ -39,7 +36,6 @@ main()
                 [sz](MultiscalarConfig &cfg) { cfg.sync.numEntries = sz; }));
     const std::vector<SimResult> results = runner.runAll();
 
-    ShapeChecks sc;
     std::vector<double> small_gain(names.size()), big_gain(names.size());
     size_t idx = names.size();
     for (size_t sz : sizes) {
@@ -71,7 +67,5 @@ main()
     sc.check(big_gain[2] < 0.0,
              "fpppp: capacity alone does not recover the huge-task "
              "workloads");
-    return finishBench("ablation_table_size",
-                       "Moshovos et al., ISCA'97, sections 5.5/6", sc,
-                       t);
+    return t;
 }

@@ -11,13 +11,9 @@
 
 using namespace mdp;
 
-int
-main()
+TextTable
+ablationTagging(ShapeChecks &sc)
 {
-    banner("Ablation A3: tagging scheme and table organization "
-           "(8 stages, SYNC)",
-           "Moshovos et al., ISCA'97, sections 3, 4, 5.5");
-
     // Per workload: the ALWAYS baseline, then SYNC under each of the
     // four (tag scheme, organization) variants.
     ExperimentRunner<SimResult> runner;
@@ -36,7 +32,6 @@ main()
 
     TextTable t({"benchmark", "ALWAYS IPC", "dist/combined",
                  "dist/split", "addr/combined", "addr/split"});
-    ShapeChecks sc;
 
     size_t idx = 0;
     for (const auto &name : specInt92Names()) {
@@ -56,7 +51,5 @@ main()
     }
     t.print(std::cout);
     std::printf("\n");
-    return finishBench("ablation_tagging",
-                       "Moshovos et al., ISCA'97, sections 3, 4, 5.5",
-                       sc, t);
+    return t;
 }

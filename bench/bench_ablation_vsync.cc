@@ -16,16 +16,11 @@
 
 using namespace mdp;
 
-int
-main()
+TextTable
+ablationVsync(ShapeChecks &sc)
 {
-    banner("Ablation A6: value-prediction hybrid vs synchronization "
-           "(8 stages)",
-           "Moshovos et al., ISCA'97, section 6 (future work)");
-
     TextTable t({"value locality", "ALWAYS", "ESYNC", "VSYNC", "PSYNC",
                  "VP uses", "VP hits", "VP misses"});
-    ShapeChecks sc;
 
     // One cell per value locality: each generates its own variant of
     // the profile, so it runs every policy on a private context.
@@ -95,8 +90,5 @@ main()
              "locality 0.95: hybrid approaches (or exceeds) the "
              "synchronization ideal -- value prediction can beat the "
              "dataflow limit");
-    return finishBench("ablation_vsync",
-                       "Moshovos et al., ISCA'97, section 6 "
-                       "(future work)",
-                       sc, t);
+    return t;
 }

@@ -54,13 +54,9 @@ perKiloLoads(uint64_t n, uint64_t loads)
 
 } // namespace
 
-int
-main()
+TextTable
+ablationZoo(ShapeChecks &sc)
 {
-    banner("Predictor zoo: paper policies vs descendants (8 stages)",
-           "Moshovos et al., ISCA'97 policies + store-set/counter/"
-           "value descendants");
-
     const std::vector<std::string> policies = dependencePolicyNames();
 
     std::vector<std::pair<std::string, std::string>> programs;
@@ -159,7 +155,6 @@ main()
         t.cell(std::to_string(a.vpUses));
     }
 
-    ShapeChecks sc;
     const uint64_t blind = misspecs("always");
     sc.check(blind > 0,
              "ALWAYS: blind speculation mis-speculates at all");
@@ -228,9 +223,5 @@ main()
                 "0.95):\n");
     vt.print(std::cout);
     std::printf("\n");
-    return finishBench("ablation_zoo",
-                       "Moshovos et al., ISCA'97 + Chrysos/Emer "
-                       "store-sets, load-wait counters, value-assisted "
-                       "sync",
-                       sc, t);
+    return t;
 }

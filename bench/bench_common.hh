@@ -1,19 +1,20 @@
 /**
  * @file
- * Shared helpers for the table/figure reproduction binaries.
+ * Shared helpers for mdp_tables, the table/figure reproduction driver,
+ * and for the micro benches.
  *
- * Every binary prints the rows/series of one table or figure of the
+ * Every table prints the rows/series of one table or figure of the
  * paper, followed by shape checks: the qualitative properties the
  * paper's version of the result exhibits.  Absolute numbers differ
  * (synthetic workloads, simplified timing); the shapes should not.
  *
- * MDP_SCALE scales trace lengths (default 0.25 here so the full bench
+ * MDP_SCALE scales trace lengths (default 0.25 here so the full table
  * suite completes in minutes; use MDP_SCALE=1 for longer runs).
  * MDP_JOBS caps the worker threads of the ExperimentRunner every
- * bench runs its cells on (default: hardware concurrency; MDP_JOBS=1
+ * table runs its cells on (default: hardware concurrency; MDP_JOBS=1
  * is the serial baseline and must produce byte-identical tables).
- * MDP_JSON_OUT=<path> additionally writes rows + shape verdicts as a
- * JSON document for CI artifacts; see harness/report.hh.
+ * MDP_JSON_OUT=<dir> additionally writes each table's rows + shape
+ * verdicts as <dir>/<table>.json; see harness/report.hh.
  */
 
 #ifndef MDP_BENCH_BENCH_COMMON_HH
@@ -48,7 +49,9 @@ benchScale()
 /**
  * The usual runner cell: @p workload (cached, at the bench scale) on
  * the Multiscalar model under makeMultiscalarConfig(ctx, stages,
- * policy), adjusted by @p tweak when one is given.
+ * policy), adjusted by @p tweak when one is given.  The run goes
+ * through multiscalarMemo(), so a cell any table already ran is served,
+ * not simulated again.
  */
 inline std::function<SimResult()>
 multiscalarCell(const std::string &workload, unsigned stages,
@@ -61,13 +64,16 @@ multiscalarCell(const std::string &workload, unsigned stages,
             makeMultiscalarConfig(ctx, stages, policy);
         if (tweak)
             tweak(cfg);
-        return runMultiscalar(ctx, cfg);
+        return multiscalarMemo().get(
+            {workload, benchScale(), cfg},
+            [&] { return runMultiscalar(ctx, cfg); });
     };
 }
 
 /**
  * A runner cell: the section-5 perfect-window study of @p workload
- * (cached, at the bench scale) for one window size.
+ * (cached, at the bench scale) for one window size, through
+ * windowMemo().
  */
 inline std::function<WindowStudyResult()>
 windowCell(const std::string &workload, uint32_t window_size,
@@ -75,8 +81,11 @@ windowCell(const std::string &workload, uint32_t window_size,
 {
     return [=] {
         const WorkloadContext &ctx = cachedContext(workload, benchScale());
-        return WindowModel(ctx.trace(), ctx.oracle())
-            .study(window_size, ddc_sizes);
+        return windowMemo().get(
+            {workload, benchScale(), window_size, ddc_sizes}, [&] {
+                return WindowModel(ctx.trace(), ctx.oracle())
+                    .study(window_size, ddc_sizes);
+            });
     };
 }
 
@@ -124,10 +133,10 @@ class ShapeChecks
 
 /**
  * Standard bench epilogue: print the verdict line, honor MDP_JSON_OUT,
- * and return the process exit code -- nonzero when any shape check
- * failed, any run hit its cycle cap (its table cells are partial), or
- * the JSON artifact could not be written, so CI gates on the result
- * instead of just archiving the text.
+ * and return the exit status -- nonzero when any shape check failed,
+ * any run hit its cycle cap (its table cells are partial), or the JSON
+ * artifact could not be written, so CI gates on the result instead of
+ * just archiving the text.
  */
 inline int
 finishBench(const std::string &bench_name, const std::string &paper_ref,
@@ -157,6 +166,37 @@ finishBench(const std::string &bench_name, const std::string &paper_ref,
     if (!report.writeEnv())
         return 1;
     return ok ? 0 : 1;
+}
+
+/**
+ * A table body: runs its cells on an ExperimentRunner, prints the
+ * table and its shape checks, and returns the table for the report.
+ */
+using TableFn = TextTable(ShapeChecks &sc);
+
+/** One table of mdp_tables, registered in bench/mdp_tables.cc. */
+struct Table
+{
+    const char *name;     ///< its golden's basename, e.g. fig7_spec95
+    const char *title;    ///< the banner headline
+    const char *paperRef; ///< what it reproduces (banner and JSON)
+    TableFn *run;
+};
+
+/**
+ * Print @p t's banner, run it and finish it as one bench; returns its
+ * exit status.  The process counters restart with each table, so its
+ * report and truncation verdict cover only what it ran.
+ */
+inline int
+runTable(const Table &t)
+{
+    resetPhaseSeconds();
+    resetCycleStats();
+    banner(t.title, t.paperRef);
+    ShapeChecks sc;
+    const TextTable table = t.run(sc);
+    return finishBench(t.name, t.paperRef, sc, table);
 }
 
 } // namespace mdp

@@ -26,19 +26,9 @@ gainCell(const SimResult &base, const SimResult &r)
 
 } // namespace
 
-int
-main(int argc, char **argv)
+TextTable
+fig5Policies(ShapeChecks &sc)
 {
-    banner("Figure 5: speculation-policy comparison",
-           "Moshovos et al., ISCA'97, Figure 5");
-
-    if (argc > 1 && std::string(argv[1]) == "--config") {
-        std::printf("Table 2 functional-unit latencies:\n"
-                    "  simple int 1, int mul 4, int div 12,\n"
-                    "  fp add 2, fp mul 4, fp div 18, branch 1,\n"
-                    "  dcache hit 2, miss 13 (+bus), ring hop 1\n\n");
-    }
-
     const std::vector<std::string> policies = {"never", "always", "wait",
                                                "psync"};
 
@@ -54,7 +44,6 @@ main(int argc, char **argv)
 
     TextTable t({"stages", "benchmark", "NEVER IPC", "ALWAYS", "WAIT",
                  "PSYNC"});
-    ShapeChecks sc;
 
     size_t idx = 0;
     for (const auto &name : specInt92Names()) {
@@ -94,6 +83,5 @@ main(int argc, char **argv)
     }
     t.print(std::cout);
     std::printf("\n");
-    return finishBench("fig5_policies",
-                       "Moshovos et al., ISCA'97, Figure 5", sc, t);
+    return t;
 }

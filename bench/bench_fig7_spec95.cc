@@ -12,12 +12,9 @@
 
 using namespace mdp;
 
-int
-main()
+TextTable
+fig7Spec95(ShapeChecks &sc)
 {
-    banner("Figure 7: SPEC95 mechanism evaluation (8 stages)",
-           "Moshovos et al., ISCA'97, Figure 7");
-
     const std::vector<std::string> policies = {"always", "esync",
                                                "psync"};
 
@@ -35,7 +32,6 @@ main()
     const std::vector<SimResult> results = runner.runAll();
 
     TextTable t({"suite", "benchmark", "ESYNC IPC", "ESYNC", "PSYNC"});
-    ShapeChecks sc;
 
     size_t idx = 0;
     for (const auto &[suite, name] : programs) {
@@ -84,6 +80,5 @@ main()
 
     t.print(std::cout);
     std::printf("\n");
-    return finishBench("fig7_spec95",
-                       "Moshovos et al., ISCA'97, Figure 7", sc, t);
+    return t;
 }

@@ -56,12 +56,9 @@ scalingConfig(unsigned pes, Topology topo, const std::string &policy)
 
 } // namespace
 
-int
-main()
+TextTable
+manycoreScaling(ShapeChecks &sc)
 {
-    banner("Manycore scaling: ring vs mesh, 8..1024 PEs",
-           "Moshovos et al., ISCA'97, scaled beyond Table 2");
-
     const std::vector<unsigned> kPes = {8, 64, 256, 1024};
     const std::vector<std::string> kPolicies = {"always", "sync",
                                                 "storeset"};
@@ -99,7 +96,6 @@ main()
 
     TextTable t({"pes", "topo", "policy", "workload", "ipc",
                  "misspec", "fwd_hops", "cycles", "sim_cycles"});
-    ShapeChecks sc;
 
     // The 1024-PE bfs runs under ALWAYS, one per topology.
     const SimResult *ring_bfs = nullptr, *mesh_bfs = nullptr;
@@ -153,8 +149,5 @@ main()
 
     t.print(std::cout);
     std::printf("\n");
-    return finishBench("manycore_scaling",
-                       "Moshovos et al., ISCA'97, scaled beyond "
-                       "Table 2",
-                       sc, t);
+    return t;
 }

@@ -9,12 +9,9 @@
 
 using namespace mdp;
 
-int
-main()
+TextTable
+table1Instcounts(ShapeChecks &sc)
 {
-    banner("Table 1: dynamic instruction counts",
-           "Moshovos et al., ISCA'97, Table 1");
-
     // One cell per workload: building its context is the work.
     const std::vector<std::string> names = allWorkloadNames();
     ExperimentRunner<TraceStats> runner;
@@ -40,7 +37,6 @@ main()
     }
     t.print(std::cout);
 
-    ShapeChecks sc;
     // The paper's fpppp/su2cor run ~1000-instruction tasks; the rest
     // are tens of instructions.
     const TraceView &fp = cachedContext("145.fpppp", benchScale()).trace();
@@ -48,6 +44,5 @@ main()
     sc.check(fp.stats().avgTaskSize > 500,
              "fpppp tasks are huge (greedy task partitioning)");
     sc.check(ix.stats().avgTaskSize < 100, "xlisp tasks are small");
-    return finishBench("table1_instcounts",
-                       "Moshovos et al., ISCA'97, Table 1", sc, t);
+    return t;
 }

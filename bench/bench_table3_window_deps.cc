@@ -10,12 +10,9 @@
 
 using namespace mdp;
 
-int
-main()
+TextTable
+table3WindowDeps(ShapeChecks &sc)
 {
-    banner("Table 3: mis-speculations vs window size (unrealistic OoO)",
-           "Moshovos et al., ISCA'97, Table 3");
-
     const std::vector<uint32_t> sizes = {8, 16, 32, 64, 128, 256, 512};
     TextTable t;
     std::vector<std::string> head = {"WS"};
@@ -51,13 +48,11 @@ main()
     t.print(std::cout);
     std::printf("\n");
 
-    ShapeChecks sc;
     for (size_t i = 0; i < names.size(); ++i) {
         sc.check(at32[i] >= 2 * at8[i],
                  names[i] + ": dramatic increase from WS 8 to WS 32");
         sc.check(at512[i] >= at32[i],
                  names[i] + ": monotone growth to WS 512");
     }
-    return finishBench("table3_window_deps",
-                       "Moshovos et al., ISCA'97, Table 3", sc, t);
+    return t;
 }

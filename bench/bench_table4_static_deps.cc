@@ -10,12 +10,9 @@
 
 using namespace mdp;
 
-int
-main()
+TextTable
+table4StaticDeps(ShapeChecks &sc)
 {
-    banner("Table 4: static deps covering 99.9% of mis-speculations",
-           "Moshovos et al., ISCA'97, Table 4");
-
     const std::vector<uint32_t> sizes = {8, 16, 32, 64, 128, 256, 512};
     TextTable t;
     std::vector<std::string> head = {"WS"};
@@ -49,7 +46,6 @@ main()
     t.print(std::cout);
     std::printf("\n");
 
-    ShapeChecks sc;
     for (size_t i = 0; i < names.size(); ++i) {
         sc.check(at512[i] >= at8[i],
                  names[i] + ": more static deps exposed at larger windows");
@@ -63,6 +59,5 @@ main()
         if (i != gcc_idx && at512[i] > at512[gcc_idx])
             gcc_largest = false;
     sc.check(gcc_largest, "gcc has the largest dependence working set");
-    return finishBench("table4_static_deps",
-                       "Moshovos et al., ISCA'97, Table 4", sc, t);
+    return t;
 }

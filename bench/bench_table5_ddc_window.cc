@@ -10,12 +10,9 @@
 
 using namespace mdp;
 
-int
-main()
+TextTable
+table5DdcWindow(ShapeChecks &sc)
 {
-    banner("Table 5: DDC miss rate vs window size and DDC size",
-           "Moshovos et al., ISCA'97, Table 5");
-
     const std::vector<uint32_t> windows = {8, 32, 128, 512};
     const std::vector<size_t> ddcs = {32, 128, 512};
 
@@ -26,7 +23,6 @@ main()
     const std::vector<WindowStudyResult> results = runner.runAll();
 
     TextTable t({"benchmark", "WS", "DDC32", "DDC128", "DDC512"});
-    ShapeChecks sc;
 
     size_t idx = 0;
     for (const auto &name : specInt92Names()) {
@@ -54,6 +50,5 @@ main()
     }
     t.print(std::cout);
     std::printf("\n");
-    return finishBench("table5_ddc_window",
-                       "Moshovos et al., ISCA'97, Table 5", sc, t);
+    return t;
 }

@@ -10,12 +10,9 @@
 
 using namespace mdp;
 
-int
-main()
+TextTable
+table6MsMisspec(ShapeChecks &sc)
 {
-    banner("Table 6: Multiscalar mis-speculations (blind speculation)",
-           "Moshovos et al., ISCA'97, Table 6");
-
     TextTable t;
     std::vector<std::string> head = {"stages"};
     for (const auto &n : specInt92Names())
@@ -42,7 +39,6 @@ main()
     t.print(std::cout);
     std::printf("\n");
 
-    ShapeChecks sc;
     auto names = specInt92Names();
     for (size_t i = 0; i < names.size(); ++i) {
         sc.check(at8[i] > at4[i],
@@ -50,6 +46,5 @@ main()
                      ": mis-speculations more frequent at 8 stages");
         sc.check(at4[i] > 0, names[i] + ": violations occur at all");
     }
-    return finishBench("table6_ms_misspec",
-                       "Moshovos et al., ISCA'97, Table 6", sc, t);
+    return t;
 }

@@ -11,12 +11,9 @@
 
 using namespace mdp;
 
-int
-main()
+TextTable
+table7MsDdc(ShapeChecks &sc)
 {
-    banner("Table 7: 8-stage Multiscalar DDC miss rates",
-           "Moshovos et al., ISCA'97, Table 7");
-
     const std::vector<size_t> sizes = {16, 32, 64, 128, 256, 512, 1024};
     TextTable t;
     std::vector<std::string> head = {"CS"};
@@ -53,7 +50,6 @@ main()
     t.print(std::cout);
     std::printf("\n");
 
-    ShapeChecks sc;
     auto names = specInt92Names();
     for (size_t i = 0; i < names.size(); ++i) {
         sc.check(at64[i] < 0.10,
@@ -67,6 +63,5 @@ main()
         sc.check(at1024[i] <= at64[i],
                  names[i] + ": 1024 entries at least as good as 64");
     }
-    return finishBench("table7_ms_ddc",
-                       "Moshovos et al., ISCA'97, Table 7", sc, t);
+    return t;
 }

@@ -29,15 +29,11 @@ variantName(int v)
 
 } // namespace
 
-int
-main()
+TextTable
+table8PredBreakdown(ShapeChecks &sc)
 {
-    banner("Table 8: dependence-prediction breakdown (%)",
-           "Moshovos et al., ISCA'97, Table 8");
-
     TextTable t({"predictor", "P/A", "compress", "espresso", "gcc",
                  "sc", "xlisp"});
-    ShapeChecks sc;
 
     const std::vector<std::string> names = specInt92Names();
     ExperimentRunner<SimResult> runner;
@@ -89,6 +85,5 @@ main()
     }
     t.print(std::cout);
     std::printf("\n");
-    return finishBench("table8_pred_breakdown",
-                       "Moshovos et al., ISCA'97, Table 8", sc, t);
+    return t;
 }

@@ -10,12 +10,9 @@
 
 using namespace mdp;
 
-int
-main()
+TextTable
+table9MisspecRate(ShapeChecks &sc)
 {
-    banner("Table 9: mis-speculations per committed load",
-           "Moshovos et al., ISCA'97, Table 9");
-
     const std::vector<std::string> policies = {"always", "sync",
                                                "esync"};
 
@@ -27,7 +24,6 @@ main()
     const std::vector<SimResult> results = runner.runAll();
 
     TextTable t({"stages", "benchmark", "ALWAYS", "SYNC", "ESYNC"});
-    ShapeChecks sc;
 
     size_t idx = 0;
     for (const auto &name : specInt92Names()) {
@@ -55,6 +51,5 @@ main()
     }
     t.print(std::cout);
     std::printf("\n");
-    return finishBench("table9_misspec_rate",
-                       "Moshovos et al., ISCA'97, Table 9", sc, t);
+    return t;
 }

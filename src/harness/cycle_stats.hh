@@ -65,7 +65,7 @@ void addCycleStats(const CycleStats &run);
 /** Snapshot of the process totals.  Thread-safe. */
 CycleStats cycleStats();
 
-/** Reset the totals (tests and fresh re-reports only). */
+/** Reset the totals (tests, and mdp_tables before each table). */
 void resetCycleStats();
 
 } // namespace mdp

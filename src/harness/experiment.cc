@@ -69,6 +69,20 @@ cachedContext(const std::string &workload_name, double scale)
     return *slot->ctx;
 }
 
+MultiscalarMemo &
+multiscalarMemo()
+{
+    static MultiscalarMemo memo;
+    return memo;
+}
+
+WindowMemo &
+windowMemo()
+{
+    static WindowMemo memo;
+    return memo;
+}
+
 // ---------------------------------------------------------------------
 // ExperimentRunner
 // ---------------------------------------------------------------------

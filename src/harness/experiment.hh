@@ -15,18 +15,28 @@
  * cell that needs a context builds it exactly once, every later cell
  * reuses it by reference.  Cells over traces the cache cannot key
  * (custom profiles, manycore traces) use a private WorkloadContext.
+ *
+ * Results are cached the same way: a cell on a cached context can go
+ * through a process-wide CellMemo, which runs each distinct (workload,
+ * scale, config) once and serves every repeat a copy, so tables that
+ * share cells simulate them once per process.
  */
 
 #ifndef MDP_HARNESS_EXPERIMENT_HH
 #define MDP_HARNESS_EXPERIMENT_HH
 
+#include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
+#include <mutex>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "harness/runner.hh"
+#include "window/window_model.hh"
 
 namespace mdp
 {
@@ -107,6 +117,62 @@ class ExperimentRunner
     unsigned njobs;
     std::vector<Cell> cells;
 };
+
+/**
+ * Results of deterministic cells, one per distinct key, for the life
+ * of the process.  get() runs the cell for the first request of a key
+ * and serves every later request a copy; keys match by exact equality
+ * (tuples of a workload, a scale and a config whose defaulted
+ * operator== takes in every field).  A result that hit its cycle cap
+ * (`truncated`) is returned but never kept, so each request of its key
+ * runs the cell again and reports the truncation again.  Thread-safe;
+ * a key requested again while its first run is still going runs
+ * again, which the tables never do (no sweep queues one key twice).
+ */
+template <typename Key, typename Result>
+class CellMemo
+{
+  public:
+    Result
+    get(const Key &key, const std::function<Result()> &run)
+    {
+        ++queued;
+        {
+            std::lock_guard<std::mutex> hold(mtx);
+            for (const auto &[k, r] : kept)
+                if (k == key)
+                    return r;
+        }
+        Result r = run();
+        ++simulated;
+        if constexpr (requires { r.truncated; })
+            if (r.truncated)
+                return r;
+        std::lock_guard<std::mutex> hold(mtx);
+        kept.emplace_back(key, r);
+        return r;
+    }
+
+    std::atomic<size_t> queued{0};    ///< requests so far
+    std::atomic<size_t> simulated{0}; ///< requests that ran their cell
+
+  private:
+    std::mutex mtx; ///< guards kept
+    std::vector<std::pair<Key, Result>> kept;
+};
+
+/** Multiscalar runs, keyed by (workload, scale, config). */
+using MultiscalarMemo =
+    CellMemo<std::tuple<std::string, double, MultiscalarConfig>, SimResult>;
+
+/** Window studies, keyed by (workload, scale, window, DDC sizes). */
+using WindowKey =
+    std::tuple<std::string, double, uint32_t, std::vector<size_t>>;
+using WindowMemo = CellMemo<WindowKey, WindowStudyResult>;
+
+/** The process's memos of cells on cachedContext(workload, scale). */
+MultiscalarMemo &multiscalarMemo();
+WindowMemo &windowMemo();
 
 } // namespace mdp
 

@@ -32,8 +32,9 @@ void addPhaseSeconds(const std::string &phase, double seconds);
  * calls finishBench() once therefore reports the union of all its
  * phases, which is exactly what the bench artifacts want.  Callers
  * that need per-section deltas must take a snapshot before the section
- * and subtract via phaseSecondsSince(); only tests (or a process
- * re-reporting from scratch) may call resetPhaseSeconds().
+ * and subtract via phaseSecondsSince(); only tests, or a process
+ * re-reporting from scratch (mdp_tables before each table), may call
+ * resetPhaseSeconds().
  */
 std::vector<std::pair<std::string, double>> phaseSeconds();
 

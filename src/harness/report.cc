@@ -4,7 +4,9 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <system_error>
 
 #include "base/env.hh"
 #include "base/logging.hh"
@@ -640,11 +642,17 @@ BenchReport::writeTo(const std::string &path, std::string &error) const
 bool
 BenchReport::writeEnv() const
 {
-    std::string path = envString("MDP_JSON_OUT", "");
-    if (path.empty())
+    const std::string dir = envString("MDP_JSON_OUT", "");
+    if (dir.empty())
         return true;
+    std::error_code ec;
+    std::filesystem::create_directories(dir, ec);
     std::string error;
-    if (!writeTo(path, error)) {
+    if (ec)
+        error = "cannot create directory " + dir + ": " + ec.message();
+    else
+        writeTo(dir + "/" + bench + ".json", error);
+    if (!error.empty()) {
         std::fprintf(stderr, "MDP_JSON_OUT: %s\n", error.c_str());
         return false;
     }

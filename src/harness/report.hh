@@ -2,11 +2,12 @@
  * @file
  * Machine-readable experiment results.
  *
- * Every bench binary keeps printing its human-readable text tables; in
- * addition, when MDP_JSON_OUT=<path> is set, it writes a JSON document
- * with the same rows plus the shape-check verdicts.  CI consumes the
- * exit code for gating and archives the JSON as the stable artifact
- * format for bench-trajectory tracking.
+ * Every table and micro bench keeps printing its human-readable text
+ * tables; in addition, when MDP_JSON_OUT=<dir> is set, it writes a JSON
+ * document with the same rows plus the shape-check verdicts to
+ * <dir>/<bench>.json.  CI consumes the exit code for gating and
+ * archives the JSON as the stable artifact format for bench-trajectory
+ * tracking.
  *
  * The JsonValue type is a deliberately small subset of JSON: enough to
  * serialize reports and parse them back (round-trip tested), not a
@@ -88,7 +89,7 @@ class JsonValue
 };
 
 /**
- * The result document of one bench binary: metadata, one or more
+ * The result document of one bench: metadata, one or more
  * tables (header + string rows, mirroring the printed TextTable), and
  * the shape-check verdicts.
  */
@@ -134,9 +135,10 @@ class BenchReport
     bool writeTo(const std::string &path, std::string &error) const;
 
     /**
-     * Honor MDP_JSON_OUT: no-op (true) when unset, else write there.
-     * Failures are reported on stderr and return false so callers can
-     * turn them into a nonzero exit code.
+     * Honor MDP_JSON_OUT: no-op (true) when unset, else write
+     * <dir>/<bench>.json, creating the directory if need be.  Failures
+     * are reported on stderr and return false so callers can turn them
+     * into a nonzero exit code.
      */
     bool writeEnv() const;
 

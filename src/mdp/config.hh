@@ -119,6 +119,8 @@ struct SyncUnitConfig
     /** Periodic zeroing of the load-wait counters, in load checks;
      *  0 disables clearing. */
     uint64_t loadWaitClearInterval = 100000;
+
+    bool operator==(const SyncUnitConfig &) const = default;
 };
 
 } // namespace mdp

@@ -36,6 +36,8 @@ struct StaticEdge
     Addr stpc = 0;
     uint32_t dist = 1;
     Addr storeTaskPc = 0;
+
+    bool operator==(const StaticEdge &) const = default;
 };
 
 /**
@@ -122,6 +124,9 @@ struct MultiscalarConfig
 
     /** Derived: number of data banks. */
     unsigned numBanks() const { return banksPerStage * numStages; }
+
+    /** Every settable field; a new field joins by construction. */
+    bool operator==(const MultiscalarConfig &) const = default;
 };
 
 /** Largest supported machine (the manycore sweeps stop here). */

@@ -1,7 +1,7 @@
-// expect: bench-discipline bench-discipline
-// (line 1 carries both whole-file findings: no ExperimentRunner -- a
-// serial loop over cachedContext() is not enough -- and no
-// finishBench epilogue)
+// expect: bench-discipline
+// (line 1 carries the whole-file finding: a table that never runs its
+// cells on an ExperimentRunner -- a serial loop over cachedContext()
+// is not enough)
 #include <cstdio>
 
 namespace mdp
@@ -14,10 +14,12 @@ struct WorkloadContext {
     int run() const { return 0; }
 };
 const WorkloadContext &cachedContext(const char *name, double scale);
+struct TextTable {};
+struct ShapeChecks {};
 } // namespace mdp
 
-int
-main()
+mdp::TextTable
+badTable(mdp::ShapeChecks &)
 {
     mdp::Workload w;
     mdp::WorkloadContext ctx(w.generate(1.0)); // expect: bench-discipline
@@ -25,5 +27,5 @@ main()
         std::printf("%s %d\n", name,
                     mdp::cachedContext(name, 1.0).run());
     std::puts("rows...");
-    return 0;
+    return {};
 }

@@ -2,8 +2,9 @@
  * @file
  * Tests for the parallel experiment layer: the process-wide
  * WorkloadContext cache, the ExperimentRunner's parallel-equals-serial
- * guarantee, in-order completion callback and exception rethrow, and
- * the JSON report round trip.
+ * guarantee, in-order completion callback and exception rethrow, the
+ * cell memo (its key covers every config field, a repeat is served,
+ * a truncated run never is) and the JSON report round trip.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include <vector>
 
 #include "base/table.hh"
+#include "bench_common.hh"
 #include "harness/experiment.hh"
 #include "harness/report.hh"
 #include "window/window_model.hh"
@@ -307,6 +309,172 @@ TEST(ExperimentRunnerTest, RunAllRethrowsCellException)
         EXPECT_EQ(cellThread == std::this_thread::get_id(), jobs == 1)
             << "jobs " << jobs;
     }
+}
+
+/** @p cfg on espresso at kScale, through the Multiscalar memo. */
+SimResult
+memoRun(const MultiscalarConfig &cfg)
+{
+    const WorkloadContext &ctx = cachedContext("espresso", kScale);
+    return multiscalarMemo().get({"espresso", kScale, cfg},
+                                 [&] { return runMultiscalar(ctx, cfg); });
+}
+
+/** Multiscalar cells simulated so far in this process. */
+size_t
+simulated()
+{
+    return multiscalarMemo().simulated;
+}
+
+TEST(CellMemoTest, EveryConfigFieldIsInTheKey)
+{
+    // A seed no other test uses keeps the base key fresh.
+    MultiscalarConfig base = makeMultiscalarConfig(
+        cachedContext("espresso", kScale), 4, "esync");
+    base.seed = 0x6e30;
+    base.preloadEdges = {StaticEdge{0x100, 0x200, 1, 0x300}};
+
+    using Perturb = std::function<void(MultiscalarConfig &)>;
+    const std::vector<std::pair<const char *, Perturb>> perturbs = {
+        {"numStages", [](auto &c) { c.numStages = 8; }},
+        {"ringHopLatency", [](auto &c) { c.ringHopLatency = 2; }},
+        {"topology", [](auto &c) { c.topology = Topology::Mesh; }},
+        {"meshX", [](auto &c) { c.meshX = 2; }},
+        {"meshY", [](auto &c) { c.meshY = 2; }},
+        {"squashPenalty", [](auto &c) { ++c.squashPenalty; }},
+        {"mispredictPenalty", [](auto &c) { ++c.mispredictPenalty; }},
+        {"policyName", [](auto &c) { c.policyName = "sync"; }},
+        {"organization",
+         [](auto &c) { c.organization = SyncOrganization::Split; }},
+        {"taskMispredictRate",
+         [](auto &c) { c.taskMispredictRate += 0.01; }},
+        {"seed", [](auto &c) { ++c.seed; }},
+        {"maxCycles", [](auto &c) { c.maxCycles = uint64_t{1} << 40; }},
+        {"logMisSpeculations",
+         [](auto &c) { c.logMisSpeculations = !c.logMisSpeculations; }},
+        {"preloadEdges size",
+         [](auto &c) { c.preloadEdges.push_back(c.preloadEdges[0]); }},
+        {"preloadEdges ldpc", [](auto &c) { c.preloadEdges[0].ldpc += 4; }},
+        {"preloadEdges stpc", [](auto &c) { c.preloadEdges[0].stpc += 4; }},
+        {"preloadEdges dist", [](auto &c) { ++c.preloadEdges[0].dist; }},
+        {"preloadEdges storeTaskPc",
+         [](auto &c) { c.preloadEdges[0].storeTaskPc += 4; }},
+        {"sync.numEntries", [](auto &c) { c.sync.numEntries = 32; }},
+        {"sync.slotsPerEntry", [](auto &c) { ++c.sync.slotsPerEntry; }},
+        {"sync.mdstEntries", [](auto &c) { c.sync.mdstEntries = 32; }},
+        {"sync.counterBits", [](auto &c) { c.sync.counterBits = 4; }},
+        {"sync.threshold", [](auto &c) { c.sync.threshold = 2; }},
+        {"sync.initialCount", [](auto &c) { c.sync.initialCount = 1; }},
+        {"sync.saturateOnMisspec",
+         [](auto &c) { c.sync.saturateOnMisspec = true; }},
+        {"sync.frontierReleasePenalty",
+         [](auto &c) { c.sync.frontierReleasePenalty = 1; }},
+        {"sync.predictor",
+         [](auto &c) { c.sync.predictor = PredictorKind::AlwaysSync; }},
+        {"sync.tags", [](auto &c) { c.sync.tags = TagScheme::Address; }},
+        {"sync.numCopies", [](auto &c) { c.sync.numCopies = 4; }},
+        {"sync.ssitEntries", [](auto &c) { c.sync.ssitEntries = 512; }},
+        {"sync.lfstEntries", [](auto &c) { c.sync.lfstEntries = 64; }},
+        {"sync.ssitClearInterval",
+         [](auto &c) { c.sync.ssitClearInterval = 0; }},
+        {"sync.loadWaitEntries",
+         [](auto &c) { c.sync.loadWaitEntries = 512; }},
+        {"sync.loadWaitBits", [](auto &c) { c.sync.loadWaitBits = 3; }},
+        {"sync.loadWaitThreshold",
+         [](auto &c) { c.sync.loadWaitThreshold = 2; }},
+        {"sync.loadWaitClearInterval",
+         [](auto &c) { c.sync.loadWaitClearInterval = 0; }},
+    };
+
+    memoRun(base);
+    size_t before = simulated();
+    memoRun(base);
+    EXPECT_EQ(simulated(), before) << "an identical config is served";
+
+    // Each perturbed config is a new key: it runs once, then is served.
+    for (const auto &[field, perturb] : perturbs) {
+        MultiscalarConfig cfg = base;
+        perturb(cfg);
+        before = simulated();
+        memoRun(cfg);
+        EXPECT_EQ(simulated(), before + 1)
+            << field << " is missing from the memo key";
+        memoRun(cfg);
+        EXPECT_EQ(simulated(), before + 1) << field;
+    }
+
+    // The workload and the scale are part of the key too.
+    const size_t queued = multiscalarMemo().queued;
+    before = simulated();
+    for (double scale : {kScale, kScale / 2})
+        for (const char *name : {"espresso", "xlisp"})
+            multiscalarMemo().get({name, scale, base}, [&] {
+                return runMultiscalar(cachedContext(name, scale), base);
+            });
+    EXPECT_EQ(multiscalarMemo().queued, queued + 4);
+    EXPECT_EQ(simulated(), before + 3);
+}
+
+TEST(CellMemoTest, CellQueuedByTwoRunnersIsSimulatedOnce)
+{
+    MultiscalarConfig cfg = makeMultiscalarConfig(
+        cachedContext("espresso", kScale), 8, "esync");
+    cfg.seed = 0x6e31;
+    cfg.logMisSpeculations = true;
+
+    const size_t before = simulated();
+    std::vector<SimResult> runs;
+    for (int table = 0; table < 2; ++table) {
+        ExperimentRunner<SimResult> runner(2);
+        runner.add([cfg] { return memoRun(cfg); });
+        runs.push_back(runner.runAll()[0]);
+    }
+    EXPECT_EQ(simulated(), before + 1);
+    expectSameResult(runs[0], runs[1]);
+}
+
+/** A table whose one cell hits the cycle cap. */
+TextTable
+cappedTable(ShapeChecks &sc)
+{
+    MultiscalarConfig cfg = makeMultiscalarConfig(
+        cachedContext("espresso", kScale), 4, "always");
+    cfg.maxCycles = 50;
+    ExperimentRunner<SimResult> runner;
+    runner.add([cfg] { return memoRun(cfg); });
+    sc.check(runner.runAll()[0].truncated, "the cell hit the cap");
+    return TextTable({"capped"});
+}
+
+/** A table whose one cell completes. */
+TextTable
+completeTable(ShapeChecks &sc)
+{
+    MultiscalarConfig cfg = makeMultiscalarConfig(
+        cachedContext("espresso", kScale), 4, "always");
+    ExperimentRunner<SimResult> runner;
+    runner.add([cfg] { return memoRun(cfg); });
+    sc.check(!runner.runAll()[0].truncated, "the cell completed");
+    return TextTable({"complete"});
+}
+
+TEST(CellMemoTest, TruncatedCellRunsAgainAndFailsEachTable)
+{
+    const Table capped{"capped", "capped", "memo test", cappedTable};
+    const Table complete{"complete", "complete", "memo test",
+                         completeTable};
+    // As in `mdp_tables all`: each table's verdict covers its own runs
+    // only, and the capped cell is never served, so the second capped
+    // table fails too (and the driver's status is 1).
+    size_t before = simulated();
+    EXPECT_EQ(runTable(capped), 1);
+    EXPECT_EQ(simulated(), before + 1);
+    EXPECT_EQ(runTable(complete), 0);
+    before = simulated();
+    EXPECT_EQ(runTable(capped), 1);
+    EXPECT_EQ(simulated(), before + 1)
+        << "a truncated result must run again, not be served";
 }
 
 TEST(JsonTest, ValueDumpAndParseRoundTrip)

@@ -29,6 +29,27 @@ int answer() {
 }
 """
 
+# Table sources (bench/bench_*.cc): the driver finishes every table, so
+# a table needs only its ExperimentRunner sweep.
+TABLE_OK = """\
+namespace mdp {
+TextTable okTable(ShapeChecks &sc) {
+    ExperimentRunner<SimResult> runner;
+    runner.runAll();
+    return {};
+}
+}
+"""
+
+TABLE_SERIAL = """\
+namespace mdp {
+TextTable serialTable(ShapeChecks &sc) {
+    cachedContext("gcc", 0.1);
+    return {};
+}
+}
+"""
+
 
 def run(args, cwd=None):
     return subprocess.run(
@@ -110,6 +131,18 @@ class MdpLintCliTest(unittest.TestCase):
             if w.strip("[]").startswith("--")))
         self.assertEqual(
             opts, ["--help", "--list-rules", "--root"])
+
+    # ---- bench-discipline over table sources ------------------------
+
+    def test_table_source_needs_a_runner_and_no_finish_bench(self):
+        os.makedirs(os.path.join(self.root, "bench"))
+        self.write("bench/bench_ok.cc", TABLE_OK)
+        self.write("bench/bench_serial.cc", TABLE_SERIAL)
+        r = self.lint("bench/bench_ok.cc", "bench/bench_serial.cc")
+        self.assertEqual(r.returncode, 1, r.stdout + r.stderr)
+        self.assertIn("bench/bench_serial.cc:1: [bench-discipline]",
+                      r.stdout)
+        self.assertNotIn("bench_ok.cc", r.stdout)
 
     # ---- file arguments are a report filter -------------------------
 

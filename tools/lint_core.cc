@@ -419,27 +419,16 @@ checkHeader(const std::string &path, const std::string &scoped,
 
 void
 checkBench(const std::string &path, const std::vector<Token> &code,
-           const std::vector<IncludeEdge> &includes,
            std::vector<Diag> &out)
 {
-    for (const IncludeEdge &e : includes)
-        if (e.path == "benchmark/benchmark.h")
-            return; // google-benchmark microbench, not a shape bench
-
-    bool runner = false, finish = false;
-    for (const Token &t : code) {
+    bool runner = false;
+    for (const Token &t : code)
         runner = runner || isIdent(t, "ExperimentRunner");
-        finish = finish || isIdent(t, "finishBench");
-    }
     if (!runner)
         out.push_back({path, 1, "bench-discipline",
-                       "bench never runs its cells on an "
-                       "ExperimentRunner; shape benches sweep through "
-                       "the one engine"});
-    if (!finish)
-        out.push_back({path, 1, "bench-discipline",
-                       "bench never calls finishBench(); shape "
-                       "verdicts and JSON artifacts would be lost"});
+                       "table never runs its cells on an "
+                       "ExperimentRunner; tables sweep through the one "
+                       "engine"});
 
     // Direct context construction bypasses the trace cache.
     for (size_t i = 0; i + 2 < code.size(); ++i) {
@@ -625,7 +614,7 @@ checkFile(const Unit &u, std::vector<Diag> &out)
     std::string base = scoped.substr(scoped.find_last_of('/') + 1);
     if (startsWith(scoped, "bench/") && startsWith(base, "bench_") &&
         endsWith(base, ".cc"))
-        checkBench(path, u.code, u.includes, out);
+        checkBench(path, u.code, out);
     checkOrderedScope(path, scoped, u.code, out);
     if (startsWith(scoped, "src/mdp/"))
         checkPolicyCode(path, u.code, out);
@@ -695,8 +684,8 @@ ruleDocs()
 {
     return {
         {"bench-discipline",
-         "bench/bench_*.cc must run its cells on an ExperimentRunner "
-         "and finish through finishBench()"},
+         "a table source (bench/bench_*.cc) must run its cells on an "
+         "ExperimentRunner and build no WorkloadContext directly"},
         {"header-guard",
          "headers carry the canonical MDP_<PATH>_HH include guard "
          "(no #pragma once)"},

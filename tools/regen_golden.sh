@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Re-capture the bench goldens: the stdout of every bench binary at
-# MDP_SCALE=0.1, written to tests/golden/<name>.stdout (the binary's
-# name without its bench_ prefix).  The Golden.* ctests (label golden,
+# Re-capture the table goldens: the stdout of `mdp_tables <table>` at
+# MDP_SCALE=0.1 for every table `mdp_tables --list` names, written to
+# tests/golden/<table>.stdout.  The Golden.* ctests (label golden,
 # tests/check_golden.cmake) compare against these byte for byte, so a
 # change that alters a table re-captures it here and says why.
 #
@@ -9,10 +9,9 @@
 
 set -eu
 cd "$(dirname "$0")/.."
-build=${1:-build}
+tables=${1:-build}/bench/mdp_tables
 
-for bin in "$build"/bench/bench_*; do
-    name=$(basename "$bin")
-    env -u MDP_JSON_OUT MDP_SCALE=0.1 "$bin" \
-        > "tests/golden/${name#bench_}.stdout"
+for name in $("$tables" --list); do
+    env -u MDP_JSON_OUT MDP_SCALE=0.1 "$tables" "$name" \
+        > "tests/golden/$name.stdout"
 done
