@@ -174,6 +174,71 @@ hubTrace(uint64_t seed)
     return b.take();
 }
 
+/**
+ * Tasks of widely varying length (2 to 90 ops) whose operands reach
+ * back anywhere in the trace: a third of the sources lie farther
+ * behind their consumer than any span of in-flight tasks, so their
+ * producers have long committed when the consumer is fetched, and at
+ * three cycles per ring hop their values still arrive after that
+ * fetch.  Every fifth op reads one producer through both operands.
+ * Each task opens with a load that aliases earlier stores, followed by
+ * producers that the next tasks read: a violation on that load
+ * squashes the producers, and their re-issue must reach consumers in
+ * younger tasks that are already assigned, some fetched and some not.
+ */
+Trace
+farTrace(uint64_t seed)
+{
+    Pcg32 rng(seed);
+    TraceBuilder b("result_pin_far");
+    const unsigned num_tasks = 30 + rng.below(20);
+    std::vector<SeqNum> produced;
+    std::vector<SeqNum> lastTask;
+
+    for (unsigned t = 0; t < num_tasks; ++t) {
+        b.beginTask(0x2000 + (t % 5) * 0x40);
+        const unsigned ops =
+            rng.below(4) == 0 ? 40 + rng.below(50) : 2 + rng.below(12);
+        std::vector<SeqNum> thisTask;
+        for (unsigned i = 0; i < ops; ++i) {
+            auto pick = [&]() -> SeqNum {
+                if (produced.empty())
+                    return kNoSeq;
+                const uint32_t n = static_cast<uint32_t>(produced.size());
+                const uint32_t r = rng.below(6);
+                if (r < 2)
+                    return produced[rng.below(n)];       // anywhere
+                if (r < 4 && !lastTask.empty())
+                    return lastTask[rng.below(static_cast<uint32_t>(
+                        lastTask.size()))];              // previous task
+                if (r < 5)
+                    return produced[n - 1 - rng.below(std::min(n, 8u))];
+                return kNoSeq;
+            };
+            SeqNum a = pick();
+            SeqNum c = rng.below(5) == 0 ? a : pick();
+            const Addr addr = 0xa000 + rng.below(12) * 0x40;
+            const uint32_t kind = rng.below(10);
+            SeqNum s;
+            if (i == 0 || kind < 2) {
+                s = b.load(0x500 + rng.below(6) * 4, addr,
+                           i == 0 ? kNoSeq : a);
+            } else if (kind < 4) {
+                s = b.store(0x600 + rng.below(6) * 4, addr, a, c);
+                b.setLastValueRepeats(rng.below(3) == 0);
+            } else if (kind < 5) {
+                s = b.op(OpKind::IntMul, 0x700, a, c);
+            } else {
+                s = b.alu(0x704 + rng.below(4) * 4, a, c);
+            }
+            produced.push_back(s);
+            thisTask.push_back(s);
+        }
+        lastTask = std::move(thisTask);
+    }
+    return b.take();
+}
+
 SimResult
 runPinned(const TraceView &trc, const DepOracle &oracle,
           const TaskSet &tasks, const std::string &policy, Topology topo,
@@ -259,6 +324,71 @@ TEST(ResultPin, RandomTracesEveryPolicyTopologyAndWidth)
     }
     EXPECT_EQ(got.size(), pinned.size());
     // The corpus must exercise the squash path it was built for.
+    EXPECT_GT(squashes, 0u);
+}
+
+TEST(ResultPin, FarSourcesAndReissuedProducers)
+{
+    // Three cycles per ring hop: a committed producer's value still
+    // lands after its far consumer is fetched.
+    const std::map<std::string, uint64_t> pinned = {
+        {"always", 0x6e4678594bb966c8ULL},
+        {"esync", 0x1c37e008c62def60ULL},
+        {"psync", 0xda703fd2eb2bcb82ULL},
+    };
+
+    std::vector<Trace> traces;
+    for (uint64_t seed : {11, 12, 13})
+        traces.push_back(farTrace(seed));
+
+    // The corpus must hold sources beyond every span of eight
+    // consecutive tasks, and operands read twice from one producer.
+    uint64_t far = 0;
+    uint64_t twice = 0;
+    for (const Trace &trc : traces) {
+        TraceView view(trc);
+        TaskSet tasks(view);
+        SeqNum span = 0;
+        for (uint32_t t = 0; t + 8 <= tasks.numTasks(); ++t)
+            span = std::max(span, tasks.taskEnd(t + 7) - tasks.taskStart(t));
+        for (SeqNum s = 0; s < view.size(); ++s) {
+            far += view.src1(s) != kNoSeq && s - view.src1(s) > span;
+            twice += view.src1(s) != kNoSeq && view.src1(s) == view.src2(s);
+        }
+    }
+    EXPECT_GT(far, 0u);
+    EXPECT_GT(twice, 0u);
+
+    std::map<std::string, uint64_t> got;
+    uint64_t squashes = 0;
+    for (const auto &entry : pinned) {
+        const std::string &policy = entry.first;
+        Fnv f;
+        for (const Trace &trc : traces) {
+            TraceView view(trc);
+            DepOracle oracle(view);
+            TaskSet tasks(view);
+            for (Topology topo : {Topology::Ring, Topology::Mesh}) {
+                for (unsigned stages : {8u, 64u}) {
+                    MultiscalarConfig cfg;
+                    cfg.numStages = stages;
+                    cfg.topology = topo;
+                    cfg.policyName = policy;
+                    cfg.ringHopLatency = 3;
+                    cfg.sync.slotsPerEntry = stages;
+                    cfg.logMisSpeculations = true;
+                    MultiscalarProcessor proc(view, oracle, tasks, cfg);
+                    SimResult r = proc.run();
+                    squashes += r.misSpeculations;
+                    fold(f, r);
+                }
+            }
+        }
+        got[policy] = f.h;
+    }
+
+    for (const auto &[policy, h] : got)
+        EXPECT_EQ(hex(pinned.at(policy)), hex(h)) << "policy " << policy;
     EXPECT_GT(squashes, 0u);
 }
 
