@@ -21,6 +21,18 @@ validatedConfig(const MultiscalarConfig &config)
     return config;
 }
 
+/** bit_ceil of the most ops any @p k consecutive tasks hold. */
+size_t
+inFlightRing(const TaskSet &tasks, unsigned k)
+{
+    const uint32_t w = std::min(k, tasks.numTasks());
+    size_t span = 1;
+    for (uint32_t t = w; t <= tasks.numTasks(); ++t)
+        span = std::max<size_t>(span,
+                                tasks.taskStart(t) - tasks.taskStart(t - w));
+    return std::bit_ceil(span);
+}
+
 } // namespace
 
 MultiscalarProcessor::MultiscalarProcessor(const TraceView &trace,
@@ -29,8 +41,10 @@ MultiscalarProcessor::MultiscalarProcessor(const TraceView &trace,
                                            const MultiscalarConfig &config)
     : trc(trace), oracle(dep_oracle), tasks(task_set),
       cfg(validatedConfig(config)), state(trace.size()),
-      taskRun(task_set.numTasks()), stages(config.numStages),
-      readyAt(trace.size()), memsys(config),
+      stages(config.numStages),
+      ringMask(inFlightRing(task_set, config.numStages) - 1),
+      readyAt(ringMask + 1), consHead(ringMask + 1),
+      consNext(2 * (ringMask + 1)), memsys(config),
       policy(makeDependencePolicy(cfg.policyName)),
       sync(policy->needsSynchronizer()
                ? policy->makeSyncUnit(cfg.sync, cfg.organization,
@@ -63,32 +77,6 @@ MultiscalarProcessor::MultiscalarProcessor(const TraceView &trace,
                   "%zu and %zu",
                   tasks.loadOffset(nt), tasks.storeOffset(nt),
                   oracle.loads().size(), oracle.stores().size());
-    }
-
-    // Consumer CSR: reverse src1/src2 edges, so a producer's issue
-    // reaches exactly the ops whose readiness it advances.  A source
-    // that does not precede its consumer (a hostile trace file) would
-    // index past the table.
-    consStart.assign(trc.size() + 1, 0);
-    for (SeqNum s = 0; s < trc.size(); ++s) {
-        for (SeqNum src : {trc.src1(s), trc.src2(s)}) {
-            if (src == kNoSeq)
-                continue;
-            if (src >= s)
-                mdp_fatal("source %u does not precede consumer at seq %u",
-                          src, s);
-            ++consStart[src + 1];
-        }
-    }
-    for (size_t i = 1; i < consStart.size(); ++i)
-        consStart[i] += consStart[i - 1];
-    consList.resize(consStart.back());
-    std::vector<uint32_t> cursor(consStart.begin(), consStart.end() - 1);
-    for (SeqNum s = 0; s < trc.size(); ++s) {
-        for (SeqNum src : {trc.src1(s), trc.src2(s)}) {
-            if (src != kNoSeq)
-                consList[cursor[src]++] = s;
-        }
     }
 
     // Compiler-exposed dependences (section 6): seed the table as if
@@ -239,12 +227,12 @@ MultiscalarProcessor::stageNextInteresting(unsigned k, uint64_t cap) const
     // Ops whose producers have all issued become ready at readyAt,
     // once the last result arrives over the interconnect.  An op with
     // an unissued producer (kAwaitingSrc) has no timed readiness; the
-    // producer's own issue wakes the stage through the consumer CSR.
+    // producer's own issue wakes the stage through its consumer list.
     // The window is the non-issued range [windowBase, fetchPtr).
     const OpLanes::FlagsView fv = state.flagsView();
     for (SeqNum seq = st.windowBase; seq < st.fetchPtr; ++seq)
         if (!fv.test(seq, kNotIssuable))
-            consider(readyAt[seq]);
+            consider(readyAt[slot(seq)]);
 
     return next;
 }
@@ -269,9 +257,8 @@ MultiscalarProcessor::nextInterestingCycle(uint64_t cap)
         uint32_t h = static_cast<uint32_t>(committedTasks);
         const Stage &hs = stages[h % cfg.numStages];
         if (hs.task == static_cast<int64_t>(committedTasks)) {
-            const TaskRun &tr = taskRun[h];
-            if (tr.issuedOps == tasks.taskSize(h))
-                consider(tr.lastDone);
+            if (hs.run.issuedOps == tasks.taskSize(h))
+                consider(hs.run.lastDone);
         }
     }
 
@@ -380,6 +367,10 @@ MultiscalarProcessor::wakeStage(unsigned s, uint64_t t)
 void
 MultiscalarProcessor::onIssued(SeqNum seq, uint32_t t)
 {
+    TaskRun &tr = stages[t % cfg.numStages].run;
+    ++tr.issuedOps;
+    tr.lastDone = std::max(tr.lastDone, state.done(seq));
+
     // Forwarding traffic accounting: one interconnect transfer per
     // cross-task register edge, weighted by route hops.
     for (SeqNum src : {trc.src1(seq), trc.src2(seq)}) {
@@ -395,18 +386,17 @@ MultiscalarProcessor::onIssued(SeqNum seq, uint32_t t)
     // Ready every consumer this was the last unissued producer of.
     // Only fetched ops carry kAwaitingSrc (fetch sets it, squash
     // clears it), so the flag alone selects fetched consumers.  Also
-    // wake every fetched-or-future consumer at its operand-arrival
-    // time.  Consumers in later tasks pay the interconnect latency;
-    // same-task consumers can issue next cycle at the earliest (the
-    // issue scan already passed seq's window slot this cycle).
+    // wake each consumer (all sit in younger assigned tasks) at its
+    // operand-arrival time; a wake keeps the earliest, so the walk
+    // order is free.  Consumers in later tasks pay the interconnect
+    // latency; same-task consumers can issue next cycle at the
+    // earliest (the issue scan already passed seq's window slot).
     uint64_t done = state.done(seq);
-    for (uint32_t i = consStart[seq]; i < consStart[seq + 1]; ++i) {
-        SeqNum q = consList[i];
+    for (SeqNum q = consHead[slot(seq)]; q != kNoSeq;
+         q = consNext[2 * slot(q) + (trc.src1(q) != seq)]) {
         if (state.test(q, kAwaitingSrc) && armReady(q))
             state.clear(q, kAwaitingSrc);
         uint32_t tq = trc.taskId(q);
-        if (tq < committedTasks || tq >= nextTask)
-            continue;
         uint64_t arrival = done;
         if (tq != t)
             arrival += regHops(t, tq) * cfg.ringHopLatency;
@@ -466,10 +456,38 @@ MultiscalarProcessor::sequencerStep()
     st.windowBase = st.fetchPtr;
     st.windowCount = 0;
     st.resumeCycle = cycle + 1;
-    taskRun[nextTask] = TaskRun{};
+    st.run = TaskRun{};
+    registerConsumers(static_cast<uint32_t>(nextTask));
     ++nextTask;
     act();
     wakeStage(idx, st.resumeCycle);
+}
+
+void
+MultiscalarProcessor::registerConsumers(uint32_t t)
+{
+    // Producers in committed tasks never issue again.  A link is
+    // written when its op registers and read only through that list.
+    const SeqNum oldest =
+        tasks.taskStart(static_cast<uint32_t>(committedTasks));
+    for (SeqNum s = tasks.taskStart(t); s < tasks.taskEnd(t); ++s) {
+        const SeqNum src[2] = {trc.src1(s), trc.src2(s)};
+        // A source that does not precede its consumer (a hostile trace
+        // file) would alias a younger op's ring slot.
+        for (SeqNum p : src)
+            if (p != kNoSeq && p >= s)
+                mdp_fatal("source %u does not precede consumer at seq %u",
+                          p, s);
+        consHead[slot(s)] = kNoSeq;
+        // Operand 1's link serves both when they name one producer.
+        for (unsigned k = 0; k < 2; ++k) {
+            if (src[k] == kNoSeq || src[k] < oldest ||
+                (k && src[1] == src[0]))
+                continue;
+            consNext[2 * slot(s) + k] = consHead[slot(src[k])];
+            consHead[slot(src[k])] = s;
+        }
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -492,7 +510,7 @@ MultiscalarProcessor::armReady(SeqNum seq)
             r += regHops(ptask, t) * cfg.ringHopLatency;
         ready = std::max(ready, r);
     }
-    readyAt[seq] = ready;
+    readyAt[slot(seq)] = ready;
     return true;
 }
 
@@ -572,10 +590,6 @@ MultiscalarProcessor::executeLoad(SeqNum seq)
     state.setDone(seq, memsys.access(addr, cycle, false));
     state.set(seq, kIssued);
     arb.loadExecuted(addr, seq, t);
-
-    TaskRun &tr = taskRun[t];
-    ++tr.issuedOps;
-    tr.lastDone = std::max(tr.lastDone, state.done(seq));
     onIssued(seq, t);
 }
 
@@ -586,10 +600,6 @@ MultiscalarProcessor::executeStore(SeqNum seq)
     const uint32_t t = trc.taskId(seq);
     state.setDone(seq, memsys.access(addr, cycle, true));
     state.set(seq, kIssued);
-
-    TaskRun &tr = taskRun[t];
-    ++tr.issuedOps;
-    tr.lastDone = std::max(tr.lastDone, state.done(seq));
     onIssued(seq, t);
 
     // Violation check: did a younger load from a later task already
@@ -619,7 +629,7 @@ uint64_t
 MultiscalarProcessor::firstPendingStore(uint32_t t)
 {
     std::span<const SeqNum> stores = taskStores(t);
-    TaskRun &tr = taskRun[t];
+    TaskRun &tr = stages[t % cfg.numStages].run;
     while (tr.storePtr < stores.size() &&
            state.test(stores[tr.storePtr], kIssued)) {
         ++tr.storePtr;
@@ -692,9 +702,6 @@ MultiscalarProcessor::issueOne(SeqNum seq, uint32_t t, Stage &stage,
         --*fu;
         state.setDone(seq, cycle + opLatency(kind));
         state.set(seq, kIssued);
-        TaskRun &tr = taskRun[t];
-        ++tr.issuedOps;
-        tr.lastDone = std::max(tr.lastDone, state.done(seq));
         onIssued(seq, t);
     }
     // The op left the window (kIssued set by every issue path).
@@ -835,15 +842,16 @@ MultiscalarProcessor::squashFrom(SeqNum squash_start)
     act();
     uint32_t task0 = trc.taskId(squash_start);
 
-    // Reset every op from the squash point to the youngest assigned
-    // instruction.  Work older than the offending load survives, as in
-    // the paper ("instructions following the load are squashed").
+    // Reset every fetched op from the squash point to the youngest
+    // assigned task (ops past fetchPtr are clean already).  Work older
+    // than the offending load survives, as in the paper ("instructions
+    // following the load are squashed").
     for (uint64_t t = task0; t < nextTask; ++t) {
         uint32_t tt = static_cast<uint32_t>(t);
+        Stage &st = stages[tt % cfg.numStages];
         SeqNum begin = std::max(tasks.taskStart(tt), squash_start);
-        SeqNum end = tasks.taskEnd(tt);
 
-        for (SeqNum s = begin; s < end; ++s) {
+        for (SeqNum s = begin; s < st.fetchPtr; ++s) {
             if (state.test(s, kIssued)) {
                 ++res.squashedOps;
                 if (trc.isLoad(s))
@@ -854,39 +862,22 @@ MultiscalarProcessor::squashFrom(SeqNum squash_start)
             state.resetOp(s);
         }
 
-        Stage &st = stages[tt % cfg.numStages];
-        if (tt == task0) {
-            // Partial squash: recompute the surviving prefix state.
-            TaskRun &tr = taskRun[tt];
-            tr = TaskRun{};
-            for (SeqNum s = tasks.taskStart(tt); s < squash_start; ++s) {
-                if (state.test(s, kIssued)) {
-                    ++tr.issuedOps;
-                    tr.lastDone = std::max(tr.lastDone, state.done(s));
-                }
-            }
-            if (st.task == static_cast<int64_t>(t)) {
-                // The violating load was fetched, so fetchPtr was past
-                // the squash point; rewind it.  The surviving window is
-                // the non-issued prefix ops: the prefix length minus
-                // the issued ops the TaskRun pass just recounted.
-                st.fetchPtr = squash_start;
-                st.windowBase = std::min(st.windowBase, squash_start);
-                st.windowCount = static_cast<uint32_t>(
-                    (squash_start - tasks.taskStart(tt)) - tr.issuedOps);
-                st.resumeCycle = cycle + cfg.squashPenalty;
-                wakeStage(tt % cfg.numStages, st.resumeCycle);
-            }
-        } else {
-            taskRun[tt] = TaskRun{};
-            if (st.task == static_cast<int64_t>(t)) {
-                st.fetchPtr = tasks.taskStart(tt);
-                st.windowBase = st.fetchPtr;
-                st.windowCount = 0;
-                st.resumeCycle = cycle + cfg.squashPenalty;
-                wakeStage(tt % cfg.numStages, st.resumeCycle);
+        // Recount task0's surviving prefix and rewind fetch to the
+        // squash point; the surviving window is its non-issued ops.
+        TaskRun &tr = st.run;
+        tr = TaskRun{};
+        for (SeqNum s = tasks.taskStart(tt); s < begin; ++s) {
+            if (state.test(s, kIssued)) {
+                ++tr.issuedOps;
+                tr.lastDone = std::max(tr.lastDone, state.done(s));
             }
         }
+        st.fetchPtr = begin;
+        st.windowBase = std::min(st.windowBase, begin);
+        st.windowCount = static_cast<uint32_t>(
+            (begin - tasks.taskStart(tt)) - tr.issuedOps);
+        st.resumeCycle = cycle + cfg.squashPenalty;
+        wakeStage(tt % cfg.numStages, st.resumeCycle);
     }
 
     // Forget the waits of squashed loads.  The storePtr rewinds above
@@ -913,9 +904,8 @@ MultiscalarProcessor::commitStep()
     if (st.task != static_cast<int64_t>(committedTasks))
         return;
 
-    TaskRun &tr = taskRun[t];
     uint32_t size = tasks.taskSize(t);
-    if (tr.issuedOps < size || tr.lastDone > cycle)
+    if (st.run.issuedOps < size || st.run.lastDone > cycle)
         return;
 
     // Retire memory state and finish prediction accounting.

@@ -47,9 +47,9 @@ namespace mdp
 class MultiscalarProcessor : public TaskPcSource
 {
   public:
-    /** Fatal (exit 1) on a bad config, on a source that does not
-     *  precede its consumer, or when @p tasks counts other memory ops
-     *  than @p oracle lists. */
+    /** Fatal (exit 1) on a bad config, or when @p tasks counts other
+     *  memory ops than @p oracle lists; run() is fatal on a source
+     *  that does not precede its consumer. */
     MultiscalarProcessor(const TraceView &trace, const DepOracle &oracle,
                          const TaskSet &tasks,
                          const MultiscalarConfig &config);
@@ -86,6 +86,13 @@ class MultiscalarProcessor : public TaskPcSource
     static constexpr uint16_t kNotIssuable =
         kIssued | ParkedLoads::kBlocked | kAwaitingSrc;
 
+    struct TaskRun
+    {
+        uint32_t storePtr = 0;     ///< first possibly-unexecuted store
+        uint32_t issuedOps = 0;
+        uint64_t lastDone = 0;     ///< max doneCycle of issued ops
+    };
+
     /**
      * A ring slot.  The scheduling window is a *range view* over the
      * packed status lane: exactly the non-issued ops in
@@ -102,13 +109,7 @@ class MultiscalarProcessor : public TaskPcSource
         SeqNum windowBase = 0;
         uint32_t windowCount = 0;
         uint64_t resumeCycle = 0;
-    };
-
-    struct TaskRun
-    {
-        uint32_t storePtr = 0;     ///< first possibly-unexecuted store
-        uint32_t issuedOps = 0;
-        uint64_t lastDone = 0;     ///< max doneCycle of issued ops
+        TaskRun run;
     };
 
     /** LoadIssueContext over one ready load (defined in the .cc). */
@@ -116,6 +117,10 @@ class MultiscalarProcessor : public TaskPcSource
 
     // --- per-cycle phases -------------------------------------------
     void sequencerStep();
+
+    /** Task @p t was just assigned: check its ops' sources and put
+     *  each op on the consumer lists of its in-flight producers. */
+    void registerConsumers(uint32_t t);
 
     /** Fetch into stage @p stage_idx's window and issue from it. */
     void stageStep(unsigned stage_idx);
@@ -161,13 +166,13 @@ class MultiscalarProcessor : public TaskPcSource
      */
     void wakeStage(unsigned s, uint64_t t);
 
-    /** Producer @p seq (task @p t) issued: forwarding statistics,
-     *  readiness of each consumer whose last producer this was, and a
-     *  wake of each consumer's stage at its value-arrival cycle. */
+    /** Producer @p seq (task @p t) issued: task progress, forwarding
+     *  statistics, readiness of each consumer whose last producer this
+     *  was, and a wake of each consumer's stage at its arrival cycle. */
     void onIssued(SeqNum seq, uint32_t t);
 
     /**
-     * If every producer of @p seq has issued, set readyAt[seq] to the
+     * If every producer of @p seq has issued, set its readyAt slot to the
      * cycle its last operand arrives (done plus interconnect hops for
      * a cross-task producer) and return true; otherwise false.
      */
@@ -219,7 +224,7 @@ class MultiscalarProcessor : public TaskPcSource
     // --- issue helpers ----------------------------------------------
     /** Every operand of the fetched, non-awaiting op @p seq has
      *  arrived by the current cycle. */
-    bool srcsReady(SeqNum seq) const { return readyAt[seq] <= cycle; }
+    bool srcsReady(SeqNum seq) const { return readyAt[slot(seq)] <= cycle; }
 
     /** Try to issue a memory op; returns true if it issued (or became
      *  blocked -- in either case the window slot is handled). */
@@ -290,22 +295,27 @@ class MultiscalarProcessor : public TaskPcSource
     const TaskSet &tasks;
     MultiscalarConfig cfg;
 
-    /** Per-op completion-time and status lanes (SoA). */
+    /** Per-op completion-time and status lanes (SoA), one entry per
+     *  op: a value from task p reaches task c (c - p) * ringHopLatency
+     *  cycles after it completes, so an arbitrarily old producer's
+     *  completion can still decide a consumer's readyAt. */
     OpLanes state;
-    std::vector<TaskRun> taskRun;
     std::vector<Stage> stages;
 
-    /** Per-op operand-arrival cycle, valid for fetched ops without
-     *  kAwaitingSrc (set at fetch or by the last producer's issue). */
-    std::vector<uint64_t> readyAt;
-
     /**
-     * Consumer CSR over the trace: the consumers of op s are
-     * consList[consStart[s] .. consStart[s+1]).  A producer's issue
-     * walks it to ready its consumers and to wake their stages.
+     * Wakeup state of the in-flight ops, in rings indexed by slot():
+     * bit_ceil of the most ops any numStages consecutive tasks hold,
+     * so no two in-flight ops share a slot.  readyAt is the operand-
+     * arrival cycle of a fetched op without kAwaitingSrc (set at fetch
+     * or by the last producer's issue).  consHead[slot(p)] is the
+     * youngest consumer registered on producer p (kNoSeq ends a list)
+     * and consNext[2 * slot(c) + k] follows c on its operand k's list.
      */
-    std::vector<uint32_t> consStart;
-    std::vector<SeqNum> consList;
+    size_t ringMask = 0;
+    std::vector<uint64_t> readyAt;
+    std::vector<SeqNum> consHead;
+    std::vector<SeqNum> consNext;
+    size_t slot(SeqNum seq) const { return seq & ringMask; }
 
     MemorySystem memsys;
     Arb arb;

@@ -19,6 +19,7 @@
 #include <malloc.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <memory>
 #include <new>
@@ -35,6 +36,8 @@ namespace
 std::atomic<bool> counting{false};
 std::atomic<size_t> allocations{0};
 std::atomic<long long> liveBytes{0};
+/** High-water mark of liveBytes; a test lowers it to start a window. */
+std::atomic<long long> peakBytes{0};
 
 void *
 countedAlloc(std::size_t n) noexcept
@@ -42,9 +45,16 @@ countedAlloc(std::size_t n) noexcept
     if (counting.load(std::memory_order_relaxed))
         allocations.fetch_add(1, std::memory_order_relaxed);
     void *p = std::malloc(n ? n : 1);
-    if (p)
-        liveBytes.fetch_add(static_cast<long long>(malloc_usable_size(p)),
-                            std::memory_order_relaxed);
+    if (p) {
+        const auto size = static_cast<long long>(malloc_usable_size(p));
+        const long long now =
+            liveBytes.fetch_add(size, std::memory_order_relaxed) + size;
+        long long peak = peakBytes.load(std::memory_order_relaxed);
+        while (now > peak &&
+               !peakBytes.compare_exchange_weak(peak, now,
+                                                std::memory_order_relaxed)) {
+        }
+    }
     return p;
 }
 
@@ -184,6 +194,48 @@ TEST(AllocBound, MultiscalarRunDoesNotAllocatePerOp)
             policy, 4 * kScale, SyncOrganization::Split);
         EXPECT_LE(large, small + kSlack)
             << "split " << policy << ": " << small << " -> " << large;
+    }
+}
+
+TEST(AllocBound, MultiscalarStateIsPerOpPlusInFlightRing)
+{
+    // From construction through run(), a Multiscalar processor keeps
+    // a completion time and a status word per op (10 B), plus
+    // operand-ready and consumer-list state (20 B) per slot of a ring
+    // sized to the ops of numStages consecutive tasks.  The rest of
+    // the per-slot constant covers what the configuration and the
+    // footprint size -- memory-system tags, ARB, synchronizer -- which
+    // takes under 180 B per slot at these scales.  A per-op consumer
+    // table or operand-ready lane breaks the bound.
+    constexpr unsigned kStages = 8;
+    constexpr uint64_t kPerSlot = 256;
+    for (double scale : {kScale, 4 * kScale}) {
+        WorkloadContext ctx("compress", scale);
+        const TaskSet &tasks = ctx.tasks();
+        (void)ctx.oracle();
+        MultiscalarConfig cfg = makeMultiscalarConfig(ctx, kStages,
+                                                      "esync");
+        const uint64_t ops = ctx.trace().size();
+        SeqNum span = 1;
+        for (uint32_t t = kStages; t <= tasks.numTasks(); ++t)
+            span = std::max(span, tasks.taskStart(t) -
+                                      tasks.taskStart(t - kStages));
+        const uint64_t ring = std::bit_ceil(span);
+
+        const long long before = liveBytes;
+        peakBytes = before;
+        SimResult r;
+        {
+            MultiscalarProcessor proc(ctx.trace(), ctx.oracle(), tasks,
+                                      cfg);
+            r = proc.run();
+        }
+        const long long peak = peakBytes - before;
+        EXPECT_EQ(r.committedOps, ops);
+        const uint64_t bound = 10 * ops + kPerSlot * ring;
+        EXPECT_LE(static_cast<uint64_t>(peak), bound)
+            << "peak " << peak << " B at scale " << scale << ": " << ops
+            << " ops, ring of " << ring << " slots";
     }
 }
 

@@ -48,8 +48,8 @@ runPolicy(const Trace &t, const std::string &policy, unsigned stages = 4)
 TEST(MultiscalarDeath, SourcePastTheTraceFailsFast)
 {
     // A trace that skipped validation (a cache entry is only
-    // checksummed) names a source past its end; the consumer table
-    // must refuse it instead of writing out of bounds.
+    // checksummed) names a source past its end; assigning its task
+    // must refuse it before the source indexes any lane or ring.
     MicroOp first;
     first.kind = OpKind::IntAlu;
     first.pc = 0x10;
@@ -62,7 +62,7 @@ TEST(MultiscalarDeath, SourcePastTheTraceFailsFast)
     DepOracle oracle(t);
     TaskSet tasks(t);
     MultiscalarConfig cfg;
-    EXPECT_EXIT(MultiscalarProcessor(t, oracle, tasks, cfg),
+    EXPECT_EXIT(MultiscalarProcessor(t, oracle, tasks, cfg).run(),
                 testing::ExitedWithCode(1),
                 "source 100 does not precede consumer at seq 1");
 }
