@@ -1,5 +1,9 @@
 #include "multiscalar/arb.hh"
 
+#include <algorithm>
+
+#include "base/logging.hh"
+
 namespace mdp
 {
 
@@ -40,12 +44,8 @@ Arb::unlink(uint32_t &head, SeqNum seq)
 SeqNum
 Arb::loadExecuted(Addr addr, SeqNum load, uint32_t load_task)
 {
+    // Newest in-flight store older than the load.
     SeqNum version = kNoSeq;
-    if (const SeqNum *cv = committedVersion.find(addr))
-        version = *cv;
-
-    // Newest in-flight store older than the load; it supersedes the
-    // committed version when younger.
     Line &line = lines[addr];
     for (uint32_t i = line.stores; i != kNil; i = pool[i].next) {
         const SeqNum s = pool[i].seq;
@@ -83,6 +83,9 @@ Arb::findViolator(Addr addr, SeqNum store, uint32_t store_task) const
 SeqNum
 Arb::storeExecuted(Addr addr, SeqNum store, uint32_t store_task)
 {
+    if (store < newestCommitted)
+        mdp_fatal("store %u executes after the newer store %u committed",
+                  store, newestCommitted);
     Line &line = lines[addr];
     SeqNum violator = violatorOn(line, store, store_task);
     push(line.stores, store, kNoSeq, 0);
@@ -117,12 +120,7 @@ void
 Arb::commitStore(Addr addr, SeqNum store)
 {
     removeStore(addr, store);
-    if (SeqNum *cv = committedVersion.find(addr)) {
-        if (*cv == kNoSeq || *cv < store)
-            *cv = store;
-    } else {
-        committedVersion[addr] = store;
-    }
+    newestCommitted = std::max(newestCommitted, store);
 }
 
 void

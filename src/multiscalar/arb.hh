@@ -24,15 +24,19 @@ namespace mdp
  *
  * The owner calls loadExecuted()/storeExecuted() at execution,
  * commit*() at task commit, and remove*() for squashed operations.
- * Once the node pool and the line table have grown to the window, the
- * only allocations left are the committed-version table's doublings.
+ * Stores commit in program order, so a committed store is older than
+ * every store that can still execute: a load that read it can never be
+ * flagged by an older store, exactly as if it had read memory, and the
+ * ARB keeps no committed versions (storeExecuted() checks the order).
+ * Once the node pool and the line table have grown to the window, it
+ * allocates nothing more.
  */
 class Arb
 {
   public:
     /**
      * Record an executing load and determine the version (store
-     * sequence number) it observes: the newest executed or committed
+     * sequence number) it observes: the newest executed, uncommitted
      * store to the address older than the load, kNoSeq if none.
      */
     SeqNum loadExecuted(Addr addr, SeqNum load, uint32_t load_task);
@@ -42,7 +46,8 @@ class Arb
      * @return the sequence number of the *earliest* executed load that
      * (a) is younger than the store, (b) belongs to a later task, and
      * (c) observed a version older than this store -- or kNoSeq when
-     * the speculation was safe.
+     * the speculation was safe.  Fatal for a store older than a
+     * committed one: commit must be in program order.
      */
     SeqNum storeExecuted(Addr addr, SeqNum store, uint32_t store_task);
 
@@ -63,7 +68,7 @@ class Arb
     /** Retire a load: it can no longer be violated. */
     void commitLoad(Addr addr, SeqNum load);
 
-    /** Retire a store: fold it into the committed version. */
+    /** Retire a store: it no longer versions any load. */
     void commitStore(Addr addr, SeqNum store);
 
     /** Remove a squashed, previously executed load. */
@@ -109,15 +114,13 @@ class Arb
     SeqNum violatorOn(const Line &line, SeqNum store,
                       uint32_t store_task) const;
 
-    // None of these tables is ever iterated, so the flat
-    // open-addressed table is safe (FlatHashMap could not leak an
-    // order anyway -- it has no iteration API).  A line lives only
-    // while the address has an executed load or an in-flight store,
-    // so `lines` stays window-sized.  committedVersion grows with the
-    // footprint; kept apart, it leaves the table that every execute,
-    // commit and squash probes small.
+    // The table is never iterated, so the flat open-addressed table
+    // is safe (FlatHashMap could not leak an order anyway -- it has no
+    // iteration API).  A line lives only while the address has an
+    // executed load or an in-flight store, so `lines` stays
+    // window-sized.
     FlatHashMap<Addr, Line> lines;
-    FlatHashMap<Addr, SeqNum> committedVersion;
+    SeqNum newestCommitted = 0; ///< newest committed store (0: none)
     std::vector<Node> pool;
     uint32_t freeNodes = kNil;   ///< free list through Node::next
     size_t numTrackedLoads = 0;

@@ -158,8 +158,10 @@ MultiscalarProcessor::run()
 {
     // An empty task set leaves the default-constructed result alone.
     const uint32_t num_tasks = tasks.numTasks();
-    if (num_tasks == 0)
+    if (num_tasks == 0) {
+        trc.evict();
         return res;
+    }
 
     while (committedTasks < num_tasks) {
         ++cycle;
@@ -205,6 +207,7 @@ MultiscalarProcessor::run()
     res.committedTasks = committedTasks;
     if (sync)
         res.syncStats = sync->stats();
+    trc.evict(); // a mapped trace stays resident only while read
     return res;
 }
 

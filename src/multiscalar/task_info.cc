@@ -46,6 +46,7 @@ TaskSet::TaskSet(const TraceView &trace)
                "%zu task PCs for %zu tasks", pcs.size(),
                bounds.size() - 1);
     taskPcs.assign(pcs.begin(), pcs.end());
+    trace.evict(); // a mapped trace stays resident only while read
 }
 
 } // namespace mdp

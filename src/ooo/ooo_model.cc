@@ -292,11 +292,8 @@ OooProcessor::nextInterestingCycle(uint64_t cap) const
 OooResult
 OooProcessor::run()
 {
-    // An empty trace leaves the default-constructed result alone.
+    // An empty trace runs no cycle: the result stays the default.
     const SeqNum n = static_cast<SeqNum>(trc.size());
-    if (n == 0)
-        return res;
-
     while (head < n) {
         ++cycle;
         ++res.cyclesSimulated;
@@ -425,6 +422,7 @@ OooProcessor::run()
         }
     }
     res.cycles = cycle;
+    trc.evict(); // a mapped trace stays resident only while read
     return res;
 }
 

@@ -156,25 +156,17 @@ MappedTrace::open(const std::string &path, std::string &error)
                                       payload + l.taskPc, m->taskPcs);
     if (!error.empty())
         return nullptr;
-#if defined(__linux__)
-    // The checksum pass faulted in every page of every column.  Unmap
-    // them again so each consumer brings back only the columns it
-    // reads: the mapping is private and read-only, so it holds only
-    // clean file pages, and a page faulted back reads the same
-    // checksummed bytes (entries are published by rename, never
-    // written in place).  Advice that fails just leaves pages mapped.
-    if (m->mapBase)
-        ::madvise(const_cast<std::byte *>(m->mapBase), m->mapLen,
-                  MADV_DONTNEED);
-#endif
-
     const std::string_view name(
         reinterpret_cast<const char *>(payload + l.name),
         header.nameLen);
     m->traceView = TraceView::columnar(
         header.count, name, m->taskPcs, payload + l.pc, payload + l.addr,
         payload + l.src1, payload + l.src2, payload + l.taskId,
-        payload + l.kind, payload + l.valueRepeats);
+        payload + l.kind, payload + l.valueRepeats,
+        {m->mapBase, m->mapBase ? m->mapLen : 0});
+    // The checksum pass faulted in every page of every column; hand
+    // them back so each consumer brings in only the columns it reads.
+    m->traceView.evict();
     return m;
 }
 

@@ -25,18 +25,21 @@
  * and atomically rename, so concurrent populators of one key are safe
  * (last rename wins; both produce identical bytes).
  *
- * Residency: the checksum reads every payload byte through the
- * mapping, and the loader folds the per-op taskPc column into an owned
- * table of one PC per task while those pages are resident.  On Linux
- * the verified mapping is then dropped again (MADV_DONTNEED), so a
- * load leaves no column resident and each consumer faults back only
- * the columns it reads.  No consumer reads the mapped taskPc column,
- * so its 8 of 38 bytes per op stay on disk.  The OoO model and its
- * oracle read kind, src1, src2, addr and pc (25 of 38 bytes per op);
- * taskId and valueRepeats stay on disk for them too.  The mapping is
- * private and read-only, so it holds only clean file pages, and an
- * entry is never written in place once published: a page faulted
- * back holds the checksummed bytes.
+ * Residency: a mapped trace stays resident only while a pass reads
+ * it.  The checksum reads every payload byte through the mapping, and
+ * the loader folds the per-op taskPc column into an owned table of one
+ * PC per task while those pages are resident.  On Linux the verified
+ * mapping is then dropped again (TraceView::evict(), MADV_DONTNEED),
+ * so a load leaves no column resident, and each pass that reads the
+ * trace end to end -- DepOracle's and TaskSet's constructors, both
+ * timing models' run() -- drops the pages it faulted back when it
+ * ends.  No consumer reads the mapped taskPc column, so its 8 of 38
+ * bytes per op stay on disk.  The OoO model and its oracle read kind,
+ * src1, src2, addr and pc (25 of 38 bytes per op); taskId and
+ * valueRepeats stay on disk for them too.  The mapping is private and
+ * read-only, so it holds only clean file pages, and an entry is never
+ * written in place once published: a page faulted back holds the
+ * checksummed bytes, also for concurrent readers of one mapping.
  */
 
 #ifndef MDP_TRACE_CACHE_HH
@@ -72,7 +75,7 @@ uint64_t traceKeyDigest(const TraceCacheKey &key);
  * without mmap -- the contract (validated, immutable trace bytes) is
  * identical, only the sharing is lost.  On Linux a freshly opened
  * mapping has no page resident: reading a column faults in that
- * column alone (see the file comment).
+ * column alone, until the pass reading it ends (see the file comment).
  */
 class MappedTrace
 {
@@ -82,9 +85,10 @@ class MappedTrace
      * checksum), fold its taskPc column into the task-PC table
      * (rejecting task ids not contiguous from 0 and a taskPc that
      * changes inside a task), then drop the pages these passes
-     * touched.  @return null and an @p error description on any
-     * failure; a non-null result is fully checksummed.  The other
-     * stream invariants of TraceView::validate() are not checked here.
+     * touched (TraceView::evict()).  @return null and an @p error
+     * description on any failure; a non-null result is fully
+     * checksummed.  The other stream invariants of
+     * TraceView::validate() are not checked here.
      */
     static std::unique_ptr<MappedTrace> open(const std::string &path,
                                              std::string &error);

@@ -51,6 +51,7 @@ DepOracle::DepOracle(const TraceView &trace)
             loadSeqs.push_back(s);
         }
     }
+    trace.evict(); // a mapped trace stays resident only while read
 }
 
 bool

@@ -4,6 +4,10 @@
 
 #include "base/logging.hh"
 
+#if defined(__linux__)
+#include <sys/mman.h>
+#endif
+
 namespace mdp
 {
 
@@ -40,11 +44,13 @@ TraceView::columnar(size_t count, std::string_view trace_name,
                     const std::byte *addr, const std::byte *src1,
                     const std::byte *src2, const std::byte *task_id,
                     const std::byte *kind,
-                    const std::byte *value_repeats)
+                    const std::byte *value_repeats,
+                    std::span<const std::byte> mapping)
 {
     TraceView v;
     v.count = count;
     v.viewName = trace_name;
+    v.fileMapping = mapping;
     v.taskPcTable = task_pcs;
     v.cPc = {pc};
     v.cAddr = {addr};
@@ -63,6 +69,17 @@ TraceView::columns() const
             bytesOf(cSrc1, count), bytesOf(cSrc2, count),
             bytesOf(cTaskId, count), bytesOf(cKind, count),
             bytesOf(cValueRepeats, count)};
+}
+
+void
+TraceView::evict() const
+{
+#if defined(__linux__)
+    // Advice that fails just leaves the pages mapped.
+    if (!fileMapping.empty())
+        ::madvise(const_cast<std::byte *>(fileMapping.data()),
+                  fileMapping.size(), MADV_DONTNEED);
+#endif
 }
 
 uint32_t

@@ -50,7 +50,8 @@ class Trace;
  * to an op: the view holds it as a table of one PC per task
  * (taskPcs()), which a mapped file's loader folds from the file's
  * per-op column.  The view borrows its storage: the Trace or
- * MappedTrace behind it must outlive it.
+ * MappedTrace behind it must outlive it.  A mapped view stays
+ * resident only while a pass reads it (evict()).
  */
 class TraceView
 {
@@ -79,6 +80,8 @@ class TraceView
      * View columnar storage (the serialize.cc v2 layout, less its
      * taskPc column).  Each pointer is a packed column of `count`
      * entries in field order; @p task_pcs holds one PC per task.
+     * @p mapping is the read-only file mapping the columns lie in, the
+     * range evict() advises; empty when they lie in no such mapping.
      * @p trace_name and @p task_pcs must outlive the view.
      */
     static TraceView columnar(size_t count, std::string_view trace_name,
@@ -88,7 +91,8 @@ class TraceView
                               const std::byte *src2,
                               const std::byte *task_id,
                               const std::byte *kind,
-                              const std::byte *value_repeats);
+                              const std::byte *value_repeats,
+                              std::span<const std::byte> mapping);
 
     size_t size() const { return count; }
     bool empty() const { return count == 0; }
@@ -164,9 +168,25 @@ class TraceView
      */
     std::string validate() const;
 
+    /**
+     * Hand the pages of the file mapping this view reads back to the
+     * page cache (MADV_DONTNEED): a mapped trace stays resident only
+     * while a pass reads it.  MappedTrace::open, DepOracle's and
+     * TaskSet's constructors and both models' run() call it when they
+     * end; WindowModel::study, analyzeStaticEdges, validate() and
+     * stats() do not.  Only the mapping recorded by columnar() is
+     * advised (on anonymous memory the advice would zero the data), so
+     * this does nothing for an in-memory Trace, the non-mmap fallback
+     * and off Linux.  The mapping is private, read-only and never
+     * rewritten, so a page faulted back, also by a concurrent reader,
+     * holds the same checksummed bytes.
+     */
+    void evict() const;
+
   private:
     size_t count = 0;
     std::string_view viewName;
+    std::span<const std::byte> fileMapping; ///< set by columnar() only
     std::span<const Addr> taskPcTable;
     Column<Addr> cPc, cAddr;
     Column<SeqNum> cSrc1, cSrc2;

@@ -100,11 +100,13 @@ Workload::generate(double scale, uint64_t seed_override) const
             edges.push_back({f, k});
 
     TraceBuilder builder(p.name);
-    // Reserve an upper estimate (a task rarely emits more than a few
-    // ops past its drawn size) so the op vector is not regrown by
-    // doubling, which keeps the old and new buffers resident at once.
-    // Capacity never touched is never resident; overshooting the
-    // estimate only falls back to the doubling growth.
+    // Reserve a typical size against regrowth by doubling, which keeps
+    // the old and new buffers resident at once.  It is no upper bound:
+    // recurrence events add ops past a task's drawn size, and 13 of the
+    // 23 profiles outgrow it and fall back to doubling (126.gcc: 536,234
+    // ops against 176,400 reserved at scale 0.1).  An exact bound raised
+    // peak RSS and bought no speed (EXPERIMENTS.md, "Refuted
+    // simplifications").
     builder.reserve(iters * p.tasksPerIteration * (p.maxTaskSize + 8));
 
     // Position-dependent weight for background stores: programs with

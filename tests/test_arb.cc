@@ -8,7 +8,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "base/random.hh"
@@ -90,13 +89,27 @@ TEST(Arb, ReturnsEarliestViolator)
     EXPECT_EQ(arb.storeExecuted(0x100, 10, 1), 20u);
 }
 
-TEST(Arb, CommittedVersionVisibleToLaterLoads)
+TEST(Arb, LoadAfterACommitIsFlaggedOnlyByYoungerStores)
 {
     Arb arb;
     arb.storeExecuted(0x100, 10, 1);
     arb.commitStore(0x100, 10);
-    SeqNum version = arb.loadExecuted(0x100, 20, 2);
-    EXPECT_EQ(version, 10u);
+    // The committed store versions nothing: the load reads as if from
+    // memory, which no store older than the commit can still write.
+    EXPECT_EQ(arb.loadExecuted(0x100, 20, 3), kNoSeq);
+    EXPECT_EQ(arb.storeExecuted(0x100, 25, 4), kNoSeq);
+    EXPECT_EQ(arb.storeExecuted(0x100, 15, 2), 20u);
+}
+
+TEST(ArbDeath, StoreOlderThanACommittedStoreIsFatal)
+{
+    // Commit is in program order, so a store executing after a younger
+    // one committed means the model broke that order.
+    Arb arb;
+    arb.storeExecuted(0x100, 10, 1);
+    arb.commitStore(0x100, 10);
+    EXPECT_EXIT(arb.storeExecuted(0x200, 5, 0), testing::ExitedWithCode(1),
+                "store 5 executes after the newer store 10 committed");
 }
 
 TEST(Arb, CommitLoadRemovesItFromChecks)
@@ -135,13 +148,12 @@ class NaiveArb
 
     std::vector<Rec> loads;
     std::vector<Rec> stores;
-    std::map<Addr, SeqNum> committed;
+    SeqNum newestCommitted = kNoSeq;
 
     SeqNum
     loadExecuted(Addr addr, SeqNum load, uint32_t task)
     {
-        auto cv = committed.find(addr);
-        SeqNum version = cv == committed.end() ? kNoSeq : cv->second;
+        SeqNum version = kNoSeq;
         for (const Rec &r : stores)
             if (r.addr == addr && r.seq < load &&
                 (version == kNoSeq || r.seq > version))
@@ -198,9 +210,8 @@ class NaiveArb
     commitStore(Addr addr, SeqNum store)
     {
         removeStore(addr, store);
-        auto cv = committed.find(addr);
-        if (cv == committed.end() || cv->second < store)
-            committed[addr] = store;
+        if (newestCommitted == kNoSeq || store > newestCommitted)
+            newestCommitted = store;
     }
 };
 
@@ -213,8 +224,13 @@ TEST(Arb, RandomizedAgainstNaiveReference)
         for (int step = 0; step < 600; ++step) {
             SCOPED_TRACE(::testing::Message() << "seed " << seed
                                               << " step " << step);
+            // Stores commit in program order, so new ops come from the
+            // 64 seqs past the newest committed store.
             const Addr addr = 0x100 + 8 * rng.below(4);
-            const SeqNum seq = rng.below(64);
+            const SeqNum base = ref.newestCommitted == kNoSeq
+                                    ? 0
+                                    : ref.newestCommitted + 1;
+            const SeqNum seq = base + rng.below(64);
             const uint32_t task = seq / 8;
             // Most commits, removals and refreshes name a tracked
             // record, as the models' do; the rest probe misses.
@@ -222,7 +238,8 @@ TEST(Arb, RandomizedAgainstNaiveReference)
             if (rng.below(4) != 0 && !ref.loads.empty())
                 l = ref.loads[rng.below(ref.loads.size())];
             NaiveArb::Rec st{addr, seq, 0, task};
-            if (rng.below(4) != 0 && !ref.stores.empty())
+            const bool st_tracked = rng.below(4) != 0 && !ref.stores.empty();
+            if (st_tracked)
                 st = ref.stores[rng.below(ref.stores.size())];
             switch (rng.below(9)) {
               case 0:
@@ -257,6 +274,13 @@ TEST(Arb, RandomizedAgainstNaiveReference)
                 ref.removeLoad(l.addr, l.seq);
                 break;
               case 7:
+                // The oldest tracked store commits, or a miss.
+                if (st_tracked)
+                    st = *std::min_element(
+                        ref.stores.begin(), ref.stores.end(),
+                        [](const NaiveArb::Rec &a, const NaiveArb::Rec &b) {
+                            return a.seq < b.seq;
+                        });
                 arb.commitStore(st.addr, st.seq);
                 ref.commitStore(st.addr, st.seq);
                 break;

@@ -1,11 +1,16 @@
 /**
  * @file
- * Residency of a cached trace's mapping (Linux only).  MappedTrace::open
- * checksums every payload byte through the mapping and then drops the
- * pages it touched, so a consumer keeps resident only the trace columns
- * it reads.  Growth is the process's RssFile from before the load to
- * after the consumer ran, measured once a warm run over a tiny trace
- * has already faulted in the code these paths execute.
+ * Residency of a cached trace's mapping (Linux only).  A mapped trace
+ * stays resident only while a pass reads it: MappedTrace::open drops
+ * the pages its checksum touched, and DepOracle's and TaskSet's
+ * constructors and both timing models' run() drop the pages they
+ * faulted back when they end (TraceView::evict()).  Growth is the
+ * process's RssFile from before the load to after the consumer ran,
+ * measured once a warm run over a tiny trace has already faulted in
+ * the code these paths execute.  Which columns a run reads is checked
+ * by revoking read access to the whole pages of the columns it must
+ * not read; evict() must leave an in-memory trace's bytes alone, and
+ * concurrent runs evicting one mapping must not change a result.
  *
  * The kernel maps file pages in units of its page-cache folios, which
  * can be up to 2 MiB on a filesystem with large folios, so a column
@@ -16,15 +21,25 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <latch>
 #include <memory>
+#include <span>
 #include <string>
+#include <thread>
+#include <vector>
+
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include "multiscalar/processor.hh"
 #include "multiscalar/task_info.hh"
 #include "ooo/ooo_model.hh"
+#include "base/hash.hh"
 #include "trace/builder.hh"
 #include "trace/cache.hh"
 #include "trace/dep_oracle.hh"
@@ -89,6 +104,61 @@ sumKinds(const TraceView &v)
     for (SeqNum s = 0; s < v.size(); ++s)
         sum += static_cast<uint8_t>(v.kind(s));
     return sum;
+}
+
+/** FNV-1a digest of each of a view's seven per-op columns. */
+std::array<uint64_t, 7>
+columnDigests(const TraceView &v)
+{
+    std::array<uint64_t, 7> d{};
+    const auto cols = v.columns();
+    for (size_t i = 0; i < cols.size(); ++i)
+        d[i] = fnv1aBulk(cols[i].data(), cols[i].size());
+    return d;
+}
+
+/**
+ * Revokes read access to the whole pages inside the given byte ranges
+ * of a mapping, restoring PROT_READ when it goes out of scope.  A run
+ * that reads a revoked page dies of SIGSEGV.
+ */
+class RevokedPages
+{
+  public:
+    explicit RevokedPages(std::vector<std::span<const std::byte>> ranges)
+    {
+        const auto page = static_cast<uintptr_t>(::sysconf(_SC_PAGESIZE));
+        for (const auto &r : ranges) {
+            const auto lo = reinterpret_cast<uintptr_t>(r.data());
+            const uintptr_t first = (lo + page - 1) / page * page;
+            const uintptr_t last = (lo + r.size()) / page * page;
+            if (last <= first)
+                continue;
+            void *p = reinterpret_cast<void *>(first);
+            EXPECT_EQ(::mprotect(p, last - first, PROT_NONE), 0);
+            pages.emplace_back(p, last - first);
+        }
+    }
+
+    ~RevokedPages()
+    {
+        for (const auto &[p, len] : pages)
+            EXPECT_EQ(::mprotect(p, len, PROT_READ), 0);
+    }
+
+    RevokedPages(const RevokedPages &) = delete;
+    RevokedPages &operator=(const RevokedPages &) = delete;
+
+  private:
+    std::vector<std::pair<void *, size_t>> pages;
+};
+
+/** The file's taskPc column: the gap between the addr and src1 columns. */
+std::span<const std::byte>
+taskPcColumn(const TraceView &v)
+{
+    const auto cols = v.columns();
+    return {cols[1].data() + cols[1].size(), cols[2].data()};
 }
 
 OooResult
@@ -219,6 +289,108 @@ TEST_F(TraceResidencyTest, MultiscalarRunLeavesTaskPcCold)
     const int64_t edge = std::max(128 * kKiB, granule);
     EXPECT_LT(rssFileBytes() - before,
               payloadBytes(*mapped) - column + 2 * edge);
+}
+
+TEST_F(TraceResidencyTest, OracleAndTaskSetHandTheirPagesBack)
+{
+    const int64_t before = rssFileBytes();
+    auto mapped = cache->load(kBig);
+    ASSERT_TRUE(mapped);
+    const DepOracle oracle(mapped->view());
+    const TaskSet tasks(mapped->view());
+    EXPECT_EQ(tasks.numTasks(), kOps / 64);
+    EXPECT_LT(rssFileBytes() - before, 1 * kMiB);
+}
+
+TEST_F(TraceResidencyTest, OooRunHandsItsPagesBack)
+{
+    const int64_t before = rssFileBytes();
+    auto mapped = cache->load(kBig);
+    ASSERT_TRUE(mapped);
+    EXPECT_EQ(runOooOver(mapped->view()).committedOps, kOps);
+    EXPECT_LT(rssFileBytes() - before, 1 * kMiB);
+}
+
+TEST_F(TraceResidencyTest, MultiscalarRunHandsItsPagesBack)
+{
+    const int64_t before = rssFileBytes();
+    auto mapped = cache->load(kBig);
+    ASSERT_TRUE(mapped);
+    EXPECT_EQ(runMultiscalarOver(mapped->view()).committedOps, kOps);
+    EXPECT_LT(rssFileBytes() - before, 1 * kMiB);
+}
+
+TEST_F(TraceResidencyTest, OooRunReadsNoTaskColumn)
+{
+    auto mapped = cache->load(kBig);
+    ASSERT_TRUE(mapped);
+    const TraceView &v = mapped->view();
+    const auto cols = v.columns();
+    const RevokedPages revoked({taskPcColumn(v), cols[4], cols[6]});
+    EXPECT_EXIT(std::exit(runOooOver(v).committedOps == kOps ? 0 : 2),
+                testing::ExitedWithCode(0), "");
+}
+
+TEST_F(TraceResidencyTest, MultiscalarRunReadsNoTaskPcColumn)
+{
+    auto mapped = cache->load(kBig);
+    ASSERT_TRUE(mapped);
+    const TraceView &v = mapped->view();
+    const RevokedPages revoked({taskPcColumn(v)});
+    EXPECT_EXIT(
+        std::exit(runMultiscalarOver(v).committedOps == kOps ? 0 : 2),
+        testing::ExitedWithCode(0), "");
+}
+
+TEST_F(TraceResidencyTest, ConcurrentRunsEvictingOneMappingAgree)
+{
+    // Each thread's runs evict the shared mapping at the end of the
+    // oracle build, the task-set build and run() while the other
+    // thread's runs read it.
+    const TraceCacheKey key{"shared", 1.0, 1, 0};
+    ASSERT_TRUE(cache->store(key, syntheticTrace(100'000)));
+    auto mapped = cache->load(key);
+    ASSERT_TRUE(mapped);
+    const TraceView &v = mapped->view();
+    const OooResult ooo = runOooOver(v);
+    const SimResult ms = runMultiscalarOver(v);
+
+    constexpr int kRounds = 3;
+    std::vector<OooResult> ooo_runs(kRounds);
+    std::vector<SimResult> ms_runs(kRounds);
+    std::latch start(2);
+    std::thread a([&] {
+        start.arrive_and_wait();
+        for (OooResult &r : ooo_runs)
+            r = runOooOver(v);
+    });
+    std::thread b([&] {
+        start.arrive_and_wait();
+        for (SimResult &r : ms_runs)
+            r = runMultiscalarOver(v);
+    });
+    a.join();
+    b.join();
+    for (int i = 0; i < kRounds; ++i) {
+        EXPECT_EQ(ooo_runs[i].cycles, ooo.cycles);
+        EXPECT_EQ(ooo_runs[i].squashedOps, ooo.squashedOps);
+        EXPECT_EQ(ooo_runs[i].loadsBlocked, ooo.loadsBlocked);
+        EXPECT_EQ(ms_runs[i].cycles, ms.cycles);
+        EXPECT_EQ(ms_runs[i].squashedOps, ms.squashedOps);
+        EXPECT_EQ(ms_runs[i].loadsBlockedSync, ms.loadsBlockedSync);
+    }
+}
+
+TEST(TraceEvict, InMemoryTraceIsLeftAlone)
+{
+    // Columns large enough to own whole pages: advising them would
+    // zero the bytes.
+    const Trace t = syntheticTrace(200'000);
+    const TraceView v(t);
+    const std::array<uint64_t, 7> before = columnDigests(v);
+    v.evict();
+    EXPECT_EQ(columnDigests(v), before);
+    EXPECT_EQ(v.kind(1), OpKind::Load);
 }
 
 } // namespace
